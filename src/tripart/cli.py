@@ -12,7 +12,7 @@ import sys
 
 from .geometry import GeometryError, Point, Triangle, _signed_area
 from .masspart import MassPartitionError
-from .partition import SolverError, verify_partition
+from .partition import PartitionError, SolverError, verify_partition
 from .problem import (
     InputError,
     ProblemSpec,
@@ -144,7 +144,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         sys.stderr.write(canonical_json({"error": {"code": exc.code, "message": str(exc)}}) + "\n")
         return EXIT_INPUT
-    except (MassPartitionError, GeometryError) as exc:
+    except (MassPartitionError, GeometryError, PartitionError) as exc:
         sys.stderr.write(canonical_json({"error": {"code": "invalid-value", "message": str(exc)}}) + "\n")
         return EXIT_INPUT
     except SolverError as exc:

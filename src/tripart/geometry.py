@@ -6,7 +6,10 @@ around a movable point X into three angular regions, one per triangle
 vertex: the region at vertex V is bounded by the two lines through X
 perpendicular to the sides meeting at V and opens toward V.  The three
 wedges tile the plane for every X, so the three region areas always sum
-to the triangle area.
+to the triangle area.  The wedges are the sectors of a three-ray fan at X
+whose rays are the outward side normals, so one fan kernel serves both
+problems: sector areas by clipping, and the ray chords that give the
+exact gradient of those areas.
 
 All types are immutable after construction and all operations are pure
 functions, so everything here is safe to use concurrently.
@@ -22,6 +25,8 @@ Vec = tuple[float, float]
 
 VERTEX_IDS = ("a", "b", "c")
 SIDE_IDS = ("ab", "bc", "ca")
+SECTOR_VERTEX_ORDER = ("b", "c", "a")  # triangle regions hit by fan sectors 0, 1, 2
+_SECTOR_OF = {v: i for i, v in enumerate(SECTOR_VERTEX_ORDER)}
 
 DEGENERACY_REL = 1e-12  # min |signed area| / diameter**2 for a usable triangle
 CLIP_SNAP_REL = 1e-14   # on-line band for clipping, relative to coordinate scale
@@ -88,36 +93,89 @@ def _clip(pts, nx: float, ny: float, off: float, eps: float):
     return out
 
 
-def _wedge_area(pts, n1x, n1y, o1, n2x, n2y, o2, eps) -> float:
-    """Area of a convex CCW polygon clipped by two half-planes (<= form)."""
-    for nx, ny, off in ((n1x, n1y, o1), (n2x, n2y, o2)):
-        if not pts:
-            return 0.0
-        out = []
-        sx, sy = pts[-1]
-        ds = nx * sx + ny * sy - off
-        for p in pts:
-            ex, ey = p
-            de = nx * ex + ny * ey - off
-            if de <= eps:
-                if ds > eps and de < -eps:
-                    t = ds / (ds - de)
-                    out.append((sx + t * (ex - sx), sy + t * (ey - sy)))
-                out.append(p)
-            elif ds < -eps:
-                t = ds / (ds - de)
-                out.append((sx + t * (ex - sx), sy + t * (ey - sy)))
-            sx, sy = ex, ey
-            ds = de
-        pts = out
-    if len(pts) < 3:
-        return 0.0
-    total = 0.0
-    x0, y0 = pts[-1]
-    for x1, y1 in pts:
-        total += x0 * y1 - x1 * y0
-        x0, y0 = x1, y1
-    return 0.5 * total
+def _sector_cuts(normals, i: int, x: float, y: float):
+    """The two half-planes (nx, ny, offset), <= form, bounding sector i of
+    a fan with apex (x, y).  `normals` holds each ray direction turned +90
+    degrees; sector i lies between ray i and ray i+1, so it is the inner
+    side of ray i+1 followed by the inner side of ray i."""
+    ax, ay = normals[(i + 1) % 3]
+    bx, by = normals[i]
+    bx, by = -bx, -by
+    return (ax, ay, ax * x + ay * y), (bx, by, bx * x + by * y)
+
+
+def _sector_area(pts, normals, i: int, x: float, y: float, eps: float) -> float:
+    """Area of a convex CCW polygon inside sector i of the fan at (x, y)."""
+    (ax, ay, ao), (bx, by, bo) = _sector_cuts(normals, i, x, y)
+    return _signed_area(_clip(_clip(pts, ax, ay, ao, eps), bx, by, bo, eps))
+
+
+def _chords(pts, normals, x: float, y: float) -> tuple[float, float, float]:
+    """Length inside a convex CCW polygon of each ray of the fan at (x, y),
+    by one Cyrus-Beck pass over the edges.  Ray j runs along n_j turned
+    -90 degrees, so its point at parameter t lies inside edge (s, e) while
+    t * (w . n_j) <= cross(w, (x, y) - s) with w = e - s; the three rays
+    are unrolled, and min/max spelled out, because this is the Newton
+    step's inner loop."""
+    (n0x, n0y), (n1x, n1y), (n2x, n2y) = normals
+    lo0 = lo1 = lo2 = 0.0
+    hi0 = hi1 = hi2 = math.inf
+    sx, sy = pts[-1]
+    for ex, ey in pts:
+        wx, wy = ex - sx, ey - sy
+        c = wx * (y - sy) - wy * (x - sx)
+        k = wx * n0x + wy * n0y
+        if k > 0.0:
+            t = c / k
+            if t < hi0:
+                hi0 = t
+        elif k < 0.0:
+            t = c / k
+            if t > lo0:
+                lo0 = t
+        elif c < 0.0:
+            hi0 = -math.inf
+        k = wx * n1x + wy * n1y
+        if k > 0.0:
+            t = c / k
+            if t < hi1:
+                hi1 = t
+        elif k < 0.0:
+            t = c / k
+            if t > lo1:
+                lo1 = t
+        elif c < 0.0:
+            hi1 = -math.inf
+        k = wx * n2x + wy * n2y
+        if k > 0.0:
+            t = c / k
+            if t < hi2:
+                hi2 = t
+        elif k < 0.0:
+            t = c / k
+            if t > lo2:
+                lo2 = t
+        elif c < 0.0:
+            hi2 = -math.inf
+        sx, sy = ex, ey
+    return (max(0.0, hi0 - lo0), max(0.0, hi1 - lo1), max(0.0, hi2 - lo2))
+
+
+def _sector_jacobian(pts, normals, x: float, y: float) -> tuple[float, float, float, float]:
+    """Exact gradients of the areas of sectors 0 and 1 with respect to the
+    apex, as (dA0/dx, dA0/dy, dA1/dx, dA1/dy).  Moving the apex slides each
+    ray sideways, so by the Leibniz rule grad A_j = l_{j+1} n_{j+1} - l_j n_j
+    with n_j the ray normal and l_j the ray's chord length.  The
+    determinant is l0 l1 sin g0 + l1 l2 sin g1 + l2 l0 sin g2 >= 0 for fan
+    gaps g_i, positive exactly when at least two rays cross the polygon."""
+    l0, l1, l2 = _chords(pts, normals, x, y)
+    (n0x, n0y), (n1x, n1y), (n2x, n2y) = normals
+    return (
+        l1 * n1x - l0 * n0x,
+        l1 * n1y - l0 * n0y,
+        l2 * n2x - l1 * n1x,
+        l2 * n2y - l1 * n1y,
+    )
 
 
 def _dedupe_ring(pts, tol: float):
@@ -360,21 +418,12 @@ class Triangle:
     def contains(self, p: Point, tol: float = 0.0) -> bool:
         return self.signed_distance(p) >= -tol
 
-    # Wedge constraints in <= form: region at v is
-    # {p : n1.(p - x) <= 0} & {p : n2.(p - x) <= 0} where n1 is the unit
-    # direction of the CCW side leaving v and n2 the negated unit direction
-    # of the CCW side arriving at v.
+    # The perpendicular wedges are the sectors of the fan of outward side
+    # normals; turning an outward normal +90 degrees gives the side's unit
+    # vector, so these are the fan's ray normals (see SECTOR_VERTEX_ORDER).
     @cached_property
-    def _wedges(self) -> dict:
-        u = {s: self.side_unit(s) for s in SIDE_IDS}
-        nxt = {"a": "ab", "b": "bc", "c": "ca"}
-        prv = {"a": "ca", "b": "ab", "c": "bc"}
-        out = {}
-        for v in VERTEX_IDS:
-            n1 = u[nxt[v]]
-            p2 = u[prv[v]]
-            out[v] = (n1[0], n1[1], -p2[0], -p2[1])
-        return out
+    def _normals(self) -> tuple[Vec, Vec, Vec]:
+        return tuple(self.side_unit(s) for s in SIDE_IDS)
 
     @cached_property
     def _snap(self) -> float:
@@ -479,20 +528,8 @@ def sector_at_vertex(tri: Triangle, v: str, x: Point) -> Sector:
     """The wedge at x bounded by the perpendiculars to the two sides
     meeting at vertex v, opening toward v.  Its width is pi minus the
     interior angle at v, so the three wedges tile the plane."""
-    n1x, n1y, n2x, n2y = tri._wedges[v.lower()]
-    left = HalfPlane((n1x, n1y), n1x * x.x + n1y * x.y)
-    right = HalfPlane((n2x, n2y), n2x * x.x + n2y * x.y)
-    return Sector(x, left, right)
-
-
-def _region_area_fast(tri: Triangle, v: str, xx: float, xy: float) -> float:
-    n1x, n1y, n2x, n2y = tri._wedges[v]
-    return _wedge_area(
-        tri.points,
-        n1x, n1y, n1x * xx + n1y * xy,
-        n2x, n2y, n2x * xx + n2y * xy,
-        tri._snap,
-    )
+    (n1x, n1y, o1), (n2x, n2y, o2) = _sector_cuts(tri._normals, _SECTOR_OF[v.lower()], x.x, x.y)
+    return Sector(x, HalfPlane((n1x, n1y), o1), HalfPlane((n2x, n2y), o2))
 
 
 def region_area(tri: Triangle, v: str, x: Point) -> float:
@@ -501,25 +538,21 @@ def region_area(tri: Triangle, v: str, x: Point) -> float:
     Defined and continuous for every x in the plane, not just inside the
     triangle.
     """
-    return _region_area_fast(tri, v.lower(), x.x, x.y)
+    return _sector_area(tri.points, tri._normals, _SECTOR_OF[v.lower()], x.x, x.y, tri._snap)
 
 
 def region_areas(tri: Triangle, x: Point) -> RegionAreas:
     """All three region areas at x; they sum to the triangle area."""
-    return RegionAreas(
-        _region_area_fast(tri, "a", x.x, x.y),
-        _region_area_fast(tri, "b", x.x, x.y),
-        _region_area_fast(tri, "c", x.x, x.y),
-    )
+    b, c, a = (_sector_area(tri.points, tri._normals, i, x.x, x.y, tri._snap) for i in range(3))
+    return RegionAreas(a, b, c)
 
 
 def region_polygon(tri: Triangle, v: str, x: Point) -> ConvexPolygon:
     """The region at vertex v as a polygon (empty if the wedge misses the
     triangle).  Consecutive vertices closer than 1e-12 * diameter are
     merged so degenerate slivers do not inflate the vertex count."""
-    n1x, n1y, n2x, n2y = tri._wedges[v.lower()]
-    pts = _clip(list(tri.points), n1x, n1y, n1x * x.x + n1y * x.y, tri._snap)
-    pts = _clip(pts, n2x, n2y, n2x * x.x + n2y * x.y, tri._snap)
+    (n1x, n1y, o1), (n2x, n2y, o2) = _sector_cuts(tri._normals, _SECTOR_OF[v.lower()], x.x, x.y)
+    pts = _clip(_clip(tri.points, n1x, n1y, o1, tri._snap), n2x, n2y, o2, tri._snap)
     pts = _dedupe_ring(pts, 1e-12 * tri.diameter)
     if len(pts) < 3:
         return ConvexPolygon.empty()

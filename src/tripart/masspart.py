@@ -5,8 +5,10 @@ pi, splits the plane into three convex sectors.  For any convex polygon
 and any positive target areas summing to the polygon's area there is a
 position of the apex realizing the targets; `solve_translation` finds it.
 The perpendicular-wedge partition of a triangle is the special case where
-the rays are the outward side normals, so the triangle solvers can be
-cross-checked against this module.
+the rays are the outward side normals: sectors 0, 1, 2 reproduce the
+regions at vertices b, c, a bit for bit.  Both problems share one area
+kernel (`tripart.geometry`) and one Newton front end with an exact
+Jacobian (`tripart.partition`).
 """
 
 from __future__ import annotations
@@ -21,17 +23,14 @@ from .geometry import (
     Triangle,
     Vec,
     _coord_scale,
+    _sector_area,
     _signed_area,
-    _wedge_area,
     outward_normal,
 )
-from .partition import SolverConfig, SolverError, SolverReport
-from .rootfind import newton2d
+from .partition import SolverConfig, _fan_newton
 
 GAP_MIN = 1e-9  # smallest allowed angle between consecutive rays
 GAP_GUARD = 1e-9  # each gap must stay below pi by this margin
-
-SECTOR_VERTEX_ORDER = ("b", "c", "a")  # triangle regions hit by sectors 0, 1, 2
 
 
 class MassPartitionError(ValueError):
@@ -59,6 +58,12 @@ class SectorConfig:
         at vertices b, c, a."""
         dirs = (outward_normal(tri, "ab"), outward_normal(tri, "bc"), outward_normal(tri, "ca"))
         return validate_config(cls(dirs))
+
+    @property
+    def normals(self) -> tuple[Vec, Vec, Vec]:
+        """The ray directions turned +90 degrees: the fan form the area
+        kernel reads."""
+        return tuple((-dy, dx) for dx, dy in self.directions)
 
     def gaps(self) -> tuple[float, float, float]:
         """CCW angles between consecutive rays; they always sum to 2 pi."""
@@ -117,18 +122,6 @@ class TranslationSolution:
     method: str = "newton"
 
 
-def _sector_normals(cfg: SectorConfig):
-    """Per sector, the two half-plane normals (<= form, apex at origin).
-    The bounding ray i+1 is clipped first, then ray i; this matches the
-    clip order of the triangle wedges so the special case is bit-exact."""
-    out = []
-    for i in range(3):
-        d1x, d1y = cfg.directions[i]
-        d2x, d2y = cfg.directions[(i + 1) % 3]
-        out.append((-d2y, d2x, d1y, -d1x))
-    return out
-
-
 def sector_areas(poly: ConvexPolygon, cfg: SectorConfig, apex: Point) -> tuple[float, float, float]:
     """Areas of the polygon pieces cut by the fan placed at `apex`.  The
     three values sum to the polygon area for every apex position."""
@@ -137,17 +130,8 @@ def sector_areas(poly: ConvexPolygon, cfg: SectorConfig, apex: Point) -> tuple[f
         return (0.0, 0.0, 0.0)
     pts = poly.coords
     eps = CLIP_SNAP_REL * _coord_scale(pts)
-    out = []
-    for n1x, n1y, n2x, n2y in _sector_normals(cfg):
-        out.append(
-            _wedge_area(
-                pts,
-                n1x, n1y, n1x * apex.x + n1y * apex.y,
-                n2x, n2y, n2x * apex.x + n2y * apex.y,
-                eps,
-            )
-        )
-    return tuple(out)
+    normals = cfg.normals
+    return tuple(_sector_area(pts, normals, i, apex.x, apex.y, eps) for i in range(3))
 
 
 def _polygon_diameter(pts) -> float:
@@ -177,46 +161,8 @@ def solve_translation(poly, cfg: SectorConfig, targets: Targets, solver_cfg=None
             f"targets sum to {sum(vals)!r} but the polygon area is {total!r}"
         )
     pts = poly.coords
-    eps = CLIP_SNAP_REL * _coord_scale(pts)
-    normals = _sector_normals(cfg)
-    t1, t2, t3 = vals
-
-    def fun(x: float, y: float):
-        n1x, n1y, n2x, n2y = normals[0]
-        a1 = _wedge_area(pts, n1x, n1y, n1x * x + n1y * y, n2x, n2y, n2x * x + n2y * y, eps)
-        n1x, n1y, n2x, n2y = normals[1]
-        a2 = _wedge_area(pts, n1x, n1y, n1x * x + n1y * y, n2x, n2y, n2x * x + n2y * y, eps)
-        a3 = total - a1 - a2
-        g1 = a1 - t1
-        g2 = a2 - t2
-        merit = max(abs(g1), abs(g2), abs(a3 - t3))
-        return g1, g2, merit
-
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    cx = sum(xs) / len(xs)
-    cy = sum(ys) / len(ys)
-    diam = _polygon_diameter(pts)
-    box = (min(xs) - 2.0 * diam, max(xs) + 2.0 * diam, min(ys) - 2.0 * diam, max(ys) + 2.0 * diam)
-    res = newton2d(
-        fun,
-        (cx, cy),
-        tol=solver_cfg.area_tol_rel * total,
-        fd_step=solver_cfg.fd_step_rel * diam,
-        max_iters=solver_cfg.max_iters,
-        restart_box=box,
-    )
-    if not res.converged:
-        report = SolverReport(
-            method="newton",
-            iterations=res.iterations,
-            residual=res.residual,
-            best_point=(res.x, res.y),
-            residual_history=res.residual_history,
-            converged=False,
-            message="translation search did not reach the area tolerance",
-        )
-        raise SolverError(report.message, report)
+    seed = (sum(p[0] for p in pts) / len(pts), sum(p[1] for p in pts) / len(pts))
+    res = _fan_newton(pts, cfg.normals, vals, seed, 2.0 * _polygon_diameter(pts), solver_cfg)
     apex = Point(res.x, res.y)
     achieved = sector_areas(poly, cfg, apex)
     residual = max(abs(a - t) for a, t in zip(achieved, vals))

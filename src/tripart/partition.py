@@ -7,7 +7,9 @@ closed-form criterion on the two acute angles decides whether X0 is inside,
 on the side opposite the widest angle, or outside entirely.
 
 This module classifies triangles by that criterion and locates X0 four
-ways: a damped Newton iteration on the area system, a maximin pattern
+ways: a damped Newton iteration on the area system (the wedges are the
+sectors of the fan of outward side normals, so this is the fan placement
+front end that `tripart.masspart` shares), a maximin pattern
 search (the minimum region area peaks exactly at X0), a combinatorial
 zoom on a fully-labeled grid cell of the argmin labeling, and, for the
 outside case, a direct construction intersecting two area-splitting cut
@@ -21,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .geometry import (
+    CLIP_SNAP_REL,
     SIDE_IDS,
     VERTEX_IDS,
     ConvexPolygon,
@@ -30,7 +33,9 @@ from .geometry import (
     Triangle,
     Vec,
     _clip,
-    _region_area_fast,
+    _coord_scale,
+    _sector_area,
+    _sector_jacobian,
     _signed_area,
     foot_of_perpendicular,
     region_areas,
@@ -76,15 +81,12 @@ class SolverConfig:
 
     area_tol_rel: float = 1e-12
     max_iters: int = 100
-    fd_step_rel: float = 1e-7
     kkm_initial_grid: int = 64
     kkm_target_diam_rel: float = 1e-10
 
     def __post_init__(self):
         if not (self.area_tol_rel > 0.0 and math.isfinite(self.area_tol_rel)):
             raise PartitionError("area_tol_rel must be a positive finite number")
-        if not (self.fd_step_rel > 0.0 and math.isfinite(self.fd_step_rel)):
-            raise PartitionError("fd_step_rel must be a positive finite number")
         if not (self.kkm_target_diam_rel > 0.0 and math.isfinite(self.kkm_target_diam_rel)):
             raise PartitionError("kkm_target_diam_rel must be a positive finite number")
         if int(self.max_iters) != self.max_iters or self.max_iters < 1:
@@ -155,8 +157,8 @@ class LabelSets:
 
     def _label(self, xx: float, xy: float) -> str:
         tri = self.triangle
-        ra = _region_area_fast(tri, "a", xx, xy)
-        rb = _region_area_fast(tri, "b", xx, xy)
+        ra = _sector_area(tri.points, tri._normals, 2, xx, xy, tri._snap)
+        rb = _sector_area(tri.points, tri._normals, 0, xx, xy, tri._snap)
         rc = tri.area - ra - rb
         if ra <= rb:
             return "a" if ra <= rc else "c"
@@ -264,22 +266,48 @@ def cut_line_offset(tri: Triangle, side: str, target_area: float) -> float:
             hi = mid
 
 
-def _area_system(tri: Triangle):
-    """Residual callback for the solvers: areas at a and b minus the target,
-    plus the max absolute deviation over all three regions."""
-    s = tri.area / 3.0
-    total = tri.area
+def _fan_newton(pts, normals, targets, seed: Vec, pad: float, cfg: SolverConfig):
+    """Place the apex of a three-ray fan so that its sectors cut the convex
+    CCW polygon `pts` into the three `targets` (summing to its area); the
+    fan is given by its ray normals, as in `tripart.geometry`.  Damped
+    Newton on the areas of sectors 0 and 1 with the exact Jacobian, from
+    `seed`, reseeding from a grid over the bounding box grown by `pad` if
+    the iteration stalls.  Returns the RootResult; raises SolverError
+    (with the best iterate in its report) when the residual cannot be
+    driven below cfg.area_tol_rel times the area."""
+    total = _signed_area(pts)
+    eps = CLIP_SNAP_REL * _coord_scale(pts)
+    t1, t2, t3 = targets
 
     def fun(x: float, y: float):
-        ra = _region_area_fast(tri, "a", x, y)
-        rb = _region_area_fast(tri, "b", x, y)
-        rc = total - ra - rb
-        da = ra - s
-        db = rb - s
-        merit = max(abs(da), abs(db), abs(rc - s))
-        return da, db, merit
+        a1 = _sector_area(pts, normals, 0, x, y, eps)
+        a2 = _sector_area(pts, normals, 1, x, y, eps)
+        g1 = a1 - t1
+        g2 = a2 - t2
+        return g1, g2, max(abs(g1), abs(g2), abs(total - a1 - a2 - t3))
 
-    return fun
+    xs = [p[0] for p in pts]
+    ys = [p[1] for p in pts]
+    res = newton2d(
+        fun,
+        seed,
+        jac=lambda x, y: _sector_jacobian(pts, normals, x, y),
+        tol=cfg.area_tol_rel * total,
+        max_iters=cfg.max_iters,
+        restart_box=(min(xs) - pad, max(xs) + pad, min(ys) - pad, max(ys) + pad),
+    )
+    if not res.converged:
+        report = SolverReport(
+            method="newton",
+            iterations=res.iterations,
+            residual=res.residual,
+            best_point=(res.x, res.y),
+            residual_history=res.residual_history,
+            converged=False,
+            message="newton iteration did not reach the area tolerance",
+        )
+        raise SolverError(report.message, report)
+    return res
 
 
 def _solution(tri: Triangle, point: Point, cls: Classification, method: str) -> PartitionSolution:
@@ -298,36 +326,15 @@ def _solution(tri: Triangle, point: Point, cls: Classification, method: str) -> 
 
 
 def solve_newton(tri: Triangle, cfg: SolverConfig | None = None, seed: Point | None = None) -> PartitionSolution:
-    """Locate the equal-area point by damped Newton iteration on the area
-    system, reseeding from a grid scan over the expanded bounding box if
-    the iteration stalls.  Raises SolverError (with the best iterate in
-    its report) when the residual cannot be driven below tolerance."""
+    """Locate the equal-area point as the apex of the triangle's fan of
+    outward side normals that cuts three equal areas (see `_fan_newton`),
+    starting from `seed` or the centroid.  Raises SolverError (with the
+    best iterate in its report) when the residual cannot be driven below
+    tolerance."""
     cfg = cfg or SolverConfig()
-    fun = _area_system(tri)
     start = seed if seed is not None else tri.centroid
-    d = tri.diameter
-    xs = [p[0] for p in tri.points]
-    ys = [p[1] for p in tri.points]
-    box = (min(xs) - d, max(xs) + d, min(ys) - d, max(ys) + d)
-    res = newton2d(
-        fun,
-        (start.x, start.y),
-        tol=cfg.area_tol_rel * tri.area,
-        fd_step=cfg.fd_step_rel * d,
-        max_iters=cfg.max_iters,
-        restart_box=box,
-    )
-    if not res.converged:
-        report = SolverReport(
-            method="newton",
-            iterations=res.iterations,
-            residual=res.residual,
-            best_point=(res.x, res.y),
-            residual_history=res.residual_history,
-            converged=False,
-            message="newton iteration did not reach the area tolerance",
-        )
-        raise SolverError(report.message, report)
+    s = tri.area / 3.0
+    res = _fan_newton(tri.points, tri._normals, (s, s, s), (start.x, start.y), tri.diameter, cfg)
     return _solution(tri, Point(res.x, res.y), classify(tri), "newton")
 
 
@@ -343,10 +350,11 @@ def solve_maximin(tri: Triangle, cfg: SolverConfig | None = None) -> PartitionSo
         raise PartitionError(f"maximin search needs the solution inside the triangle, not {cls.kind}")
     total = tri.area
     diam = tri.diameter
+    pts, normals, eps = tri.points, tri._normals, tri._snap
 
     def f(xx: float, xy: float) -> float:
-        ra = _region_area_fast(tri, "a", xx, xy)
-        rb = _region_area_fast(tri, "b", xx, xy)
+        ra = _sector_area(pts, normals, 2, xx, xy, eps)
+        rb = _sector_area(pts, normals, 0, xx, xy, eps)
         return min(ra, rb, total - ra - rb)
 
     inward = []

@@ -30,7 +30,7 @@ from .partition import (
 MODES = ("triangle", "mass-partition", "sweep")
 DEFAULT_RAYS_DEG = (90.0, 210.0, 330.0)
 DEFAULT_SWEEP_RESOLUTION = 100
-_SOLVER_KEYS = ("area_tol_rel", "max_iters", "fd_step_rel", "kkm_initial_grid", "kkm_target_diam_rel")
+_SOLVER_KEYS = ("area_tol_rel", "max_iters", "kkm_initial_grid", "kkm_target_diam_rel")
 _ALLOWED_KEYS = {
     "triangle": {"mode", "triangle", "solver"},
     "mass-partition": {"mode", "polygon", "rays", "targets", "fractions", "solver"},
@@ -264,7 +264,7 @@ def parse_spec(text: str) -> ProblemSpec:
     resolution = DEFAULT_SWEEP_RESOLUTION
     if "resolution" in data:
         v = data["resolution"]
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or v != int(v):
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v) or v != int(v):
             raise InputError("invalid-value", f"'resolution' must be an integer, got {v!r}")
         resolution = int(v)
         if resolution < 2:

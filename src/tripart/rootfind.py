@@ -1,11 +1,12 @@
-"""Damped 2-D Newton iteration with a forward-difference Jacobian.
+"""Damped 2-D Newton iteration with a caller-supplied exact Jacobian.
 
 The residual callback returns both the system values and a scalar merit;
-steps are halved until the merit decreases.  When a step cannot make
-progress the iteration reseeds itself from refined candidates of a
-coarse grid search over a caller-supplied box.  Several well-separated
-candidates are kept because the merit landscape can be flat far from the
-basin, which silently kills a single restart.
+steps are halved until the merit decreases at a point where the Jacobian
+determinant is still positive.  When a step cannot make progress the
+iteration reseeds itself from refined candidates of a coarse grid search
+over a caller-supplied box.  Several well-separated candidates are kept
+because the merit landscape can be flat far from the basin, which
+silently kills a single restart.
 """
 
 from __future__ import annotations
@@ -132,22 +133,25 @@ def newton2d(
     fun,
     seed: tuple[float, float],
     *,
+    jac,
     tol: float,
-    fd_step: float,
     max_iters: int,
     restart_box: tuple[float, float, float, float] | None = None,
     max_backtracks: int = 30,
 ) -> RootResult:
     """Drive fun(x, y) -> (g1, g2, merit) to merit <= tol.
 
-    Newton steps solve the forward-difference linearization of (g1, g2);
-    each step is backtracked (halved up to max_backtracks times) until the
-    merit drops.  On stagnation the search reseeds from the next grid
-    candidate inside restart_box.  Never raises; inspect `converged` on
-    the result.
+    jac(x, y) -> (dg1/dx, dg1/dy, dg2/dx, dg2/dy) is the exact Jacobian of
+    (g1, g2).  Each Newton step is backtracked (halved up to max_backtracks
+    times) until the merit drops at a point with a positive Jacobian
+    determinant; points where the system is flat in some direction would
+    stall the next step.  On stagnation the search reseeds from the next
+    grid candidate inside restart_box.  Never raises; inspect `converged`
+    on the result.
     """
     x, y = seed
     g1, g2, merit = fun(x, y)
+    j11, j12, j21, j22 = jac(x, y)
     history = [merit]
     best = (merit, x, y)
     iters = 0
@@ -155,31 +159,23 @@ def newton2d(
     seeds = None
 
     while merit > tol and iters < max_iters:
-        stalled = False
-        g1x, g2x, _ = fun(x + fd_step, y)
-        g1y, g2y, _ = fun(x, y + fd_step)
-        j11 = (g1x - g1) / fd_step
-        j21 = (g2x - g2) / fd_step
-        j12 = (g1y - g1) / fd_step
-        j22 = (g2y - g2) / fd_step
+        stalled = True
         det = j11 * j22 - j12 * j21
-        if det == 0.0 or not math.isfinite(det):
-            stalled = True
-        else:
+        if det > 0.0:
             dx = (-g1 * j22 + g2 * j12) / det
             dy = (-g2 * j11 + g1 * j21) / det
             step = 1.0
-            accepted = False
             for _ in range(max_backtracks + 1):
                 nx, ny = x + step * dx, y + step * dy
                 n1, n2, nm = fun(nx, ny)
                 if nm < merit:
-                    x, y, g1, g2, merit = nx, ny, n1, n2, nm
-                    accepted = True
-                    break
+                    nj = jac(nx, ny)
+                    if nj[0] * nj[3] - nj[1] * nj[2] > 0.0:
+                        x, y, g1, g2, merit = nx, ny, n1, n2, nm
+                        j11, j12, j21, j22 = nj
+                        stalled = False
+                        break
                 step *= 0.5
-            if not accepted:
-                stalled = True
         if not stalled:
             iters += 1
             history.append(merit)
@@ -195,6 +191,7 @@ def newton2d(
         _, x, y = seeds.pop(0)
         restarts += 1
         g1, g2, merit = fun(x, y)
+        j11, j12, j21, j22 = jac(x, y)
         history.append(merit)
         if merit < best[0]:
             best = (merit, x, y)

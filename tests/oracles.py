@@ -335,3 +335,30 @@ def rand_fractions(rng, floor=0.05):
         f = rng.dirichlet((1.0, 1.0, 1.0))
         if f.min() >= floor:
             return tuple(f)
+
+
+def squash(rng, pts, aspect):
+    """Scale a polygon by `aspect` across a random direction through its
+    vertex mean (an affine map, so convexity is kept)."""
+    th = rng.uniform(0.0, 2.0 * math.pi)
+    u = np.array([math.cos(th), math.sin(th)])
+    pts = np.asarray(pts, dtype=float)
+    d = pts - pts.mean(axis=0)
+    return pts + (aspect - 1.0) * np.outer(d @ u, u)
+
+
+def unit_scale(pts):
+    """Center a polygon on its vertex mean and scale its bounding box
+    diagonal to 1."""
+    pts = np.asarray(pts, dtype=float)
+    pts = pts - pts.mean(axis=0)
+    return pts / np.hypot(*np.ptp(pts, axis=0))
+
+
+def tiny_fractions(rng, small):
+    """Three fractions summing to 1, one of them `small`, in random order."""
+    split = rng.uniform(0.2, 0.8)
+    f = [small, (1.0 - small) * split]
+    f.append(1.0 - f[0] - f[1])
+    rng.shuffle(f)
+    return tuple(f)

@@ -55,6 +55,16 @@ def test_solve_tol_flag(tmp_path):
     assert json.loads(res.stdout)["residual"] <= 1e-8 * 0.5
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_solve_rejects_bad_tol(tmp_path, tol):
+    spec = tmp_path / "job.json"
+    spec.write_text(TRI_SPEC)
+    res = tripart("solve", "--input", str(spec), "--tol", tol)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert json.loads(res.stderr)["error"]["code"] == "invalid-value"
+
+
 def test_solve_rejects_bad_input(tmp_path):
     spec = tmp_path / "job.json"
     spec.write_text('{"mode": "triangle", "triangle": [[0, 0], [1, 0], [2, 0]]}')

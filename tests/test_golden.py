@@ -1,0 +1,44 @@
+"""Golden bytes for the outputs that no Newton iteration touches: the
+exterior construction (JSON and SVG), the boundary closed form and the
+sweep CSV.  The files under tests/data were written by the command line
+and must be reproduced byte for byte."""
+
+from pathlib import Path
+
+from tripart.cli import main
+
+DATA = Path(__file__).parent / "data"
+
+EXTERIOR_SPEC = '{"mode": "triangle", "triangle": [[0, 0], [1, 0], [0.5, 0.05]]}\n'
+BOUNDARY_SPEC = '{"mode": "triangle", "triangle": [[0, 0], [1, 0], [0.5, 0.35355339059327379]]}\n'
+
+
+def _golden(name: str) -> bytes:
+    return (DATA / name).read_bytes()
+
+
+def _solve(tmp_path, capsys, spec: str, *extra: str) -> bytes:
+    path = tmp_path / "spec.json"
+    path.write_text(spec)
+    assert main(["solve", "--input", str(path), *extra]) == 0
+    return capsys.readouterr().out.encode()
+
+
+def test_exterior_construction_json_and_svg(tmp_path, capsys):
+    svg = tmp_path / "figure.svg"
+    out = _solve(tmp_path, capsys, EXTERIOR_SPEC, "--svg", str(svg))
+    assert b'"method":"exterior-construction"' in out
+    assert out == _golden("exterior_solve.json")
+    assert svg.read_bytes() == _golden("exterior.svg")
+
+
+def test_boundary_closed_form_json(tmp_path, capsys):
+    out = _solve(tmp_path, capsys, BOUNDARY_SPEC)
+    assert b'"method":"closed-form"' in out
+    assert out == _golden("boundary_solve.json")
+
+
+def test_sweep_csv(tmp_path):
+    csv = tmp_path / "sweep.csv"
+    assert main(["sweep", "--resolution", "40", "--output", str(csv)]) == 0
+    assert csv.read_bytes() == _golden("sweep_40.csv")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles as oc
-from tripart.geometry import ConvexPolygon, Point, Triangle
+from tripart.geometry import ConvexPolygon, Point, Triangle, _sector_jacobian
 from tripart.masspart import (
     MassPartitionError,
     SectorConfig,
@@ -142,3 +142,61 @@ def test_solve_translation_rejects_bad_targets():
         solve_translation(SQUARE, cfg, Targets((0.5, 0.5, 0.0)))
     with pytest.raises(MassPartitionError, match="polygon area"):
         solve_translation(SQUARE, cfg, Targets((0.5, 0.5, 0.5)))
+
+
+def test_exact_jacobian_matches_central_differences():
+    # apex inside the polygon on even cases and pushed out across an edge on
+    # odd ones; the tolerance is far above the rounding of a difference
+    # quotient at h = 1e-6 and far below any wrong gradient
+    rng = np.random.default_rng(97)
+    h = 1e-6
+    worst = 0.0
+    crossing_outside = 0
+    for k in range(300):
+        poly = ConvexPolygon.from_coords(oc.rand_convex_polygon(rng))
+        pts = np.asarray(poly.coords)
+        diam = float(np.hypot(*np.ptp(pts, axis=0)))
+        cfg = SectorConfig.from_angles_deg(oc.rand_fan_angles_deg(rng))
+        if k % 2 == 0:
+            apex = rng.dirichlet((1.0, 1.0, 1.0)) @ pts[rng.choice(len(pts), 3, replace=False)]
+        else:
+            i = int(rng.integers(len(pts)))
+            edge = pts[(i + 1) % len(pts)] - pts[i]
+            out = np.array([edge[1], -edge[0]]) / np.hypot(*edge)
+            apex = pts[i] + rng.uniform() * edge + 10.0 ** rng.uniform(-4.0, -1.0) * diam * out
+        x, y = apex
+        jac = _sector_jacobian(poly.coords, cfg.normals, x, y)
+        det = jac[0] * jac[3] - jac[1] * jac[2]
+        if k % 2 == 0:
+            assert det > 0.0
+        else:
+            assert det >= 0.0
+            crossing_outside += det > 0.0
+
+        def areas(px, py):
+            return np.asarray(sector_areas(poly, cfg, Point(px, py)))
+
+        gx = (areas(x + h, y) - areas(x - h, y)) / (2.0 * h)
+        gy = (areas(x, y + h) - areas(x, y - h)) / (2.0 * h)
+        diff = np.abs(np.asarray(jac) - np.array([gx[0], gy[0], gx[1], gy[1]]))
+        worst = max(worst, float(diff.max()) / diam)
+    assert crossing_outside >= 20
+    assert worst <= 1e-8
+
+
+def test_hard_instance_fan_set_converges():
+    # thin polygons (aspect 1e-4..1e-1) and tiny fractions (1e-5..1e-3) at
+    # unit scale; a finite-difference Jacobian stalls on a few percent of
+    # these where only one ray crosses the polygon
+    rng = np.random.default_rng(101)
+    for k in range(400):
+        pts = oc.rand_convex_polygon(rng)
+        if k % 2 == 0:
+            pts = oc.squash(rng, pts, 10.0 ** rng.uniform(-4.0, -1.0))
+            fracs = oc.rand_fractions(rng)
+        else:
+            fracs = oc.tiny_fractions(rng, 10.0 ** rng.uniform(-5.0, -3.0))
+        poly = ConvexPolygon.from_coords(oc.unit_scale(pts))
+        cfg = SectorConfig.from_angles_deg(oc.rand_fan_angles_deg(rng))
+        sol = solve_translation(poly, cfg, Targets.fractions(fracs, poly.area))
+        assert sol.residual <= 1e-10 * poly.area

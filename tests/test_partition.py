@@ -353,5 +353,3 @@ def test_solver_config_validation():
         SolverConfig(max_iters=0)
     with pytest.raises(PartitionError):
         SolverConfig(kkm_initial_grid=1)
-    with pytest.raises(PartitionError):
-        SolverConfig(fd_step_rel=-1.0)

@@ -98,9 +98,19 @@ def test_mass_partition_target_validation():
 def test_solver_option_validation():
     base = '{"mode": "triangle", "triangle": [[0, 0], [1, 0], [0, 1]], "solver": %s}'
     assert code_of(base % '{"bogus": 1}') == "invalid-value"
+    # the Newton Jacobian is exact, so there is no finite-difference step
+    assert code_of(base % '{"fd_step_rel": 1e-7}') == "invalid-value"
     assert code_of(base % '{"max_iters": 0}') == "invalid-value"
     assert code_of(base % '{"area_tol_rel": "tight"}') == "invalid-value"
     assert code_of(base % "[1]") == "invalid-value"
+
+
+def test_sweep_resolution_overflow_is_invalid_value():
+    assert code_of('{"mode": "sweep", "resolution": 1e400}') == "invalid-value"
+
+
+def test_sweep_resolution_nan_is_invalid_value():
+    assert code_of('{"mode": "sweep", "resolution": NaN}') == "invalid-value"
 
 
 def test_unknown_keys_rejected_per_mode():
