@@ -18,6 +18,7 @@ functions, so everything here is safe to use concurrently.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -178,6 +179,14 @@ def _sector_jacobian(pts, normals, x: float, y: float) -> tuple[float, float, fl
     )
 
 
+def _check_range(area: float, diam_sq: float) -> None:
+    """Reject a shape whose area or squared diameter is zero or over- or
+    underflows: the solvers multiply and divide coordinates, so such a
+    shape has no usable arithmetic even when its points are finite."""
+    if not (sys.float_info.min <= abs(area) < math.inf and sys.float_info.min <= diam_sq < math.inf):
+        raise GeometryError(f"area {area!r} or squared diameter {diam_sq!r} is zero, subnormal or not finite")
+
+
 def _dedupe_ring(pts, tol: float):
     """Drop consecutive vertices (cyclically) closer than tol."""
     out = []
@@ -275,7 +284,11 @@ class ConvexPolygon:
                 object.__setattr__(self, "vertices", ())
                 return
             raise GeometryError("polygon needs at least 3 distinct vertices (or none)")
-        if _signed_area(pts) < 0.0:
+        area = _signed_area(pts)
+        xs, ys = zip(*pts)
+        dx, dy = max(xs) - min(xs), max(ys) - min(ys)
+        _check_range(area, dx * dx + dy * dy)  # bounding-box diagonal for the diameter
+        if area < 0.0:
             pts.reverse()
         cross_tol = -1e-9 * scale * scale
         n = len(pts)
@@ -329,6 +342,7 @@ class Triangle:
         d12 = math.dist(pts[1], pts[2])
         d20 = math.dist(pts[2], pts[0])
         diam = max(d01, d12, d20)
+        _check_range(signed, diam * diam)
         if abs(signed) < DEGENERACY_REL * diam * diam:
             raise GeometryError(f"degenerate triangle: |signed area| = {abs(signed):.3e}")
         if signed < 0.0:

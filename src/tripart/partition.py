@@ -56,7 +56,9 @@ MAXIMIN_STEP_FRACTION = 0.25  # initial pattern-search step, fraction of diamete
 MAXIMIN_STOP_REL = 1e-12      # stop once step < this fraction of diameter
 MAXIMIN_AREA_TOL_REL = 1e-8   # acceptance band on area deviation at the optimum
 KKM_EXPAND = 2.0              # cell blow-up factor between zoom levels
+KKM_INITIAL_GRID = 64         # grid resolution of the first level
 KKM_REFINE_GRID = 8           # grid resolution used after the first level
+KKM_TARGET_DIAM_REL = 1e-10   # stop once the cell is below this fraction of diameter
 KKM_GRID_RETRIES = 5          # resolution doublings tried before giving up
 CROSS_CHECK_DIST_REL = 1e-6   # max solver disagreement, fraction of diameter
 
@@ -77,22 +79,17 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tunable solver knobs; the defaults satisfy the acceptance grades."""
+    """Tunable knobs of the Newton solve; the defaults satisfy the
+    acceptance grades."""
 
     area_tol_rel: float = 1e-12
     max_iters: int = 100
-    kkm_initial_grid: int = 64
-    kkm_target_diam_rel: float = 1e-10
 
     def __post_init__(self):
         if not (self.area_tol_rel > 0.0 and math.isfinite(self.area_tol_rel)):
             raise PartitionError("area_tol_rel must be a positive finite number")
-        if not (self.kkm_target_diam_rel > 0.0 and math.isfinite(self.kkm_target_diam_rel)):
-            raise PartitionError("kkm_target_diam_rel must be a positive finite number")
         if int(self.max_iters) != self.max_iters or self.max_iters < 1:
             raise PartitionError("max_iters must be a positive integer")
-        if int(self.kkm_initial_grid) != self.kkm_initial_grid or self.kkm_initial_grid < 2:
-            raise PartitionError("kkm_initial_grid must be an integer >= 2")
 
 
 @dataclass(frozen=True)
@@ -106,6 +103,12 @@ class SolverReport:
     residual_history: tuple[float, ...]
     converged: bool
     message: str = ""
+
+
+def _failure(method: str, iterations: int, residual: float, best_point: Vec, history, message: str) -> SolverError:
+    """The SolverError of a solve that did not converge, with its report."""
+    report = SolverReport(method, iterations, residual, best_point, tuple(history), False, message)
+    return SolverError(message, report)
 
 
 @dataclass(frozen=True)
@@ -174,26 +177,19 @@ class LabelSets:
         return tuple(v for v, a in zip(VERTEX_IDS, areas) if a <= lo)
 
 
-def _relabel_widest_last(tri: Triangle) -> tuple[Triangle, tuple[str, str, str]]:
-    """Cyclic relabeling putting the widest-angle vertex in slot c.
-
-    Returns the rotated triangle and the original vertex ids now occupying
-    slots (a, b, c).  Rotation preserves orientation, so the rotated
-    triangle is the same point set.
-    """
+def _widest(tri: Triangle) -> int:
+    """Index of the widest interior angle (the first one on a tie).  The
+    vertices after it, in cyclic order, are the acute vertices A and B of
+    the criterion and the closed form."""
     angles = tri.angles
-    i = max(range(3), key=lambda k: angles[k])
-    order = (VERTEX_IDS[(i + 1) % 3], VERTEX_IDS[(i + 2) % 3], VERTEX_IDS[i])
-    rotated = Triangle(tri.vertex(order[0]), tri.vertex(order[1]), tri.vertex(order[2]))
-    return rotated, order
+    return max(range(3), key=angles.__getitem__)
 
 
-def _criterion_margin(rel: Triangle) -> float:
-    """Signed slack of the interior criterion for a triangle whose widest
-    (obtuse) angle sits at slot c: positive means the equal-area point is
-    interior, zero puts it on side ab, negative pushes it outside."""
-    ta = math.tan(rel.angle("a"))
-    tb = math.tan(rel.angle("b"))
+def _criterion_margin(ta: float, tb: float) -> float:
+    """Signed slack of the interior criterion of an obtuse triangle, from
+    the tangents of its acute angles A and B: positive means the
+    equal-area point is interior, zero puts it on side AB, negative pushes
+    it outside."""
     lhs = math.sqrt((1.0 + ta * ta) * tb) + math.sqrt((1.0 + tb * tb) * ta)
     return lhs - math.sqrt(3.0 * (ta + tb))
 
@@ -204,19 +200,20 @@ def classify(tri: Triangle, tol: float = CLASSIFY_TOL) -> Classification:
     `tol` doubles as the half-width of the right-angle band (radians) and
     of the criterion-margin band around zero.
     """
-    rel, order = _relabel_widest_last(tri)
-    widest = rel.angle("c")
+    i = _widest(tri)
+    angles = tri.angles
+    widest = angles[i]
     if widest <= 0.5 * math.pi + tol:
         kind = RIGHT if abs(widest - 0.5 * math.pi) <= tol else ACUTE
         return Classification(kind)
-    margin = _criterion_margin(rel)
+    margin = _criterion_margin(math.tan(angles[(i + 1) % 3]), math.tan(angles[(i + 2) % 3]))
     if margin > tol:
         kind = OBTUSE_INTERIOR
     elif margin < -tol:
         kind = OBTUSE_EXTERIOR
     else:
         kind = OBTUSE_BOUNDARY
-    return Classification(kind, obtuse_vertex=order[2], criterion_margin=margin)
+    return Classification(kind, obtuse_vertex=VERTEX_IDS[i], criterion_margin=margin)
 
 
 def boundary_point_closed_form(tri: Triangle) -> Point:
@@ -226,15 +223,17 @@ def boundary_point_closed_form(tri: Triangle) -> Point:
     where A and B are the acute vertices.  The formula is evaluated for any
     obtuse triangle; it equals the equal-area point exactly when the
     criterion margin vanishes."""
-    rel, _ = _relabel_widest_last(tri)
-    if rel.angle("c") <= 0.5 * math.pi:
+    i = _widest(tri)
+    angles = tri.angles
+    if angles[i] <= 0.5 * math.pi:
         raise PartitionError("closed form needs an obtuse widest angle")
-    ta = math.tan(rel.angle("a"))
-    tb = math.tan(rel.angle("b"))
+    ta = math.tan(angles[(i + 1) % 3])
+    tb = math.tan(angles[(i + 2) % 3])
     frac = math.sqrt((1.0 + ta * ta) * tb / (3.0 * (ta + tb)))
-    ux, uy = rel.side_unit("ab")
-    length = rel.a.distance_to(rel.b)
-    return Point(rel.a.x + frac * length * ux, rel.a.y + frac * length * uy)
+    (ax, ay), (bx, by) = tri.points[(i + 1) % 3], tri.points[(i + 2) % 3]
+    length = math.hypot(bx - ax, by - ay)
+    ux, uy = (bx - ax) / length, (by - ay) / length
+    return Point(ax + frac * length * ux, ay + frac * length * uy)
 
 
 def cut_line_offset(tri: Triangle, side: str, target_area: float) -> float:
@@ -297,16 +296,10 @@ def _fan_newton(pts, normals, targets, seed: Vec, pad: float, cfg: SolverConfig)
         restart_box=(min(xs) - pad, max(xs) + pad, min(ys) - pad, max(ys) + pad),
     )
     if not res.converged:
-        report = SolverReport(
-            method="newton",
-            iterations=res.iterations,
-            residual=res.residual,
-            best_point=(res.x, res.y),
-            residual_history=res.residual_history,
-            converged=False,
-            message="newton iteration did not reach the area tolerance",
+        raise _failure(
+            "newton", res.iterations, res.residual, (res.x, res.y), res.residual_history,
+            "newton iteration did not reach the area tolerance",
         )
-        raise SolverError(report.message, report)
     return res
 
 
@@ -338,7 +331,7 @@ def solve_newton(tri: Triangle, cfg: SolverConfig | None = None, seed: Point | N
     return _solution(tri, Point(res.x, res.y), classify(tri), "newton")
 
 
-def solve_maximin(tri: Triangle, cfg: SolverConfig | None = None) -> PartitionSolution:
+def solve_maximin(tri: Triangle) -> PartitionSolution:
     """Locate the equal-area point by maximizing the smallest region area
     with a compass pattern search constrained to the closed triangle.
 
@@ -357,15 +350,8 @@ def solve_maximin(tri: Triangle, cfg: SolverConfig | None = None) -> PartitionSo
         rb = _sector_area(pts, normals, 0, xx, xy, eps)
         return min(ra, rb, total - ra - rb)
 
-    inward = []
-    pts = tri.points
-    for i in range(3):
-        sx, sy = pts[i]
-        ex, ey = pts[(i + 1) % 3]
-        dx, dy = ex - sx, ey - sy
-        h = math.hypot(dx, dy)
-        nx, ny = -dy / h, dx / h
-        inward.append((nx, ny, nx * sx + ny * sy))
+    # each side's unit vector turned +90 degrees points into the triangle
+    inward = [(-uy, ux, -uy * sx + ux * sy) for (ux, uy), (sx, sy) in zip(normals, pts)]
     edge_tol = 1e-15 * diam
 
     def inside(xx: float, xy: float) -> bool:
@@ -410,16 +396,10 @@ def solve_maximin(tri: Triangle, cfg: SolverConfig | None = None) -> PartitionSo
     point = Point(x, y)
     sol = _solution(tri, point, cls, "maximin")
     if sol.residual > MAXIMIN_AREA_TOL_REL * total:
-        report = SolverReport(
-            method="maximin",
-            iterations=rounds,
-            residual=sol.residual,
-            best_point=(x, y),
-            residual_history=(sol.residual,),
-            converged=False,
-            message="pattern search stalled before equalizing the areas",
+        raise _failure(
+            "maximin", rounds, sol.residual, (x, y), (sol.residual,),
+            "pattern search stalled before equalizing the areas",
         )
-        raise SolverError(report.message, report)
     return sol
 
 
@@ -452,21 +432,20 @@ def _fully_labeled_cell(labeler: LabelSets, p1: Vec, p2: Vec, p3: Vec, n: int):
     return None
 
 
-def solve_kkm(tri: Triangle, cfg: SolverConfig | None = None) -> PartitionSolution:
+def solve_kkm(tri: Triangle) -> PartitionSolution:
     """Locate the equal-area point combinatorially: grid the triangle, label
     every node by its argmin region, find a cell carrying all three labels
     (one exists because each side excludes the opposite label), then zoom by
     regridding a blown-up copy of that cell until its diameter is below
-    kkm_target_diam_rel * diameter.  Restricted to acute and right triangles,
+    KKM_TARGET_DIAM_REL * diameter.  Restricted to acute and right triangles,
     where the boundary labeling argument applies."""
-    cfg = cfg or SolverConfig()
     cls = classify(tri)
     if cls.kind not in (ACUTE, RIGHT):
         raise PartitionError(f"grid labeling zoom needs an acute or right triangle, not {cls.kind}")
     labeler = LabelSets(tri)
-    target = cfg.kkm_target_diam_rel * tri.diameter
+    target = KKM_TARGET_DIAM_REL * tri.diameter
     domain = tri.points
-    n = cfg.kkm_initial_grid
+    n = KKM_INITIAL_GRID
     history = []
     for _ in range(200):
         cell = None
@@ -476,55 +455,30 @@ def solve_kkm(tri: Triangle, cfg: SolverConfig | None = None) -> PartitionSoluti
             if cell is not None:
                 break
             nn *= 2
-        if cell is None:
-            # The domain may have contracted past the point where the three
-            # label sets meet (a labeled cell need not contain that point, it
-            # only has to sit near it).  Grow the domain and rescan; give up
-            # only once it has ballooned well past the whole triangle.
-            cx = (domain[0][0] + domain[1][0] + domain[2][0]) / 3.0
-            cy = (domain[0][1] + domain[1][1] + domain[2][1]) / 3.0
-            dom_diam = max(
-                math.dist(domain[0], domain[1]),
-                math.dist(domain[1], domain[2]),
-                math.dist(domain[2], domain[0]),
-            )
-            if dom_diam > 8.0 * tri.diameter:
-                report = SolverReport(
-                    method="kkm",
-                    iterations=len(history),
-                    residual=math.inf,
-                    best_point=(cx, cy),
-                    residual_history=tuple(history),
-                    converged=False,
-                    message="no fully-labeled cell at any retry resolution",
-                )
-                raise SolverError(report.message, report)
-            domain = tuple(
-                (cx + KKM_EXPAND * (qx - cx), cy + KKM_EXPAND * (qy - cy)) for qx, qy in domain
-            )
-            history.append(dom_diam)
-            continue
-        q1, q2, q3 = cell
-        diam = max(math.dist(q1, q2), math.dist(q2, q3), math.dist(q3, q1))
-        history.append(diam)
+        # With a labeled cell, zoom in on a blow-up of it.  Without one the
+        # domain may have contracted past the point where the three label
+        # sets meet (a labeled cell need not contain that point, it only has
+        # to sit near it): grow the domain and rescan, giving up only once it
+        # has ballooned well past the whole triangle.
+        q1, q2, q3 = cell or domain
         cx = (q1[0] + q2[0] + q3[0]) / 3.0
         cy = (q1[1] + q2[1] + q3[1]) / 3.0
-        if diam < target:
-            return _solution(tri, Point(cx, cy), cls, "kkm")
-        domain = tuple(
-            (cx + KKM_EXPAND * (qx - cx), cy + KKM_EXPAND * (qy - cy)) for qx, qy in cell
-        )
-        n = KKM_REFINE_GRID
-    report = SolverReport(
-        method="kkm",
-        iterations=len(history),
-        residual=math.inf,
-        best_point=(cx, cy),
-        residual_history=tuple(history),
-        converged=False,
-        message="zoom failed to contract to the target diameter",
+        diam = max(math.dist(q1, q2), math.dist(q2, q3), math.dist(q3, q1))
+        if cell is None and diam > 8.0 * tri.diameter:
+            raise _failure(
+                "kkm", len(history), math.inf, (cx, cy), history,
+                "no fully-labeled cell at any retry resolution",
+            )
+        history.append(diam)
+        if cell is not None:
+            if diam < target:
+                return _solution(tri, Point(cx, cy), cls, "kkm")
+            n = KKM_REFINE_GRID
+        domain = tuple((cx + KKM_EXPAND * (qx - cx), cy + KKM_EXPAND * (qy - cy)) for qx, qy in (q1, q2, q3))
+    raise _failure(
+        "kkm", len(history), math.inf, (cx, cy), history,
+        "zoom failed to contract to the target diameter",
     )
-    raise SolverError(report.message, report)
 
 
 def solve_exterior(tri: Triangle, cfg: SolverConfig | None = None) -> PartitionSolution:
@@ -539,7 +493,13 @@ def solve_exterior(tri: Triangle, cfg: SolverConfig | None = None) -> PartitionS
     cls = classify(tri)
     if cls.kind != OBTUSE_EXTERIOR:
         raise PartitionError(f"exterior construction applies only to {OBTUSE_EXTERIOR}, not {cls.kind}")
-    rel, _ = _relabel_widest_last(tri)
+    # bisect on the triangle relabeled so the obtuse vertex is c: the sides
+    # at it are then "ac" and "bc", and the clipped areas are summed in the
+    # vertex order the golden outputs in tests/data were computed in (the
+    # unrotated order moves trailing digits of some offsets)
+    i = _widest(tri)
+    verts = (tri.a, tri.b, tri.c)
+    rel = Triangle(verts[(i + 1) % 3], verts[(i + 2) % 3], verts[i])
     s = tri.area / 3.0
     da = cut_line_offset(rel, "ac", s)
     db = cut_line_offset(rel, "bc", s)
@@ -570,19 +530,13 @@ def equal_partition(tri: Triangle, cfg: SolverConfig | None = None, cross_check:
     else:
         sol = solve_newton(tri, cfg)
     if cross_check and cls.kind in INTERIOR_KINDS:
-        alt = solve_maximin(tri, cfg)
+        alt = solve_maximin(tri)
         gap = sol.point.distance_to(alt.point)
         if gap > CROSS_CHECK_DIST_REL * tri.diameter:
-            report = SolverReport(
-                method=sol.method,
-                iterations=0,
-                residual=sol.residual,
-                best_point=sol.point.as_tuple(),
-                residual_history=(sol.residual,),
-                converged=False,
-                message=f"independent solvers disagree by {gap:.3e}",
+            raise _failure(
+                sol.method, 0, sol.residual, sol.point.as_tuple(), (sol.residual,),
+                f"independent solvers disagree by {gap:.3e}",
             )
-            raise SolverError(report.message, report)
     return sol
 
 

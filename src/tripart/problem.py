@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 from .geometry import ConvexPolygon, GeometryError, Triangle, Vec, _signed_area
@@ -30,7 +30,7 @@ from .partition import (
 MODES = ("triangle", "mass-partition", "sweep")
 DEFAULT_RAYS_DEG = (90.0, 210.0, 330.0)
 DEFAULT_SWEEP_RESOLUTION = 100
-_SOLVER_KEYS = ("area_tol_rel", "max_iters", "kkm_initial_grid", "kkm_target_diam_rel")
+_SOLVER_KEYS = tuple(f.name for f in fields(SolverConfig))
 _ALLOWED_KEYS = {
     "triangle": {"mode", "triangle", "solver"},
     "mass-partition": {"mode", "polygon", "rays", "targets", "fractions", "solver"},

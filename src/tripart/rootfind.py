@@ -19,6 +19,7 @@ _REFINE_N = 9
 _REFINE_LEVELS = 3
 _RESTART_SEEDS = 4
 _CROSS_SEEDS = 32
+_MAX_BACKTRACKS = 30  # step halvings tried before a Newton step counts as stalled
 
 
 @dataclass(frozen=True)
@@ -137,12 +138,11 @@ def newton2d(
     tol: float,
     max_iters: int,
     restart_box: tuple[float, float, float, float] | None = None,
-    max_backtracks: int = 30,
 ) -> RootResult:
     """Drive fun(x, y) -> (g1, g2, merit) to merit <= tol.
 
     jac(x, y) -> (dg1/dx, dg1/dy, dg2/dx, dg2/dy) is the exact Jacobian of
-    (g1, g2).  Each Newton step is backtracked (halved up to max_backtracks
+    (g1, g2).  Each Newton step is backtracked (halved up to _MAX_BACKTRACKS
     times) until the merit drops at a point with a positive Jacobian
     determinant; points where the system is flat in some direction would
     stall the next step.  On stagnation the search reseeds from the next
@@ -165,7 +165,7 @@ def newton2d(
             dx = (-g1 * j22 + g2 * j12) / det
             dy = (-g2 * j11 + g1 * j21) / det
             step = 1.0
-            for _ in range(max_backtracks + 1):
+            for _ in range(_MAX_BACKTRACKS + 1):
                 nx, ny = x + step * dx, y + step * dy
                 n1, n2, nm = fun(nx, ny)
                 if nm < merit:

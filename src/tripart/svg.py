@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 from .geometry import SIDE_IDS, Point, Triangle, foot_of_perpendicular
-from .partition import OBTUSE_EXTERIOR, _relabel_widest_last, cut_line_offset
+from .partition import OBTUSE_EXTERIOR
 from .problem import Report
 
 REGION_FILLS = ("#4477aa", "#ee7733", "#228833")
@@ -97,19 +97,18 @@ def emit_svg(report: Report, width: int = 640) -> str:
     kind = report.classification.kind
     diam = tri.diameter
 
-    feet = {}
-    for side in SIDE_IDS:
-        feet[side] = foot_of_perpendicular(x0, tri.side(side))
+    feet = {side: foot_of_perpendicular(x0, tri.side(side)) for side in SIDE_IDS}
 
+    # the exterior construction's cut lines: the perpendiculars through X0
+    # to the two sides at the obtuse vertex, that is, to all sides but the
+    # longest side k, in the order the construction takes them
     cut_segments = []
     if kind == OBTUSE_EXTERIOR:
-        rel, _ = _relabel_widest_last(tri)
         reach = 1.6 * diam
-        for side in ("ac", "bc"):
-            ux, uy = rel.side_unit(side)
-            d = cut_line_offset(rel, side, tri.area / 3.0)
-            bx, by = d * ux, d * uy
-            cut_segments.append(((bx - reach * -uy, by - reach * ux), (bx + reach * -uy, by + reach * ux)))
+        k = max(range(3), key=lambda j: Point.distance_to(*tri.side(SIDE_IDS[j])))
+        for side in (SIDE_IDS[k - 1], SIDE_IDS[k - 2]):
+            ux, uy = tri.side_unit(side)
+            cut_segments.append(((x0.x + reach * uy, x0.y - reach * ux), (x0.x - reach * uy, x0.y + reach * ux)))
 
     xs = [p[0] for p in tri.points] + [x0.x] + [f.x for f in feet.values()]
     ys = [p[1] for p in tri.points] + [x0.y] + [f.y for f in feet.values()]

@@ -227,11 +227,8 @@ def test_kkm_rejects_obtuse():
 
 
 def test_kkm_zoom_reaches_target_diameter():
-    cfg = SolverConfig(kkm_target_diam_rel=1e-6)
-    coarse = solve_kkm(EQUILATERAL, cfg)
     fine = solve_kkm(EQUILATERAL)
     exact = Point(0.5, math.sqrt(3.0) / 6.0)
-    assert coarse.point.distance_to(exact) <= 1e-5 * EQUILATERAL.diameter
     assert fine.point.distance_to(exact) <= 1e-9 * EQUILATERAL.diameter
 
 
@@ -351,5 +348,3 @@ def test_solver_config_validation():
         SolverConfig(area_tol_rel=0.0)
     with pytest.raises(PartitionError):
         SolverConfig(max_iters=0)
-    with pytest.raises(PartitionError):
-        SolverConfig(kkm_initial_grid=1)

@@ -63,7 +63,7 @@ def test_serialize_round_trips():
         ' "rays": [10, 100, 250], "targets": [1.0, 0.5, 0.5]}',
         '{"mode": "sweep", "resolution": 25}',
         '{"mode": "triangle", "triangle": [[0, 0], [1, 0], [0.3, 0.8]],'
-        ' "solver": {"kkm_initial_grid": 32}}',
+        ' "solver": {"max_iters": 32}}',
     ):
         spec = parse_spec(text)
         assert parse_spec(serialize_spec(spec)) == spec
@@ -100,6 +100,9 @@ def test_solver_option_validation():
     assert code_of(base % '{"bogus": 1}') == "invalid-value"
     # the Newton Jacobian is exact, so there is no finite-difference step
     assert code_of(base % '{"fd_step_rel": 1e-7}') == "invalid-value"
+    # the grid labeling zoom runs at fixed resolution and target
+    assert code_of(base % '{"kkm_initial_grid": 32}') == "invalid-value"
+    assert code_of(base % '{"kkm_target_diam_rel": 1e-6}') == "invalid-value"
     assert code_of(base % '{"max_iters": 0}') == "invalid-value"
     assert code_of(base % '{"area_tol_rel": "tight"}') == "invalid-value"
     assert code_of(base % "[1]") == "invalid-value"

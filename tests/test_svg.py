@@ -1,5 +1,7 @@
 """SVG rendering: well-formedness, determinism and the per-kind extras."""
 
+import json
+import math
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -85,3 +87,40 @@ def test_svg_rejects_non_triangle_reports():
     sweep = run(parse_spec('{"mode": "sweep", "resolution": 4}'))
     with pytest.raises(ValueError):
         emit_svg(sweep)
+
+
+def _cut_lines_and_x0(coords):
+    doc = emit_svg(run(parse_spec(json.dumps({"mode": "triangle", "triangle": coords}))))
+    root = ET.fromstring(doc)
+    ns = {"s": "http://www.w3.org/2000/svg"}
+    _, _, width, height = map(float, root.get("viewBox").split())
+    circle = root.find(".//s:circle", ns)
+    x0 = (float(circle.get("cx")), float(circle.get("cy")))
+    cuts = [
+        tuple(float(line.get(k)) for k in ("x1", "y1", "x2", "y2"))
+        for line in root.findall(".//s:line", ns)
+        if line.get("stroke") == "#aa3377"
+    ]
+    return cuts, x0, width, height
+
+
+@pytest.mark.parametrize("clockwise", [False, True])
+@pytest.mark.parametrize("shift", [(0.0, 0.0), (100.0, 100.0), (-3.0, 2.0)])
+def test_svg_exterior_cut_lines_pass_through_x0(shift, clockwise):
+    coords = [[x + shift[0], y + shift[1]] for x, y in ([0, 0], [1, 0], [0.5, 0.05])]
+    if clockwise:
+        coords.reverse()
+    cuts, (cx, cy), width, height = _cut_lines_and_x0(coords)
+    assert len(cuts) == 2
+    assert 0.0 < cx < width and 0.0 < cy < height
+
+    def outside(x, y):
+        return not (0.0 <= x <= width and 0.0 <= y <= height)
+
+    for x1, y1, x2, y2 in cuts:
+        dx, dy = x2 - x1, y2 - y1
+        assert abs(dx * (cy - y1) - dy * (cx - x1)) / math.hypot(dx, dy) <= 1e-3
+        # X0 lies between the ends, and both ends are off the canvas
+        assert (cx - x1) * dx + (cy - y1) * dy > 0.0
+        assert (x2 - cx) * dx + (y2 - cy) * dy > 0.0
+        assert outside(x1, y1) and outside(x2, y2)
