@@ -8,9 +8,11 @@ stderr so byte-level reproducibility of the outputs is preserved.
 from __future__ import annotations
 
 import argparse
+import math
+import re
 import sys
 
-from .geometry import GeometryError, Point, Triangle, _signed_area
+from .geometry import GeometryError, Point, Triangle
 from .masspart import MassPartitionError
 from .partition import PartitionError, SolverError, verify_partition
 from .problem import (
@@ -30,8 +32,29 @@ EXIT_SOLVER = 3
 EXIT_IO = 4
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors become InputError, so they exit 2 with the same JSON
+    error line as other input errors; argparse's text is the message."""
+
+    def error(self, message):
+        raise InputError("invalid-value", f"{self.format_usage()}{self.prog}: error: {message}")
+
+
+def _glue_values(argv) -> list:
+    """Glue a value that starts with a minus and a digit or point onto the
+    option before it (`--point -0.5,0.3` -> `--point=-0.5,0.3`): argparse
+    would read it as an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and re.match(r"-[\d.]", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tripart",
         description="Equal-area triangle partition and convex mass partition solver.",
     )
@@ -109,11 +132,11 @@ def _cmd_verify(args) -> int:
         raise InputError("invalid-value", "verify needs a triangle-mode spec")
     tri = Triangle.from_coords(spec.triangle)
     point = _parse_point(args.point)
-    if not (args.tol > 0.0):
-        raise InputError("invalid-value", "--tol must be positive")
+    if not (args.tol > 0.0 and math.isfinite(args.tol)):
+        raise InputError("invalid-value", "--tol must be a positive finite number")
     vr = verify_partition(tri, point, tol=args.tol)
     # normalization swaps b and c for clockwise input; report in input labels
-    order = (0, 2, 1) if _signed_area(spec.triangle) < 0.0 else (0, 1, 2)
+    order = (0, 2, 1) if tri.swapped_bc else (0, 1, 2)
     areas = vr.areas.as_tuple()
     payload = {
         "mode": "verify",
@@ -134,18 +157,16 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(_glue_values(sys.argv[1:] if argv is None else argv))
         if args.command == "solve":
             return _cmd_solve(args)
         if args.command == "sweep":
             return _cmd_sweep(args)
         return _cmd_verify(args)
-    except InputError as exc:
-        sys.stderr.write(canonical_json({"error": {"code": exc.code, "message": str(exc)}}) + "\n")
-        return EXIT_INPUT
-    except (MassPartitionError, GeometryError, PartitionError) as exc:
-        sys.stderr.write(canonical_json({"error": {"code": "invalid-value", "message": str(exc)}}) + "\n")
+    except (InputError, MassPartitionError, GeometryError, PartitionError) as exc:
+        code = exc.code if isinstance(exc, InputError) else "invalid-value"
+        sys.stderr.write(canonical_json({"error": {"code": code, "message": str(exc)}}) + "\n")
         return EXIT_INPUT
     except SolverError as exc:
         payload = {

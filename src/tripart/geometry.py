@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 Vec = tuple[float, float]
@@ -179,6 +179,17 @@ def _sector_jacobian(pts, normals, x: float, y: float) -> tuple[float, float, fl
     )
 
 
+def _triangle_angles(pts) -> tuple[float, float, float]:
+    """Interior angles, in (0, pi), at the three points of a triangle; the
+    one expression behind `Triangle.angles` and the classification sweep."""
+    out = []
+    for i in range(3):
+        (px, py), (qx, qy), (rx, ry) = pts[i], pts[(i + 1) % 3], pts[(i + 2) % 3]
+        ux, uy, wx, wy = qx - px, qy - py, rx - px, ry - py
+        out.append(math.atan2(abs(ux * wy - uy * wx), ux * wx + uy * wy))
+    return tuple(out)
+
+
 def _check_range(area: float, diam_sq: float) -> None:
     """Reject a shape whose area or squared diameter is zero or over- or
     underflows: the solvers multiply and divide coordinates, so such a
@@ -285,11 +296,10 @@ class ConvexPolygon:
                 return
             raise GeometryError("polygon needs at least 3 distinct vertices (or none)")
         area = _signed_area(pts)
-        xs, ys = zip(*pts)
-        dx, dy = max(xs) - min(xs), max(ys) - min(ys)
-        _check_range(area, dx * dx + dy * dy)  # bounding-box diagonal for the diameter
         if area < 0.0:
             pts.reverse()
+        object.__setattr__(self, "vertices", tuple(Point(x, y) for x, y in pts))
+        _check_range(area, self.diameter * self.diameter)
         cross_tol = -1e-9 * scale * scale
         n = len(pts)
         for i in range(n):
@@ -299,7 +309,6 @@ class ConvexPolygon:
             cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
             if cross < cross_tol:
                 raise GeometryError(f"polygon is not convex (cross product {cross:.3e} at vertex {i})")
-        object.__setattr__(self, "vertices", tuple(Point(x, y) for x, y in pts))
 
     @classmethod
     def from_coords(cls, coords) -> "ConvexPolygon":
@@ -320,6 +329,16 @@ class ConvexPolygon:
     def area(self) -> float:
         return abs(_signed_area(self.coords)) if self.vertices else 0.0
 
+    @cached_property
+    def diameter(self) -> float:
+        """Diagonal of the bounding box, an upper bound on the diameter."""
+        xs, ys = zip(*self.coords) if self.vertices else ((0.0,), (0.0,))
+        return math.hypot(max(xs) - min(xs), max(ys) - min(ys))
+
+    @cached_property
+    def _snap(self) -> float:
+        return CLIP_SNAP_REL * _coord_scale(self.coords)
+
     def translated(self, dx: float, dy: float) -> "ConvexPolygon":
         return ConvexPolygon(tuple(Point(p.x + dx, p.y + dy) for p in self.vertices))
 
@@ -334,21 +353,21 @@ class Triangle:
     a: Point
     b: Point
     c: Point
+    # True when the input was clockwise and b and c were swapped
+    swapped_bc: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = ((self.a.x, self.a.y), (self.b.x, self.b.y), (self.c.x, self.c.y))
         signed = _signed_area(pts)
-        d01 = math.dist(pts[0], pts[1])
-        d12 = math.dist(pts[1], pts[2])
-        d20 = math.dist(pts[2], pts[0])
-        diam = max(d01, d12, d20)
-        _check_range(signed, diam * diam)
-        if abs(signed) < DEGENERACY_REL * diam * diam:
-            raise GeometryError(f"degenerate triangle: |signed area| = {abs(signed):.3e}")
         if signed < 0.0:
             b, c = self.b, self.c
             object.__setattr__(self, "b", c)
             object.__setattr__(self, "c", b)
+            object.__setattr__(self, "swapped_bc", True)
+        diam = self.diameter
+        _check_range(signed, diam * diam)
+        if abs(signed) < DEGENERACY_REL * diam * diam:
+            raise GeometryError(f"degenerate triangle: |signed area| = {abs(signed):.3e}")
 
     @classmethod
     def from_coords(cls, coords) -> "Triangle":
@@ -400,17 +419,11 @@ class Triangle:
 
     def angle(self, v: str) -> float:
         """Interior angle at vertex v, in (0, pi)."""
-        idx = VERTEX_IDS.index(v.lower())
-        p = self.points[idx]
-        q = self.points[(idx + 1) % 3]
-        r = self.points[(idx + 2) % 3]
-        ux, uy = q[0] - p[0], q[1] - p[1]
-        wx, wy = r[0] - p[0], r[1] - p[1]
-        return math.atan2(abs(ux * wy - uy * wx), ux * wx + uy * wy)
+        return self.angles[VERTEX_IDS.index(v.lower())]
 
     @cached_property
     def angles(self) -> tuple[float, float, float]:
-        return (self.angle("a"), self.angle("b"), self.angle("c"))
+        return _triangle_angles(self.points)
 
     def as_polygon(self) -> ConvexPolygon:
         return ConvexPolygon((self.a, self.b, self.c))
@@ -497,9 +510,7 @@ class RegionAreas:
 
 def polygon_area(poly: ConvexPolygon) -> float:
     """Area of a convex polygon; the empty polygon has area 0."""
-    if poly.is_empty():
-        return 0.0
-    return abs(_signed_area(poly.coords))
+    return poly.area
 
 
 def clip_halfplane(poly: ConvexPolygon, h: HalfPlane) -> ConvexPolygon:
@@ -508,10 +519,7 @@ def clip_halfplane(poly: ConvexPolygon, h: HalfPlane) -> ConvexPolygon:
     Vertices on the boundary line are retained; a fully clipped polygon
     comes back empty.
     """
-    if poly.is_empty():
-        return ConvexPolygon.empty()
-    eps = CLIP_SNAP_REL * _coord_scale(poly.coords)
-    out = _clip(list(poly.coords), h.normal[0], h.normal[1], h.offset, eps)
+    out = _clip(list(poly.coords), h.normal[0], h.normal[1], h.offset, poly._snap)
     if len(out) < 3:
         return ConvexPolygon.empty()
     return ConvexPolygon(tuple(Point(x, y) for x, y in out))

@@ -15,18 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
-from .geometry import (
-    CLIP_SNAP_REL,
-    ConvexPolygon,
-    Point,
-    Triangle,
-    Vec,
-    _coord_scale,
-    _sector_area,
-    _signed_area,
-    outward_normal,
-)
+from .geometry import ConvexPolygon, Point, Triangle, Vec, _sector_area, outward_normal
 from .partition import SolverConfig, _fan_newton
 
 GAP_MIN = 1e-9  # smallest allowed angle between consecutive rays
@@ -40,26 +31,46 @@ class MassPartitionError(ValueError):
 @dataclass(frozen=True)
 class SectorConfig:
     """Three unit ray directions in CCW order; sector i lies between ray i
-    and ray i+1 (indices mod 3)."""
+    and ray i+1 (indices mod 3).
+
+    Construction normalizes the directions to unit length and enforces the
+    fan invariants: no coincident rays, CCW order, every gap below pi (so
+    each sector is convex)."""
 
     directions: tuple[Vec, Vec, Vec]
 
+    def __post_init__(self):
+        dirs = []
+        for dx, dy in self.directions:
+            h = math.hypot(dx, dy)
+            if h == 0.0 or not math.isfinite(h):
+                raise MassPartitionError(f"ray direction ({dx}, {dy}) is not usable")
+            # keep vectors that are already unit length bit-for-bit, so fans
+            # built from triangle normals reproduce the wedge areas exactly
+            if abs(h - 1.0) > 1e-12:
+                dx, dy = dx / h, dy / h
+            dirs.append((dx, dy))
+        object.__setattr__(self, "directions", tuple(dirs))
+        for g in self.gaps():
+            if g < GAP_MIN:
+                raise MassPartitionError("two rays coincide")
+            if g > math.pi - GAP_GUARD:
+                raise MassPartitionError(
+                    "rays must be in counter-clockwise order with every gap below pi"
+                )
+
     @classmethod
     def from_angles_deg(cls, angles: tuple[float, float, float]) -> "SectorConfig":
-        dirs = tuple(
-            (math.cos(math.radians(a)), math.sin(math.radians(a))) for a in angles
-        )
-        return validate_config(cls(dirs))
+        return cls(tuple((math.cos(math.radians(a)), math.sin(math.radians(a))) for a in angles))
 
     @classmethod
     def from_triangle(cls, tri: Triangle) -> "SectorConfig":
         """Fan of the triangle's outward side normals.  Its sectors coincide
         with the perpendicular wedges: sectors 0, 1, 2 reproduce the regions
         at vertices b, c, a."""
-        dirs = (outward_normal(tri, "ab"), outward_normal(tri, "bc"), outward_normal(tri, "ca"))
-        return validate_config(cls(dirs))
+        return cls((outward_normal(tri, "ab"), outward_normal(tri, "bc"), outward_normal(tri, "ca")))
 
-    @property
+    @cached_property
     def normals(self) -> tuple[Vec, Vec, Vec]:
         """The ray directions turned +90 degrees: the fan form the area
         kernel reads."""
@@ -68,36 +79,7 @@ class SectorConfig:
     def gaps(self) -> tuple[float, float, float]:
         """CCW angles between consecutive rays; they always sum to 2 pi."""
         ang = [math.atan2(dy, dx) for dx, dy in self.directions]
-        out = []
-        for i in range(3):
-            g = (ang[(i + 1) % 3] - ang[i]) % (2.0 * math.pi)
-            out.append(g)
-        return tuple(out)
-
-
-def validate_config(cfg: SectorConfig) -> SectorConfig:
-    """Normalize the ray directions to unit length and enforce the fan
-    invariants: no coincident rays, CCW order, every gap below pi (so each
-    sector is convex)."""
-    dirs = []
-    for dx, dy in cfg.directions:
-        h = math.hypot(dx, dy)
-        if h == 0.0 or not math.isfinite(h):
-            raise MassPartitionError(f"ray direction ({dx}, {dy}) is not usable")
-        # keep vectors that are already unit length bit-for-bit, so fans
-        # built from triangle normals reproduce the wedge areas exactly
-        if abs(h - 1.0) > 1e-12:
-            dx, dy = dx / h, dy / h
-        dirs.append((dx, dy))
-    out = SectorConfig(tuple(dirs))
-    for g in out.gaps():
-        if g < GAP_MIN:
-            raise MassPartitionError("two rays coincide")
-        if g > math.pi - GAP_GUARD:
-            raise MassPartitionError(
-                "rays must be in counter-clockwise order with every gap below pi"
-            )
-    return out
+        return tuple((ang[(i + 1) % 3] - ang[i]) % (2.0 * math.pi) for i in range(3))
 
 
 @dataclass(frozen=True)
@@ -125,19 +107,8 @@ class TranslationSolution:
 def sector_areas(poly: ConvexPolygon, cfg: SectorConfig, apex: Point) -> tuple[float, float, float]:
     """Areas of the polygon pieces cut by the fan placed at `apex`.  The
     three values sum to the polygon area for every apex position."""
-    cfg = validate_config(cfg)
-    if poly.is_empty():
-        return (0.0, 0.0, 0.0)
-    pts = poly.coords
-    eps = CLIP_SNAP_REL * _coord_scale(pts)
-    normals = cfg.normals
+    pts, normals, eps = poly.coords, cfg.normals, poly._snap
     return tuple(_sector_area(pts, normals, i, apex.x, apex.y, eps) for i in range(3))
-
-
-def _polygon_diameter(pts) -> float:
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    return math.hypot(max(xs) - min(xs), max(ys) - min(ys))
 
 
 def solve_translation(poly, cfg: SectorConfig, targets: Targets, solver_cfg=None) -> TranslationSolution:
@@ -148,11 +119,10 @@ def solve_translation(poly, cfg: SectorConfig, targets: Targets, solver_cfg=None
     origin, i.e. the negated apex.  Solved with the same damped Newton
     engine as the triangle problem.  Raises SolverError on failure and
     MassPartitionError for invalid targets."""
-    cfg = validate_config(cfg)
     solver_cfg = solver_cfg or SolverConfig()
     if isinstance(poly, Triangle):
         poly = poly.as_polygon()
-    total = abs(_signed_area(poly.coords))
+    total = poly.area
     vals = targets.values
     if len(vals) != 3 or any(not (v > 0.0 and math.isfinite(v)) for v in vals):
         raise MassPartitionError(f"targets must be three positive areas, got {vals!r}")
@@ -162,7 +132,7 @@ def solve_translation(poly, cfg: SectorConfig, targets: Targets, solver_cfg=None
         )
     pts = poly.coords
     seed = (sum(p[0] for p in pts) / len(pts), sum(p[1] for p in pts) / len(pts))
-    res = _fan_newton(pts, cfg.normals, vals, seed, 2.0 * _polygon_diameter(pts), solver_cfg)
+    res = _fan_newton(pts, total, poly._snap, cfg.normals, vals, seed, 2.0 * poly.diameter, solver_cfg)
     apex = Point(res.x, res.y)
     achieved = sector_areas(poly, cfg, apex)
     residual = max(abs(a - t) for a, t in zip(achieved, vals))

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 from .geometry import (
-    CLIP_SNAP_REL,
     SIDE_IDS,
     VERTEX_IDS,
     ConvexPolygon,
@@ -33,7 +32,6 @@ from .geometry import (
     Triangle,
     Vec,
     _clip,
-    _coord_scale,
     _sector_area,
     _sector_jacobian,
     _signed_area,
@@ -177,11 +175,10 @@ class LabelSets:
         return tuple(v for v, a in zip(VERTEX_IDS, areas) if a <= lo)
 
 
-def _widest(tri: Triangle) -> int:
-    """Index of the widest interior angle (the first one on a tie).  The
-    vertices after it, in cyclic order, are the acute vertices A and B of
-    the criterion and the closed form."""
-    angles = tri.angles
+def _widest(angles) -> int:
+    """Index of the widest of three interior angles (the first one on a
+    tie).  The vertices after it, in cyclic order, are the acute vertices
+    A and B of the criterion and the closed form."""
     return max(range(3), key=angles.__getitem__)
 
 
@@ -200,8 +197,12 @@ def classify(tri: Triangle, tol: float = CLASSIFY_TOL) -> Classification:
     `tol` doubles as the half-width of the right-angle band (radians) and
     of the criterion-margin band around zero.
     """
-    i = _widest(tri)
-    angles = tri.angles
+    return _classify_angles(tri.angles, tol)
+
+
+def _classify_angles(angles, tol: float = CLASSIFY_TOL) -> Classification:
+    """`classify` from the interior angles at a, b, c, all it depends on."""
+    i = _widest(angles)
     widest = angles[i]
     if widest <= 0.5 * math.pi + tol:
         kind = RIGHT if abs(widest - 0.5 * math.pi) <= tol else ACUTE
@@ -223,8 +224,8 @@ def boundary_point_closed_form(tri: Triangle) -> Point:
     where A and B are the acute vertices.  The formula is evaluated for any
     obtuse triangle; it equals the equal-area point exactly when the
     criterion margin vanishes."""
-    i = _widest(tri)
     angles = tri.angles
+    i = _widest(angles)
     if angles[i] <= 0.5 * math.pi:
         raise PartitionError("closed form needs an obtuse widest angle")
     ta = math.tan(angles[(i + 1) % 3])
@@ -265,17 +266,15 @@ def cut_line_offset(tri: Triangle, side: str, target_area: float) -> float:
             hi = mid
 
 
-def _fan_newton(pts, normals, targets, seed: Vec, pad: float, cfg: SolverConfig):
+def _fan_newton(pts, total: float, eps: float, normals, targets, seed: Vec, pad: float, cfg: SolverConfig):
     """Place the apex of a three-ray fan so that its sectors cut the convex
-    CCW polygon `pts` into the three `targets` (summing to its area); the
-    fan is given by its ray normals, as in `tripart.geometry`.  Damped
-    Newton on the areas of sectors 0 and 1 with the exact Jacobian, from
-    `seed`, reseeding from a grid over the bounding box grown by `pad` if
-    the iteration stalls.  Returns the RootResult; raises SolverError
-    (with the best iterate in its report) when the residual cannot be
-    driven below cfg.area_tol_rel times the area."""
-    total = _signed_area(pts)
-    eps = CLIP_SNAP_REL * _coord_scale(pts)
+    CCW polygon `pts` (area `total`, snap band `eps`) into the three
+    `targets`; the fan is given by its ray normals, as in
+    `tripart.geometry`.  Damped Newton on the areas of sectors 0 and 1
+    with the exact Jacobian, from `seed`, reseeding from a grid over the
+    bounding box grown by `pad` if the iteration stalls.  Returns the
+    RootResult; raises SolverError (with the best iterate in its report)
+    when the residual cannot be driven below cfg.area_tol_rel * total."""
     t1, t2, t3 = targets
 
     def fun(x: float, y: float):
@@ -324,11 +323,15 @@ def solve_newton(tri: Triangle, cfg: SolverConfig | None = None, seed: Point | N
     starting from `seed` or the centroid.  Raises SolverError (with the
     best iterate in its report) when the residual cannot be driven below
     tolerance."""
-    cfg = cfg or SolverConfig()
-    start = seed if seed is not None else tri.centroid
+    return _newton(tri, classify(tri), cfg or SolverConfig(), seed if seed is not None else tri.centroid)
+
+
+def _newton(tri: Triangle, cls: Classification, cfg: SolverConfig, start: Point) -> PartitionSolution:
     s = tri.area / 3.0
-    res = _fan_newton(tri.points, tri._normals, (s, s, s), (start.x, start.y), tri.diameter, cfg)
-    return _solution(tri, Point(res.x, res.y), classify(tri), "newton")
+    res = _fan_newton(
+        tri.points, tri.area, tri._snap, tri._normals, (s, s, s), (start.x, start.y), tri.diameter, cfg
+    )
+    return _solution(tri, Point(res.x, res.y), cls, "newton")
 
 
 def solve_maximin(tri: Triangle) -> PartitionSolution:
@@ -341,6 +344,10 @@ def solve_maximin(tri: Triangle) -> PartitionSolution:
     cls = classify(tri)
     if cls.kind not in INTERIOR_KINDS:
         raise PartitionError(f"maximin search needs the solution inside the triangle, not {cls.kind}")
+    return _maximin(tri, cls)
+
+
+def _maximin(tri: Triangle, cls: Classification) -> PartitionSolution:
     total = tri.area
     diam = tri.diameter
     pts, normals, eps = tri.points, tri._normals, tri._snap
@@ -489,15 +496,18 @@ def solve_exterior(tri: Triangle, cfg: SolverConfig | None = None) -> PartitionS
     to Newton seeded at the constructed point if the construction's
     residual misses the tolerance (possible only in the noisy band right
     at the boundary case)."""
-    cfg = cfg or SolverConfig()
     cls = classify(tri)
     if cls.kind != OBTUSE_EXTERIOR:
         raise PartitionError(f"exterior construction applies only to {OBTUSE_EXTERIOR}, not {cls.kind}")
+    return _exterior(tri, cls, cfg or SolverConfig())
+
+
+def _exterior(tri: Triangle, cls: Classification, cfg: SolverConfig) -> PartitionSolution:
     # bisect on the triangle relabeled so the obtuse vertex is c: the sides
     # at it are then "ac" and "bc", and the clipped areas are summed in the
     # vertex order the golden outputs in tests/data were computed in (the
     # unrotated order moves trailing digits of some offsets)
-    i = _widest(tri)
+    i = VERTEX_IDS.index(cls.obtuse_vertex)
     verts = (tri.a, tri.b, tri.c)
     rel = Triangle(verts[(i + 1) % 3], verts[(i + 2) % 3], verts[i])
     s = tri.area / 3.0
@@ -511,7 +521,7 @@ def solve_exterior(tri: Triangle, cfg: SolverConfig | None = None) -> PartitionS
     point = Point(x, y)
     sol = _solution(tri, point, cls, "exterior-construction")
     if sol.residual > cfg.area_tol_rel * tri.area:
-        return solve_newton(tri, cfg, seed=point)
+        return _newton(tri, cls, cfg, point)
     return sol
 
 
@@ -526,11 +536,11 @@ def equal_partition(tri: Triangle, cfg: SolverConfig | None = None, cross_check:
     if cls.kind == OBTUSE_BOUNDARY:
         sol = _solution(tri, boundary_point_closed_form(tri), cls, "closed-form")
     elif cls.kind == OBTUSE_EXTERIOR:
-        sol = solve_exterior(tri, cfg)
+        sol = _exterior(tri, cls, cfg)
     else:
-        sol = solve_newton(tri, cfg)
+        sol = _newton(tri, cls, cfg, tri.centroid)
     if cross_check and cls.kind in INTERIOR_KINDS:
-        alt = solve_maximin(tri)
+        alt = _maximin(tri, cls)
         gap = sol.point.distance_to(alt.point)
         if gap > CROSS_CHECK_DIST_REL * tri.diameter:
             raise _failure(

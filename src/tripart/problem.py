@@ -16,14 +16,14 @@ import time
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
-from .geometry import ConvexPolygon, GeometryError, Triangle, Vec, _signed_area
+from .geometry import ConvexPolygon, GeometryError, Triangle, Vec, _triangle_angles
 from .masspart import SectorConfig, Targets, solve_translation
 from .partition import (
     VERTEX_IDS,
     Classification,
     PartitionError,
     SolverConfig,
-    classify,
+    _classify_angles,
     equal_partition,
 )
 
@@ -216,11 +216,8 @@ def parse_spec(text: str) -> ProblemSpec:
             raise InputError("degenerate-geometry", str(exc)) from exc
         if poly.is_empty():
             raise InputError("degenerate-geometry", "polygon collapses to nothing after deduplication")
-        area = abs(_signed_area(poly.coords))
-        xs = [p[0] for p in poly.coords]
-        ys = [p[1] for p in poly.coords]
-        diag_sq = (max(xs) - min(xs)) ** 2 + (max(ys) - min(ys)) ** 2
-        if area <= 1e-12 * diag_sq:
+        area = poly.area
+        if area <= 1e-12 * poly.diameter * poly.diameter:
             raise InputError("degenerate-geometry", "polygon vertices are collinear")
         rays = DEFAULT_RAYS_DEG
         if "rays" in data:
@@ -303,21 +300,23 @@ def serialize_spec(spec: ProblemSpec) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _apex(a_deg: float, b_deg: float) -> Vec:
+    """Where the rays from (0,0) and (1,0) at base angles a_deg and b_deg
+    meet above the base."""
+    ta, tb = math.tan(math.radians(a_deg)), math.tan(math.radians(b_deg))
+    if a_deg == 90.0:
+        return (0.0, tb)
+    if b_deg == 90.0:
+        return (1.0, ta)
+    return (tb / (ta + tb), ta * tb / (ta + tb))
+
+
 def triangle_from_angles(a_deg: float, b_deg: float) -> Triangle:
     """Triangle with base vertices (0,0), (1,0) and the given base angles
     in degrees; the third vertex is wherever the two base rays meet."""
     if not (0.0 < a_deg and 0.0 < b_deg and a_deg + b_deg < 180.0):
         raise PartitionError(f"angles must be positive with sum below 180, got {a_deg}, {b_deg}")
-    ta = math.tan(math.radians(a_deg))
-    tb = math.tan(math.radians(b_deg))
-    if a_deg == 90.0:
-        cx, cy = 0.0, tb
-    elif b_deg == 90.0:
-        cx, cy = 1.0, ta
-    else:
-        cx = tb / (ta + tb)
-        cy = ta * tb / (ta + tb)
-    return Triangle.from_coords(((0.0, 0.0), (1.0, 0.0), (cx, cy)))
+    return Triangle.from_coords(((0.0, 0.0), (1.0, 0.0), _apex(a_deg, b_deg)))
 
 
 def _solver_config(spec: ProblemSpec, tol: float | None) -> SolverConfig:
@@ -328,25 +327,19 @@ def _solver_config(spec: ProblemSpec, tol: float | None) -> SolverConfig:
 
 
 def _run_triangle(spec: ProblemSpec, tol: float | None) -> Report:
-    coords = spec.triangle
-    tri = Triangle.from_coords(coords)
+    tri = Triangle.from_coords(spec.triangle)
     # Triangle normalizes to CCW; if the input was clockwise the internal
     # labels b and c are swapped relative to the user's, so map them back.
-    swap = {"a": "a", "b": "c", "c": "b"} if _signed_area(coords) < 0.0 else None
+    order = ("a", "c", "b") if tri.swapped_bc else VERTEX_IDS
     cfg = _solver_config(spec, tol)
     start = time.perf_counter()
     sol = equal_partition(tri, cfg)
     elapsed = time.perf_counter() - start
     cls = sol.classification
-    if swap is not None:
-        ov = cls.obtuse_vertex
-        cls = Classification(cls.kind, swap[ov] if ov else None, cls.criterion_margin)
-        order = tuple(swap[v] for v in VERTEX_IDS)
-    else:
-        order = VERTEX_IDS
+    if tri.swapped_bc and cls.obtuse_vertex:
+        cls = Classification(cls.kind, order[VERTEX_IDS.index(cls.obtuse_vertex)], cls.criterion_margin)
     areas = tuple(sol.areas.at(v) for v in order)
-    index = {"a": 0, "b": 1, "c": 2}
-    regions = tuple(sol.regions[index[v]].coords for v in order)
+    regions = tuple(sol.regions[VERTEX_IDS.index(v)].coords for v in order)
     return Report(
         mode="triangle",
         input_echo=spec_dict(spec),
@@ -365,11 +358,8 @@ def _run_triangle(spec: ProblemSpec, tol: float | None) -> Report:
 def _run_mass_partition(spec: ProblemSpec, tol: float | None) -> Report:
     poly = ConvexPolygon.from_coords(spec.polygon)
     fan = SectorConfig.from_angles_deg(spec.rays or DEFAULT_RAYS_DEG)
-    total = abs(_signed_area(poly.coords))
-    if spec.targets is not None:
-        targets = Targets(spec.targets)
-    else:
-        targets = Targets.fractions(spec.fractions, total)
+    total = poly.area
+    targets = Targets(spec.targets) if spec.targets is not None else Targets.fractions(spec.fractions, total)
     cfg = _solver_config(spec, tol)
     start = time.perf_counter()
     sol = solve_translation(poly, fan, targets, cfg)
@@ -397,7 +387,9 @@ def _run_sweep(spec: ProblemSpec) -> Report:
         a_deg = 180.0 * i / n
         for j in range(1, n - i):
             b_deg = 180.0 * j / n
-            cls = classify(triangle_from_angles(a_deg, b_deg))
+            # classify from the angles alone: the same angles a Triangle
+            # built by triangle_from_angles would cache, without building it
+            cls = _classify_angles(_triangle_angles(((0.0, 0.0), (1.0, 0.0), _apex(a_deg, b_deg))))
             rows.append(SweepRow(a_deg, b_deg, cls.kind, cls.criterion_margin))
     elapsed = time.perf_counter() - start
     return Report(

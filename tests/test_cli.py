@@ -152,6 +152,44 @@ def test_verify_rejects_bad_point_syntax(tmp_path):
     assert tripart("verify", "--input", str(spec), "--point", "1,2", "--tol", "-1").returncode == 2
 
 
+def test_verify_rejects_infinite_tol(tmp_path):
+    spec = tmp_path / "job.json"
+    spec.write_text('{"mode": "triangle", "triangle": [[0, 0], [1, 0], [0.5, 0.05]]}')
+    res = tripart("verify", "--input", str(spec), "--point=0.48,0.04", "--tol", "inf")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert json.loads(res.stderr)["error"]["code"] == "invalid-value"
+
+
+def test_verify_accepts_point_with_leading_minus(tmp_path):
+    spec = tmp_path / "job.json"
+    spec.write_text(TRI_SPEC)
+    res = tripart("verify", "--input", str(spec), "--point", "-0.5,0.3")
+    assert res.returncode == 0, res.stderr
+    payload = json.loads(res.stdout)
+    assert payload["point"] == [-0.5, 0.3]
+    assert payload["location"] == "exterior"
+
+
+def test_usage_errors_are_json_input_errors(tmp_path):
+    spec = tmp_path / "job.json"
+    spec.write_text(TRI_SPEC)
+    for args in (
+        ("verify", "--input", str(spec)),
+        ("verify", "--input", str(spec), "--point", "1,2", "--tol", "abc"),
+        ("sweep", "--resolution", "ten", "--output", str(tmp_path / "x.csv")),
+        ("explode",),
+    ):
+        res = tripart(*args)
+        assert res.returncode == 2, args
+        assert res.stdout == ""
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1, res.stderr
+        err = json.loads(lines[0])["error"]
+        assert err["code"] == "invalid-value"
+        assert err["message"].startswith("usage: tripart")
+
+
 def test_verify_rejects_non_triangle_spec(tmp_path):
     spec = tmp_path / "job.json"
     spec.write_text(MASS_SPEC)

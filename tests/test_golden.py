@@ -1,8 +1,10 @@
 """Golden bytes for the outputs that no Newton iteration touches: the
 exterior construction (JSON and SVG), the boundary closed form and the
 sweep CSV.  The files under tests/data were written by the command line
-and must be reproduced byte for byte."""
+and must be reproduced byte for byte; the larger sweep is pinned by its
+md5."""
 
+import hashlib
 from pathlib import Path
 
 from tripart.cli import main
@@ -42,3 +44,9 @@ def test_sweep_csv(tmp_path):
     csv = tmp_path / "sweep.csv"
     assert main(["sweep", "--resolution", "40", "--output", str(csv)]) == 0
     assert csv.read_bytes() == _golden("sweep_40.csv")
+
+
+def test_sweep_csv_resolution_400_md5(tmp_path):
+    csv = tmp_path / "sweep.csv"
+    assert main(["sweep", "--resolution", "400", "--output", str(csv)]) == 0
+    assert hashlib.md5(csv.read_bytes()).hexdigest() == "41b0061f59bf116ff5e42daf5c63a286"

@@ -14,7 +14,6 @@ from tripart.masspart import (
     Targets,
     sector_areas,
     solve_translation,
-    validate_config,
 )
 
 SQUARE = ConvexPolygon.from_coords(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
@@ -22,7 +21,7 @@ RIGHT_ISO = Triangle.from_coords(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
 
 
 def test_config_normalizes_and_orders():
-    cfg = validate_config(SectorConfig(((2.0, 0.0), (0.0, 3.0), (-1.0, -1.0))))
+    cfg = SectorConfig(((2.0, 0.0), (0.0, 3.0), (-1.0, -1.0)))
     for dx, dy in cfg.directions:
         assert math.hypot(dx, dy) == pytest.approx(1.0, abs=1e-15)
     assert sum(cfg.gaps()) == pytest.approx(2.0 * math.pi, abs=1e-12)
@@ -37,7 +36,7 @@ def test_config_rejects_bad_fans():
         # one gap of exactly pi makes a degenerate half-plane sector
         SectorConfig.from_angles_deg((0.0, 180.0, 270.0))
     with pytest.raises(MassPartitionError, match="not usable"):
-        validate_config(SectorConfig(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))))
+        SectorConfig(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
 
 
 def test_sector_areas_cover_polygon():

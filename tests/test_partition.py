@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles as oc
+import tripart.partition as part
 from tripart.geometry import Point, Triangle
 from tripart.partition import (
     ACUTE,
@@ -257,6 +258,29 @@ def test_equal_partition_dispatch():
     assert equal_partition(triangle_from_angles(40.0, 40.0)).method == "newton"
     assert equal_partition(BOUNDARY_ISO).method == "closed-form"
     assert equal_partition(THIN_OBTUSE).method == "exterior-construction"
+
+
+def test_equal_partition_classifies_once(monkeypatch):
+    calls = []
+    real = part.classify
+
+    def counting(tri, *args, **kwargs):
+        calls.append(tri)
+        return real(tri, *args, **kwargs)
+
+    monkeypatch.setattr(part, "classify", counting)
+    cases = (
+        (EQUILATERAL, ACUTE),
+        (RIGHT_ISO, RIGHT),
+        (triangle_from_angles(40.0, 40.0), OBTUSE_INTERIOR),
+        (BOUNDARY_ISO, OBTUSE_BOUNDARY),
+        (THIN_OBTUSE, OBTUSE_EXTERIOR),
+    )
+    for tri, kind in cases:
+        for cross_check in (False, True):
+            calls.clear()
+            assert equal_partition(tri, cross_check=cross_check).classification.kind == kind
+            assert len(calls) == 1, (kind, cross_check, len(calls))
 
 
 def test_equal_partition_cross_check():
