@@ -12,13 +12,14 @@ import math
 import re
 import sys
 
-from .geometry import GeometryError, Point, Triangle
+from .geometry import GeometryError, Point
 from .masspart import MassPartitionError
 from .partition import PartitionError, SolverError, verify_partition
 from .problem import (
     InputError,
     ProblemSpec,
     canonical_json,
+    input_order,
     parse_spec,
     report_json,
     run,
@@ -79,7 +80,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputError("malformed-json", f"input is not UTF-8 text: {exc}") from exc
 
 
 def _write(path: str, text: str) -> None:
@@ -101,14 +105,14 @@ def _cmd_solve(args) -> int:
     spec = parse_spec(_read(args.input))
     if spec.mode == "sweep":
         raise InputError("invalid-value", "sweep specs run with the 'sweep' command")
+    if args.svg and spec.mode != "triangle":
+        raise InputError("invalid-value", "--svg applies only to triangle mode")
     report = run(spec, tol=args.tol)
     text = report_json(report) + "\n"
     sys.stdout.write(text)
     if args.output:
         _write(args.output, text)
     if args.svg:
-        if report.mode != "triangle":
-            raise InputError("invalid-value", "--svg applies only to triangle mode")
         _write(args.svg, emit_svg(report))
     sys.stderr.write(f"solved in {report.timing_s:.3f}s via {report.method}\n")
     return EXIT_OK
@@ -116,8 +120,6 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = ProblemSpec(mode="sweep", resolution=args.resolution)
-    if args.resolution < 2:
-        raise InputError("invalid-value", "--resolution must be at least 2")
     report = run(spec)
     _write(args.output, sweep_csv(report))
     sys.stderr.write(
@@ -130,26 +132,19 @@ def _cmd_verify(args) -> int:
     spec = parse_spec(_read(args.input))
     if spec.mode != "triangle":
         raise InputError("invalid-value", "verify needs a triangle-mode spec")
-    tri = Triangle.from_coords(spec.triangle)
     point = _parse_point(args.point)
     if not (args.tol > 0.0 and math.isfinite(args.tol)):
         raise InputError("invalid-value", "--tol must be a positive finite number")
-    vr = verify_partition(tri, point, tol=args.tol)
-    # normalization swaps b and c for clockwise input; report in input labels
-    order = (0, 2, 1) if tri.swapped_bc else (0, 1, 2)
-    areas = vr.areas.as_tuple()
+    vr = verify_partition(spec.shape, point, tol=args.tol)
+    areas = input_order(spec.shape, vr.areas.as_tuple())
     payload = {
         "mode": "verify",
         "point": [vr.point.x, vr.point.y],
-        "areas": {
-            "at_a": areas[order[0]],
-            "at_b": areas[order[1]],
-            "at_c": areas[order[2]],
-        },
+        "areas": {"at_a": areas[0], "at_b": areas[1], "at_c": areas[2]},
         "max_deviation": vr.max_deviation,
         "deviation_rel": vr.deviation_rel,
         "location": vr.location,
-        "region_vertex_counts": [vr.region_vertex_counts[i] for i in order],
+        "region_vertex_counts": list(input_order(spec.shape, vr.region_vertex_counts)),
         "ok": vr.ok,
     }
     sys.stdout.write(canonical_json(payload) + "\n")

@@ -56,7 +56,7 @@ def _signed_area(pts) -> float:
 
 
 def _coord_scale(pts) -> float:
-    m = 1.0
+    m = 0.0
     for x, y in pts:
         ax = abs(x)
         if ax > m:

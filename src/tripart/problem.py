@@ -49,6 +49,11 @@ class InputError(ValueError):
 
 @dataclass(frozen=True)
 class ProblemSpec:
+    """One runnable job.  Construction validates every value, raising
+    InputError with a stable code, and keeps the shape it builds: `shape`
+    (the Triangle or ConvexPolygon) and, for a fan job, `fan`.  Every later
+    step reads these; they take no part in equality."""
+
     mode: str
     triangle: tuple[Vec, Vec, Vec] | None = None
     polygon: tuple[Vec, ...] | None = None
@@ -57,6 +62,57 @@ class ProblemSpec:
     fractions: tuple[float, float, float] | None = None
     resolution: int | None = None
     solver: tuple[tuple[str, float], ...] = ()
+    shape: Triangle | ConvexPolygon | None = field(default=None, init=False, compare=False, repr=False)
+    fan: SectorConfig | None = field(default=None, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.mode == "sweep":
+            if self.resolution is not None and self.resolution < 2:
+                raise InputError("invalid-value", "'resolution' must be at least 2")
+            return
+        try:
+            if self.mode == "triangle":
+                shape = Triangle.from_coords(self.triangle)
+            elif self.mode == "mass-partition":
+                shape = ConvexPolygon.from_coords(self.polygon)
+            else:
+                raise InputError("invalid-value", f"unknown mode {self.mode!r}")
+        except GeometryError as exc:
+            raise InputError("degenerate-geometry", str(exc)) from exc
+        object.__setattr__(self, "shape", shape)
+        if self.mode == "mass-partition":
+            self._check_fan_job(shape)
+        try:
+            _solver_config(self, None)
+        except PartitionError as exc:
+            raise InputError("invalid-value", str(exc)) from exc
+
+    def _check_fan_job(self, poly: ConvexPolygon) -> None:
+        if poly.is_empty():
+            raise InputError("degenerate-geometry", "polygon collapses to nothing after deduplication")
+        area = poly.area
+        if area <= 1e-12 * poly.diameter * poly.diameter:
+            raise InputError("degenerate-geometry", "polygon vertices are collinear")
+        try:
+            object.__setattr__(self, "fan", SectorConfig.from_angles_deg(self.rays or DEFAULT_RAYS_DEG))
+        except ValueError as exc:
+            raise InputError("invalid-value", f"unusable fan: {exc}") from exc
+        if (self.targets is None) == (self.fractions is None):
+            raise InputError(
+                "missing-field" if self.targets is None else "invalid-value",
+                "give exactly one of 'targets' (absolute areas) or 'fractions'",
+            )
+        if self.fractions is not None:
+            if any(f <= 0.0 for f in self.fractions):
+                raise InputError("invalid-value", "fractions must all be positive")
+            if abs(sum(self.fractions) - 1.0) > 1e-9:
+                raise InputError("invalid-value", f"fractions must sum to 1, got {sum(self.fractions)!r}")
+        elif any(t <= 0.0 for t in self.targets):
+            raise InputError("invalid-value", "targets must all be positive")
+        elif abs(sum(self.targets) - area) > 1e-12 * area:
+            raise InputError(
+                "invalid-value", f"targets sum to {sum(self.targets)!r} but the polygon area is {area!r}"
+            )
 
 
 class SweepRow(NamedTuple):
@@ -72,7 +128,7 @@ class Report:
     `timing_s` is diagnostic and never serialized."""
 
     mode: str
-    input_echo: dict
+    spec: ProblemSpec
     method: str
     residual: float
     timing_s: float
@@ -166,17 +222,14 @@ def _parse_solver(data: dict) -> tuple[tuple[str, float], ...]:
         if key not in _SOLVER_KEYS:
             raise InputError("invalid-value", f"unknown solver option '{key}'")
         items.append((key, _require_number(raw[key], f"solver.{key}")))
-    try:
-        SolverConfig(**dict(items))
-    except PartitionError as exc:
-        raise InputError("invalid-value", str(exc)) from exc
     return tuple(items)
 
 
 def parse_spec(text: str) -> ProblemSpec:
-    """Parse and validate a JSON problem spec, filling defaults (fan rays,
-    sweep resolution).  Raises InputError with a stable error code on any
-    problem; a returned spec is runnable."""
+    """Parse a JSON problem spec, checking syntax, types and required
+    fields and filling defaults (fan rays, sweep resolution); the spec
+    validates its values itself.  Raises InputError with a stable error
+    code on any problem; a returned spec is runnable."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -197,10 +250,6 @@ def parse_spec(text: str) -> ProblemSpec:
         if not isinstance(raw, (list, tuple)) or len(raw) != 3:
             raise InputError("invalid-value", "'triangle' must list exactly three vertices")
         coords = tuple(_require_pair(p, "triangle") for p in raw)
-        try:
-            Triangle.from_coords(coords)
-        except GeometryError as exc:
-            raise InputError("degenerate-geometry", str(exc)) from exc
         return ProblemSpec(mode=mode, triangle=coords, solver=_parse_solver(data))
 
     if mode == "mass-partition":
@@ -209,52 +258,12 @@ def parse_spec(text: str) -> ProblemSpec:
         raw = data["polygon"]
         if not isinstance(raw, (list, tuple)) or len(raw) < 3:
             raise InputError("invalid-value", "'polygon' must list at least three vertices")
-        coords = tuple(_require_pair(p, "polygon") for p in raw)
-        try:
-            poly = ConvexPolygon.from_coords(coords)
-        except GeometryError as exc:
-            raise InputError("degenerate-geometry", str(exc)) from exc
-        if poly.is_empty():
-            raise InputError("degenerate-geometry", "polygon collapses to nothing after deduplication")
-        area = poly.area
-        if area <= 1e-12 * poly.diameter * poly.diameter:
-            raise InputError("degenerate-geometry", "polygon vertices are collinear")
-        rays = DEFAULT_RAYS_DEG
-        if "rays" in data:
-            rays = _require_triple(data["rays"], "rays")
-            try:
-                SectorConfig.from_angles_deg(rays)
-            except ValueError as exc:
-                raise InputError("invalid-value", f"unusable fan: {exc}") from exc
-        has_targets = "targets" in data
-        has_fractions = "fractions" in data
-        if has_targets == has_fractions:
-            raise InputError(
-                "missing-field" if not has_targets else "invalid-value",
-                "give exactly one of 'targets' (absolute areas) or 'fractions'",
-            )
-        targets = fractions = None
-        if has_fractions:
-            fractions = _require_triple(data["fractions"], "fractions")
-            if any(f <= 0.0 for f in fractions):
-                raise InputError("invalid-value", "fractions must all be positive")
-            if abs(sum(fractions) - 1.0) > 1e-9:
-                raise InputError("invalid-value", f"fractions must sum to 1, got {sum(fractions)!r}")
-        else:
-            targets = _require_triple(data["targets"], "targets")
-            if any(t <= 0.0 for t in targets):
-                raise InputError("invalid-value", "targets must all be positive")
-            if abs(sum(targets) - area) > 1e-12 * area:
-                raise InputError(
-                    "invalid-value",
-                    f"targets sum to {sum(targets)!r} but the polygon area is {area!r}",
-                )
         return ProblemSpec(
             mode=mode,
-            polygon=coords,
-            rays=rays,
-            targets=targets,
-            fractions=fractions,
+            polygon=tuple(_require_pair(p, "polygon") for p in raw),
+            rays=_require_triple(data["rays"], "rays") if "rays" in data else DEFAULT_RAYS_DEG,
+            targets=_require_triple(data["targets"], "targets") if "targets" in data else None,
+            fractions=_require_triple(data["fractions"], "fractions") if "fractions" in data else None,
             solver=_parse_solver(data),
         )
 
@@ -264,8 +273,6 @@ def parse_spec(text: str) -> ProblemSpec:
         if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v) or v != int(v):
             raise InputError("invalid-value", f"'resolution' must be an integer, got {v!r}")
         resolution = int(v)
-        if resolution < 2:
-            raise InputError("invalid-value", "'resolution' must be at least 2")
     return ProblemSpec(mode=mode, resolution=resolution)
 
 
@@ -326,23 +333,27 @@ def _solver_config(spec: ProblemSpec, tol: float | None) -> SolverConfig:
     return SolverConfig(**opts)
 
 
+def input_order(tri: Triangle, abc: tuple) -> tuple:
+    """Per-vertex values given for the internal labels a, b, c, in the
+    order the vertices were input: Triangle normalizes to CCW, swapping b
+    and c of a clockwise input."""
+    return (abc[0], abc[2], abc[1]) if tri.swapped_bc else tuple(abc)
+
+
 def _run_triangle(spec: ProblemSpec, tol: float | None) -> Report:
-    tri = Triangle.from_coords(spec.triangle)
-    # Triangle normalizes to CCW; if the input was clockwise the internal
-    # labels b and c are swapped relative to the user's, so map them back.
-    order = ("a", "c", "b") if tri.swapped_bc else VERTEX_IDS
+    tri = spec.shape
     cfg = _solver_config(spec, tol)
     start = time.perf_counter()
     sol = equal_partition(tri, cfg)
     elapsed = time.perf_counter() - start
     cls = sol.classification
     if tri.swapped_bc and cls.obtuse_vertex:
-        cls = Classification(cls.kind, order[VERTEX_IDS.index(cls.obtuse_vertex)], cls.criterion_margin)
-    areas = tuple(sol.areas.at(v) for v in order)
-    regions = tuple(sol.regions[VERTEX_IDS.index(v)].coords for v in order)
+        label = input_order(tri, VERTEX_IDS)[VERTEX_IDS.index(cls.obtuse_vertex)]
+        cls = Classification(cls.kind, label, cls.criterion_margin)
+    areas = input_order(tri, sol.areas.as_tuple())
     return Report(
         mode="triangle",
-        input_echo=spec_dict(spec),
+        spec=spec,
         method=sol.method,
         residual=sol.residual,
         timing_s=elapsed,
@@ -351,22 +362,21 @@ def _run_triangle(spec: ProblemSpec, tol: float | None) -> Report:
         areas=areas,
         fractions=tuple(a / tri.area for a in areas),
         total_area=tri.area,
-        regions=regions,
+        regions=input_order(tri, tuple(r.coords for r in sol.regions)),
     )
 
 
 def _run_mass_partition(spec: ProblemSpec, tol: float | None) -> Report:
-    poly = ConvexPolygon.from_coords(spec.polygon)
-    fan = SectorConfig.from_angles_deg(spec.rays or DEFAULT_RAYS_DEG)
+    poly = spec.shape
     total = poly.area
     targets = Targets(spec.targets) if spec.targets is not None else Targets.fractions(spec.fractions, total)
     cfg = _solver_config(spec, tol)
     start = time.perf_counter()
-    sol = solve_translation(poly, fan, targets, cfg)
+    sol = solve_translation(poly, spec.fan, targets, cfg)
     elapsed = time.perf_counter() - start
     return Report(
         mode="mass-partition",
-        input_echo=spec_dict(spec),
+        spec=spec,
         method=sol.method,
         residual=sol.residual,
         timing_s=elapsed,
@@ -394,7 +404,7 @@ def _run_sweep(spec: ProblemSpec) -> Report:
     elapsed = time.perf_counter() - start
     return Report(
         mode="sweep",
-        input_echo=spec_dict(spec),
+        spec=spec,
         method="classify",
         residual=0.0,
         timing_s=elapsed,
@@ -409,9 +419,7 @@ def run(spec: ProblemSpec, tol: float | None = None) -> Report:
         return _run_triangle(spec, tol)
     if spec.mode == "mass-partition":
         return _run_mass_partition(spec, tol)
-    if spec.mode == "sweep":
-        return _run_sweep(spec)
-    raise InputError("invalid-value", f"unknown mode {spec.mode!r}")
+    return _run_sweep(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +433,7 @@ def report_json(report: Report) -> str:
         cls = report.classification
         payload = {
             "mode": report.mode,
-            "input": report.input_echo,
+            "input": spec_dict(report.spec),
             "classification": {
                 "kind": cls.kind,
                 "obtuse_vertex": cls.obtuse_vertex,
@@ -441,17 +449,13 @@ def report_json(report: Report) -> str:
                 "total": report.total_area,
             },
             "residual": report.residual,
-            "regions": {
-                "at_a": [list(p) for p in report.regions[0]],
-                "at_b": [list(p) for p in report.regions[1]],
-                "at_c": [list(p) for p in report.regions[2]],
-            },
+            "regions": {f"at_{v}": [list(p) for p in r] for v, r in zip(VERTEX_IDS, report.regions)},
         }
         return canonical_json(payload)
     if report.mode == "mass-partition":
         payload = {
             "mode": report.mode,
-            "input": report.input_echo,
+            "input": spec_dict(report.spec),
             "method": report.method,
             "apex": list(report.apex),
             "translation": list(report.translation),

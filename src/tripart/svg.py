@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .geometry import SIDE_IDS, Point, Triangle, foot_of_perpendicular
+from .geometry import SIDE_IDS, Point, foot_of_perpendicular
 from .partition import OBTUSE_EXTERIOR
 from .problem import Report
 
@@ -92,7 +92,7 @@ def emit_svg(report: Report, width: int = 640) -> str:
     """Render a solved triangle report as a standalone SVG document."""
     if report.mode != "triangle" or report.point is None or report.regions is None:
         raise ValueError("SVG rendering needs a triangle report carrying a solution")
-    tri = Triangle.from_coords(report.input_echo["triangle"])
+    tri = report.spec.shape
     x0 = Point(*report.point)
     kind = report.classification.kind
     diam = tri.diameter
@@ -149,7 +149,7 @@ def emit_svg(report: Report, width: int = 640) -> str:
 
     cx, cy = tri.centroid.x, tri.centroid.y
     # label in the order the vertices were given, not the normalized order
-    for vid, vertex in zip("ABC", report.input_echo["triangle"]):
+    for vid, vertex in zip("ABC", report.spec.triangle):
         dx, dy = vertex[0] - cx, vertex[1] - cy
         h = math.hypot(dx, dy)
         parts.append(_text_tag(frame, (vertex[0], vertex[1]), vid, dx=16.0 * dx / h, dy=-16.0 * dy / h + 4.0))

@@ -111,6 +111,27 @@ def test_solve_svg_rejected_for_mass_partition(tmp_path):
     assert res.returncode == 2
 
 
+def test_solve_svg_for_mass_partition_writes_nothing(tmp_path):
+    spec = tmp_path / "job.json"
+    spec.write_text(MASS_SPEC)
+    out, svg = tmp_path / "report.json", tmp_path / "x.svg"
+    res = tripart("solve", "--input", str(spec), "--output", str(out), "--svg", str(svg))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert json.loads(res.stderr)["error"]["code"] == "invalid-value"
+    assert not out.exists() and not svg.exists()
+
+
+@pytest.mark.parametrize("command", [("solve",), ("verify", "--point", "0.3,0.3")])
+def test_non_utf8_input_is_malformed_json(tmp_path, command):
+    spec = tmp_path / "bad.json"
+    spec.write_bytes(b"\xff\xfe{}")
+    res = tripart(command[0], "--input", str(spec), *command[1:])
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert json.loads(res.stderr)["error"]["code"] == "malformed-json"
+
+
 def test_verify_accepts_true_point(tmp_path):
     spec = tmp_path / "job.json"
     spec.write_text(TRI_SPEC)

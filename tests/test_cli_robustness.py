@@ -55,6 +55,21 @@ def test_verify_tiny_triangle_is_degenerate_geometry(tmp_path, capsys):
     assert json.loads(err)["error"]["code"] == "degenerate-geometry"
 
 
+@pytest.mark.parametrize("size", [1e-13, 1e-14, 1e-100])
+def test_tiny_shapes_solve(size, tmp_path, capsys):
+    """The clipping snap band scales with the shape, however small."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"mode": "triangle", "triangle": [[0, 0], [size, 0], [0.5 * size, 0.3 * size]]}))
+    code, out, _ = _main(["solve", "--input", str(path)], capsys)
+    assert code == EXIT_OK
+    assert json.loads(out)["areas"]["fractions"] == pytest.approx([1.0 / 3.0] * 3, abs=1e-12)
+    rect = [[0, 0], [2 * size, 0], [2 * size, size], [0, size]]
+    path.write_text(json.dumps({"mode": "mass-partition", "polygon": rect, "fractions": [0.2, 0.3, 0.5]}))
+    code, out, _ = _main(["solve", "--input", str(path)], capsys)
+    assert code == EXIT_OK
+    assert json.loads(out)["residual"] <= 1e-12 * 2 * size * size
+
+
 # ---------------------------------------------------------------------------
 # Seeded fuzz
 # ---------------------------------------------------------------------------

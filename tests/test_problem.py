@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tripart.geometry import ConvexPolygon, Triangle
+from tripart.masspart import SectorConfig
 from tripart.problem import (
     DEFAULT_RAYS_DEG,
     InputError,
@@ -18,6 +20,7 @@ from tripart.problem import (
     sweep_csv,
     triangle_from_angles,
 )
+from tripart.svg import emit_svg
 
 TRI_SPEC = '{"mode": "triangle", "triangle": [[0, 0], [1, 0], [0, 1]]}'
 MASS_SPEC = (
@@ -259,3 +262,41 @@ def test_triangle_from_angles():
         triangle_from_angles(120.0, 60.0)
     with pytest.raises(PartitionError):
         triangle_from_angles(-5.0, 60.0)
+
+
+def _count_builds(monkeypatch, *classes):
+    counts = dict.fromkeys(classes, 0)
+    for cls in classes:
+        def counting(self, _cls=cls, _real=cls.__post_init__):
+            counts[_cls] += 1
+            _real(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    return counts
+
+
+BUILD_ONCE_TRIANGLES = {
+    "acute": "[[0, 0], [1, 0], [0.5, 0.866]]",
+    "right": "[[0, 0], [1, 0], [0, 1]]",
+    "obtuse-interior": "[[0, 0], [1, 0], [0.5, 0.42]]",
+    "obtuse-interior-clockwise": "[[0, 0], [0.5, 0.42], [1, 0]]",
+    "obtuse-boundary": "[[0, 0], [1, 0], [0.5, 0.35355339059327379]]",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILD_ONCE_TRIANGLES))
+def test_triangle_job_builds_its_triangle_once(monkeypatch, name):
+    """parse_spec -> run -> report_json -> emit_svg builds one Triangle (the
+    exterior kind also builds the construction's rotated copy)."""
+    counts = _count_builds(monkeypatch, Triangle)
+    report = run(parse_spec('{"mode": "triangle", "triangle": %s}' % BUILD_ONCE_TRIANGLES[name]))
+    assert report.classification.kind == name.removesuffix("-clockwise")
+    report_json(report)
+    emit_svg(report)
+    assert counts[Triangle] == 1
+
+
+def test_fan_job_builds_its_polygon_and_fan_once(monkeypatch):
+    counts = _count_builds(monkeypatch, ConvexPolygon, SectorConfig)
+    report_json(run(parse_spec(MASS_SPEC)))
+    assert counts == {ConvexPolygon: 1, SectorConfig: 1}
