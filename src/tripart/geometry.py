@@ -279,26 +279,34 @@ class ConvexPolygon:
     """Convex polygon with CCW vertices; may be empty.
 
     Consecutive near-duplicate vertices are merged at construction.  Input
-    given clockwise is reversed.
+    given clockwise is reversed.  `coords` holds the vertices as tuples.
     """
 
-    vertices: tuple[Point, ...] = ()
+    # a default factory leaves no class attribute, so a polygon from
+    # `_ring` that has no `vertices` yet reaches `__getattr__`
+    vertices: tuple[Point, ...] = field(default_factory=tuple)
+    coords: tuple[Vec, ...] = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pts = [(p.x, p.y) for p in self.vertices]
-        if not pts:
+        verts = tuple(self.vertices)
+        if not verts:
             return
+        pts = [(p.x, p.y) for p in verts]
         scale = _coord_scale(pts)
         pts = _dedupe_ring(pts, CLIP_SNAP_REL * scale)
         if len(pts) < 3:
-            if len(pts) < len(self.vertices):
+            if len(pts) < len(verts):
                 object.__setattr__(self, "vertices", ())
                 return
             raise GeometryError("polygon needs at least 3 distinct vertices (or none)")
+        if len(pts) < len(verts):
+            verts = tuple(Point(x, y) for x, y in pts)
         area = _signed_area(pts)
         if area < 0.0:
             pts.reverse()
-        object.__setattr__(self, "vertices", tuple(Point(x, y) for x, y in pts))
+            verts = verts[::-1]
+        object.__setattr__(self, "vertices", verts)
+        object.__setattr__(self, "coords", tuple(pts))
         _check_range(area, self.diameter * self.diameter)
         cross_tol = -1e-9 * scale * scale
         n = len(pts)
@@ -311,6 +319,22 @@ class ConvexPolygon:
                 raise GeometryError(f"polygon is not convex (cross product {cross:.3e} at vertex {i})")
 
     @classmethod
+    def _ring(cls, pts) -> "ConvexPolygon":
+        """A polygon from a CCW ring of at least 3 points that the caller
+        has deduped and knows to be convex (a clipped region), without
+        `__post_init__`'s checks; its Points are built only if read."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "coords", tuple(pts))
+        return poly
+
+    def __getattr__(self, name):
+        if name != "vertices":  # only a polygon from `_ring` lacks an attribute
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        verts = tuple(Point(x, y) for x, y in self.coords)
+        object.__setattr__(self, "vertices", verts)
+        return verts
+
+    @classmethod
     def from_coords(cls, coords) -> "ConvexPolygon":
         return cls(tuple(Point(float(x), float(y)) for x, y in coords))
 
@@ -319,20 +343,16 @@ class ConvexPolygon:
         return cls(())
 
     def is_empty(self) -> bool:
-        return not self.vertices
-
-    @cached_property
-    def coords(self) -> tuple[Vec, ...]:
-        return tuple((p.x, p.y) for p in self.vertices)
+        return not self.coords
 
     @cached_property
     def area(self) -> float:
-        return abs(_signed_area(self.coords)) if self.vertices else 0.0
+        return abs(_signed_area(self.coords))
 
     @cached_property
     def diameter(self) -> float:
         """Diagonal of the bounding box, an upper bound on the diameter."""
-        xs, ys = zip(*self.coords) if self.vertices else ((0.0,), (0.0,))
+        xs, ys = zip(*self.coords) if self.coords else ((0.0,), (0.0,))
         return math.hypot(max(xs) - min(xs), max(ys) - min(ys))
 
     @cached_property
@@ -343,7 +363,7 @@ class ConvexPolygon:
         return ConvexPolygon(tuple(Point(p.x + dx, p.y + dy) for p in self.vertices))
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self.coords)
 
 
 @dataclass(frozen=True)
@@ -389,10 +409,12 @@ class Triangle:
 
     @cached_property
     def centroid(self) -> Point:
-        return Point(
-            (self.a.x + self.b.x + self.c.x) / 3.0,
-            (self.a.y + self.b.y + self.c.y) / 3.0,
-        )
+        return Point(*self._centroid)
+
+    @cached_property
+    def _centroid(self) -> Vec:
+        (ax, ay), (bx, by), (cx, cy) = self.points
+        return ((ax + bx + cx) / 3.0, (ay + by + cy) / 3.0)
 
     def vertex(self, v: str) -> Point:
         v = v.lower()
@@ -535,15 +557,20 @@ def outward_normal(tri: Triangle, side: str) -> Vec:
     return (uy, -ux)
 
 
-def foot_of_perpendicular(x: Point, seg: tuple[Point, Point]) -> Point:
-    """Orthogonal projection of x onto the supporting line of a segment."""
-    p, q = seg
-    dx, dy = q.x - p.x, q.y - p.y
+def _foot(x: float, y: float, p: Vec, q: Vec) -> Vec:
+    """Orthogonal projection of (x, y) onto the line through p and q."""
+    dx, dy = q[0] - p[0], q[1] - p[1]
     den = dx * dx + dy * dy
     if den == 0.0:
         raise GeometryError("cannot project onto a degenerate segment")
-    t = ((x.x - p.x) * dx + (x.y - p.y) * dy) / den
-    return Point(p.x + t * dx, p.y + t * dy)
+    t = ((x - p[0]) * dx + (y - p[1]) * dy) / den
+    return (p[0] + t * dx, p[1] + t * dy)
+
+
+def foot_of_perpendicular(x: Point, seg: tuple[Point, Point]) -> Point:
+    """Orthogonal projection of x onto the supporting line of a segment."""
+    p, q = seg
+    return Point(*_foot(x.x, x.y, p.as_tuple(), q.as_tuple()))
 
 
 def sector_at_vertex(tri: Triangle, v: str, x: Point) -> Sector:
@@ -576,9 +603,7 @@ def region_polygon(tri: Triangle, v: str, x: Point) -> ConvexPolygon:
     (n1x, n1y, o1), (n2x, n2y, o2) = _sector_cuts(tri._normals, _SECTOR_OF[v.lower()], x.x, x.y)
     pts = _clip(_clip(tri.points, n1x, n1y, o1, tri._snap), n2x, n2y, o2, tri._snap)
     pts = _dedupe_ring(pts, 1e-12 * tri.diameter)
-    if len(pts) < 3:
-        return ConvexPolygon.empty()
-    return ConvexPolygon(tuple(Point(px, py) for px, py in pts))
+    return ConvexPolygon._ring(pts) if len(pts) >= 3 else ConvexPolygon.empty()
 
 
 def min_area_f(tri: Triangle, x: Point) -> float:

@@ -35,7 +35,6 @@ from .geometry import (
     _sector_area,
     _sector_jacobian,
     _signed_area,
-    foot_of_perpendicular,
     region_areas,
     region_polygon,
 )
@@ -323,14 +322,13 @@ def solve_newton(tri: Triangle, cfg: SolverConfig | None = None, seed: Point | N
     starting from `seed` or the centroid.  Raises SolverError (with the
     best iterate in its report) when the residual cannot be driven below
     tolerance."""
-    return _newton(tri, classify(tri), cfg or SolverConfig(), seed if seed is not None else tri.centroid)
+    start = seed.as_tuple() if seed is not None else tri._centroid
+    return _newton(tri, classify(tri), cfg or SolverConfig(), start)
 
 
-def _newton(tri: Triangle, cls: Classification, cfg: SolverConfig, start: Point) -> PartitionSolution:
+def _newton(tri: Triangle, cls: Classification, cfg: SolverConfig, start: Vec) -> PartitionSolution:
     s = tri.area / 3.0
-    res = _fan_newton(
-        tri.points, tri.area, tri._snap, tri._normals, (s, s, s), (start.x, start.y), tri.diameter, cfg
-    )
+    res = _fan_newton(tri.points, tri.area, tri._snap, tri._normals, (s, s, s), start, tri.diameter, cfg)
     return _solution(tri, Point(res.x, res.y), cls, "newton")
 
 
@@ -374,7 +372,7 @@ def _maximin(tri: Triangle, cls: Classification) -> PartitionSolution:
         (math.cos((k + 0.5) * math.pi / 8.0), math.sin((k + 0.5) * math.pi / 8.0))
         for k in range(16)
     )
-    x, y = tri.centroid.x, tri.centroid.y
+    x, y = tri._centroid
     fx = f(x, y)
     step = MAXIMIN_STEP_FRACTION * diam
     floor = MAXIMIN_STOP_REL * diam
@@ -518,10 +516,9 @@ def _exterior(tri: Triangle, cls: Classification, cfg: SolverConfig) -> Partitio
     det = uax * uby - uay * ubx
     x = (da * uby - uay * db) / det
     y = (uax * db - da * ubx) / det
-    point = Point(x, y)
-    sol = _solution(tri, point, cls, "exterior-construction")
+    sol = _solution(tri, Point(x, y), cls, "exterior-construction")
     if sol.residual > cfg.area_tol_rel * tri.area:
-        return _newton(tri, cls, cfg, point)
+        return _newton(tri, cls, cfg, (x, y))
     return sol
 
 
@@ -538,7 +535,7 @@ def equal_partition(tri: Triangle, cfg: SolverConfig | None = None, cross_check:
     elif cls.kind == OBTUSE_EXTERIOR:
         sol = _exterior(tri, cls, cfg)
     else:
-        sol = _newton(tri, cls, cfg, tri.centroid)
+        sol = _newton(tri, cls, cfg, tri._centroid)
     if cross_check and cls.kind in INTERIOR_KINDS:
         alt = _maximin(tri, cls)
         gap = sol.point.distance_to(alt.point)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
 from .geometry import ConvexPolygon, GeometryError, Triangle, Vec, _triangle_angles
@@ -50,9 +50,10 @@ class InputError(ValueError):
 @dataclass(frozen=True)
 class ProblemSpec:
     """One runnable job.  Construction validates every value, raising
-    InputError with a stable code, and keeps the shape it builds: `shape`
-    (the Triangle or ConvexPolygon) and, for a fan job, `fan`.  Every later
-    step reads these; they take no part in equality."""
+    InputError with a stable code, and keeps what it builds: `shape` (the
+    Triangle or ConvexPolygon), `config` (the SolverConfig) and, for a fan
+    job, `fan`.  Every later step reads these; they take no part in
+    equality."""
 
     mode: str
     triangle: tuple[Vec, Vec, Vec] | None = None
@@ -64,6 +65,7 @@ class ProblemSpec:
     solver: tuple[tuple[str, float], ...] = ()
     shape: Triangle | ConvexPolygon | None = field(default=None, init=False, compare=False, repr=False)
     fan: SectorConfig | None = field(default=None, init=False, compare=False, repr=False)
+    config: SolverConfig | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.mode == "sweep":
@@ -83,7 +85,7 @@ class ProblemSpec:
         if self.mode == "mass-partition":
             self._check_fan_job(shape)
         try:
-            _solver_config(self, None)
+            object.__setattr__(self, "config", SolverConfig(**dict(self.solver)))
         except PartitionError as exc:
             raise InputError("invalid-value", str(exc)) from exc
 
@@ -152,13 +154,27 @@ class Report:
 
 
 def _fmt_num(v) -> str:
+    """A number's canonical bytes: an int as written, a float with 17
+    significant digits (exact float64 round-trip) and both zeros as 0."""
     if isinstance(v, int):
         return str(v)
-    if not math.isfinite(v):
-        raise ValueError(f"cannot serialize non-finite number {v!r}")
     if v == 0.0:
         return "0"
-    return format(v, ".17g")
+    if math.isfinite(v):
+        return f"{v:.17g}"
+    raise ValueError(f"cannot serialize non-finite number {v!r}")
+
+
+def _vec(p) -> str:
+    return f"[{_fmt_num(p[0])},{_fmt_num(p[1])}]"
+
+
+def _nums(values) -> str:
+    return "[" + ",".join(map(_fmt_num, values)) + "]"
+
+
+def _vecs(points) -> str:
+    return "[" + ",".join(map(_vec, points)) + "]"
 
 
 def canonical_json(value) -> str:
@@ -187,13 +203,25 @@ def canonical_json(value) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _finite(v) -> bool:
+    """math.isfinite, false also for an int too large for a float."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 def _require_number(v, name: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not _finite(v):
         raise InputError("invalid-value", f"field '{name}' must be a finite number, got {v!r}")
     return float(v)
 
 
 def _require_pair(v, name: str) -> Vec:
+    if type(v) is list and len(v) == 2:
+        x, y = v
+        if type(x) is float and type(y) is float and math.isfinite(x) and math.isfinite(y):
+            return (x, y)  # a pair of JSON floats needs no check but finiteness
     if not isinstance(v, (list, tuple)) or len(v) != 2:
         raise InputError("invalid-value", f"'{name}' must be a pair [x, y], got {v!r}")
     return (_require_number(v[0], name), _require_number(v[1], name))
@@ -202,7 +230,7 @@ def _require_pair(v, name: str) -> Vec:
 def _require_triple(v, name: str) -> tuple[float, float, float]:
     if not isinstance(v, (list, tuple)) or len(v) != 3:
         raise InputError("invalid-value", f"'{name}' must have exactly three numbers, got {v!r}")
-    return tuple(_require_number(x, name) for x in v)
+    return tuple([_require_number(x, name) for x in v])
 
 
 def _check_keys(data: dict, mode: str) -> None:
@@ -232,7 +260,7 @@ def parse_spec(text: str) -> ProblemSpec:
     code on any problem; a returned spec is runnable."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int literal past the digit limit
         raise InputError("malformed-json", f"input is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError("invalid-value", "top-level JSON value must be an object")
@@ -249,7 +277,7 @@ def parse_spec(text: str) -> ProblemSpec:
         raw = data["triangle"]
         if not isinstance(raw, (list, tuple)) or len(raw) != 3:
             raise InputError("invalid-value", "'triangle' must list exactly three vertices")
-        coords = tuple(_require_pair(p, "triangle") for p in raw)
+        coords = tuple([_require_pair(p, "triangle") for p in raw])
         return ProblemSpec(mode=mode, triangle=coords, solver=_parse_solver(data))
 
     if mode == "mass-partition":
@@ -260,7 +288,7 @@ def parse_spec(text: str) -> ProblemSpec:
             raise InputError("invalid-value", "'polygon' must list at least three vertices")
         return ProblemSpec(
             mode=mode,
-            polygon=tuple(_require_pair(p, "polygon") for p in raw),
+            polygon=tuple([_require_pair(p, "polygon") for p in raw]),
             rays=_require_triple(data["rays"], "rays") if "rays" in data else DEFAULT_RAYS_DEG,
             targets=_require_triple(data["targets"], "targets") if "targets" in data else None,
             fractions=_require_triple(data["fractions"], "fractions") if "fractions" in data else None,
@@ -270,36 +298,28 @@ def parse_spec(text: str) -> ProblemSpec:
     resolution = DEFAULT_SWEEP_RESOLUTION
     if "resolution" in data:
         v = data["resolution"]
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v) or v != int(v):
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not _finite(v) or v != int(v):
             raise InputError("invalid-value", f"'resolution' must be an integer, got {v!r}")
         resolution = int(v)
     return ProblemSpec(mode=mode, resolution=resolution)
 
 
-def spec_dict(spec: ProblemSpec) -> dict:
-    """Spec as a plain dict in canonical key order (used for echo and
-    serialization)."""
-    out: dict = {"mode": spec.mode}
-    if spec.triangle is not None:
-        out["triangle"] = [list(p) for p in spec.triangle]
-    if spec.polygon is not None:
-        out["polygon"] = [list(p) for p in spec.polygon]
-    if spec.rays is not None:
-        out["rays"] = list(spec.rays)
-    if spec.targets is not None:
-        out["targets"] = list(spec.targets)
-    if spec.fractions is not None:
-        out["fractions"] = list(spec.fractions)
-    if spec.resolution is not None:
-        out["resolution"] = spec.resolution
-    if spec.solver:
-        out["solver"] = dict(spec.solver)
-    return out
-
-
 def serialize_spec(spec: ProblemSpec) -> str:
-    """Canonical JSON for a spec; parse_spec(serialize_spec(s)) == s."""
-    return canonical_json(spec_dict(spec))
+    """Canonical JSON for a spec, its set fields in declaration order;
+    parse_spec(serialize_spec(s)) == s."""
+    out = f'{{"mode":"{spec.mode}"'
+    if spec.triangle is not None:
+        out += f',"triangle":{_vecs(spec.triangle)}'
+    if spec.polygon is not None:
+        out += f',"polygon":{_vecs(spec.polygon)}'
+    for key in ("rays", "targets", "fractions"):
+        if getattr(spec, key) is not None:
+            out += f',"{key}":{_nums(getattr(spec, key))}'
+    if spec.resolution is not None:
+        out += f',"resolution":{_fmt_num(spec.resolution)}'
+    if spec.solver:
+        out += ',"solver":{' + ",".join(f'"{k}":{_fmt_num(v)}' for k, v in spec.solver) + "}"
+    return out + "}"
 
 
 # ---------------------------------------------------------------------------
@@ -326,13 +346,6 @@ def triangle_from_angles(a_deg: float, b_deg: float) -> Triangle:
     return Triangle.from_coords(((0.0, 0.0), (1.0, 0.0), _apex(a_deg, b_deg)))
 
 
-def _solver_config(spec: ProblemSpec, tol: float | None) -> SolverConfig:
-    opts = dict(spec.solver)
-    if tol is not None:
-        opts["area_tol_rel"] = tol
-    return SolverConfig(**opts)
-
-
 def input_order(tri: Triangle, abc: tuple) -> tuple:
     """Per-vertex values given for the internal labels a, b, c, in the
     order the vertices were input: Triangle normalizes to CCW, swapping b
@@ -340,9 +353,8 @@ def input_order(tri: Triangle, abc: tuple) -> tuple:
     return (abc[0], abc[2], abc[1]) if tri.swapped_bc else tuple(abc)
 
 
-def _run_triangle(spec: ProblemSpec, tol: float | None) -> Report:
+def _run_triangle(spec: ProblemSpec, cfg: SolverConfig) -> Report:
     tri = spec.shape
-    cfg = _solver_config(spec, tol)
     start = time.perf_counter()
     sol = equal_partition(tri, cfg)
     elapsed = time.perf_counter() - start
@@ -366,11 +378,10 @@ def _run_triangle(spec: ProblemSpec, tol: float | None) -> Report:
     )
 
 
-def _run_mass_partition(spec: ProblemSpec, tol: float | None) -> Report:
+def _run_mass_partition(spec: ProblemSpec, cfg: SolverConfig) -> Report:
     poly = spec.shape
     total = poly.area
     targets = Targets(spec.targets) if spec.targets is not None else Targets.fractions(spec.fractions, total)
-    cfg = _solver_config(spec, tol)
     start = time.perf_counter()
     sol = solve_translation(poly, spec.fan, targets, cfg)
     elapsed = time.perf_counter() - start
@@ -415,11 +426,12 @@ def _run_sweep(spec: ProblemSpec) -> Report:
 def run(spec: ProblemSpec, tol: float | None = None) -> Report:
     """Execute a spec.  `tol` overrides the solver's relative area
     tolerance without touching the spec."""
+    if spec.mode == "sweep":
+        return _run_sweep(spec)
+    cfg = spec.config if tol is None else replace(spec.config, area_tol_rel=tol)
     if spec.mode == "triangle":
-        return _run_triangle(spec, tol)
-    if spec.mode == "mass-partition":
-        return _run_mass_partition(spec, tol)
-    return _run_sweep(spec)
+        return _run_triangle(spec, cfg)
+    return _run_mass_partition(spec, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -428,46 +440,32 @@ def run(spec: ProblemSpec, tol: float | None = None) -> Report:
 
 
 def report_json(report: Report) -> str:
-    """Canonical JSON for a solve report (triangle or mass-partition)."""
+    """Canonical JSON for a solve report (triangle or mass-partition),
+    written field by field; `canonical_json` of the same payload gives
+    the same bytes.  The strings (kind, method, vertex id) are package
+    constants that need no escaping."""
     if report.mode == "triangle":
         cls = report.classification
-        payload = {
-            "mode": report.mode,
-            "input": spec_dict(report.spec),
-            "classification": {
-                "kind": cls.kind,
-                "obtuse_vertex": cls.obtuse_vertex,
-                "criterion_margin": cls.criterion_margin,
-            },
-            "method": report.method,
-            "point": list(report.point),
-            "areas": {
-                "at_a": report.areas[0],
-                "at_b": report.areas[1],
-                "at_c": report.areas[2],
-                "fractions": list(report.fractions),
-                "total": report.total_area,
-            },
-            "residual": report.residual,
-            "regions": {f"at_{v}": [list(p) for p in r] for v, r in zip(VERTEX_IDS, report.regions)},
-        }
-        return canonical_json(payload)
+        vertex = "null" if cls.obtuse_vertex is None else f'"{cls.obtuse_vertex}"'
+        margin = "null" if cls.criterion_margin is None else _fmt_num(cls.criterion_margin)
+        at_a, at_b, at_c = map(_fmt_num, report.areas)
+        ra, rb, rc = map(_vecs, report.regions)
+        return (
+            f'{{"mode":"triangle","input":{serialize_spec(report.spec)},'
+            f'"classification":{{"kind":"{cls.kind}","obtuse_vertex":{vertex},"criterion_margin":{margin}}},'
+            f'"method":"{report.method}","point":{_vec(report.point)},'
+            f'"areas":{{"at_a":{at_a},"at_b":{at_b},"at_c":{at_c},"fractions":{_nums(report.fractions)},'
+            f'"total":{_fmt_num(report.total_area)}}},"residual":{_fmt_num(report.residual)},'
+            f'"regions":{{"at_a":{ra},"at_b":{rb},"at_c":{rc}}}}}'
+        )
     if report.mode == "mass-partition":
-        payload = {
-            "mode": report.mode,
-            "input": spec_dict(report.spec),
-            "method": report.method,
-            "apex": list(report.apex),
-            "translation": list(report.translation),
-            "areas": {
-                "achieved": list(report.achieved),
-                "targets": list(report.targets),
-                "total": report.total_area,
-            },
-            "residual": report.residual,
-            "iterations": report.iterations,
-        }
-        return canonical_json(payload)
+        return (
+            f'{{"mode":"mass-partition","input":{serialize_spec(report.spec)},"method":"{report.method}",'
+            f'"apex":{_vec(report.apex)},"translation":{_vec(report.translation)},'
+            f'"areas":{{"achieved":{_nums(report.achieved)},"targets":{_nums(report.targets)},'
+            f'"total":{_fmt_num(report.total_area)}}},"residual":{_fmt_num(report.residual)},'
+            f'"iterations":{_fmt_num(report.iterations)}}}'
+        )
     raise ValueError(f"no JSON rendering for mode {report.mode!r}")
 
 

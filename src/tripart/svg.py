@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .geometry import SIDE_IDS, Point, foot_of_perpendicular
+from .geometry import _foot
 from .partition import OBTUSE_EXTERIOR
 from .problem import Report
 
@@ -21,71 +21,15 @@ FONT = "Helvetica, Arial, sans-serif"
 PAD_PX = 30.0
 MARKER_PX = 7.0
 MIN_SEGMENT_REL = 1e-9  # skip perpendiculars shorter than this x diameter
+LINE = '<line x1="%.4f" y1="%.4f" x2="%.4f" y2="%.4f" stroke="%s" stroke-width="%.4f"%s/>'
+DASH = ' stroke-dasharray="6 4"'
 
 
-def _fmt(v: float) -> str:
-    out = format(v, ".4f")
-    return "0.0000" if out == "-0.0000" else out
-
-
-class _Frame:
-    """World-to-screen transform: uniform scale, y flipped."""
-
-    def __init__(self, xs, ys, width):
-        self.min_x = min(xs)
-        self.max_y = max(ys)
-        span_x = max(xs) - self.min_x
-        span_y = self.max_y - min(ys)
-        self.scale = (width - 2.0 * PAD_PX) / max(span_x, 1e-30)
-        self.width = width
-        self.height = span_y * self.scale + 2.0 * PAD_PX
-
-    def to_screen(self, p) -> tuple[float, float]:
-        x, y = p
-        return (
-            (x - self.min_x) * self.scale + PAD_PX,
-            (self.max_y - y) * self.scale + PAD_PX,
-        )
-
-    def pt(self, p) -> str:
-        sx, sy = self.to_screen(p)
-        return f"{_fmt(sx)},{_fmt(sy)}"
-
-
-def _polygon_tag(frame: _Frame, coords, fill: str, extra: str = "") -> str:
-    pts = " ".join(frame.pt(p) for p in coords)
-    return f'<polygon points="{pts}" fill="{fill}"{extra}/>'
-
-
-def _line_tag(frame: _Frame, p, q, stroke: str, width: float, dashed: bool = False) -> str:
-    x1, y1 = frame.to_screen(p)
-    x2, y2 = frame.to_screen(q)
-    dash = ' stroke-dasharray="6 4"' if dashed else ""
-    return (
-        f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-        f'stroke="{stroke}" stroke-width="{_fmt(width)}"{dash}/>'
-    )
-
-
-def _text_tag(frame: _Frame, p, label: str, dx: float = 0.0, dy: float = 0.0, size: int = 13) -> str:
-    x, y = frame.to_screen(p)
-    return (
-        f'<text x="{_fmt(x + dx)}" y="{_fmt(y + dy)}" font-family="{FONT}" '
-        f'font-size="{size}" text-anchor="middle">{label}</text>'
-    )
-
-
-def _right_angle_marker(frame: _Frame, foot: Point, along, toward) -> str:
-    """Small square glyph at a perpendicular foot: `along` the cut line,
-    `toward` the dropped segment (both unit, world frame)."""
-    m = MARKER_PX / frame.scale
-    ax, ay = along
-    tx, ty = toward
-    p1 = (foot.x + m * ax, foot.y + m * ay)
-    p2 = (foot.x + m * (ax + tx), foot.y + m * (ay + ty))
-    p3 = (foot.x + m * tx, foot.y + m * ty)
-    pts = " ".join(frame.pt(p) for p in (p1, p2, p3))
-    return f'<polyline points="{pts}" fill="none" stroke="{GUIDE}" stroke-width="1"/>'
+def _tag(template: str, *values) -> str:
+    """`template % values` in one call.  Its numbers are all `%.4f` fields,
+    so "-0.0000" can only be a value that rounds to zero from below; it is
+    written 0.0000."""
+    return (template % values).replace("-0.0000", "0.0000")
 
 
 def emit_svg(report: Report, width: int = 640) -> str:
@@ -93,74 +37,89 @@ def emit_svg(report: Report, width: int = 640) -> str:
     if report.mode != "triangle" or report.point is None or report.regions is None:
         raise ValueError("SVG rendering needs a triangle report carrying a solution")
     tri = report.spec.shape
-    x0 = Point(*report.point)
-    kind = report.classification.kind
+    x0, y0 = report.point
+    exterior = report.classification.kind == OBTUSE_EXTERIOR
     diam = tri.diameter
-
-    feet = {side: foot_of_perpendicular(x0, tri.side(side)) for side in SIDE_IDS}
+    pts = tri.points
+    sides = tuple(zip(pts, pts[1:] + pts[:1]))  # ab, bc, ca
+    units = tri._normals  # each side's unit vector, in the same order
+    feet = [_foot(x0, y0, p, q) for p, q in sides]
 
     # the exterior construction's cut lines: the perpendiculars through X0
     # to the two sides at the obtuse vertex, that is, to all sides but the
     # longest side k, in the order the construction takes them
-    cut_segments = []
-    if kind == OBTUSE_EXTERIOR:
+    cuts = []
+    if exterior:
         reach = 1.6 * diam
-        k = max(range(3), key=lambda j: Point.distance_to(*tri.side(SIDE_IDS[j])))
-        for side in (SIDE_IDS[k - 1], SIDE_IDS[k - 2]):
-            ux, uy = tri.side_unit(side)
-            cut_segments.append(((x0.x + reach * uy, x0.y - reach * ux), (x0.x - reach * uy, x0.y + reach * ux)))
+        lengths = [math.dist(p, q) for p, q in sides]
+        k = lengths.index(max(lengths))
+        for ux, uy in (units[k - 1], units[k - 2]):
+            cuts.append(((x0 + reach * uy, y0 - reach * ux), (x0 - reach * uy, y0 + reach * ux)))
 
-    xs = [p[0] for p in tri.points] + [x0.x] + [f.x for f in feet.values()]
-    ys = [p[1] for p in tri.points] + [x0.y] + [f.y for f in feet.values()]
-    frame = _Frame(xs, ys, float(width))
+    # world to screen: uniform scale, y flipped
+    xs = [p[0] for p in pts] + [x0] + [f[0] for f in feet]
+    ys = [p[1] for p in pts] + [y0] + [f[1] for f in feet]
+    min_x, max_y = min(xs), max(ys)
+    scale = (width - 2.0 * PAD_PX) / max(max(xs) - min_x, 1e-30)
+    w, h = float(width), (max_y - min(ys)) * scale + 2.0 * PAD_PX
+
+    def screen(p) -> tuple[float, float]:
+        return (p[0] - min_x) * scale + PAD_PX, (max_y - p[1]) * scale + PAD_PX
+
+    def points(coords) -> str:
+        return _tag(" ".join(["%.4f,%.4f"] * len(coords)), *[v for p in coords for v in screen(p)])
+
+    def text(sx: float, sy: float, label: str, size: int = 13) -> str:
+        head = _tag('<text x="%.4f" y="%.4f" font-family="%s" font-size="%d" text-anchor="middle">', sx, sy, FONT, size)
+        return f"{head}{label}</text>"
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         "<!-- Coordinate convention: problem data is y-up; screen position is",
-        f"     X = (x - {_fmt(frame.min_x)}) * {_fmt(frame.scale)} + {_fmt(PAD_PX)},",
-        f"     Y = ({_fmt(frame.max_y)} - y) * {_fmt(frame.scale)} + {_fmt(PAD_PX)} (y-down). -->",
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(frame.width)}" '
-        f'height="{_fmt(frame.height)}" viewBox="0 0 {_fmt(frame.width)} {_fmt(frame.height)}">',
-        f'<rect width="{_fmt(frame.width)}" height="{_fmt(frame.height)}" fill="#ffffff"/>',
+        _tag("     X = (x - %.4f) * %.4f + %.4f,", min_x, scale, PAD_PX),
+        _tag("     Y = (%.4f - y) * %.4f + %.4f (y-down). -->", max_y, scale, PAD_PX),
+        _tag('<svg xmlns="http://www.w3.org/2000/svg" width="%.4f" height="%.4f" viewBox="0 0 %.4f %.4f">', w, h, w, h),
+        _tag('<rect width="%.4f" height="%.4f" fill="#ffffff"/>', w, h),
     ]
 
     for coords, fill in zip(report.regions, REGION_FILLS):
         if len(coords) >= 3:
-            parts.append(_polygon_tag(frame, coords, fill, ' fill-opacity="0.35"'))
+            parts.append(f'<polygon points="{points(coords)}" fill="{fill}" fill-opacity="0.35"/>')
 
-    parts.append(_polygon_tag(frame, tri.points, "none", f' stroke="{OUTLINE}" stroke-width="1.5"'))
+    parts.append(f'<polygon points="{points(pts)}" fill="none" stroke="{OUTLINE}" stroke-width="1.5"/>')
 
-    for seg in cut_segments:
-        parts.append(_line_tag(frame, seg[0], seg[1], CUT, 1.2))
+    for p, q in cuts:
+        parts.append(_tag(LINE, *screen(p), *screen(q), CUT, 1.2, ""))
 
-    for side in SIDE_IDS:
-        foot = feet[side]
-        gap = x0.distance_to(foot)
+    sx0, sy0 = screen(report.point)
+    m = MARKER_PX / scale
+    for (fx, fy), (ax, ay) in zip(feet, units):
+        gap = math.hypot(x0 - fx, y0 - fy)
         if gap < MIN_SEGMENT_REL * diam:
             continue
-        dashed = kind == OBTUSE_EXTERIOR
-        parts.append(_line_tag(frame, (x0.x, x0.y), (foot.x, foot.y), GUIDE, 1.0, dashed=dashed))
-        ux, uy = tri.side_unit(side)
-        toward = ((x0.x - foot.x) / gap, (x0.y - foot.y) / gap)
-        parts.append(_right_angle_marker(frame, foot, (ux, uy), toward))
+        parts.append(_tag(LINE, sx0, sy0, *screen((fx, fy)), GUIDE, 1.0, DASH if exterior else ""))
+        # right-angle glyph at the foot: along the side, toward X0
+        tx, ty = (x0 - fx) / gap, (y0 - fy) / gap
+        glyph = ((fx + m * ax, fy + m * ay), (fx + m * (ax + tx), fy + m * (ay + ty)), (fx + m * tx, fy + m * ty))
+        parts.append(f'<polyline points="{points(glyph)}" fill="none" stroke="{GUIDE}" stroke-width="1"/>')
 
-    sx, sy = frame.to_screen((x0.x, x0.y))
-    parts.append(f'<circle cx="{_fmt(sx)}" cy="{_fmt(sy)}" r="3" fill="#000000"/>')
+    parts.append(_tag('<circle cx="%.4f" cy="%.4f" r="3" fill="#000000"/>', sx0, sy0))
 
-    cx, cy = tri.centroid.x, tri.centroid.y
+    cx, cy = tri._centroid
     # label in the order the vertices were given, not the normalized order
     for vid, vertex in zip("ABC", report.spec.triangle):
         dx, dy = vertex[0] - cx, vertex[1] - cy
-        h = math.hypot(dx, dy)
-        parts.append(_text_tag(frame, (vertex[0], vertex[1]), vid, dx=16.0 * dx / h, dy=-16.0 * dy / h + 4.0))
-    parts.append(_text_tag(frame, (x0.x, x0.y), "X0", dx=14.0, dy=-8.0))
+        d = math.hypot(dx, dy)
+        sx, sy = screen(vertex)
+        parts.append(text(sx + 16.0 * dx / d, sy + (-16.0 * dy / d + 4.0), vid))
+    parts.append(text(sx0 + 14.0, sy0 - 8.0, "X0"))
 
     for coords, area in zip(report.regions, report.areas):
         if len(coords) < 3:
             continue
         gx = sum(p[0] for p in coords) / len(coords)
         gy = sum(p[1] for p in coords) / len(coords)
-        parts.append(_text_tag(frame, (gx, gy), format(area, ".6g"), size=11))
+        parts.append(text(*screen((gx, gy)), format(area, ".6g"), size=11))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -70,6 +70,69 @@ def test_tiny_shapes_solve(size, tmp_path, capsys):
     assert json.loads(out)["residual"] <= 1e-12 * 2 * size * size
 
 
+# An integer literal of 401 digits parses to a Python int that no float
+# can hold; one of more than 4,300 digits is past the int conversion limit
+# and fails inside the JSON parser.
+OVER_RANGE = "1" + "0" * 400
+OVER_RANGE_SPECS = {
+    "triangle": '{"mode": "triangle", "triangle": [[0, 0], [1, 0], [%s, 1]]}' % OVER_RANGE,
+    "polygon": '{"mode": "mass-partition", "polygon": [[0, 0], [1, 0], [1, %s], [0, 1]],'
+    ' "fractions": [0.3, 0.3, 0.4]}' % OVER_RANGE,
+    "rays": '{"mode": "mass-partition", "polygon": [[0, 0], [1, 0], [0, 1]], "rays": [0, 120, %s],'
+    ' "fractions": [0.3, 0.3, 0.4]}' % OVER_RANGE,
+    "targets": '{"mode": "mass-partition", "polygon": [[0, 0], [1, 0], [0, 1]], "targets": [%s, 0.2, 0.2]}'
+    % OVER_RANGE,
+    "fractions": '{"mode": "mass-partition", "polygon": [[0, 0], [1, 0], [0, 1]], "fractions": [0.5, 0.5, %s]}'
+    % OVER_RANGE,
+    "solver": '{"mode": "triangle", "triangle": [[0, 0], [1, 0], [0, 1]], "solver": {"max_iters": %s}}'
+    % OVER_RANGE,
+}
+
+
+@pytest.mark.parametrize("field", sorted(OVER_RANGE_SPECS))
+def test_over_range_integer_is_invalid_value(field, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(OVER_RANGE_SPECS[field])
+    code, out, err = _main(["solve", "--input", str(path)], capsys)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert json.loads(err)["error"]["code"] == "invalid-value"
+
+
+def test_over_range_sweep_resolution_is_invalid_value(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text('{"mode": "sweep", "resolution": %s}' % OVER_RANGE)
+    code, _, err = _main(["solve", "--input", str(path)], capsys)
+    assert code == EXIT_INPUT
+    assert json.loads(err)["error"]["code"] == "invalid-value"
+
+
+def test_integer_past_the_digit_limit_is_malformed_json(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text('{"mode": "triangle", "triangle": [[0, 0], [1, 0], [%s, 1]]}' % ("1" * 5000))
+    code, _, err = _main(["solve", "--input", str(path)], capsys)
+    assert code == EXIT_INPUT
+    assert json.loads(err)["error"]["code"] == "malformed-json"
+
+
+def test_offset_sliver_is_not_invalid_input(tmp_path, capsys):
+    """A valid triangle 1e7 from the origin.  Its solve may fail (exit 3);
+    it must not be rejected as invalid input because a region of the
+    answer is a zero-area sliver."""
+    tri = [
+        [9999999.045057021, 9999999.923868023],
+        [9999999.074420901, 10000000.831319472],
+        [9999999.135555066, 10000000.55361635],
+    ]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"mode": "triangle", "triangle": tri}))
+    code, out, _ = _main(["solve", "--input", str(path)], capsys)
+    assert code in (EXIT_OK, EXIT_SOLVER)
+    if code == EXIT_OK:
+        report = json.loads(out)
+        assert report["residual"] <= 1e-12 * report["areas"]["total"]
+
+
 # ---------------------------------------------------------------------------
 # Seeded fuzz
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Golden bytes for the outputs that no Newton iteration touches: the
 exterior construction (JSON and SVG), the boundary closed form and the
-sweep CSV.  The files under tests/data were written by the command line
-and must be reproduced byte for byte; the larger sweep is pinned by its
-md5."""
+sweep CSV; and SVG figures of two Newton solutions, whose 4 decimals the
+trailing-digit drift of a Newton point does not reach.  The files under
+tests/data were written by the command line and must be reproduced byte
+for byte; the larger sweep is pinned by its md5."""
 
 import hashlib
 from pathlib import Path
+
+import pytest
 
 from tripart.cli import main
 
@@ -13,6 +16,12 @@ DATA = Path(__file__).parent / "data"
 
 EXTERIOR_SPEC = '{"mode": "triangle", "triangle": [[0, 0], [1, 0], [0.5, 0.05]]}\n'
 BOUNDARY_SPEC = '{"mode": "triangle", "triangle": [[0, 0], [1, 0], [0.5, 0.35355339059327379]]}\n'
+NEWTON_SVGS = {
+    # shifted away from the origin and given clockwise
+    "interior_clockwise.svg": '{"mode": "triangle", "triangle": [[12.5, -3.25], [11.8, -1.9], [13.6, -2.4]]}\n',
+    # the header's x offset -1e-9 rounds to -0.0000 and is written 0.0000
+    "negative_zero_header.svg": '{"mode": "triangle", "triangle": [[-1e-9, 0], [1, 0], [0.45, 0.8]]}\n',
+}
 
 
 def _golden(name: str) -> bytes:
@@ -32,6 +41,13 @@ def test_exterior_construction_json_and_svg(tmp_path, capsys):
     assert b'"method":"exterior-construction"' in out
     assert out == _golden("exterior_solve.json")
     assert svg.read_bytes() == _golden("exterior.svg")
+
+
+@pytest.mark.parametrize("name", sorted(NEWTON_SVGS))
+def test_newton_svg(name, tmp_path, capsys):
+    svg = tmp_path / "figure.svg"
+    assert b'"method":"newton"' in _solve(tmp_path, capsys, NEWTON_SVGS[name], "--svg", str(svg))
+    assert svg.read_bytes() == _golden(name)
 
 
 def test_boundary_closed_form_json(tmp_path, capsys):

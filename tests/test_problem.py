@@ -1,14 +1,18 @@
 """Spec parsing, run orchestration and the byte-stable serializers."""
 
+import dataclasses
 import json
 import math
 
+import numpy as np
+import oracles as oc
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from tripart.geometry import ConvexPolygon, Triangle
 from tripart.masspart import SectorConfig
+from tripart.partition import SolverConfig
 from tripart.problem import (
     DEFAULT_RAYS_DEG,
     InputError,
@@ -300,3 +304,122 @@ def test_fan_job_builds_its_polygon_and_fan_once(monkeypatch):
     counts = _count_builds(monkeypatch, ConvexPolygon, SectorConfig)
     report_json(run(parse_spec(MASS_SPEC)))
     assert counts == {ConvexPolygon: 1, SectorConfig: 1}
+
+
+@pytest.mark.parametrize("spec", [TRI_SPEC, MASS_SPEC], ids=["triangle", "mass-partition"])
+def test_job_builds_its_solver_config_once(monkeypatch, spec):
+    counts = _count_builds(monkeypatch, SolverConfig)
+    report = run(parse_spec(spec))
+    report_json(report)
+    if report.mode == "triangle":
+        emit_svg(report)
+    assert counts[SolverConfig] == 1
+
+
+# ---------------------------------------------------------------------------
+# report_json against the documented payload
+# ---------------------------------------------------------------------------
+
+
+def _documented_payload(report) -> dict:
+    """The report layout the README documents, as a dict whose
+    canonical_json is the expected report_json."""
+    spec = report.spec
+    echo = {"mode": spec.mode}
+    for key in ("triangle", "polygon"):
+        if getattr(spec, key) is not None:
+            echo[key] = [list(p) for p in getattr(spec, key)]
+    for key in ("rays", "targets", "fractions"):
+        if getattr(spec, key) is not None:
+            echo[key] = list(getattr(spec, key))
+    if spec.solver:
+        echo["solver"] = dict(spec.solver)
+    if report.mode == "triangle":
+        cls = report.classification
+        return {
+            "mode": "triangle",
+            "input": echo,
+            "classification": {
+                "kind": cls.kind,
+                "obtuse_vertex": cls.obtuse_vertex,
+                "criterion_margin": cls.criterion_margin,
+            },
+            "method": report.method,
+            "point": list(report.point),
+            "areas": {
+                "at_a": report.areas[0],
+                "at_b": report.areas[1],
+                "at_c": report.areas[2],
+                "fractions": list(report.fractions),
+                "total": report.total_area,
+            },
+            "residual": report.residual,
+            "regions": {f"at_{v}": [list(p) for p in r] for v, r in zip("abc", report.regions)},
+        }
+    return {
+        "mode": "mass-partition",
+        "input": echo,
+        "method": report.method,
+        "apex": list(report.apex),
+        "translation": list(report.translation),
+        "areas": {"achieved": list(report.achieved), "targets": list(report.targets), "total": report.total_area},
+        "residual": report.residual,
+        "iterations": report.iterations,
+    }
+
+
+def _writer_specs() -> list[str]:
+    """Seeded triangles of all five kinds (some clockwise), fans with
+    targets and with fractions, and hand-picked inputs: integer and -0.0
+    coordinates and a solver object."""
+    rng = np.random.default_rng(611)
+    shapes = []
+    for _ in range(4):
+        shapes += [
+            oc.transform(rng, oc.rand_acute(rng)),
+            oc.rand_right(rng),
+            oc.boundary_triangle(rng),
+            oc.transform(rng, oc.rand_obtuse_of_kind(rng, "interior")),
+            oc.transform(rng, oc.rand_obtuse_of_kind(rng, "exterior")),
+        ]
+    specs = [
+        json.dumps({"mode": "triangle", "triangle": (pts if i % 2 else pts[::-1]).tolist()})
+        for i, pts in enumerate(shapes)
+    ]
+    for i in range(6):
+        poly = oc.rand_convex_polygon(rng, 3, 12)
+        fracs = oc.rand_fractions(rng)
+        spec = {"mode": "mass-partition", "polygon": poly.tolist(), "rays": list(oc.rand_fan_angles_deg(rng))}
+        if i % 2:
+            spec["targets"] = [f * ConvexPolygon.from_coords(poly.tolist()).area for f in fracs]
+        else:
+            spec["fractions"] = list(fracs)
+        specs.append(json.dumps(spec))
+    return specs + [
+        '{"mode": "triangle", "triangle": [[0, 0], [3, 0], [1, 2]]}',
+        '{"mode": "triangle", "triangle": [[-0.0, 0.0], [1, -0.0], [0.3, 0.8]]}',
+        '{"mode": "triangle", "triangle": [[0, 0], [1, 0], [0.5, 0.05]], "solver": {"max_iters": 40}}',
+        '{"mode": "triangle", "triangle": [[0, 0], [1, 0], [0.4, 0.7]],'
+        ' "solver": {"area_tol_rel": 1e-11, "max_iters": 60}}',
+        '{"mode": "mass-partition", "polygon": [[0, 0], [2, 0], [2, 1], [0, 1]], "targets": [1, 0.5, 0.5],'
+        ' "solver": {"max_iters": 50}}',
+    ]
+
+
+def test_report_json_matches_documented_payload():
+    kinds = set()
+    for text in _writer_specs():
+        report = run(parse_spec(text))
+        assert report_json(report) == canonical_json(_documented_payload(report)), text
+        if report.mode == "triangle":
+            kinds.add(report.classification.kind)
+    assert kinds == {"acute", "right", "obtuse-interior", "obtuse-boundary", "obtuse-exterior"}
+
+
+@pytest.mark.parametrize("field", ["residual", "point", "total_area"])
+def test_report_json_rejects_non_finite_fields(field):
+    report = run(parse_spec(MASS_SPEC if field == "total_area" else TRI_SPEC))
+    bad = math.inf if field == "point" else math.nan
+    value = (report.point[0], bad) if field == "point" else bad
+    with pytest.raises(ValueError):
+        report_json(dataclasses.replace(report, **{field: value}))
