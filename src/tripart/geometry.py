@@ -179,6 +179,13 @@ def _sector_jacobian(pts, normals, x: float, y: float) -> tuple[float, float, fl
     )
 
 
+def _unit(p: Vec, q: Vec) -> Vec:
+    """Unit vector from p toward q."""
+    dx, dy = q[0] - p[0], q[1] - p[1]
+    h = math.hypot(dx, dy)
+    return (dx / h, dy / h)
+
+
 def _triangle_angles(pts) -> tuple[float, float, float]:
     """Interior angles, in (0, pi), at the three points of a triangle; the
     one expression behind `Triangle.angles` and the classification sweep."""
@@ -435,9 +442,7 @@ class Triangle:
 
     def side_unit(self, side: str) -> Vec:
         p, q = self.side(side)
-        dx, dy = q.x - p.x, q.y - p.y
-        h = math.hypot(dx, dy)
-        return (dx / h, dy / h)
+        return _unit((p.x, p.y), (q.x, q.y))
 
     def angle(self, v: str) -> float:
         """Interior angle at vertex v, in (0, pi)."""
@@ -472,7 +477,8 @@ class Triangle:
     # vector, so these are the fan's ray normals (see SECTOR_VERTEX_ORDER).
     @cached_property
     def _normals(self) -> tuple[Vec, Vec, Vec]:
-        return tuple(self.side_unit(s) for s in SIDE_IDS)
+        pts = self.points
+        return (_unit(pts[0], pts[1]), _unit(pts[1], pts[2]), _unit(pts[2], pts[0]))
 
     @cached_property
     def _snap(self) -> float:
@@ -602,8 +608,29 @@ def region_polygon(tri: Triangle, v: str, x: Point) -> ConvexPolygon:
     merged so degenerate slivers do not inflate the vertex count."""
     (n1x, n1y, o1), (n2x, n2y, o2) = _sector_cuts(tri._normals, _SECTOR_OF[v.lower()], x.x, x.y)
     pts = _clip(_clip(tri.points, n1x, n1y, o1, tri._snap), n2x, n2y, o2, tri._snap)
-    pts = _dedupe_ring(pts, 1e-12 * tri.diameter)
-    return ConvexPolygon._ring(pts) if len(pts) >= 3 else ConvexPolygon.empty()
+    return _region(pts, 1e-12 * tri.diameter)
+
+
+def region_parts(tri: Triangle, x: Point) -> tuple[RegionAreas, tuple[ConvexPolygon, ConvexPolygon, ConvexPolygon]]:
+    """`region_areas` and the three `region_polygon`s at x, in vertex
+    order, from one clip pass per region: the same bits as calling them."""
+    pts, normals, eps = tri.points, tri._normals, tri._snap
+    tol = 1e-12 * tri.diameter
+    areas = []
+    regions = []
+    for i in range(3):
+        (n1x, n1y, o1), (n2x, n2y, o2) = _sector_cuts(normals, i, x.x, x.y)
+        ring = _clip(_clip(pts, n1x, n1y, o1, eps), n2x, n2y, o2, eps)
+        areas.append(_signed_area(ring))
+        regions.append(_region(ring, tol))
+    (b, c, a), (rb, rc, ra) = areas, regions
+    return RegionAreas(a, b, c), (ra, rb, rc)
+
+
+def _region(ring, tol: float) -> ConvexPolygon:
+    """A clipped ring as a polygon, deduped at tol; empty below 3 vertices."""
+    ring = _dedupe_ring(ring, tol)
+    return ConvexPolygon._ring(ring) if len(ring) >= 3 else ConvexPolygon.empty()
 
 
 def min_area_f(tri: Triangle, x: Point) -> float:

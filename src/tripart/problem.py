@@ -30,6 +30,7 @@ from .partition import (
 MODES = ("triangle", "mass-partition", "sweep")
 DEFAULT_RAYS_DEG = (90.0, 210.0, 330.0)
 DEFAULT_SWEEP_RESOLUTION = 100
+MAX_SWEEP_RESOLUTION = 1000  # a sweep of resolution n has about n^2 / 2 rows: 498,501 at the cap
 _SOLVER_KEYS = tuple(f.name for f in fields(SolverConfig))
 _ALLOWED_KEYS = {
     "triangle": {"mode", "triangle", "solver"},
@@ -69,8 +70,8 @@ class ProblemSpec:
 
     def __post_init__(self):
         if self.mode == "sweep":
-            if self.resolution is not None and self.resolution < 2:
-                raise InputError("invalid-value", "'resolution' must be at least 2")
+            if self.resolution is not None and not 2 <= self.resolution <= MAX_SWEEP_RESOLUTION:
+                raise InputError("invalid-value", f"'resolution' must be from 2 to {MAX_SWEEP_RESOLUTION}")
             return
         try:
             if self.mode == "triangle":

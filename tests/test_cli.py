@@ -237,6 +237,15 @@ def test_sweep_rejects_tiny_resolution(tmp_path):
     assert res.returncode == 2
 
 
+def test_sweep_rejects_resolution_above_cap(tmp_path):
+    out = tmp_path / "x.csv"
+    for resolution in ("1001", "1000000"):
+        res = tripart("sweep", "--resolution", resolution, "--output", str(out))
+        assert res.returncode == 2
+        assert json.loads(res.stderr)["error"]["code"] == "invalid-value"
+        assert not out.exists()
+
+
 def test_unknown_subcommand_usage_error():
     res = tripart("explode")
     assert res.returncode == 2

@@ -23,6 +23,7 @@ from tripart.geometry import (
     polygon_area,
     region_area,
     region_areas,
+    region_parts,
     region_polygon,
     sector_at_vertex,
 )
@@ -237,6 +238,32 @@ def test_region_polygon_matches_region_area():
             poly = region_polygon(tri, v, x)
             a = region_area(tri, v, x)
             assert abs(polygon_area(poly) - a) <= 1e-12 * max(a, tri.area * 1e-3)
+
+
+def test_region_parts_match_separate_calls():
+    from tripart.partition import equal_partition, verify_partition
+    from tripart.problem import triangle_from_angles
+
+    rng = np.random.default_rng(41)
+    shapes = [
+        EQUILATERAL,
+        RIGHT_ISO,
+        triangle_from_angles(40.0, 40.0).points,  # obtuse, point inside
+        ((0.0, 0.0), (1.0, 0.0), (0.5, 0.5 / math.sqrt(2.0))),  # boundary case
+        ((0.0, 0.0), (1.0, 0.0), (0.5, 0.05)),  # exterior case
+    ]
+    shapes += [pts[::-1] for pts in shapes]  # clockwise input
+    shapes += [oc.rand_triangle(rng) for _ in range(20)]
+    for pts in shapes:
+        tri = Triangle.from_coords(pts)
+        points = [equal_partition(tri).point, tri.centroid, tri.a, Point(3.0, -2.0)]
+        points += [Point(*rng.uniform(-2.0, 2.0, 2)) for _ in range(4)]
+        for x in points:
+            areas, regions = region_parts(tri, x)
+            assert areas.as_tuple() == region_areas(tri, x).as_tuple()
+            assert [r.coords for r in regions] == [region_polygon(tri, v, x).coords for v in "abc"]
+            counts = tuple(len(region_polygon(tri, v, x)) for v in "abc")
+            assert verify_partition(tri, x).region_vertex_counts == counts
 
 
 def test_region_at_own_vertex_is_empty():

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 import oracles as oc
+import tripart.geometry as geometry
 import tripart.partition as part
-from tripart.geometry import Point, Triangle
+from tripart.cli import main
+from tripart.geometry import Point, Triangle, _clip, _signed_area
 from tripart.partition import (
     ACUTE,
     OBTUSE_BOUNDARY,
@@ -151,6 +153,137 @@ def test_cut_line_offset_is_monotone():
         cut_line_offset(RIGHT_ISO, "ab", 0.0)
     with pytest.raises(PartitionError):
         cut_line_offset(RIGHT_ISO, "ab", 0.6)
+
+
+def _plain_cut(pts, u, eps, target):
+    """The bisection that clips at every step, on a CCW point tuple: the
+    reference the certified bisection must match bit for bit."""
+    ux, uy = u
+    projs = [ux * px + uy * py for px, py in pts]
+    lo, hi = min(projs), max(projs)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        if _signed_area(_clip(list(pts), ux, uy, mid, eps)) < target:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _cut_shapes():
+    rng = np.random.default_rng(71)
+    base = [oc.rand_triangle(rng) for _ in range(12)]
+    base += [oc.rand_obtuse_of_kind(rng, "exterior", tol=1e-3) for _ in range(6)]
+    # right triangles with a leg perpendicular to the cut: two projections tie
+    base += [np.array([(0.0, 0.0), (a, 0.0), (0.0, b)]) for a, b in ((1.0, 1.0), (0.3, 1.7), (2.5, 0.2))]
+    base += [oc.rand_right(rng) for _ in range(3)]
+    shapes = []
+    for pts in base:
+        shapes.append(pts)
+        shapes.extend(pts + offset for offset in (1e2, -1e4, 1e6))
+        # at 1e8 from the origin a unit triangle's area is lost to rounding
+        shapes.append(1e3 * pts + 1e8)
+        shapes.extend(pts * scale for scale in (1e100, 1e-100))
+    return [Triangle.from_coords(p) for p in shapes], rng
+
+
+def test_cut_line_offset_matches_plain_bisection():
+    tris, rng = _cut_shapes()
+    for tri in tris:
+        area = tri.area
+        targets = [area / 3.0, area / 2.0, 1e-12 * area, (1.0 - 1e-12) * area]
+        targets += [float(f) * area for f in rng.uniform(0.0, 1.0, 3)]
+        for side in ("ab", "ba", "bc", "cb", "ca", "ac"):
+            u = tri.side_unit(side)
+            for target in targets:
+                want = _plain_cut(tri.points, u, tri._snap, target)
+                assert cut_line_offset(tri, side, target) == want, (tri.points, side, target)
+
+
+def test_exterior_construction_matches_plain_bisection():
+    # the construction bisects on the vertices rotated so the obtuse one is
+    # last; its point must be the one the plain bisection gives there
+    tris, _ = _cut_shapes()
+    checked = 0
+    for tri in tris:
+        cls = classify(tri)
+        if cls.kind != OBTUSE_EXTERIOR:
+            continue
+        try:
+            sol = solve_exterior(tri)
+        except SolverError:  # the Newton fallback at an offset (a known defect)
+            continue
+        if sol.method != "exterior-construction":
+            continue
+        i = "abc".index(cls.obtuse_vertex)
+        rel = Triangle(*(tri.vertex("abc"[(i + k) % 3]) for k in (1, 2, 0)))
+        ua, ub = rel.side_unit("ac"), rel.side_unit("bc")
+        da = _plain_cut(rel.points, ua, rel._snap, tri.area / 3.0)
+        db = _plain_cut(rel.points, ub, rel._snap, tri.area / 3.0)
+        det = ua[0] * ub[1] - ua[1] * ub[0]
+        x = (da * ub[1] - ua[1] * db) / det
+        y = (ua[0] * db - da * ub[0]) / det
+        assert sol.point.as_tuple() == (x, y)
+        checked += 1
+    assert checked >= 12
+
+
+def test_exterior_cuts_clip_at_most_20_times_on_average(monkeypatch):
+    counts = {"clips": 0, "cuts": 0}
+    real_clip, real_cut = part._clip, part._cut_offset
+
+    def counting_clip(*args):
+        counts["clips"] += 1
+        return real_clip(*args)
+
+    def counting_cut(*args):
+        counts["cuts"] += 1
+        return real_cut(*args)
+
+    monkeypatch.setattr(part, "_clip", counting_clip)
+    monkeypatch.setattr(part, "_cut_offset", counting_cut)
+    # the 500-triangle suite of the acceptance tests
+    rng = np.random.default_rng(20240601)
+    for pts in oc.kind_suite(rng, n=500):
+        tri = Triangle.from_coords(pts)
+        if classify(tri).kind == OBTUSE_EXTERIOR:
+            equal_partition(tri)
+    assert counts["cuts"] >= 200
+    assert counts["clips"] <= 20 * counts["cuts"], counts
+
+
+def test_exterior_job_builds_one_triangle(monkeypatch, tmp_path, capsys):
+    builds = []
+    real = Triangle.__post_init__
+
+    def counting(self):
+        builds.append(self)
+        real(self)
+
+    monkeypatch.setattr(Triangle, "__post_init__", counting)
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"mode": "triangle", "triangle": [[0, 0], [1, 0], [0.5, 0.05]]}')
+    assert main(["solve", "--input", str(spec), "--svg", str(tmp_path / "out.svg")]) == 0
+    assert '"exterior-construction"' in capsys.readouterr().out
+    assert len(builds) == 1
+
+
+def test_solution_clips_each_region_once(monkeypatch):
+    calls = []
+    real = geometry._clip
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(geometry, "_clip", counting)
+    sol = equal_partition(BOUNDARY_ISO)  # the closed form clips only for the solution
+    assert sol.method == "closed-form"
+    assert len(calls) == 6
+    calls.clear()
+    verify_partition(BOUNDARY_ISO, sol.point)
+    assert len(calls) == 6
 
 
 def test_newton_right_isoceles():

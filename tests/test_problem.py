@@ -15,7 +15,9 @@ from tripart.masspart import SectorConfig
 from tripart.partition import SolverConfig
 from tripart.problem import (
     DEFAULT_RAYS_DEG,
+    MAX_SWEEP_RESOLUTION,
     InputError,
+    ProblemSpec,
     canonical_json,
     parse_spec,
     report_json,
@@ -117,6 +119,16 @@ def test_solver_option_validation():
 
 def test_sweep_resolution_overflow_is_invalid_value():
     assert code_of('{"mode": "sweep", "resolution": 1e400}') == "invalid-value"
+
+
+def test_sweep_resolution_is_capped():
+    # a sweep of resolution n has (n - 1)(n - 2) / 2 rows
+    assert parse_spec('{"mode": "sweep", "resolution": %d}' % MAX_SWEEP_RESOLUTION).resolution == 1000
+    assert code_of('{"mode": "sweep", "resolution": %d}' % (MAX_SWEEP_RESOLUTION + 1)) == "invalid-value"
+    assert code_of('{"mode": "sweep", "resolution": 1e300}') == "invalid-value"
+    with pytest.raises(InputError) as err:
+        ProblemSpec(mode="sweep", resolution=10**6)
+    assert err.value.code == "invalid-value"
 
 
 def test_sweep_resolution_nan_is_invalid_value():
