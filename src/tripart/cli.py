@@ -16,6 +16,7 @@ from .geometry import GeometryError, Point
 from .masspart import MassPartitionError
 from .partition import PartitionError, SolverError, verify_partition
 from .problem import (
+    DEFAULT_SWEEP_RESOLUTION,
     InputError,
     ProblemSpec,
     canonical_json,
@@ -68,7 +69,9 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--tol", type=float, help="override the relative area tolerance")
 
     sweep = sub.add_parser("sweep", help="classify a grid of triangle shapes to CSV")
-    sweep.add_argument("--resolution", type=int, default=100, help="angle grid resolution (default 100)")
+    sweep.add_argument(
+        "--resolution", type=int, default=DEFAULT_SWEEP_RESOLUTION, help="angle grid resolution (default %(default)s)"
+    )
     sweep.add_argument("--output", required=True, help="path of the CSV to write")
 
     verify = sub.add_parser("verify", help="check a claimed equal-area point")

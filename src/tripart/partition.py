@@ -181,7 +181,10 @@ def _widest(angles) -> int:
     """Index of the widest of three interior angles (the first one on a
     tie).  The vertices after it, in cyclic order, are the acute vertices
     A and B of the criterion and the closed form."""
-    return max(range(3), key=angles.__getitem__)
+    a0, a1, a2 = angles
+    if a0 >= a1:
+        return 0 if a0 >= a2 else 2
+    return 1 if a1 >= a2 else 2
 
 
 def _criterion_margin(ta: float, tb: float) -> float:
@@ -199,16 +202,21 @@ def classify(tri: Triangle, tol: float = CLASSIFY_TOL) -> Classification:
     `tol` doubles as the half-width of the right-angle band (radians) and
     of the criterion-margin band around zero.
     """
-    return _classify_angles(tri.angles, tol)
+    kind, i, margin = _classify_angles(tri.angles, tol)
+    if margin is None:
+        return Classification(kind)
+    return Classification(kind, obtuse_vertex=VERTEX_IDS[i], criterion_margin=margin)
 
 
-def _classify_angles(angles, tol: float = CLASSIFY_TOL) -> Classification:
-    """`classify` from the interior angles at a, b, c, all it depends on."""
+def _classify_angles(angles, tol: float = CLASSIFY_TOL) -> tuple[str, int, float | None]:
+    """`classify` from the interior angles at a, b, c, all it depends on,
+    as plain values: the kind, the index of the widest angle and the
+    criterion margin (None unless the triangle is obtuse)."""
     i = _widest(angles)
     widest = angles[i]
     if widest <= 0.5 * math.pi + tol:
         kind = RIGHT if abs(widest - 0.5 * math.pi) <= tol else ACUTE
-        return Classification(kind)
+        return kind, i, None
     margin = _criterion_margin(math.tan(angles[(i + 1) % 3]), math.tan(angles[(i + 2) % 3]))
     if margin > tol:
         kind = OBTUSE_INTERIOR
@@ -216,7 +224,7 @@ def _classify_angles(angles, tol: float = CLASSIFY_TOL) -> Classification:
         kind = OBTUSE_EXTERIOR
     else:
         kind = OBTUSE_BOUNDARY
-    return Classification(kind, obtuse_vertex=VERTEX_IDS[i], criterion_margin=margin)
+    return kind, i, margin
 
 
 def boundary_point_closed_form(tri: Triangle) -> Point:

@@ -328,10 +328,14 @@ def serialize_spec(spec: ProblemSpec) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _apex(a_deg: float, b_deg: float) -> Vec:
-    """Where the rays from (0,0) and (1,0) at base angles a_deg and b_deg
-    meet above the base."""
-    ta, tb = math.tan(math.radians(a_deg)), math.tan(math.radians(b_deg))
+def _tan_deg(deg: float) -> float:
+    return math.tan(math.radians(deg))
+
+
+def _apex(a_deg: float, b_deg: float, ta: float, tb: float) -> Vec:
+    """Where the rays from (0,0) and (1,0) at base angles a_deg and b_deg,
+    of tangents ta = _tan_deg(a_deg) and tb = _tan_deg(b_deg), meet above
+    the base."""
     if a_deg == 90.0:
         return (0.0, tb)
     if b_deg == 90.0:
@@ -344,7 +348,8 @@ def triangle_from_angles(a_deg: float, b_deg: float) -> Triangle:
     in degrees; the third vertex is wherever the two base rays meet."""
     if not (0.0 < a_deg and 0.0 < b_deg and a_deg + b_deg < 180.0):
         raise PartitionError(f"angles must be positive with sum below 180, got {a_deg}, {b_deg}")
-    return Triangle.from_coords(((0.0, 0.0), (1.0, 0.0), _apex(a_deg, b_deg)))
+    apex = _apex(a_deg, b_deg, _tan_deg(a_deg), _tan_deg(b_deg))
+    return Triangle.from_coords(((0.0, 0.0), (1.0, 0.0), apex))
 
 
 def input_order(tri: Triangle, abc: tuple) -> tuple:
@@ -402,17 +407,23 @@ def _run_mass_partition(spec: ProblemSpec, cfg: SolverConfig) -> Report:
 
 
 def _run_sweep(spec: ProblemSpec) -> Report:
+    """Classify the grid of base angles 180 k / n degrees.  The n angles
+    and their tangents are computed once per sweep, and the rows share
+    those float objects; each row classifies from the angles alone (the
+    same angles a Triangle built by triangle_from_angles would cache,
+    without building it) and keeps the kind and margin as plain values."""
     n = spec.resolution or DEFAULT_SWEEP_RESOLUTION
     start = time.perf_counter()
+    degs = [180.0 * k / n for k in range(n)]
+    tans = [_tan_deg(d) for d in degs]
     rows = []
     for i in range(1, n):
-        a_deg = 180.0 * i / n
+        a_deg, ta = degs[i], tans[i]
         for j in range(1, n - i):
-            b_deg = 180.0 * j / n
-            # classify from the angles alone: the same angles a Triangle
-            # built by triangle_from_angles would cache, without building it
-            cls = _classify_angles(_triangle_angles(((0.0, 0.0), (1.0, 0.0), _apex(a_deg, b_deg))))
-            rows.append(SweepRow(a_deg, b_deg, cls.kind, cls.criterion_margin))
+            b_deg = degs[j]
+            apex = _apex(a_deg, b_deg, ta, tans[j])
+            kind, _, margin = _classify_angles(_triangle_angles(((0.0, 0.0), (1.0, 0.0), apex)))
+            rows.append(SweepRow(a_deg, b_deg, kind, margin))
     elapsed = time.perf_counter() - start
     return Report(
         mode="sweep",
@@ -470,13 +481,22 @@ def report_json(report: Report) -> str:
     raise ValueError(f"no JSON rendering for mode {report.mode!r}")
 
 
+class _FmtCache(dict):
+    """_fmt_num of each number looked up, formatted on its first lookup."""
+
+    def __missing__(self, v) -> str:
+        text = self[v] = _fmt_num(v)
+        return text
+
+
 def sweep_csv(report: Report) -> str:
     """Deterministic CSV for a sweep report; margin is empty for kinds
     where the criterion does not apply."""
     if report.mode != "sweep":
         raise ValueError(f"CSV rendering needs a sweep report, got mode {report.mode!r}")
+    angle = _FmtCache()
     lines = ["angle_a_deg,angle_b_deg,kind,margin"]
-    for row in report.sweep_rows:
-        margin = "" if row.margin is None else _fmt_num(row.margin)
-        lines.append(f"{_fmt_num(row.angle_a_deg)},{_fmt_num(row.angle_b_deg)},{row.kind},{margin}")
+    for a_deg, b_deg, kind, margin in report.sweep_rows:
+        margin = "" if margin is None else _fmt_num(margin)
+        lines.append(f"{angle[a_deg]},{angle[b_deg]},{kind},{margin}")
     return "\n".join(lines) + "\n"

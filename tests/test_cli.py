@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from tripart.problem import DEFAULT_SWEEP_RESOLUTION
+
 TRI_SPEC = '{"mode": "triangle", "triangle": [[0, 0], [1, 0], [0, 1]]}\n'
 MASS_SPEC = (
     '{"mode": "mass-partition", "polygon": [[0, 0], [2, 0], [2, 1], [0, 1]],'
@@ -230,6 +232,14 @@ def test_sweep_writes_deterministic_csv(tmp_path):
     assert lines[0] == "angle_a_deg,angle_b_deg,kind,margin"
     assert len(lines) == 1 + 36  # 8 * 9 / 2 interior lattice points
     assert "classified 36 shapes" in r1.stderr
+
+
+def test_sweep_resolution_defaults_to_the_problem_default(tmp_path):
+    n = DEFAULT_SWEEP_RESOLUTION
+    res = tripart("sweep", "--output", str(tmp_path / "x.csv"))
+    assert res.returncode == 0
+    assert f"classified {(n - 1) * (n - 2) // 2} shapes" in res.stderr
+    assert f"(default {n})" in tripart("sweep", "--help").stdout
 
 
 def test_sweep_rejects_tiny_resolution(tmp_path):

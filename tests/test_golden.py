@@ -3,7 +3,8 @@ exterior construction (JSON and SVG), the boundary closed form and the
 sweep CSV; and SVG figures of two Newton solutions, whose 4 decimals the
 trailing-digit drift of a Newton point does not reach.  The files under
 tests/data were written by the command line and must be reproduced byte
-for byte; the larger sweep is pinned by its md5."""
+for byte; the larger sweeps, at 400 and at the cap of 1,000, are pinned by
+their md5s."""
 
 import hashlib
 from pathlib import Path
@@ -66,3 +67,9 @@ def test_sweep_csv_resolution_400_md5(tmp_path):
     csv = tmp_path / "sweep.csv"
     assert main(["sweep", "--resolution", "400", "--output", str(csv)]) == 0
     assert hashlib.md5(csv.read_bytes()).hexdigest() == "41b0061f59bf116ff5e42daf5c63a286"
+
+
+def test_sweep_csv_resolution_1000_md5(tmp_path):
+    csv = tmp_path / "sweep.csv"
+    assert main(["sweep", "--resolution", "1000", "--output", str(csv)]) == 0
+    assert hashlib.md5(csv.read_bytes()).hexdigest() == "59052812a7552c891aaadb02ac471b5b"

@@ -1,7 +1,10 @@
 """Solver layer: classification, closed forms, the three iterative routes
 and their cross-agreement, verification and the boundary-label inequality."""
 
+import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +35,7 @@ from tripart.partition import (
     solve_newton,
     verify_partition,
 )
-from tripart.problem import triangle_from_angles
+from tripart.problem import canonical_json, parse_spec, triangle_from_angles
 
 RIGHT_ISO = Triangle.from_coords(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
 EQUILATERAL = Triangle.from_coords(((0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0)))
@@ -64,6 +67,24 @@ def test_classify_reports_widest_vertex():
     # input was clockwise, so the library's labels b and c are swapped
     widest = max("abc", key=lambda v: tri.angle(v))
     assert cls.obtuse_vertex == widest
+
+
+def test_widest_takes_the_first_index_on_ties():
+    third = math.pi / 3.0
+    assert part._widest((third, third, third)) == 0
+    assert part._widest(EQUILATERAL.angles) == max(range(3), key=EQUILATERAL.angles.__getitem__)
+    x, y = 0.4, 0.5 * (math.pi - 0.4)  # y, the widest, at indices 1 and 2
+    assert part._widest((x, y, y)) == 1
+    assert part._classify_angles((x, y, y)) == (ACUTE, 1, None)
+    for values in ((1.0, 2.0), (1.0, 2.0, 3.0)):
+        for angles in itertools.product(values, repeat=3):
+            assert part._widest(angles) == max(range(3), key=angles.__getitem__), angles
+
+
+def test_boundary_closed_form_keeps_the_golden_point():
+    golden = json.loads((Path(__file__).parent / "data" / "boundary_solve.json").read_text())
+    tri = parse_spec(json.dumps(golden["input"])).shape
+    assert canonical_json(boundary_point_closed_form(tri).as_tuple()) == canonical_json(golden["point"])
 
 
 def test_classify_right_angle_band():

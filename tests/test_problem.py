@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from tripart.geometry import ConvexPolygon, Triangle
 from tripart.masspart import SectorConfig
-from tripart.partition import SolverConfig
+from tripart.partition import SolverConfig, classify
 from tripart.problem import (
     DEFAULT_RAYS_DEG,
     MAX_SWEEP_RESOLUTION,
@@ -206,6 +206,24 @@ def test_run_sweep_rows():
             assert r.margin is None
         else:
             assert math.isfinite(r.margin)
+
+
+def _same_margin(x, y) -> bool:
+    """Equal with the same sign, so 0.0 and -0.0 differ; or both None."""
+    if x is None or y is None:
+        return x is y
+    return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+
+
+@pytest.mark.parametrize("n", [*range(2, 61), 400])
+def test_sweep_rows_match_classify_of_built_triangles(n):
+    rows = run(ProblemSpec(mode="sweep", resolution=n)).sweep_rows
+    grid = [(180.0 * i / n, 180.0 * j / n) for i in range(1, n) for j in range(1, n - i)]
+    assert [(r.angle_a_deg, r.angle_b_deg) for r in rows] == grid
+    for row in rows:
+        cls = classify(triangle_from_angles(row.angle_a_deg, row.angle_b_deg))
+        assert row.kind == cls.kind, row
+        assert _same_margin(row.margin, cls.criterion_margin), row
 
 
 def test_report_json_deterministic():
