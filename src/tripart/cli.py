@@ -19,12 +19,13 @@ from .problem import (
     DEFAULT_SWEEP_RESOLUTION,
     InputError,
     ProblemSpec,
+    _sweep_lines,
     canonical_json,
     input_order,
     parse_spec,
     report_json,
     run,
-    sweep_csv,
+    sweep_csv,  # not called here: kept for callers that drive jobs through this module's bindings
 )
 from .svg import emit_svg
 
@@ -89,9 +90,10 @@ def _read(path: str) -> str:
             raise InputError("malformed-json", f"input is not UTF-8 text: {exc}") from exc
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, chunks) -> None:
+    """Write an iterable of strings to `path`, each as it is yielded."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
 
 
 def _parse_point(raw: str) -> Point:
@@ -114,9 +116,9 @@ def _cmd_solve(args) -> int:
     text = report_json(report) + "\n"
     sys.stdout.write(text)
     if args.output:
-        _write(args.output, text)
+        _write(args.output, (text,))
     if args.svg:
-        _write(args.svg, emit_svg(report))
+        _write(args.svg, (emit_svg(report),))
     sys.stderr.write(f"solved in {report.timing_s:.3f}s via {report.method}\n")
     return EXIT_OK
 
@@ -124,7 +126,7 @@ def _cmd_solve(args) -> int:
 def _cmd_sweep(args) -> int:
     spec = ProblemSpec(mode="sweep", resolution=args.resolution)
     report = run(spec)
-    _write(args.output, sweep_csv(report))
+    _write(args.output, _sweep_lines(report))
     sys.stderr.write(
         f"classified {len(report.sweep_rows)} shapes in {report.timing_s:.3f}s\n"
     )

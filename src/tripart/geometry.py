@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 
 Vec = tuple[float, float]
@@ -205,6 +205,16 @@ def _check_range(area: float, diam_sq: float) -> None:
         raise GeometryError(f"area {area!r} or squared diameter {diam_sq!r} is zero, subnormal or not finite")
 
 
+def _sum_lr(values) -> float:
+    """Float sum strictly left to right.  `sum()` compensates its rounding
+    from Python 3.12 on, which would move the trailing digits of outputs
+    from one Python version to the next."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _dedupe_ring(pts, tol: float):
     """Drop consecutive vertices (cyclically) closer than tol."""
     out = []
@@ -229,12 +239,45 @@ def _dedupe_ring(pts, tol: float):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Point:
+class _Value:
+    """Base of the validated value types.  `_fields` names the constructor
+    arguments; equality, hashing and repr read those alone, so what a value
+    derives from them takes no part.  Each `__init__` stores its arguments
+    and calls `__post_init__`, which validates them and may normalize them
+    or derive more attributes; after that, assignment is refused."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Point(_Value):
     """A point in the plane; coordinates must be finite."""
 
-    x: float
-    y: float
+    _fields = ("x", "y")
+
+    def __init__(self, x: float, y: float):
+        self.__dict__.update(x=x, y=y)
+        self.__post_init__()
 
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
@@ -247,52 +290,20 @@ class Point:
         return math.hypot(self.x - other.x, self.y - other.y)
 
 
-@dataclass(frozen=True)
-class HalfPlane:
-    """The closed half-plane {p : normal . p <= offset}, |normal| = 1."""
-
-    normal: Vec
-    offset: float
-
-    def __post_init__(self):
-        nx, ny = self.normal
-        if not (math.isfinite(nx) and math.isfinite(ny) and math.isfinite(self.offset)):
-            raise GeometryError("non-finite half-plane")
-        if abs(math.hypot(nx, ny) - 1.0) > 1e-12:
-            raise GeometryError(f"half-plane normal must be unit, got |n| = {math.hypot(nx, ny)!r}")
-
-    @classmethod
-    def through(cls, point: Point, normal: Vec) -> "HalfPlane":
-        """Half-plane whose boundary passes through `point`, normalizing `normal`."""
-        nx, ny = normal
-        h = math.hypot(nx, ny)
-        if h == 0.0 or not math.isfinite(h):
-            raise GeometryError("half-plane normal must be nonzero")
-        nx, ny = nx / h, ny / h
-        return cls((nx, ny), nx * point.x + ny * point.y)
-
-    def signed_distance(self, p: Point) -> float:
-        return self.normal[0] * p.x + self.normal[1] * p.y - self.offset
-
-    def contains(self, p: Point, tol: float = 0.0) -> bool:
-        return self.signed_distance(p) <= tol
-
-    def flipped(self) -> "HalfPlane":
-        return HalfPlane((-self.normal[0], -self.normal[1]), -self.offset)
-
-
-@dataclass(frozen=True)
-class ConvexPolygon:
+class ConvexPolygon(_Value):
     """Convex polygon with CCW vertices; may be empty.
 
     Consecutive near-duplicate vertices are merged at construction.  Input
     given clockwise is reversed.  `coords` holds the vertices as tuples.
     """
 
-    # a default factory leaves no class attribute, so a polygon from
-    # `_ring` that has no `vertices` yet reaches `__getattr__`
-    vertices: tuple[Point, ...] = field(default_factory=tuple)
-    coords: tuple[Vec, ...] = field(default=(), init=False, repr=False, compare=False)
+    # no class attribute `vertices`, so a polygon from `_ring` that has
+    # none yet reaches `__getattr__`
+    _fields = ("vertices",)
+
+    def __init__(self, vertices: tuple[Point, ...] = ()):
+        self.__dict__.update(vertices=vertices, coords=())
+        self.__post_init__()
 
     def __post_init__(self):
         verts = tuple(self.vertices)
@@ -373,15 +384,16 @@ class ConvexPolygon:
         return len(self.coords)
 
 
-@dataclass(frozen=True)
-class Triangle:
-    """Non-degenerate triangle, normalized to CCW vertex order."""
+class Triangle(_Value):
+    """Non-degenerate triangle, normalized to CCW vertex order.
+    `swapped_bc` is True when the input was clockwise and b and c were
+    swapped."""
 
-    a: Point
-    b: Point
-    c: Point
-    # True when the input was clockwise and b and c were swapped
-    swapped_bc: bool = field(default=False, init=False, repr=False, compare=False)
+    _fields = ("a", "b", "c")
+
+    def __init__(self, a: Point, b: Point, c: Point):
+        self.__dict__.update(a=a, b=b, c=c, swapped_bc=False)
+        self.__post_init__()
 
     def __post_init__(self):
         pts = ((self.a.x, self.a.y), (self.b.x, self.b.y), (self.c.x, self.c.y))
@@ -485,41 +497,10 @@ class Triangle:
         return CLIP_SNAP_REL * _coord_scale(self.points)
 
 
-@dataclass(frozen=True)
-class Sector:
-    """Angular region at an apex: intersection of two closed half-planes
-    whose boundary lines both pass through the apex; width in (0, pi)."""
-
-    apex: Point
-    left: HalfPlane
-    right: HalfPlane
-
-    def __post_init__(self):
-        scale = max(1.0, abs(self.apex.x), abs(self.apex.y))
-        for h in (self.left, self.right):
-            if abs(h.signed_distance(self.apex)) > 1e-9 * scale:
-                raise GeometryError("sector apex must lie on both boundary lines")
-        w = self.width
-        if not 0.0 < w < math.pi:
-            raise GeometryError(f"sector width must be in (0, pi), got {w!r}")
-
-    @property
-    def width(self) -> float:
-        n1x, n1y = self.left.normal
-        n2x, n2y = self.right.normal
-        return math.pi - math.atan2(abs(n1x * n2y - n1y * n2x), n1x * n2x + n1y * n2y)
-
-    def contains(self, p: Point, tol: float = 0.0) -> bool:
-        return self.left.contains(p, tol) and self.right.contains(p, tol)
-
-
-@dataclass(frozen=True)
-class RegionAreas:
+class RegionAreas(namedtuple("RegionAreas", "at_a at_b at_c")):
     """The three region areas at a point, keyed by triangle vertex."""
 
-    at_a: float
-    at_b: float
-    at_c: float
+    __slots__ = ()
 
     def at(self, v: str) -> float:
         return {"a": self.at_a, "b": self.at_b, "c": self.at_c}[v.lower()]
@@ -534,23 +515,6 @@ class RegionAreas:
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
-
-
-def polygon_area(poly: ConvexPolygon) -> float:
-    """Area of a convex polygon; the empty polygon has area 0."""
-    return poly.area
-
-
-def clip_halfplane(poly: ConvexPolygon, h: HalfPlane) -> ConvexPolygon:
-    """Intersection of a convex polygon with a closed half-plane.
-
-    Vertices on the boundary line are retained; a fully clipped polygon
-    comes back empty.
-    """
-    out = _clip(list(poly.coords), h.normal[0], h.normal[1], h.offset, poly._snap)
-    if len(out) < 3:
-        return ConvexPolygon.empty()
-    return ConvexPolygon(tuple(Point(x, y) for x, y in out))
 
 
 def outward_normal(tri: Triangle, side: str) -> Vec:
@@ -577,14 +541,6 @@ def foot_of_perpendicular(x: Point, seg: tuple[Point, Point]) -> Point:
     """Orthogonal projection of x onto the supporting line of a segment."""
     p, q = seg
     return Point(*_foot(x.x, x.y, p.as_tuple(), q.as_tuple()))
-
-
-def sector_at_vertex(tri: Triangle, v: str, x: Point) -> Sector:
-    """The wedge at x bounded by the perpendiculars to the two sides
-    meeting at vertex v, opening toward v.  Its width is pi minus the
-    interior angle at v, so the three wedges tile the plane."""
-    (n1x, n1y, o1), (n2x, n2y, o2) = _sector_cuts(tri._normals, _SECTOR_OF[v.lower()], x.x, x.y)
-    return Sector(x, HalfPlane((n1x, n1y), o1), HalfPlane((n2x, n2y), o2))
 
 
 def region_area(tri: Triangle, v: str, x: Point) -> float:

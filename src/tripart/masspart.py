@@ -14,10 +14,10 @@ Jacobian (`tripart.partition`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
-from .geometry import ConvexPolygon, Point, Triangle, Vec, _sector_area, outward_normal
+from .geometry import ConvexPolygon, Point, Triangle, Vec, _sector_area, _sum_lr, _Value, outward_normal
 from .partition import SolverConfig, _fan_newton
 
 GAP_MIN = 1e-9  # smallest allowed angle between consecutive rays
@@ -28,8 +28,7 @@ class MassPartitionError(ValueError):
     """Invalid fan configuration or target areas."""
 
 
-@dataclass(frozen=True)
-class SectorConfig:
+class SectorConfig(_Value):
     """Three unit ray directions in CCW order; sector i lies between ray i
     and ray i+1 (indices mod 3).
 
@@ -37,7 +36,11 @@ class SectorConfig:
     fan invariants: no coincident rays, CCW order, every gap below pi (so
     each sector is convex)."""
 
-    directions: tuple[Vec, Vec, Vec]
+    _fields = ("directions",)
+
+    def __init__(self, directions: tuple[Vec, Vec, Vec]):
+        self.__dict__.update(directions=directions)
+        self.__post_init__()
 
     def __post_init__(self):
         dirs = []
@@ -82,26 +85,19 @@ class SectorConfig:
         return tuple((ang[(i + 1) % 3] - ang[i]) % (2.0 * math.pi) for i in range(3))
 
 
-@dataclass(frozen=True)
-class Targets:
+class Targets(namedtuple("Targets", "values")):
     """Positive target areas for the three sectors."""
 
-    values: tuple[float, float, float]
+    __slots__ = ()
 
     @classmethod
     def fractions(cls, fracs: tuple[float, float, float], total: float) -> "Targets":
         return cls(tuple(f * total for f in fracs))
 
 
-@dataclass(frozen=True)
-class TranslationSolution:
-    apex: Point
-    translation: Vec
-    achieved: tuple[float, float, float]
-    targets: tuple[float, float, float]
-    residual: float
-    iterations: int
-    method: str = "newton"
+TranslationSolution = namedtuple(
+    "TranslationSolution", "apex translation achieved targets residual iterations method", defaults=("newton",)
+)
 
 
 def sector_areas(poly: ConvexPolygon, cfg: SectorConfig, apex: Point) -> tuple[float, float, float]:
@@ -126,12 +122,12 @@ def solve_translation(poly, cfg: SectorConfig, targets: Targets, solver_cfg=None
     vals = targets.values
     if len(vals) != 3 or any(not (v > 0.0 and math.isfinite(v)) for v in vals):
         raise MassPartitionError(f"targets must be three positive areas, got {vals!r}")
-    if abs(sum(vals) - total) > 1e-12 * total:
+    if abs(_sum_lr(vals) - total) > 1e-12 * total:
         raise MassPartitionError(
-            f"targets sum to {sum(vals)!r} but the polygon area is {total!r}"
+            f"targets sum to {_sum_lr(vals)!r} but the polygon area is {total!r}"
         )
     pts = poly.coords
-    seed = (sum(p[0] for p in pts) / len(pts), sum(p[1] for p in pts) / len(pts))
+    seed = (_sum_lr(p[0] for p in pts) / len(pts), _sum_lr(p[1] for p in pts) / len(pts))
     res = _fan_newton(pts, total, poly._snap, cfg.normals, vals, seed, 2.0 * poly.diameter, solver_cfg)
     apex = Point(res.x, res.y)
     achieved = sector_areas(poly, cfg, apex)

@@ -20,17 +20,16 @@ of the verification tooling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .geometry import (
     SIDE_IDS,
     VERTEX_IDS,
-    ConvexPolygon,
     GeometryError,
     Point,
-    RegionAreas,
     Triangle,
     Vec,
+    _Value,
     _clip,
     _coord_scale,
     _sector_area,
@@ -77,13 +76,15 @@ class SolverError(RuntimeError):
         self.report = report
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(_Value):
     """Tunable knobs of the Newton solve; the defaults satisfy the
     acceptance grades."""
 
-    area_tol_rel: float = 1e-12
-    max_iters: int = 100
+    _fields = ("area_tol_rel", "max_iters")
+
+    def __init__(self, area_tol_rel: float = 1e-12, max_iters: int = 100):
+        self.__dict__.update(area_tol_rel=area_tol_rel, max_iters=max_iters)
+        self.__post_init__()
 
     def __post_init__(self):
         if not (self.area_tol_rel > 0.0 and math.isfinite(self.area_tol_rel)):
@@ -92,17 +93,14 @@ class SolverConfig:
             raise PartitionError("max_iters must be a positive integer")
 
 
-@dataclass(frozen=True)
-class SolverReport:
+class SolverReport(
+    namedtuple(
+        "SolverReport", "method iterations residual best_point residual_history converged message", defaults=("",)
+    )
+):
     """Progress record surfaced with failures and diagnostics."""
 
-    method: str
-    iterations: int
-    residual: float
-    best_point: Vec
-    residual_history: tuple[float, ...]
-    converged: bool
-    message: str = ""
+    __slots__ = ()
 
 
 def _failure(method: str, iterations: int, residual: float, best_point: Vec, history, message: str) -> SolverError:
@@ -111,8 +109,7 @@ def _failure(method: str, iterations: int, residual: float, best_point: Vec, his
     return SolverError(message, report)
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(namedtuple("Classification", "kind obtuse_vertex criterion_margin", defaults=(None, None))):
     """Where the equal-area point lies relative to the triangle.
 
     `obtuse_vertex` names the widest-angle vertex for the obtuse kinds and
@@ -121,30 +118,11 @@ class Classification:
     None when the triangle is not obtuse.
     """
 
-    kind: str
-    obtuse_vertex: str | None = None
-    criterion_margin: float | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PartitionSolution:
-    point: Point
-    areas: RegionAreas
-    regions: tuple[ConvexPolygon, ConvexPolygon, ConvexPolygon]
-    classification: Classification
-    method: str
-    residual: float
-
-
-@dataclass(frozen=True)
-class VerifyReport:
-    point: Point
-    areas: RegionAreas
-    max_deviation: float
-    deviation_rel: float
-    location: str
-    region_vertex_counts: tuple[int, int, int]
-    ok: bool
+PartitionSolution = namedtuple("PartitionSolution", "point areas regions classification method residual")
+VerifyReport = namedtuple("VerifyReport", "point areas max_deviation deviation_rel location region_vertex_counts ok")
 
 
 class LabelSets:

@@ -13,10 +13,9 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
-from typing import NamedTuple
+from collections import namedtuple
 
-from .geometry import ConvexPolygon, GeometryError, Triangle, Vec, _triangle_angles
+from .geometry import ConvexPolygon, GeometryError, Triangle, Vec, _sum_lr, _triangle_angles, _Value
 from .masspart import SectorConfig, Targets, solve_translation
 from .partition import (
     VERTEX_IDS,
@@ -31,7 +30,7 @@ MODES = ("triangle", "mass-partition", "sweep")
 DEFAULT_RAYS_DEG = (90.0, 210.0, 330.0)
 DEFAULT_SWEEP_RESOLUTION = 100
 MAX_SWEEP_RESOLUTION = 1000  # a sweep of resolution n has about n^2 / 2 rows: 498,501 at the cap
-_SOLVER_KEYS = tuple(f.name for f in fields(SolverConfig))
+_SOLVER_KEYS = SolverConfig._fields
 _ALLOWED_KEYS = {
     "triangle": {"mode", "triangle", "solver"},
     "mass-partition": {"mode", "polygon", "rays", "targets", "fractions", "solver"},
@@ -48,25 +47,31 @@ class InputError(ValueError):
         self.code = code
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(_Value):
     """One runnable job.  Construction validates every value, raising
     InputError with a stable code, and keeps what it builds: `shape` (the
     Triangle or ConvexPolygon), `config` (the SolverConfig) and, for a fan
-    job, `fan`.  Every later step reads these; they take no part in
-    equality."""
+    job, `fan`; each is None where the mode has none.  Every later step
+    reads these; they take no part in equality."""
 
-    mode: str
-    triangle: tuple[Vec, Vec, Vec] | None = None
-    polygon: tuple[Vec, ...] | None = None
-    rays: tuple[float, float, float] | None = None
-    targets: tuple[float, float, float] | None = None
-    fractions: tuple[float, float, float] | None = None
-    resolution: int | None = None
-    solver: tuple[tuple[str, float], ...] = ()
-    shape: Triangle | ConvexPolygon | None = field(default=None, init=False, compare=False, repr=False)
-    fan: SectorConfig | None = field(default=None, init=False, compare=False, repr=False)
-    config: SolverConfig | None = field(default=None, init=False, compare=False, repr=False)
+    _fields = ("mode", "triangle", "polygon", "rays", "targets", "fractions", "resolution", "solver")
+
+    def __init__(
+        self,
+        mode: str,
+        triangle: tuple[Vec, Vec, Vec] | None = None,
+        polygon: tuple[Vec, ...] | None = None,
+        rays: tuple[float, float, float] | None = None,
+        targets: tuple[float, float, float] | None = None,
+        fractions: tuple[float, float, float] | None = None,
+        resolution: int | None = None,
+        solver: tuple[tuple[str, float], ...] = (),
+    ):
+        self.__dict__.update(
+            mode=mode, triangle=triangle, polygon=polygon, rays=rays, targets=targets, fractions=fractions,
+            resolution=resolution, solver=solver, shape=None, fan=None, config=None,
+        )
+        self.__post_init__()
 
     def __post_init__(self):
         if self.mode == "sweep":
@@ -108,45 +113,32 @@ class ProblemSpec:
         if self.fractions is not None:
             if any(f <= 0.0 for f in self.fractions):
                 raise InputError("invalid-value", "fractions must all be positive")
-            if abs(sum(self.fractions) - 1.0) > 1e-9:
-                raise InputError("invalid-value", f"fractions must sum to 1, got {sum(self.fractions)!r}")
+            if abs(_sum_lr(self.fractions) - 1.0) > 1e-9:
+                raise InputError("invalid-value", f"fractions must sum to 1, got {_sum_lr(self.fractions)!r}")
         elif any(t <= 0.0 for t in self.targets):
             raise InputError("invalid-value", "targets must all be positive")
-        elif abs(sum(self.targets) - area) > 1e-12 * area:
+        elif abs(_sum_lr(self.targets) - area) > 1e-12 * area:
             raise InputError(
-                "invalid-value", f"targets sum to {sum(self.targets)!r} but the polygon area is {area!r}"
+                "invalid-value", f"targets sum to {_sum_lr(self.targets)!r} but the polygon area is {area!r}"
             )
 
 
-class SweepRow(NamedTuple):
-    angle_a_deg: float
-    angle_b_deg: float
-    kind: str
-    margin: float | None
+SweepRow = namedtuple("SweepRow", "angle_a_deg angle_b_deg kind margin")
 
 
-@dataclass(frozen=True)
-class Report:
-    """Result of one run.  Only the fields for the report's mode are set.
-    `timing_s` is diagnostic and never serialized."""
+class Report(
+    namedtuple(
+        "Report",
+        "mode spec method residual timing_s classification point areas fractions total_area regions apex"
+        " translation achieved targets iterations sweep_rows",
+        defaults=(None,) * 11 + ((),),
+    )
+):
+    """Result of one run.  Only the fields for the report's mode are set;
+    the rest are None, and `sweep_rows` is empty.  `timing_s` is diagnostic
+    and never serialized."""
 
-    mode: str
-    spec: ProblemSpec
-    method: str
-    residual: float
-    timing_s: float
-    classification: Classification | None = None
-    point: Vec | None = None
-    areas: tuple[float, float, float] | None = None
-    fractions: tuple[float, float, float] | None = None
-    total_area: float | None = None
-    regions: tuple[tuple[Vec, ...], ...] | None = None
-    apex: Vec | None = None
-    translation: Vec | None = None
-    achieved: tuple[float, float, float] | None = None
-    targets: tuple[float, float, float] | None = None
-    iterations: int | None = None
-    sweep_rows: tuple[SweepRow, ...] = field(default=(), compare=False)
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +432,7 @@ def run(spec: ProblemSpec, tol: float | None = None) -> Report:
     tolerance without touching the spec."""
     if spec.mode == "sweep":
         return _run_sweep(spec)
-    cfg = spec.config if tol is None else replace(spec.config, area_tol_rel=tol)
+    cfg = spec.config if tol is None else SolverConfig(tol, spec.config.max_iters)
     if spec.mode == "triangle":
         return _run_triangle(spec, cfg)
     return _run_mass_partition(spec, cfg)
@@ -494,9 +486,14 @@ def sweep_csv(report: Report) -> str:
     where the criterion does not apply."""
     if report.mode != "sweep":
         raise ValueError(f"CSV rendering needs a sweep report, got mode {report.mode!r}")
+    return "".join(_sweep_lines(report))
+
+
+def _sweep_lines(report: Report):
+    """The lines of `sweep_csv`, each with its newline, one at a time, so
+    a writer can stream them."""
     angle = _FmtCache()
-    lines = ["angle_a_deg,angle_b_deg,kind,margin"]
+    yield "angle_a_deg,angle_b_deg,kind,margin\n"
     for a_deg, b_deg, kind, margin in report.sweep_rows:
         margin = "" if margin is None else _fmt_num(margin)
-        lines.append(f"{angle[a_deg]},{angle[b_deg]},{kind},{margin}")
-    return "\n".join(lines) + "\n"
+        yield f"{angle[a_deg]},{angle[b_deg]},{kind},{margin}\n"

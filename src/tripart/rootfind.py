@@ -12,7 +12,7 @@ silently kills a single restart.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 _COARSE_N = 21
 _REFINE_N = 9
@@ -22,15 +22,7 @@ _CROSS_SEEDS = 32
 _MAX_BACKTRACKS = 30  # step halvings tried before a Newton step counts as stalled
 
 
-@dataclass(frozen=True)
-class RootResult:
-    x: float
-    y: float
-    residual: float
-    iterations: int
-    restarts: int
-    converged: bool
-    residual_history: tuple[float, ...]
+RootResult = namedtuple("RootResult", "x y residual iterations restarts converged residual_history")
 
 
 def _grid_best(fun, x_lo, x_hi, y_lo, y_hi, n):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .geometry import _foot
+from .geometry import _foot, _sum_lr
 from .partition import OBTUSE_EXTERIOR
 from .problem import Report
 
@@ -117,8 +117,8 @@ def emit_svg(report: Report, width: int = 640) -> str:
     for coords, area in zip(report.regions, report.areas):
         if len(coords) < 3:
             continue
-        gx = sum(p[0] for p in coords) / len(coords)
-        gy = sum(p[1] for p in coords) / len(coords)
+        gx = _sum_lr(p[0] for p in coords) / len(coords)
+        gy = _sum_lr(p[1] for p in coords) / len(coords)
         parts.append(text(*screen((gx, gy)), format(area, ".6g"), size=11))
 
     parts.append("</svg>")

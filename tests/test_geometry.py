@@ -10,22 +10,22 @@ from hypothesis import strategies as st
 
 import oracles as oc
 from tripart.geometry import (
+    _SECTOR_OF,
     ConvexPolygon,
     GeometryError,
-    HalfPlane,
     Point,
-    Sector,
     Triangle,
-    clip_halfplane,
+    _clip,
+    _sector_cuts,
+    _signed_area,
+    _unit,
     foot_of_perpendicular,
     min_area_f,
     outward_normal,
-    polygon_area,
     region_area,
     region_areas,
     region_parts,
     region_polygon,
-    sector_at_vertex,
 )
 
 RIGHT_ISO = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
@@ -35,15 +35,15 @@ UNIT_SQUARE = ConvexPolygon.from_coords(((0, 0), (1, 0), (1, 1), (0, 1)))
 
 
 def test_polygon_area_basics():
-    assert polygon_area(UNIT_SQUARE) == 1.0
-    assert polygon_area(ConvexPolygon.empty()) == 0.0
+    assert UNIT_SQUARE.area == 1.0
+    assert ConvexPolygon.empty().area == 0.0
     tri = ConvexPolygon.from_coords(((0, 0), (2, 0), (0, 3)))
-    assert polygon_area(tri) == 3.0
+    assert tri.area == 3.0
 
 
 def test_polygon_normalizes_clockwise_input():
     cw = ConvexPolygon.from_coords(((0, 0), (0, 1), (1, 1), (1, 0)))
-    assert polygon_area(cw) == 1.0
+    assert cw.area == 1.0
     coords = cw.coords
     signed = sum(
         coords[i][0] * coords[(i + 1) % 4][1] - coords[(i + 1) % 4][0] * coords[i][1]
@@ -64,22 +64,24 @@ def test_polygon_merges_duplicate_vertices():
     assert len(poly) == 4
 
 
+def _clip_square(nx: float, ny: float, off: float):
+    """The unit square clipped to {p : (nx, ny) . p <= off}."""
+    return _clip(list(UNIT_SQUARE.coords), nx, ny, off, UNIT_SQUARE._snap)
+
+
 def test_clip_keeps_boundary_vertices():
-    h = HalfPlane((1.0, 0.0), 0.5)
-    out = clip_halfplane(UNIT_SQUARE, h)
-    assert polygon_area(out) == pytest.approx(0.5, abs=1e-15)
-    assert (0.5, 0.0) in out.coords and (0.5, 1.0) in out.coords
+    out = _clip_square(1.0, 0.0, 0.5)
+    assert _signed_area(out) == pytest.approx(0.5, abs=1e-15)
+    assert (0.5, 0.0) in out and (0.5, 1.0) in out
     # vertices already on the line survive a clip through them
-    h2 = HalfPlane((1.0, 0.0), 1.0)
-    again = clip_halfplane(UNIT_SQUARE, h2)
-    assert set(again.coords) == set(UNIT_SQUARE.coords)
+    again = _clip_square(1.0, 0.0, 1.0)
+    assert set(again) == set(UNIT_SQUARE.coords)
 
 
 def test_clip_away_everything_gives_empty():
-    h = HalfPlane((1.0, 0.0), -2.0)
-    out = clip_halfplane(UNIT_SQUARE, h)
-    assert out.is_empty()
-    assert polygon_area(out) == 0.0
+    out = _clip_square(1.0, 0.0, -2.0)
+    assert out == []
+    assert _signed_area(out) == 0.0
 
 
 def test_clip_soundness_random():
@@ -87,11 +89,11 @@ def test_clip_soundness_random():
     rng = np.random.default_rng(42)
     for _ in range(200):
         poly = ConvexPolygon.from_coords(oc.rand_convex_polygon(rng, 4, 12))
-        total = polygon_area(poly)
+        total = poly.area
         th = rng.uniform(0.0, 2.0 * math.pi)
-        h = HalfPlane((math.cos(th), math.sin(th)), rng.uniform(-2.0, 2.0))
-        a = polygon_area(clip_halfplane(poly, h))
-        b = polygon_area(clip_halfplane(poly, h.flipped()))
+        nx, ny, off = math.cos(th), math.sin(th), rng.uniform(-2.0, 2.0)
+        a = _signed_area(_clip(poly.coords, nx, ny, off, poly._snap))
+        b = _signed_area(_clip(poly.coords, -nx, -ny, -off, poly._snap))
         assert abs(a + b - total) <= 1e-12 * total
 
 
@@ -145,15 +147,28 @@ def test_foot_is_on_line_and_orthogonal(px, py, qx, qy, xx, xy):
     assert abs((xx - foot.x) * dx + (xy - foot.y) * dy) / h <= 1e-7 * (1 + abs(xx) + abs(xy))
 
 
+def _wedge_cuts(tri: Triangle, v: str, x: float, y: float):
+    """The two half-planes (nx, ny, offset), <= form, of the wedge at
+    (x, y) opening toward vertex v."""
+    return _sector_cuts(tri._normals, _SECTOR_OF[v], x, y)
+
+
+def _width(cuts) -> float:
+    """Opening angle of the intersection of two half-planes whose lines cross."""
+    (n1x, n1y, _), (n2x, n2y, _) = cuts
+    return math.pi - math.atan2(abs(n1x * n2y - n1y * n2x), n1x * n2x + n1y * n2y)
+
+
 def test_sector_width_complements_vertex_angle():
     rng = np.random.default_rng(11)
     for _ in range(300):
         tri = Triangle.from_coords(oc.rand_triangle(rng))
-        x = Point(*rng.uniform(-2.0, 2.0, 2))
+        x, y = rng.uniform(-2.0, 2.0, 2)
         for v in "abc":
-            sec = sector_at_vertex(tri, v, x)
-            assert sec.width == pytest.approx(math.pi - tri.angle(v), abs=1e-12)
-            assert sec.apex == x
+            cuts = _wedge_cuts(tri, v, x, y)
+            assert _width(cuts) == pytest.approx(math.pi - tri.angle(v), abs=1e-12)
+            for nx, ny, off in cuts:  # the apex is on both lines
+                assert nx * x + ny * y == off
 
 
 def test_sector_of_acute_triangle_contains_its_vertex():
@@ -162,18 +177,27 @@ def test_sector_of_acute_triangle_contains_its_vertex():
     for _ in range(50):
         tri = Triangle.from_coords(oc.rand_acute(rng))
         w = rng.dirichlet((1.0, 1.0, 1.0))
-        x = Point(
-            w[0] * tri.a.x + w[1] * tri.b.x + w[2] * tri.c.x,
-            w[0] * tri.a.y + w[1] * tri.b.y + w[2] * tri.c.y,
-        )
+        x = w[0] * tri.a.x + w[1] * tri.b.x + w[2] * tri.c.x
+        y = w[0] * tri.a.y + w[1] * tri.b.y + w[2] * tri.c.y
         for v in "abc":
-            sec = sector_at_vertex(tri, v, x)
-            assert sec.contains(tri.vertex(v), tol=1e-12 * tri.diameter)
+            p = tri.vertex(v)
+            for nx, ny, off in _wedge_cuts(tri, v, x, y):
+                assert nx * p.x + ny * p.y - off <= 1e-12 * tri.diameter
 
 
 def test_sector_validation():
-    with pytest.raises(GeometryError):
-        Sector(Point(0.0, 0.0), HalfPlane((1.0, 0.0), 5.0), HalfPlane((0.0, 1.0), 0.0))
+    # at any apex, near or far, each wedge's cuts are unit half-planes whose
+    # lines pass through the apex and open a width strictly inside (0, pi)
+    rng = np.random.default_rng(13)
+    for _ in range(50):
+        tri = Triangle.from_coords(oc.rand_triangle(rng))
+        x, y = rng.uniform(-1e3, 1e3, 2)
+        for v in "abc":
+            cuts = _wedge_cuts(tri, v, x, y)
+            assert 0.0 < _width(cuts) < math.pi
+            for nx, ny, off in cuts:
+                assert math.hypot(nx, ny) == pytest.approx(1.0, abs=1e-15)
+                assert abs(nx * x + ny * y - off) <= 1e-9 * max(1.0, abs(x), abs(y))
 
 
 def test_regions_tile_the_triangle():
@@ -237,7 +261,7 @@ def test_region_polygon_matches_region_area():
         for v in "abc":
             poly = region_polygon(tri, v, x)
             a = region_area(tri, v, x)
-            assert abs(polygon_area(poly) - a) <= 1e-12 * max(a, tri.area * 1e-3)
+            assert abs(poly.area - a) <= 1e-12 * max(a, tri.area * 1e-3)
 
 
 def test_region_parts_match_separate_calls():
@@ -352,12 +376,15 @@ def test_point_and_halfplane_validation():
         Point(math.nan, 0.0)
     with pytest.raises(GeometryError):
         Point(math.inf, 1.0)
-    with pytest.raises(GeometryError):
-        HalfPlane((3.0, 4.0), 0.0)  # not unit
-    h = HalfPlane.through(Point(2.0, 0.0), (10.0, 0.0))
-    assert h.normal == (1.0, 0.0)
-    assert h.offset == 2.0
-    assert h.contains(Point(2.0, 5.0))
-    assert h.flipped().signed_distance(Point(0.0, 0.0)) == -h.signed_distance(Point(0.0, 0.0))
-    with pytest.raises(GeometryError):
-        HalfPlane.through(Point(0.0, 0.0), (0.0, 0.0))
+    # the kernels' half-plane through a point: a unit normal from `_unit`
+    # and the offset n . p, so the point lies on the boundary line
+    nx, ny = _unit((2.0, 0.0), (12.0, 0.0))
+    off = nx * 2.0 + ny * 0.0
+    assert (nx, ny, off) == (1.0, 0.0, 2.0)
+    square = [(0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)]
+    left = _clip(square, nx, ny, off, 0.0)
+    right = _clip(square, -nx, -ny, -off, 0.0)
+    # the boundary line belongs to both sides, and they split the square
+    assert (2.0, 0.0) in left and (2.0, 4.0) in left
+    assert (2.0, 0.0) in right and (2.0, 4.0) in right
+    assert _signed_area(left) == _signed_area(right) == 8.0

@@ -1,12 +1,15 @@
 """Golden bytes for the outputs that no Newton iteration touches: the
 exterior construction (JSON and SVG), the boundary closed form and the
-sweep CSV; and SVG figures of two Newton solutions, whose 4 decimals the
-trailing-digit drift of a Newton point does not reach.  The files under
+sweep CSV; SVG figures of two Newton solutions, whose 4 decimals the
+trailing-digit drift of a Newton point does not reach; and one fan solve,
+whose bytes must not depend on the Python version.  The files under
 tests/data were written by the command line and must be reproduced byte
 for byte; the larger sweeps, at 400 and at the cap of 1,000, are pinned by
 their md5s."""
 
 import hashlib
+import json
+import math
 from pathlib import Path
 
 import pytest
@@ -23,6 +26,10 @@ NEWTON_SVGS = {
     # the header's x offset -1e-9 rounds to -0.0000 and is written 0.0000
     "negative_zero_header.svg": '{"mode": "triangle", "triangle": [[-1e-9, 0], [1, 0], [0.45, 0.8]]}\n',
 }
+FAN_SPEC = (
+    '{"mode": "mass-partition", "polygon": [[1.9, 0.5], [1.8, 0.8], [1.1, 0.6], [1.4, 0.1]],'
+    ' "fractions": [0.2, 0.3, 0.5]}\n'
+)
 
 
 def _golden(name: str) -> bytes:
@@ -55,6 +62,17 @@ def test_boundary_closed_form_json(tmp_path, capsys):
     out = _solve(tmp_path, capsys, BOUNDARY_SPEC)
     assert b'"method":"closed-form"' in out
     assert out == _golden("boundary_solve.json")
+
+
+def test_fan_solve_json(tmp_path, capsys):
+    # Newton starts from the vertex mean.  Its x sum is 6.200000000000001
+    # added left to right but 6.2 when rounding is compensated, as sum()
+    # does from Python 3.12 on, and the two seeds end in different apexes.
+    xs = [x for x, _ in json.loads(FAN_SPEC)["polygon"]]
+    assert (xs[0] + xs[1] + xs[2] + xs[3]) != math.fsum(xs)
+    out = _solve(tmp_path, capsys, FAN_SPEC)
+    assert b'"method":"newton"' in out
+    assert out == _golden("fan_solve.json")
 
 
 def test_sweep_csv(tmp_path):

@@ -1,6 +1,5 @@
 """Spec parsing, run orchestration and the byte-stable serializers."""
 
-import dataclasses
 import json
 import math
 
@@ -452,4 +451,4 @@ def test_report_json_rejects_non_finite_fields(field):
     bad = math.inf if field == "point" else math.nan
     value = (report.point[0], bad) if field == "point" else bad
     with pytest.raises(ValueError):
-        report_json(dataclasses.replace(report, **{field: value}))
+        report_json(report._replace(**{field: value}))
