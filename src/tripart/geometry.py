@@ -11,6 +11,10 @@ whose rays are the outward side normals, so one fan kernel serves both
 problems: sector areas by clipping, and the ray chords that give the
 exact gradient of those areas.
 
+Where a triangle's equal-area point lies (its classification) follows
+from its angles alone, so it is computed here, once per `Triangle`, and
+kept on it like the angles; `tripart.partition` reads it.
+
 All types are immutable after construction and all operations are pure
 functions, so everything here is safe to use concurrently.
 """
@@ -197,6 +201,70 @@ def _triangle_angles(pts) -> tuple[float, float, float]:
     return tuple(out)
 
 
+# The classification: where a triangle's equal-area point lies.
+ACUTE = "acute"
+RIGHT = "right"
+OBTUSE_INTERIOR = "obtuse-interior"
+OBTUSE_BOUNDARY = "obtuse-boundary"
+OBTUSE_EXTERIOR = "obtuse-exterior"
+KINDS = (ACUTE, RIGHT, OBTUSE_INTERIOR, OBTUSE_BOUNDARY, OBTUSE_EXTERIOR)
+INTERIOR_KINDS = (ACUTE, RIGHT, OBTUSE_INTERIOR)
+
+CLASSIFY_TOL = 1e-9  # band for right angles (rad) and criterion margin
+
+
+class Classification(namedtuple("Classification", "kind obtuse_vertex criterion_margin", defaults=(None, None))):
+    """Where the equal-area point lies relative to the triangle.
+
+    `obtuse_vertex` names the widest-angle vertex for the obtuse kinds and
+    is None otherwise; `criterion_margin` is the signed slack of the
+    interior criterion (positive inside, zero on the boundary case),
+    None when the triangle is not obtuse.
+    """
+
+    __slots__ = ()
+
+
+def _widest(angles) -> int:
+    """Index of the widest of three interior angles (the first one on a
+    tie).  The vertices after it, in cyclic order, are the acute vertices
+    A and B of the criterion and the closed form."""
+    a0, a1, a2 = angles
+    if a0 >= a1:
+        return 0 if a0 >= a2 else 2
+    return 1 if a1 >= a2 else 2
+
+
+def _criterion_margin(ta: float, tb: float) -> float:
+    """Signed slack of the interior criterion of an obtuse triangle, from
+    the tangents of its acute angles A and B: positive means the
+    equal-area point is interior, zero puts it on side AB, negative pushes
+    it outside."""
+    lhs = math.sqrt((1.0 + ta * ta) * tb) + math.sqrt((1.0 + tb * tb) * ta)
+    return lhs - math.sqrt(3.0 * (ta + tb))
+
+
+def _classify_angles(angles) -> tuple[str, int, float | None]:
+    """The classification from the interior angles at a, b, c, all it
+    depends on, as plain values: the kind, the index of the widest angle
+    and the criterion margin (None unless the triangle is obtuse).
+    CLASSIFY_TOL is the half-width of both the right-angle band and the
+    band around a zero margin."""
+    i = _widest(angles)
+    widest = angles[i]
+    if widest <= 0.5 * math.pi + CLASSIFY_TOL:
+        kind = RIGHT if abs(widest - 0.5 * math.pi) <= CLASSIFY_TOL else ACUTE
+        return kind, i, None
+    margin = _criterion_margin(math.tan(angles[(i + 1) % 3]), math.tan(angles[(i + 2) % 3]))
+    if margin > CLASSIFY_TOL:
+        kind = OBTUSE_INTERIOR
+    elif margin < -CLASSIFY_TOL:
+        kind = OBTUSE_EXTERIOR
+    else:
+        kind = OBTUSE_BOUNDARY
+    return kind, i, margin
+
+
 def _check_range(area: float, diam_sq: float) -> None:
     """Reject a shape whose area or squared diameter is zero or over- or
     underflows: the solvers multiply and divide coordinates, so such a
@@ -294,36 +362,35 @@ class ConvexPolygon(_Value):
     """Convex polygon with CCW vertices; may be empty.
 
     Consecutive near-duplicate vertices are merged at construction.  Input
-    given clockwise is reversed.  `coords` holds the vertices as tuples.
+    given clockwise is reversed.  `coords` holds the vertices as (x, y)
+    tuples; `vertices` gives them as Points.
     """
 
-    # no class attribute `vertices`, so a polygon from `_ring` that has
-    # none yet reaches `__getattr__`
-    _fields = ("vertices",)
+    _fields = ("coords",)
 
-    def __init__(self, vertices: tuple[Point, ...] = ()):
-        self.__dict__.update(vertices=vertices, coords=())
+    def __init__(self, coords: tuple[Vec, ...] = ()):
+        self.__dict__.update(coords=coords)
         self.__post_init__()
 
     def __post_init__(self):
-        verts = tuple(self.vertices)
-        if not verts:
+        pts = [(float(x), float(y)) for x, y in self.coords]
+        if not pts:
+            object.__setattr__(self, "coords", ())
             return
-        pts = [(p.x, p.y) for p in verts]
+        for x, y in pts:
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise GeometryError(f"non-finite point ({x}, {y})")
         scale = _coord_scale(pts)
+        given = len(pts)
         pts = _dedupe_ring(pts, CLIP_SNAP_REL * scale)
         if len(pts) < 3:
-            if len(pts) < len(verts):
-                object.__setattr__(self, "vertices", ())
+            if len(pts) < given:
+                object.__setattr__(self, "coords", ())
                 return
             raise GeometryError("polygon needs at least 3 distinct vertices (or none)")
-        if len(pts) < len(verts):
-            verts = tuple(Point(x, y) for x, y in pts)
         area = _signed_area(pts)
         if area < 0.0:
             pts.reverse()
-            verts = verts[::-1]
-        object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "coords", tuple(pts))
         _check_range(area, self.diameter * self.diameter)
         cross_tol = -1e-9 * scale * scale
@@ -340,21 +407,19 @@ class ConvexPolygon(_Value):
     def _ring(cls, pts) -> "ConvexPolygon":
         """A polygon from a CCW ring of at least 3 points that the caller
         has deduped and knows to be convex (a clipped region), without
-        `__post_init__`'s checks; its Points are built only if read."""
+        `__post_init__`'s checks."""
         poly = object.__new__(cls)
         object.__setattr__(poly, "coords", tuple(pts))
         return poly
 
-    def __getattr__(self, name):
-        if name != "vertices":  # only a polygon from `_ring` lacks an attribute
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        verts = tuple(Point(x, y) for x, y in self.coords)
-        object.__setattr__(self, "vertices", verts)
-        return verts
-
     @classmethod
     def from_coords(cls, coords) -> "ConvexPolygon":
-        return cls(tuple(Point(float(x), float(y)) for x, y in coords))
+        """The same as `ConvexPolygon(coords)`, named like `Triangle.from_coords`."""
+        return cls(coords)
+
+    @cached_property
+    def vertices(self) -> tuple[Point, ...]:
+        return tuple(Point(x, y) for x, y in self.coords)
 
     @classmethod
     def empty(cls) -> "ConvexPolygon":
@@ -378,7 +443,7 @@ class ConvexPolygon(_Value):
         return CLIP_SNAP_REL * _coord_scale(self.coords)
 
     def translated(self, dx: float, dy: float) -> "ConvexPolygon":
-        return ConvexPolygon(tuple(Point(p.x + dx, p.y + dy) for p in self.vertices))
+        return ConvexPolygon(tuple((x + dx, y + dy) for x, y in self.coords))
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -464,8 +529,16 @@ class Triangle(_Value):
     def angles(self) -> tuple[float, float, float]:
         return _triangle_angles(self.points)
 
+    @cached_property
+    def _classification(self) -> Classification:
+        """Where the equal-area point lies, read by every triangle solver."""
+        kind, i, margin = _classify_angles(self.angles)
+        if margin is None:
+            return Classification(kind)
+        return Classification(kind, obtuse_vertex=VERTEX_IDS[i], criterion_margin=margin)
+
     def as_polygon(self) -> ConvexPolygon:
-        return ConvexPolygon((self.a, self.b, self.c))
+        return ConvexPolygon(self.points)
 
     def signed_distance(self, p: Point) -> float:
         """Distance to the boundary, positive inside, negative outside."""

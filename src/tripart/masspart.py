@@ -107,6 +107,16 @@ def sector_areas(poly: ConvexPolygon, cfg: SectorConfig, apex: Point) -> tuple[f
     return tuple(_sector_area(pts, normals, i, apex.x, apex.y, eps) for i in range(3))
 
 
+def _check_targets(vals, total: float) -> None:
+    """The rule every fan job's targets obey: three positive finite areas
+    whose sum, left to right, is within 1e-12 * total of the polygon area
+    `total`.  Raises MassPartitionError otherwise."""
+    if len(vals) != 3 or any(not (v > 0.0 and math.isfinite(v)) for v in vals):
+        raise MassPartitionError(f"targets must be three positive areas, got {vals!r}")
+    if abs(_sum_lr(vals) - total) > 1e-12 * total:
+        raise MassPartitionError(f"targets sum to {_sum_lr(vals)!r} but the polygon area is {total!r}")
+
+
 def solve_translation(poly, cfg: SectorConfig, targets: Targets, solver_cfg=None) -> TranslationSolution:
     """Place the fan so its sectors cut the polygon into the target areas.
 
@@ -120,12 +130,7 @@ def solve_translation(poly, cfg: SectorConfig, targets: Targets, solver_cfg=None
         poly = poly.as_polygon()
     total = poly.area
     vals = targets.values
-    if len(vals) != 3 or any(not (v > 0.0 and math.isfinite(v)) for v in vals):
-        raise MassPartitionError(f"targets must be three positive areas, got {vals!r}")
-    if abs(_sum_lr(vals) - total) > 1e-12 * total:
-        raise MassPartitionError(
-            f"targets sum to {_sum_lr(vals)!r} but the polygon area is {total!r}"
-        )
+    _check_targets(vals, total)
     pts = poly.coords
     seed = (_sum_lr(p[0] for p in pts) / len(pts), _sum_lr(p[1] for p in pts) / len(pts))
     res = _fan_newton(pts, total, poly._snap, cfg.normals, vals, seed, 2.0 * poly.diameter, solver_cfg)

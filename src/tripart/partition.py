@@ -6,15 +6,19 @@ inside the triangle when it is acute or right; for an obtuse triangle a
 closed-form criterion on the two acute angles decides whether X0 is inside,
 on the side opposite the widest angle, or outside entirely.
 
-This module classifies triangles by that criterion and locates X0 four
-ways: a damped Newton iteration on the area system (the wedges are the
-sectors of the fan of outward side normals, so this is the fan placement
-front end that `tripart.masspart` shares), a maximin pattern
-search (the minimum region area peaks exactly at X0), a combinatorial
-zoom on a fully-labeled grid cell of the argmin labeling, and, for the
-outside case, a direct construction intersecting two area-splitting cut
-lines.  The independent routes agree to high accuracy, which is the basis
-of the verification tooling.
+The classification by that criterion is a fact of the triangle: it is
+computed once, from the angles, and kept on the `Triangle` (see
+`tripart.geometry`); `classify` reads it, and so does every solver here.
+This module locates X0 four ways, one public function each: a damped
+Newton iteration on the area system (the wedges are the sectors of the
+fan of outward side normals, so this is the fan placement front end that
+`tripart.masspart` shares), a maximin pattern search (the minimum region
+area peaks exactly at X0), a combinatorial zoom on a fully-labeled grid
+cell of the argmin labeling, and, for the outside case, a direct
+construction intersecting two area-splitting cut lines.  `equal_partition`
+dispatches on the kind to the closed form, the construction or Newton.
+The independent routes agree to high accuracy; a caller who wants a
+cross-check runs a second one, such as `solve_maximin`, and compares.
 """
 
 from __future__ import annotations
@@ -22,10 +26,18 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .geometry import (
+from .geometry import (  # the kinds, CLASSIFY_TOL and Classification are public here too
+    ACUTE,
+    CLASSIFY_TOL,
+    INTERIOR_KINDS,
+    KINDS,
+    OBTUSE_BOUNDARY,
+    OBTUSE_EXTERIOR,
+    OBTUSE_INTERIOR,
+    RIGHT,
     SIDE_IDS,
     VERTEX_IDS,
-    GeometryError,
+    Classification,
     Point,
     Triangle,
     Vec,
@@ -36,20 +48,12 @@ from .geometry import (
     _sector_jacobian,
     _signed_area,
     _unit,
+    _widest,
     region_areas,
     region_parts,
 )
 from .rootfind import newton2d
 
-ACUTE = "acute"
-RIGHT = "right"
-OBTUSE_INTERIOR = "obtuse-interior"
-OBTUSE_BOUNDARY = "obtuse-boundary"
-OBTUSE_EXTERIOR = "obtuse-exterior"
-KINDS = (ACUTE, RIGHT, OBTUSE_INTERIOR, OBTUSE_BOUNDARY, OBTUSE_EXTERIOR)
-INTERIOR_KINDS = (ACUTE, RIGHT, OBTUSE_INTERIOR)
-
-CLASSIFY_TOL = 1e-9          # default band for right angles (rad) and criterion margin
 MAXIMIN_STEP_FRACTION = 0.25  # initial pattern-search step, fraction of diameter
 MAXIMIN_STOP_REL = 1e-12      # stop once step < this fraction of diameter
 MAXIMIN_AREA_TOL_REL = 1e-8   # acceptance band on area deviation at the optimum
@@ -58,7 +62,6 @@ KKM_INITIAL_GRID = 64         # grid resolution of the first level
 KKM_REFINE_GRID = 8           # grid resolution used after the first level
 KKM_TARGET_DIAM_REL = 1e-10   # stop once the cell is below this fraction of diameter
 KKM_GRID_RETRIES = 5          # resolution doublings tried before giving up
-CROSS_CHECK_DIST_REL = 1e-6   # max solver disagreement, fraction of diameter
 CUT_CERTIFY_REL = 1e-12       # closed-form cut area decides a bisection step this far from the target, x scale^2
 
 _OPPOSITE_VERTEX = {"ab": "c", "bc": "a", "ca": "b"}
@@ -109,18 +112,6 @@ def _failure(method: str, iterations: int, residual: float, best_point: Vec, his
     return SolverError(message, report)
 
 
-class Classification(namedtuple("Classification", "kind obtuse_vertex criterion_margin", defaults=(None, None))):
-    """Where the equal-area point lies relative to the triangle.
-
-    `obtuse_vertex` names the widest-angle vertex for the obtuse kinds and
-    is None otherwise; `criterion_margin` is the signed slack of the
-    interior criterion (positive inside, zero on the boundary case),
-    None when the triangle is not obtuse.
-    """
-
-    __slots__ = ()
-
-
 PartitionSolution = namedtuple("PartitionSolution", "point areas regions classification method residual")
 VerifyReport = namedtuple("VerifyReport", "point areas max_deviation deviation_rel location region_vertex_counts ok")
 
@@ -155,54 +146,10 @@ class LabelSets:
         return tuple(v for v, a in zip(VERTEX_IDS, areas) if a <= lo)
 
 
-def _widest(angles) -> int:
-    """Index of the widest of three interior angles (the first one on a
-    tie).  The vertices after it, in cyclic order, are the acute vertices
-    A and B of the criterion and the closed form."""
-    a0, a1, a2 = angles
-    if a0 >= a1:
-        return 0 if a0 >= a2 else 2
-    return 1 if a1 >= a2 else 2
-
-
-def _criterion_margin(ta: float, tb: float) -> float:
-    """Signed slack of the interior criterion of an obtuse triangle, from
-    the tangents of its acute angles A and B: positive means the
-    equal-area point is interior, zero puts it on side AB, negative pushes
-    it outside."""
-    lhs = math.sqrt((1.0 + ta * ta) * tb) + math.sqrt((1.0 + tb * tb) * ta)
-    return lhs - math.sqrt(3.0 * (ta + tb))
-
-
-def classify(tri: Triangle, tol: float = CLASSIFY_TOL) -> Classification:
-    """Classify where the equal-area point lies.
-
-    `tol` doubles as the half-width of the right-angle band (radians) and
-    of the criterion-margin band around zero.
-    """
-    kind, i, margin = _classify_angles(tri.angles, tol)
-    if margin is None:
-        return Classification(kind)
-    return Classification(kind, obtuse_vertex=VERTEX_IDS[i], criterion_margin=margin)
-
-
-def _classify_angles(angles, tol: float = CLASSIFY_TOL) -> tuple[str, int, float | None]:
-    """`classify` from the interior angles at a, b, c, all it depends on,
-    as plain values: the kind, the index of the widest angle and the
-    criterion margin (None unless the triangle is obtuse)."""
-    i = _widest(angles)
-    widest = angles[i]
-    if widest <= 0.5 * math.pi + tol:
-        kind = RIGHT if abs(widest - 0.5 * math.pi) <= tol else ACUTE
-        return kind, i, None
-    margin = _criterion_margin(math.tan(angles[(i + 1) % 3]), math.tan(angles[(i + 2) % 3]))
-    if margin > tol:
-        kind = OBTUSE_INTERIOR
-    elif margin < -tol:
-        kind = OBTUSE_EXTERIOR
-    else:
-        kind = OBTUSE_BOUNDARY
-    return kind, i, margin
+def classify(tri: Triangle) -> Classification:
+    """Where the equal-area point lies; computed once per triangle, from
+    its angles, and kept on it."""
+    return tri._classification
 
 
 def boundary_point_closed_form(tri: Triangle) -> Point:
@@ -322,7 +269,7 @@ def _fan_newton(pts, total: float, eps: float, normals, targets, seed: Vec, pad:
     return res
 
 
-def _solution(tri: Triangle, point: Point, cls: Classification, method: str) -> PartitionSolution:
+def _solution(tri: Triangle, point: Point, method: str) -> PartitionSolution:
     areas, regions = region_parts(tri, point)
     s = tri.area / 3.0
     residual = max(abs(areas.at_a - s), abs(areas.at_b - s), abs(areas.at_c - s))
@@ -330,7 +277,7 @@ def _solution(tri: Triangle, point: Point, cls: Classification, method: str) -> 
         point=point,
         areas=areas,
         regions=regions,
-        classification=cls,
+        classification=tri._classification,
         method=method,
         residual=residual,
     )
@@ -343,13 +290,10 @@ def solve_newton(tri: Triangle, cfg: SolverConfig | None = None, seed: Point | N
     best iterate in its report) when the residual cannot be driven below
     tolerance."""
     start = seed.as_tuple() if seed is not None else tri._centroid
-    return _newton(tri, classify(tri), cfg or SolverConfig(), start)
-
-
-def _newton(tri: Triangle, cls: Classification, cfg: SolverConfig, start: Vec) -> PartitionSolution:
     s = tri.area / 3.0
+    cfg = cfg or SolverConfig()
     res = _fan_newton(tri.points, tri.area, tri._snap, tri._normals, (s, s, s), start, tri.diameter, cfg)
-    return _solution(tri, Point(res.x, res.y), cls, "newton")
+    return _solution(tri, Point(res.x, res.y), "newton")
 
 
 def solve_maximin(tri: Triangle) -> PartitionSolution:
@@ -359,13 +303,9 @@ def solve_maximin(tri: Triangle) -> PartitionSolution:
     The minimum region area never exceeds |T| / 3 and attains it only at
     the equal-area point, so the maximizer is the solution whenever the
     point is not outside the triangle; other kinds are rejected."""
-    cls = classify(tri)
-    if cls.kind not in INTERIOR_KINDS:
-        raise PartitionError(f"maximin search needs the solution inside the triangle, not {cls.kind}")
-    return _maximin(tri, cls)
-
-
-def _maximin(tri: Triangle, cls: Classification) -> PartitionSolution:
+    kind = tri._classification.kind
+    if kind not in INTERIOR_KINDS:
+        raise PartitionError(f"maximin search needs the solution inside the triangle, not {kind}")
     total = tri.area
     diam = tri.diameter
     pts, normals, eps = tri.points, tri._normals, tri._snap
@@ -419,7 +359,7 @@ def _maximin(tri: Triangle, cls: Classification) -> PartitionSolution:
         if not moved:
             step *= 0.5
     point = Point(x, y)
-    sol = _solution(tri, point, cls, "maximin")
+    sol = _solution(tri, point, "maximin")
     if sol.residual > MAXIMIN_AREA_TOL_REL * total:
         raise _failure(
             "maximin", rounds, sol.residual, (x, y), (sol.residual,),
@@ -464,9 +404,9 @@ def solve_kkm(tri: Triangle) -> PartitionSolution:
     regridding a blown-up copy of that cell until its diameter is below
     KKM_TARGET_DIAM_REL * diameter.  Restricted to acute and right triangles,
     where the boundary labeling argument applies."""
-    cls = classify(tri)
-    if cls.kind not in (ACUTE, RIGHT):
-        raise PartitionError(f"grid labeling zoom needs an acute or right triangle, not {cls.kind}")
+    kind = tri._classification.kind
+    if kind not in (ACUTE, RIGHT):
+        raise PartitionError(f"grid labeling zoom needs an acute or right triangle, not {kind}")
     labeler = LabelSets(tri)
     target = KKM_TARGET_DIAM_REL * tri.diameter
     domain = tri.points
@@ -497,7 +437,7 @@ def solve_kkm(tri: Triangle) -> PartitionSolution:
         history.append(diam)
         if cell is not None:
             if diam < target:
-                return _solution(tri, Point(cx, cy), cls, "kkm")
+                return _solution(tri, Point(cx, cy), "kkm")
             n = KKM_REFINE_GRID
         domain = tuple((cx + KKM_EXPAND * (qx - cx), cy + KKM_EXPAND * (qy - cy)) for qx, qy in (q1, q2, q3))
     raise _failure(
@@ -514,13 +454,10 @@ def solve_exterior(tri: Triangle, cfg: SolverConfig | None = None) -> PartitionS
     to Newton seeded at the constructed point if the construction's
     residual misses the tolerance (possible only in the noisy band right
     at the boundary case)."""
-    cls = classify(tri)
+    cls = tri._classification
     if cls.kind != OBTUSE_EXTERIOR:
         raise PartitionError(f"exterior construction applies only to {OBTUSE_EXTERIOR}, not {cls.kind}")
-    return _exterior(tri, cls, cfg or SolverConfig())
-
-
-def _exterior(tri: Triangle, cls: Classification, cfg: SolverConfig) -> PartitionSolution:
+    cfg = cfg or SolverConfig()
     # bisect on the vertices rotated so the obtuse vertex comes last: the
     # cuts are perpendicular to the sides from the other two to it, and the
     # clipped areas are summed in the vertex order the golden outputs in
@@ -537,35 +474,22 @@ def _exterior(tri: Triangle, cls: Classification, cfg: SolverConfig) -> Partitio
     det = uax * uby - uay * ubx
     x = (da * uby - uay * db) / det
     y = (uax * db - da * ubx) / det
-    sol = _solution(tri, Point(x, y), cls, "exterior-construction")
+    sol = _solution(tri, Point(x, y), "exterior-construction")
     if sol.residual > cfg.area_tol_rel * tri.area:
-        return _newton(tri, cls, cfg, (x, y))
+        return solve_newton(tri, cfg, sol.point)
     return sol
 
 
-def equal_partition(tri: Triangle, cfg: SolverConfig | None = None, cross_check: bool = False) -> PartitionSolution:
+def equal_partition(tri: Triangle, cfg: SolverConfig | None = None) -> PartitionSolution:
     """Solve the equal-area partition, dispatching on the classification:
     closed form for the boundary case, cut-line construction for the
-    exterior case, Newton otherwise.  With cross_check=True an interior
-    solution is recomputed by the maximin search and the two points must
-    agree within 1e-6 * diameter."""
-    cfg = cfg or SolverConfig()
-    cls = classify(tri)
-    if cls.kind == OBTUSE_BOUNDARY:
-        sol = _solution(tri, boundary_point_closed_form(tri), cls, "closed-form")
-    elif cls.kind == OBTUSE_EXTERIOR:
-        sol = _exterior(tri, cls, cfg)
-    else:
-        sol = _newton(tri, cls, cfg, tri._centroid)
-    if cross_check and cls.kind in INTERIOR_KINDS:
-        alt = _maximin(tri, cls)
-        gap = sol.point.distance_to(alt.point)
-        if gap > CROSS_CHECK_DIST_REL * tri.diameter:
-            raise _failure(
-                sol.method, 0, sol.residual, sol.point.as_tuple(), (sol.residual,),
-                f"independent solvers disagree by {gap:.3e}",
-            )
-    return sol
+    exterior case, Newton otherwise."""
+    kind = classify(tri).kind
+    if kind == OBTUSE_BOUNDARY:
+        return _solution(tri, boundary_point_closed_form(tri), "closed-form")
+    if kind == OBTUSE_EXTERIOR:
+        return solve_exterior(tri, cfg)
+    return solve_newton(tri, cfg)
 
 
 def verify_partition(tri: Triangle, x: Point, tol: float = 1e-9) -> VerifyReport:

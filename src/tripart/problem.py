@@ -15,16 +15,10 @@ import math
 import time
 from collections import namedtuple
 
-from .geometry import ConvexPolygon, GeometryError, Triangle, Vec, _sum_lr, _triangle_angles, _Value
-from .masspart import SectorConfig, Targets, solve_translation
-from .partition import (
-    VERTEX_IDS,
-    Classification,
-    PartitionError,
-    SolverConfig,
-    _classify_angles,
-    equal_partition,
-)
+from .geometry import VERTEX_IDS, Classification, ConvexPolygon, GeometryError, Triangle, Vec, _Value
+from .geometry import _classify_angles, _triangle_angles  # the sweep's kernel
+from .masspart import MassPartitionError, SectorConfig, Targets, _check_targets, solve_translation
+from .partition import PartitionError, SolverConfig, equal_partition
 
 MODES = ("triangle", "mass-partition", "sweep")
 DEFAULT_RAYS_DEG = (90.0, 210.0, 330.0)
@@ -110,17 +104,14 @@ class ProblemSpec(_Value):
                 "missing-field" if self.targets is None else "invalid-value",
                 "give exactly one of 'targets' (absolute areas) or 'fractions'",
             )
-        if self.fractions is not None:
-            if any(f <= 0.0 for f in self.fractions):
-                raise InputError("invalid-value", "fractions must all be positive")
-            if abs(_sum_lr(self.fractions) - 1.0) > 1e-9:
-                raise InputError("invalid-value", f"fractions must sum to 1, got {_sum_lr(self.fractions)!r}")
-        elif any(t <= 0.0 for t in self.targets):
-            raise InputError("invalid-value", "targets must all be positive")
-        elif abs(_sum_lr(self.targets) - area) > 1e-12 * area:
-            raise InputError(
-                "invalid-value", f"targets sum to {_sum_lr(self.targets)!r} but the polygon area is {area!r}"
-            )
+        # the rule `run` meets, on the very targets it will solve
+        fracs = self.fractions
+        vals = self.targets if fracs is None else Targets.fractions(fracs, area).values
+        try:
+            _check_targets(vals, area)
+        except MassPartitionError as exc:
+            msg = str(exc) if fracs is None else f"fractions must be positive and sum to 1, got {fracs!r}"
+            raise InputError("invalid-value", msg) from exc
 
 
 SweepRow = namedtuple("SweepRow", "angle_a_deg angle_b_deg kind margin")

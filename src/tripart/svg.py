@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .geometry import _foot, _sum_lr
-from .partition import OBTUSE_EXTERIOR
+from .geometry import OBTUSE_EXTERIOR, _foot, _sum_lr
 from .problem import Report
 
 REGION_FILLS = ("#4477aa", "#ee7733", "#228833")

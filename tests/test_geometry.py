@@ -59,6 +59,20 @@ def test_polygon_rejects_nonconvex_and_tiny():
         ConvexPolygon.from_coords(((0, 0), (1, 0)))
 
 
+def test_polygon_rejects_non_finite_coords():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(GeometryError, match="non-finite"):
+            ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (1.0, bad)))
+
+
+def test_polygon_vertices_are_points_of_coords():
+    poly = ConvexPolygon.from_coords(((0, 0), (0, 1), (1, 1), (1, 0)))  # clockwise
+    assert poly.coords == ((1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0))
+    assert poly.vertices == tuple(Point(x, y) for x, y in poly.coords)
+    region = region_polygon(Triangle.from_coords(RIGHT_ISO), "a", Point(0.25, 0.25))
+    assert region.vertices == tuple(Point(x, y) for x, y in region.coords)
+
+
 def test_polygon_merges_duplicate_vertices():
     poly = ConvexPolygon.from_coords(((0, 0), (1, 0), (1, 0), (1, 1), (0, 1), (0, 0)))
     assert len(poly) == 4

@@ -71,14 +71,14 @@ def test_classify_reports_widest_vertex():
 
 def test_widest_takes_the_first_index_on_ties():
     third = math.pi / 3.0
-    assert part._widest((third, third, third)) == 0
-    assert part._widest(EQUILATERAL.angles) == max(range(3), key=EQUILATERAL.angles.__getitem__)
+    assert geometry._widest((third, third, third)) == 0
+    assert geometry._widest(EQUILATERAL.angles) == max(range(3), key=EQUILATERAL.angles.__getitem__)
     x, y = 0.4, 0.5 * (math.pi - 0.4)  # y, the widest, at indices 1 and 2
-    assert part._widest((x, y, y)) == 1
-    assert part._classify_angles((x, y, y)) == (ACUTE, 1, None)
+    assert geometry._widest((x, y, y)) == 1
+    assert geometry._classify_angles((x, y, y)) == (ACUTE, 1, None)
     for values in ((1.0, 2.0), (1.0, 2.0, 3.0)):
         for angles in itertools.product(values, repeat=3):
-            assert part._widest(angles) == max(range(3), key=angles.__getitem__), angles
+            assert geometry._widest(angles) == max(range(3), key=angles.__getitem__), angles
 
 
 def test_boundary_closed_form_keeps_the_golden_point():
@@ -91,7 +91,6 @@ def test_classify_right_angle_band():
     # a hair over 90 degrees still counts as right under the default band
     t = triangle_from_angles(50.0, 90.0 + math.degrees(1e-12))
     assert classify(t).kind == RIGHT
-    assert classify(t, tol=1e-16).kind in (OBTUSE_INTERIOR, OBTUSE_BOUNDARY, OBTUSE_EXTERIOR)
 
 
 def test_classify_margin_matches_tangent_formula():
@@ -414,32 +413,83 @@ def test_equal_partition_dispatch():
     assert equal_partition(THIN_OBTUSE).method == "exterior-construction"
 
 
-def test_equal_partition_classifies_once(monkeypatch):
+# one triangle of each kind, as points, so each test builds fresh triangles
+# whose classification is not cached yet
+KIND_CASES = (
+    (EQUILATERAL.points, ACUTE),
+    (RIGHT_ISO.points, RIGHT),
+    (triangle_from_angles(40.0, 40.0).points, OBTUSE_INTERIOR),
+    (BOUNDARY_ISO.points, OBTUSE_BOUNDARY),
+    (THIN_OBTUSE.points, OBTUSE_EXTERIOR),
+)
+# the public solvers that accept each kind
+SOLVERS_OF_KIND = {
+    ACUTE: (solve_newton, solve_maximin, solve_kkm),
+    RIGHT: (solve_newton, solve_maximin, solve_kkm),
+    OBTUSE_INTERIOR: (solve_newton, solve_maximin),
+    OBTUSE_BOUNDARY: (solve_newton,),
+    OBTUSE_EXTERIOR: (solve_exterior, solve_newton),
+}
+
+
+def _count_classifications(monkeypatch) -> list:
     calls = []
-    real = part.classify
+    real = geometry._classify_angles
 
-    def counting(tri, *args, **kwargs):
-        calls.append(tri)
-        return real(tri, *args, **kwargs)
+    def counting(angles):
+        calls.append(angles)
+        return real(angles)
 
-    monkeypatch.setattr(part, "classify", counting)
-    cases = (
-        (EQUILATERAL, ACUTE),
-        (RIGHT_ISO, RIGHT),
-        (triangle_from_angles(40.0, 40.0), OBTUSE_INTERIOR),
-        (BOUNDARY_ISO, OBTUSE_BOUNDARY),
-        (THIN_OBTUSE, OBTUSE_EXTERIOR),
-    )
-    for tri, kind in cases:
-        for cross_check in (False, True):
+    monkeypatch.setattr(geometry, "_classify_angles", counting)
+    return calls
+
+
+def test_equal_partition_classifies_once(monkeypatch):
+    calls = _count_classifications(monkeypatch)
+    for pts, kind in KIND_CASES:
+        calls.clear()
+        assert equal_partition(Triangle.from_coords(pts)).classification.kind == kind
+        assert len(calls) == 1, (kind, len(calls))
+
+
+def test_each_triangle_is_classified_once_across_solvers(monkeypatch):
+    calls = _count_classifications(monkeypatch)
+    for pts, kind in KIND_CASES:
+        for order in (pts, (pts[0], pts[2], pts[1])):  # and a clockwise copy
+            tri = Triangle.from_coords(order)
             calls.clear()
-            assert equal_partition(tri, cross_check=cross_check).classification.kind == kind
-            assert len(calls) == 1, (kind, cross_check, len(calls))
+            assert equal_partition(tri).classification.kind == kind
+            for solve in SOLVERS_OF_KIND[kind]:
+                assert solve(tri).classification.kind == kind
+            assert classify(tri).kind == kind
+            assert len(calls) == 1, (kind, order, len(calls))
+
+
+def test_equal_partition_is_the_solver_of_its_kind():
+    for pts, kind in KIND_CASES:
+        tri = Triangle.from_coords(pts)
+        if kind == OBTUSE_EXTERIOR:
+            assert equal_partition(tri) == solve_exterior(tri)
+        elif kind != OBTUSE_BOUNDARY:
+            assert equal_partition(tri) == solve_newton(tri)
+
+
+def test_classify_leaves_triangle_value_unchanged():
+    for pts, _ in KIND_CASES:
+        tri, fresh = Triangle.from_coords(pts), Triangle.from_coords(pts)
+        before = (hash(tri), repr(tri))
+        cls = classify(tri)
+        assert classify(tri) is cls
+        assert tri == fresh and (hash(tri), repr(tri)) == before == (hash(fresh), repr(fresh))
 
 
 def test_equal_partition_cross_check():
-    sol = equal_partition(EQUILATERAL, cross_check=True)
-    assert sol.residual <= 1e-12 * EQUILATERAL.area
+    # the maximin search is an independent route to the interior kinds' point
+    for pts, kind in KIND_CASES[:3]:
+        tri = Triangle.from_coords(pts)
+        sol = equal_partition(tri)
+        assert sol.residual <= 1e-12 * tri.area
+        assert sol.point.distance_to(solve_maximin(tri).point) <= 1e-6 * tri.diameter, kind
 
 
 def test_verify_partition_at_solution():

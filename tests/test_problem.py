@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tripart.geometry import ConvexPolygon, Triangle
-from tripart.masspart import SectorConfig
+from tripart.masspart import MassPartitionError, SectorConfig, Targets, solve_translation
 from tripart.partition import SolverConfig, classify
 from tripart.problem import (
     DEFAULT_RAYS_DEG,
@@ -101,6 +101,24 @@ def test_mass_partition_target_validation():
     assert code_of(base % '"targets": [0.5, 0.5, 0.0]') == "invalid-value"
     assert code_of(base % '"targets": [0.2, 0.3, 0.5], "fractions": [0.2, 0.3, 0.5]') == "invalid-value"
     assert code_of(base % '"rays": [0, 0, 120], "fractions": [0.3, 0.3, 0.4]') == "invalid-value"
+
+
+def test_fractions_obey_the_target_rule_of_the_run():
+    # fractions 1e-10 off a sum of 1 scale to targets 1e-10 off the area,
+    # which the run rejects; the spec says so, naming the field given
+    text = (
+        '{"mode":"mass-partition","polygon":[[0,0],[2,0],[2,1],[0,1]],"rays":[90,200,340],'
+        '"fractions":[0.2,0.45,0.3500000001]}'
+    )
+    with pytest.raises(InputError, match="fractions") as err:
+        parse_spec(text)
+    assert err.value.code == "invalid-value"
+    poly = ConvexPolygon.from_coords(((0, 0), (2, 0), (2, 1), (0, 1)))
+    fan = SectorConfig.from_angles_deg((90.0, 200.0, 340.0))
+    with pytest.raises(MassPartitionError, match="polygon area"):
+        solve_translation(poly, fan, Targets.fractions((0.2, 0.45, 0.3500000001), poly.area))
+    spec = parse_spec(text.replace("0.3500000001", "0.35"))
+    assert run(spec).residual <= 1e-12 * poly.area
 
 
 def test_solver_option_validation():

@@ -142,10 +142,12 @@ def test_problem_spec_equality_ignores_what_it_builds():
         assert repr(a) == repr(b)
 
 
-def test_polygon_equality_ignores_coords():
+def test_polygon_equality_ignores_vertices():
     a, b = ConvexPolygon.from_coords(SQUARE), ConvexPolygon.from_coords(SQUARE)
-    object.__setattr__(b, "coords", ())
+    assert a.vertices == b.vertices == tuple(Point(x, y) for x, y in SQUARE)
+    object.__setattr__(b, "vertices", ())
     assert a == b and hash(a) == hash(b)
+    assert repr(a) == repr(b) == f"ConvexPolygon(coords={SQUARE!r})"
 
 
 def test_cli_import_loads_no_introspection_modules():
