@@ -192,13 +192,15 @@ def _unit(p: Vec, q: Vec) -> Vec:
 
 def _triangle_angles(pts) -> tuple[float, float, float]:
     """Interior angles, in (0, pi), at the three points of a triangle; the
-    one expression behind `Triangle.angles` and the classification sweep."""
-    out = []
-    for i in range(3):
-        (px, py), (qx, qy), (rx, ry) = pts[i], pts[(i + 1) % 3], pts[(i + 2) % 3]
-        ux, uy, wx, wy = qx - px, qy - py, rx - px, ry - py
-        out.append(math.atan2(abs(ux * wy - uy * wx), ux * wx + uy * wy))
-    return tuple(out)
+    one expression behind `Triangle.angles` and the classification sweep:
+    at p, atan2(|u x w|, u . w) for u and w from p to the next two points."""
+    (ax, ay), (bx, by), (cx, cy) = pts
+    ux, uy, wx, wy = bx - ax, by - ay, cx - ax, cy - ay
+    at_a = math.atan2(abs(ux * wy - uy * wx), ux * wx + uy * wy)
+    ux, uy, wx, wy = cx - bx, cy - by, ax - bx, ay - by
+    at_b = math.atan2(abs(ux * wy - uy * wx), ux * wx + uy * wy)
+    ux, uy, wx, wy = ax - cx, ay - cy, bx - cx, by - cy
+    return at_a, at_b, math.atan2(abs(ux * wy - uy * wx), ux * wx + uy * wy)
 
 
 # The classification: where a triangle's equal-area point lies.
@@ -211,6 +213,8 @@ KINDS = (ACUTE, RIGHT, OBTUSE_INTERIOR, OBTUSE_BOUNDARY, OBTUSE_EXTERIOR)
 INTERIOR_KINDS = (ACUTE, RIGHT, OBTUSE_INTERIOR)
 
 CLASSIFY_TOL = 1e-9  # band for right angles (rad) and criterion margin
+_HALF_PI = 0.5 * math.pi
+_RIGHT_MAX = 0.5 * math.pi + CLASSIFY_TOL  # the widest angle of an acute or right triangle
 
 
 class Classification(namedtuple("Classification", "kind obtuse_vertex criterion_margin", defaults=(None, None))):
@@ -235,34 +239,28 @@ def _widest(angles) -> int:
     return 1 if a1 >= a2 else 2
 
 
-def _criterion_margin(ta: float, tb: float) -> float:
-    """Signed slack of the interior criterion of an obtuse triangle, from
-    the tangents of its acute angles A and B: positive means the
-    equal-area point is interior, zero puts it on side AB, negative pushes
-    it outside."""
-    lhs = math.sqrt((1.0 + ta * ta) * tb) + math.sqrt((1.0 + tb * tb) * ta)
-    return lhs - math.sqrt(3.0 * (ta + tb))
-
-
 def _classify_angles(angles) -> tuple[str, int, float | None]:
     """The classification from the interior angles at a, b, c, all it
     depends on, as plain values: the kind, the index of the widest angle
     and the criterion margin (None unless the triangle is obtuse).
     CLASSIFY_TOL is the half-width of both the right-angle band and the
-    band around a zero margin."""
+    band around a zero margin.
+
+    The margin is the signed slack of the interior criterion, from the
+    tangents of the acute angles A and B after the widest one: positive
+    means the equal-area point is interior, zero puts it on side AB,
+    negative pushes it outside."""
     i = _widest(angles)
     widest = angles[i]
-    if widest <= 0.5 * math.pi + CLASSIFY_TOL:
-        kind = RIGHT if abs(widest - 0.5 * math.pi) <= CLASSIFY_TOL else ACUTE
-        return kind, i, None
-    margin = _criterion_margin(math.tan(angles[(i + 1) % 3]), math.tan(angles[(i + 2) % 3]))
+    if widest <= _RIGHT_MAX:
+        return (RIGHT if abs(widest - _HALF_PI) <= CLASSIFY_TOL else ACUTE), i, None
+    ta, tb = math.tan(angles[(i + 1) % 3]), math.tan(angles[(i + 2) % 3])
+    margin = math.sqrt((1.0 + ta * ta) * tb) + math.sqrt((1.0 + tb * tb) * ta) - math.sqrt(3.0 * (ta + tb))
     if margin > CLASSIFY_TOL:
-        kind = OBTUSE_INTERIOR
-    elif margin < -CLASSIFY_TOL:
-        kind = OBTUSE_EXTERIOR
-    else:
-        kind = OBTUSE_BOUNDARY
-    return kind, i, margin
+        return OBTUSE_INTERIOR, i, margin
+    if margin < -CLASSIFY_TOL:
+        return OBTUSE_EXTERIOR, i, margin
+    return OBTUSE_BOUNDARY, i, margin
 
 
 def _check_range(area: float, diam_sq: float) -> None:

@@ -126,8 +126,9 @@ class Report(
     )
 ):
     """Result of one run.  Only the fields for the report's mode are set;
-    the rest are None, and `sweep_rows` is empty.  `timing_s` is diagnostic
-    and never serialized."""
+    the rest are None, and `sweep_rows` is empty.  A sweep holds all its
+    SweepRows at once (`tripart sweep` streams them instead).  `timing_s`
+    is diagnostic and never serialized."""
 
     __slots__ = ()
 
@@ -389,24 +390,29 @@ def _run_mass_partition(spec: ProblemSpec, cfg: SolverConfig) -> Report:
     )
 
 
-def _run_sweep(spec: ProblemSpec) -> Report:
-    """Classify the grid of base angles 180 k / n degrees.  The n angles
-    and their tangents are computed once per sweep, and the rows share
-    those float objects; each row classifies from the angles alone (the
-    same angles a Triangle built by triangle_from_angles would cache,
-    without building it) and keeps the kind and margin as plain values."""
-    n = spec.resolution or DEFAULT_SWEEP_RESOLUTION
-    start = time.perf_counter()
+def _sweep_rows(n: int):
+    """The rows of a sweep of resolution n, one at a time: the grid of
+    base angles 180 k / n degrees, classified.  The n angles and their
+    tangents are computed once, and the rows share those float objects;
+    each row classifies from the angles alone (the same angles a Triangle
+    built by triangle_from_angles would cache, without building it) and
+    keeps the kind and margin as plain values."""
     degs = [180.0 * k / n for k in range(n)]
     tans = [_tan_deg(d) for d in degs]
-    rows = []
     for i in range(1, n):
         a_deg, ta = degs[i], tans[i]
         for j in range(1, n - i):
             b_deg = degs[j]
             apex = _apex(a_deg, b_deg, ta, tans[j])
             kind, _, margin = _classify_angles(_triangle_angles(((0.0, 0.0), (1.0, 0.0), apex)))
-            rows.append(SweepRow(a_deg, b_deg, kind, margin))
+            yield tuple.__new__(SweepRow, (a_deg, b_deg, kind, margin))  # SweepRow's own __new__ is Python code
+
+
+def _run_sweep(spec: ProblemSpec) -> Report:
+    """Every row of `_sweep_rows`, kept in `Report.sweep_rows`; the CLI
+    streams that generator instead, in memory that does not grow with n."""
+    start = time.perf_counter()
+    rows = tuple(_sweep_rows(spec.resolution or DEFAULT_SWEEP_RESOLUTION))
     elapsed = time.perf_counter() - start
     return Report(
         mode="sweep",
@@ -414,7 +420,7 @@ def _run_sweep(spec: ProblemSpec) -> Report:
         method="classify",
         residual=0.0,
         timing_s=elapsed,
-        sweep_rows=tuple(rows),
+        sweep_rows=rows,
     )
 
 
@@ -477,14 +483,15 @@ def sweep_csv(report: Report) -> str:
     where the criterion does not apply."""
     if report.mode != "sweep":
         raise ValueError(f"CSV rendering needs a sweep report, got mode {report.mode!r}")
-    return "".join(_sweep_lines(report))
+    return "".join(_sweep_lines(report.sweep_rows))
 
 
-def _sweep_lines(report: Report):
-    """The lines of `sweep_csv`, each with its newline, one at a time, so
-    a writer can stream them."""
+def _sweep_lines(rows):
+    """The lines of `sweep_csv` for an iterable of sweep rows, each with
+    its newline, one at a time, so a writer can stream them."""
     angle = _FmtCache()
     yield "angle_a_deg,angle_b_deg,kind,margin\n"
-    for a_deg, b_deg, kind, margin in report.sweep_rows:
-        margin = "" if margin is None else _fmt_num(margin)
+    for a_deg, b_deg, kind, margin in rows:
+        # a nonzero finite margin skips the _fmt_num call; a zero prints 0 and a non-finite one raises there
+        margin = "" if margin is None else f"{margin:.17g}" if margin and math.isfinite(margin) else _fmt_num(margin)
         yield f"{angle[a_deg]},{angle[b_deg]},{kind},{margin}\n"

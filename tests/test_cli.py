@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from tripart.problem import DEFAULT_SWEEP_RESOLUTION
+from tripart.problem import DEFAULT_SWEEP_RESOLUTION, ProblemSpec, run, sweep_csv
 
 TRI_SPEC = '{"mode": "triangle", "triangle": [[0, 0], [1, 0], [0, 1]]}\n'
 MASS_SPEC = (
@@ -232,6 +232,38 @@ def test_sweep_writes_deterministic_csv(tmp_path):
     assert lines[0] == "angle_a_deg,angle_b_deg,kind,margin"
     assert len(lines) == 1 + 36  # 8 * 9 / 2 interior lattice points
     assert "classified 36 shapes" in r1.stderr
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 64, 150])
+def test_streamed_sweep_csv_equals_the_library_csv(tmp_path, n):
+    out = tmp_path / "s.csv"
+    res = tripart("sweep", "--resolution", str(n), "--output", str(out))
+    assert res.returncode == 0, res.stderr
+    assert out.read_bytes() == sweep_csv(run(ProblemSpec(mode="sweep", resolution=n))).encode()
+    assert f"classified {(n - 1) * (n - 2) // 2} shapes" in res.stderr
+
+
+# Runs `tripart sweep` in this interpreter and prints its own peak RSS in KiB.
+_SWEEP_RSS = """
+import resource, sys
+from tripart.cli import main
+code = main(["sweep", "--resolution", sys.argv[1], "--output", sys.argv[2]])
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(code, rss // 1024 if sys.platform == "darwin" else rss)
+"""
+
+
+def test_sweep_peak_memory_does_not_grow_with_resolution(tmp_path):
+    pytest.importorskip("resource")
+    peaks = {}
+    for n in (10, 1000):
+        res = subprocess.run(
+            [sys.executable, "-c", _SWEEP_RSS, str(n), str(tmp_path / f"{n}.csv")],
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        code, peaks[n] = map(int, res.stdout.split())
+        assert code == 0, res.stderr
+    assert abs(peaks[1000] - peaks[10]) <= 2 * 1024, peaks
 
 
 def test_sweep_resolution_defaults_to_the_problem_default(tmp_path):

@@ -17,6 +17,9 @@ from tripart.problem import (
     MAX_SWEEP_RESOLUTION,
     InputError,
     ProblemSpec,
+    SweepRow,
+    _fmt_num,
+    _sweep_lines,
     canonical_json,
     parse_spec,
     report_json,
@@ -211,6 +214,7 @@ def test_run_sweep_rows():
     report = run(parse_spec('{"mode": "sweep", "resolution": 12}'))
     rows = report.sweep_rows
     assert len(rows) == 55  # lattice points with i, j >= 1 and i + j <= 11
+    assert type(rows) is tuple and {type(r) for r in rows} == {SweepRow}
     kinds = {r.kind for r in rows}
     assert {"acute", "right", "obtuse-interior", "obtuse-exterior"} <= kinds
     right = [r for r in rows if r.kind == "right"]
@@ -272,6 +276,18 @@ def test_sweep_csv_format():
         assert float(a) > 0 and float(b) > 0
         assert (margin == "") == (kind in ("acute", "right"))
     assert sweep_csv(run(parse_spec('{"mode": "sweep", "resolution": 8}'))) == text
+
+
+@pytest.mark.parametrize("margin", [0.0, -0.0, 5e-324, -5e-324, -1e300, 0.1, 1e-9, -2.5])
+def test_sweep_lines_format_margins_as_fmt_num(margin):
+    lines = list(_sweep_lines([SweepRow(60.0, 30.0, "obtuse-interior", margin)]))
+    assert lines[1] == f"60,30,obtuse-interior,{_fmt_num(margin)}\n"
+
+
+@pytest.mark.parametrize("margin", [math.nan, math.inf, -math.inf])
+def test_sweep_lines_reject_non_finite_margins(margin):
+    with pytest.raises(ValueError):
+        list(_sweep_lines([SweepRow(60.0, 30.0, "obtuse-interior", margin)]))
 
 
 def test_sweep_csv_rejects_other_modes():
