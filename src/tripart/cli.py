@@ -7,6 +7,7 @@ stderr so byte-level reproducibility of the outputs is preserved.
 
 from __future__ import annotations
 
+import argparse
 import math
 import re
 import sys
@@ -36,6 +37,14 @@ EXIT_SOLVER = 3
 EXIT_IO = 4
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors become InputError, so they exit 2 with the same JSON
+    error line as other input errors; argparse's text is the message."""
+
+    def error(self, message):
+        raise InputError("invalid-value", f"{self.format_usage()}{self.prog}: error: {message}")
+
+
 def _glue_values(argv) -> list:
     """Glue a value that starts with a minus and a digit or point onto the
     option before it (`--point -0.5,0.3` -> `--point=-0.5,0.3`): argparse
@@ -49,16 +58,7 @@ def _glue_values(argv) -> list:
     return out
 
 
-def _build_parser():
-    import argparse  # with gettext, only when a command line is parsed: library callers never need it
-
-    class _Parser(argparse.ArgumentParser):
-        """Usage errors become InputError, so they exit 2 with the same JSON
-        error line as other input errors; argparse's text is the message."""
-
-        def error(self, message):
-            raise InputError("invalid-value", f"{self.format_usage()}{self.prog}: error: {message}")
-
+def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="tripart",
         description="Equal-area triangle partition and convex mass partition solver.",
@@ -92,13 +92,10 @@ def _read(path: str) -> str:
             raise InputError("malformed-json", f"input is not UTF-8 text: {exc}") from exc
 
 
-def _write(path: str, chunks) -> int:
-    """Write an iterable of strings to `path`, each as it is yielded; return their count."""
-    count = 0
+def _write(path: str, chunks) -> None:
+    """Write an iterable of strings to `path`, each as it is yielded."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for count, chunk in enumerate(chunks, 1):
-            fh.write(chunk)
-    return count
+        fh.writelines(chunks)
 
 
 def _parse_point(raw: str) -> Point:
@@ -130,9 +127,10 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = ProblemSpec(mode="sweep", resolution=args.resolution)
+    n = spec.resolution
     start = time.perf_counter()
-    lines = _write(args.output, _sweep_lines(_sweep_rows(spec.resolution)))  # rows stream, none is kept
-    sys.stderr.write(f"classified {lines - 1} shapes in {time.perf_counter() - start:.3f}s\n")
+    _write(args.output, _sweep_lines(_sweep_rows(n)))  # rows stream, none is kept
+    sys.stderr.write(f"classified {(n - 1) * (n - 2) // 2} shapes in {time.perf_counter() - start:.3f}s\n")
     return EXIT_OK
 
 

