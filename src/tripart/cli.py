@@ -72,9 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--tol", type=float, help="override the relative area tolerance")
 
     sweep = sub.add_parser("sweep", help="classify a grid of triangle shapes to CSV")
-    sweep.add_argument(
-        "--resolution", type=int, default=DEFAULT_SWEEP_RESOLUTION, help="angle grid resolution (default %(default)s)"
-    )
+    sweep.add_argument("--resolution", type=int, help=f"angle grid resolution (default {DEFAULT_SWEEP_RESOLUTION})")
     sweep.add_argument("--output", required=True, help="path of the CSV to write")
 
     verify = sub.add_parser("verify", help="check a claimed equal-area point")
@@ -114,14 +112,16 @@ def _cmd_solve(args) -> int:
         raise InputError("invalid-value", "sweep specs run with the 'sweep' command")
     if args.svg and spec.mode != "triangle":
         raise InputError("invalid-value", "--svg applies only to triangle mode")
+    start = time.perf_counter()
     report = run(spec, tol=args.tol)
+    elapsed = time.perf_counter() - start
     text = report_json(report) + "\n"
     sys.stdout.write(text)
     if args.output:
         _write(args.output, (text,))
     if args.svg:
         _write(args.svg, (emit_svg(report),))
-    sys.stderr.write(f"solved in {report.timing_s:.3f}s via {report.method}\n")
+    sys.stderr.write(f"solved in {elapsed:.3f}s via {report.method}\n")
     return EXIT_OK
 
 
@@ -170,21 +170,10 @@ def main(argv=None) -> int:
         sys.stderr.write(canonical_json({"error": {"code": code, "message": str(exc)}}) + "\n")
         return EXIT_INPUT
     except SolverError as exc:
-        payload = {
-            "error": {
-                "code": "solver-failure",
-                "message": str(exc),
-                "report": {
-                    "method": exc.report.method,
-                    "iterations": exc.report.iterations,
-                    "residual": exc.report.residual,
-                    "best_point": list(exc.report.best_point),
-                    "residual_history": list(exc.report.residual_history),
-                    "converged": exc.report.converged,
-                },
-            }
-        }
-        sys.stderr.write(canonical_json(payload) + "\n")
+        report = exc.report._asdict()
+        del report["message"]  # the error's own message
+        error = {"code": "solver-failure", "message": str(exc), "report": report}
+        sys.stderr.write(canonical_json({"error": error}) + "\n")
         return EXIT_SOLVER
     except OSError as exc:
         sys.stderr.write(f"tripart: i/o error: {exc}\n")

@@ -33,7 +33,7 @@ SIDE_IDS = ("ab", "bc", "ca")
 SECTOR_VERTEX_ORDER = ("b", "c", "a")  # triangle regions hit by fan sectors 0, 1, 2
 _SECTOR_OF = {v: i for i, v in enumerate(SECTOR_VERTEX_ORDER)}
 
-DEGENERACY_REL = 1e-12  # min |signed area| / diameter**2 for a usable triangle
+DEGENERACY_REL = 1e-12  # min |signed area| / diameter**2 for a usable triangle or polygon
 CLIP_SNAP_REL = 1e-14   # on-line band for clipping, relative to coordinate scale
 
 
@@ -357,24 +357,24 @@ class Point(_Value):
 
 
 class ConvexPolygon(_Value):
-    """Convex polygon with CCW vertices; may be empty.
+    """Convex polygon of positive area with CCW vertices.
 
     Consecutive near-duplicate vertices are merged at construction.  Input
-    given clockwise is reversed.  `coords` holds the vertices as (x, y)
-    tuples; `vertices` gives them as Points.
+    given clockwise is reversed.  Empty input, a ring that merges below 3
+    vertices, a reflex turn and an area of at most DEGENERACY_REL times
+    the squared diameter raise GeometryError; `empty()` is the one empty
+    polygon.  `coords` holds the vertices as (x, y) tuples; `vertices`
+    gives them as Points.
     """
 
     _fields = ("coords",)
 
-    def __init__(self, coords: tuple[Vec, ...] = ()):
+    def __init__(self, coords: tuple[Vec, ...]):
         self.__dict__.update(coords=coords)
         self.__post_init__()
 
     def __post_init__(self):
         pts = [(float(x), float(y)) for x, y in self.coords]
-        if not pts:
-            object.__setattr__(self, "coords", ())
-            return
         for x, y in pts:
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise GeometryError(f"non-finite point ({x}, {y})")
@@ -382,16 +382,18 @@ class ConvexPolygon(_Value):
         given = len(pts)
         pts = _dedupe_ring(pts, CLIP_SNAP_REL * scale)
         if len(pts) < 3:
-            if len(pts) < given:
-                object.__setattr__(self, "coords", ())
-                return
-            raise GeometryError("polygon needs at least 3 distinct vertices (or none)")
-        area = _signed_area(pts)
-        if area < 0.0:
+            if 0 < len(pts) == given:
+                raise GeometryError("polygon needs at least 3 distinct vertices")
+            raise GeometryError("polygon collapses to nothing after deduplication")
+        # the orientation from the first vertex, where no large coordinate cancels
+        x0, y0 = pts[0]
+        if _signed_area([(x - x0, y - y0) for x, y in pts]) < 0.0:
             pts.reverse()
         object.__setattr__(self, "coords", tuple(pts))
-        _check_range(area, self.diameter * self.diameter)
-        cross_tol = -1e-9 * scale * scale
+        diam = self.diameter
+        # a turn is reflex past the rounding of its cross product, about
+        # diam * ulp(scale), plus a margin relative to the polygon's own size
+        cross_tol = -(1e-9 * diam + 8.0 * math.ulp(scale)) * diam
         n = len(pts)
         for i in range(n):
             ax, ay = pts[i - 1]
@@ -400,12 +402,16 @@ class ConvexPolygon(_Value):
             cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
             if cross < cross_tol:
                 raise GeometryError(f"polygon is not convex (cross product {cross:.3e} at vertex {i})")
+        area = self.area
+        _check_range(area, diam * diam)
+        if area <= DEGENERACY_REL * diam * diam:
+            raise GeometryError("polygon vertices are collinear")
 
     @classmethod
     def _ring(cls, pts) -> "ConvexPolygon":
         """A polygon from a CCW ring of at least 3 points that the caller
-        has deduped and knows to be convex (a clipped region), without
-        `__post_init__`'s checks."""
+        has deduped and knows to be convex (a clipped region), or from no
+        points, without `__post_init__`'s checks."""
         poly = object.__new__(cls)
         object.__setattr__(poly, "coords", tuple(pts))
         return poly
@@ -421,7 +427,7 @@ class ConvexPolygon(_Value):
 
     @classmethod
     def empty(cls) -> "ConvexPolygon":
-        return cls(())
+        return cls._ring(())
 
     def is_empty(self) -> bool:
         return not self.coords

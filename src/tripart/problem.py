@@ -3,8 +3,8 @@
 JSON input describes one job (a triangle to partition, a polygon plus fan
 to translate, or a classification sweep); `run` executes it and the
 serializers below render byte-stable output: floats go through a 17
-significant digit round-trip format, keys have a fixed order, and timing
-is kept out of the canonical payload so identical inputs always produce
+significant digit round-trip format and keys have a fixed order.  `run`
+is a pure function of its spec, so identical inputs always produce
 identical bytes.
 """
 
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from collections import namedtuple
 
 from .geometry import VERTEX_IDS, Classification, ConvexPolygon, GeometryError, Triangle, Vec, _Value
@@ -30,6 +29,7 @@ _ALLOWED_KEYS = {
     "mass-partition": {"mode", "polygon", "rays", "targets", "fractions", "solver"},
     "sweep": {"mode", "resolution"},
 }
+_SHAPES = {"triangle": ("triangle", Triangle.from_coords), "mass-partition": ("polygon", ConvexPolygon.from_coords)}
 
 
 class InputError(ValueError):
@@ -43,7 +43,11 @@ class InputError(ValueError):
 
 class ProblemSpec(_Value):
     """One runnable job.  Construction validates every value, raising
-    InputError with a stable code, and keeps what it builds: `shape` (the
+    InputError with a stable code: a triangle job requires `triangle`, a
+    fan job `polygon` (missing-field otherwise); a fan job's `rays`
+    default to DEFAULT_RAYS_DEG and a sweep's `resolution` to
+    DEFAULT_SWEEP_RESOLUTION; `solver` is kept sorted by option name, the
+    order `parse_spec` gives it.  It keeps what it builds: `shape` (the
     Triangle or ConvexPolygon), `config` (the SolverConfig) and, for a fan
     job, `fan`; each is None where the mode has none.  Every later step
     reads these; they take no part in equality."""
@@ -63,22 +67,24 @@ class ProblemSpec(_Value):
     ):
         self.__dict__.update(
             mode=mode, triangle=triangle, polygon=polygon, rays=rays, targets=targets, fractions=fractions,
-            resolution=resolution, solver=solver, shape=None, fan=None, config=None,
+            resolution=resolution, solver=tuple(sorted(solver)), shape=None, fan=None, config=None,
         )
         self.__post_init__()
 
     def __post_init__(self):
         if self.mode == "sweep":
-            if self.resolution is not None and not 2 <= self.resolution <= MAX_SWEEP_RESOLUTION:
+            if self.resolution is None:
+                object.__setattr__(self, "resolution", DEFAULT_SWEEP_RESOLUTION)
+            elif not 2 <= self.resolution <= MAX_SWEEP_RESOLUTION:
                 raise InputError("invalid-value", f"'resolution' must be from 2 to {MAX_SWEEP_RESOLUTION}")
             return
+        if self.mode not in _SHAPES:
+            raise InputError("invalid-value", f"unknown mode {self.mode!r}")
+        field, build = _SHAPES[self.mode]
+        if getattr(self, field) is None:
+            raise InputError("missing-field", f"{self.mode} mode requires field '{field}'")
         try:
-            if self.mode == "triangle":
-                shape = Triangle.from_coords(self.triangle)
-            elif self.mode == "mass-partition":
-                shape = ConvexPolygon.from_coords(self.polygon)
-            else:
-                raise InputError("invalid-value", f"unknown mode {self.mode!r}")
+            shape = build(getattr(self, field))
         except GeometryError as exc:
             raise InputError("degenerate-geometry", str(exc)) from exc
         object.__setattr__(self, "shape", shape)
@@ -90,13 +96,10 @@ class ProblemSpec(_Value):
             raise InputError("invalid-value", str(exc)) from exc
 
     def _check_fan_job(self, poly: ConvexPolygon) -> None:
-        if poly.is_empty():
-            raise InputError("degenerate-geometry", "polygon collapses to nothing after deduplication")
-        area = poly.area
-        if area <= 1e-12 * poly.diameter * poly.diameter:
-            raise InputError("degenerate-geometry", "polygon vertices are collinear")
+        if self.rays is None:
+            object.__setattr__(self, "rays", DEFAULT_RAYS_DEG)
         try:
-            object.__setattr__(self, "fan", SectorConfig.from_angles_deg(self.rays or DEFAULT_RAYS_DEG))
+            object.__setattr__(self, "fan", SectorConfig.from_angles_deg(self.rays))
         except ValueError as exc:
             raise InputError("invalid-value", f"unusable fan: {exc}") from exc
         if (self.targets is None) == (self.fractions is None):
@@ -105,7 +108,7 @@ class ProblemSpec(_Value):
                 "give exactly one of 'targets' (absolute areas) or 'fractions'",
             )
         # the rule `run` meets, on the very targets it will solve
-        fracs = self.fractions
+        fracs, area = self.fractions, poly.area
         vals = self.targets if fracs is None else Targets.fractions(fracs, area).values
         try:
             _check_targets(vals, area)
@@ -120,15 +123,14 @@ SweepRow = namedtuple("SweepRow", "angle_a_deg angle_b_deg kind margin")
 class Report(
     namedtuple(
         "Report",
-        "mode spec method residual timing_s classification point areas fractions total_area regions apex"
+        "mode spec method residual classification point areas fractions total_area regions apex"
         " translation achieved targets iterations sweep_rows",
         defaults=(None,) * 11 + ((),),
     )
 ):
     """Result of one run.  Only the fields for the report's mode are set;
     the rest are None, and `sweep_rows` is empty.  A sweep holds all its
-    SweepRows at once (`tripart sweep` streams them instead).  `timing_s`
-    is diagnostic and never serialized."""
+    SweepRows at once (`tripart sweep` streams them instead)."""
 
     __slots__ = ()
 
@@ -218,31 +220,49 @@ def _require_triple(v, name: str) -> tuple[float, float, float]:
     return tuple([_require_number(x, name) for x in v])
 
 
-def _check_keys(data: dict, mode: str) -> None:
-    for key in sorted(data):
-        if key not in _ALLOWED_KEYS[mode]:
-            raise InputError("invalid-value", f"field '{key}' is not allowed in {mode} mode")
+def _require_vertices(v, name: str) -> tuple[Vec, ...]:
+    """A triangle's three vertices or a polygon's three or more."""
+    exact = name == "triangle"
+    if not isinstance(v, (list, tuple)) or (len(v) != 3 if exact else len(v) < 3):
+        raise InputError("invalid-value", f"'{name}' must list {'exactly' if exact else 'at least'} three vertices")
+    return tuple([_require_pair(p, name) for p in v])
 
 
-def _parse_solver(data: dict) -> tuple[tuple[str, float], ...]:
-    raw = data.get("solver")
+def _require_int(v, name: str) -> int:
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not _finite(v) or v != int(v):
+        raise InputError("invalid-value", f"'{name}' must be an integer, got {v!r}")
+    return int(v)
+
+
+def _require_solver(raw, name: str) -> tuple[tuple[str, float], ...]:
     if raw is None:
         return ()
     if not isinstance(raw, dict):
-        raise InputError("invalid-value", "'solver' must be an object of option values")
+        raise InputError("invalid-value", f"'{name}' must be an object of option values")
     items = []
     for key in sorted(raw):
         if key not in _SOLVER_KEYS:
-            raise InputError("invalid-value", f"unknown solver option '{key}'")
-        items.append((key, _require_number(raw[key], f"solver.{key}")))
+            raise InputError("invalid-value", f"unknown {name} option '{key}'")
+        items.append((key, _require_number(raw[key], f"{name}.{key}")))
     return tuple(items)
 
 
+_READERS = {
+    "triangle": _require_vertices,
+    "polygon": _require_vertices,
+    "rays": _require_triple,
+    "targets": _require_triple,
+    "fractions": _require_triple,
+    "resolution": _require_int,
+    "solver": _require_solver,
+}
+
+
 def parse_spec(text: str) -> ProblemSpec:
-    """Parse a JSON problem spec, checking syntax, types and required
-    fields and filling defaults (fan rays, sweep resolution); the spec
-    validates its values itself.  Raises InputError with a stable error
-    code on any problem; a returned spec is runnable."""
+    """Parse a JSON problem spec, checking its syntax, its mode, its keys
+    and the type of each value it holds; the spec fills defaults, requires
+    fields and validates its values itself.  Raises InputError with a
+    stable error code on any problem; a returned spec is runnable."""
     try:
         data = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an int literal past the digit limit
@@ -254,39 +274,12 @@ def parse_spec(text: str) -> ProblemSpec:
     mode = data["mode"]
     if mode not in MODES:
         raise InputError("invalid-value", f"mode must be one of {', '.join(MODES)}, got {mode!r}")
-    _check_keys(data, mode)
-
-    if mode == "triangle":
-        if "triangle" not in data:
-            raise InputError("missing-field", "triangle mode requires field 'triangle'")
-        raw = data["triangle"]
-        if not isinstance(raw, (list, tuple)) or len(raw) != 3:
-            raise InputError("invalid-value", "'triangle' must list exactly three vertices")
-        coords = tuple([_require_pair(p, "triangle") for p in raw])
-        return ProblemSpec(mode=mode, triangle=coords, solver=_parse_solver(data))
-
-    if mode == "mass-partition":
-        if "polygon" not in data:
-            raise InputError("missing-field", "mass-partition mode requires field 'polygon'")
-        raw = data["polygon"]
-        if not isinstance(raw, (list, tuple)) or len(raw) < 3:
-            raise InputError("invalid-value", "'polygon' must list at least three vertices")
-        return ProblemSpec(
-            mode=mode,
-            polygon=tuple([_require_pair(p, "polygon") for p in raw]),
-            rays=_require_triple(data["rays"], "rays") if "rays" in data else DEFAULT_RAYS_DEG,
-            targets=_require_triple(data["targets"], "targets") if "targets" in data else None,
-            fractions=_require_triple(data["fractions"], "fractions") if "fractions" in data else None,
-            solver=_parse_solver(data),
-        )
-
-    resolution = DEFAULT_SWEEP_RESOLUTION
-    if "resolution" in data:
-        v = data["resolution"]
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not _finite(v) or v != int(v):
-            raise InputError("invalid-value", f"'resolution' must be an integer, got {v!r}")
-        resolution = int(v)
-    return ProblemSpec(mode=mode, resolution=resolution)
+    for key in sorted(data):
+        if key not in _ALLOWED_KEYS[mode]:
+            raise InputError("invalid-value", f"field '{key}' is not allowed in {mode} mode")
+    # in field order; a key the JSON lacks is left to the spec
+    fields = {key: _READERS[key](data[key], key) for key in ProblemSpec._fields[1:] if key in data}
+    return ProblemSpec(mode=mode, **fields)
 
 
 def serialize_spec(spec: ProblemSpec) -> str:
@@ -345,9 +338,7 @@ def input_order(tri: Triangle, abc: tuple) -> tuple:
 
 def _run_triangle(spec: ProblemSpec, cfg: SolverConfig) -> Report:
     tri = spec.shape
-    start = time.perf_counter()
     sol = equal_partition(tri, cfg)
-    elapsed = time.perf_counter() - start
     cls = sol.classification
     if tri.swapped_bc and cls.obtuse_vertex:
         label = input_order(tri, VERTEX_IDS)[VERTEX_IDS.index(cls.obtuse_vertex)]
@@ -358,7 +349,6 @@ def _run_triangle(spec: ProblemSpec, cfg: SolverConfig) -> Report:
         spec=spec,
         method=sol.method,
         residual=sol.residual,
-        timing_s=elapsed,
         classification=cls,
         point=sol.point.as_tuple(),
         areas=areas,
@@ -372,15 +362,12 @@ def _run_mass_partition(spec: ProblemSpec, cfg: SolverConfig) -> Report:
     poly = spec.shape
     total = poly.area
     targets = Targets(spec.targets) if spec.targets is not None else Targets.fractions(spec.fractions, total)
-    start = time.perf_counter()
     sol = solve_translation(poly, spec.fan, targets, cfg)
-    elapsed = time.perf_counter() - start
     return Report(
         mode="mass-partition",
         spec=spec,
         method=sol.method,
         residual=sol.residual,
-        timing_s=elapsed,
         total_area=total,
         apex=sol.apex.as_tuple(),
         translation=sol.translation,
@@ -411,17 +398,8 @@ def _sweep_rows(n: int):
 def _run_sweep(spec: ProblemSpec) -> Report:
     """Every row of `_sweep_rows`, kept in `Report.sweep_rows`; the CLI
     streams that generator instead, in memory that does not grow with n."""
-    start = time.perf_counter()
-    rows = tuple(_sweep_rows(spec.resolution or DEFAULT_SWEEP_RESOLUTION))
-    elapsed = time.perf_counter() - start
-    return Report(
-        mode="sweep",
-        spec=spec,
-        method="classify",
-        residual=0.0,
-        timing_s=elapsed,
-        sweep_rows=rows,
-    )
+    rows = tuple(_sweep_rows(spec.resolution))
+    return Report(mode="sweep", spec=spec, method="classify", residual=0.0, sweep_rows=rows)
 
 
 def run(spec: ProblemSpec, tol: float | None = None) -> Report:

@@ -91,6 +91,15 @@ def test_solve_missing_file_is_io_error(tmp_path):
     assert "i/o error" in res.stderr
 
 
+# the report is every SolverReport field but the message, which the error carries
+SOLVER_FAILURE_STDERR = (
+    '{"error":{"code":"solver-failure","message":"newton iteration did not reach the area tolerance",'
+    '"report":{"method":"newton","iterations":1,"residual":0.006944444444444503,'
+    '"best_point":[0.41666666666666674,0.41666666666666674],'
+    '"residual_history":[0.055555555555555552,0.006944444444444503],"converged":false}}}\n'
+)
+
+
 def test_solve_solver_failure_exit_code(tmp_path):
     spec = tmp_path / "job.json"
     spec.write_text(
@@ -99,6 +108,7 @@ def test_solve_solver_failure_exit_code(tmp_path):
     )
     res = tripart("solve", "--input", str(spec))
     assert res.returncode == 3
+    assert res.stderr == SOLVER_FAILURE_STDERR
     err = json.loads(res.stderr)["error"]
     assert err["code"] == "solver-failure"
     assert err["report"]["method"] == "newton"

@@ -115,6 +115,18 @@ def test_integer_past_the_digit_limit_is_malformed_json(tmp_path, capsys):
     assert json.loads(err)["error"]["code"] == "malformed-json"
 
 
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e5, 1e6, 1e8])
+def test_dented_polygon_is_invalid_input_wherever_it_sits(offset, tmp_path, capsys):
+    o = offset
+    dent = [[o, o], [o + 1.0, o], [o + 0.2, o + 0.2], [o, o + 1.0]]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"mode": "mass-partition", "polygon": dent, "fractions": [0.3, 0.3, 0.4]}))
+    code, out, err = _main(["solve", "--input", str(path)], capsys)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "not convex" in json.loads(err)["error"]["message"]
+
+
 def test_offset_sliver_is_not_invalid_input(tmp_path, capsys):
     """A valid triangle 1e7 from the origin.  Its solve may fail (exit 3);
     it must not be rejected as invalid input because a region of the

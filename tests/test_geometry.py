@@ -59,6 +59,50 @@ def test_polygon_rejects_nonconvex_and_tiny():
         ConvexPolygon.from_coords(((0, 0), (1, 0)))
 
 
+# the messages a fan spec reports for the same polygons
+DEGENERATE_POLYGONS = {
+    "empty": ((), "polygon collapses to nothing after deduplication"),
+    "collapsed": (((1.0, 1.0), (1.0, 1.0), (1.0 + 1e-15, 1.0)), "polygon collapses to nothing after deduplication"),
+    "near-collinear": (((0.0, 0.0), (1.0, 0.0), (2.0, 1e-13)), "polygon vertices are collinear"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE_POLYGONS))
+def test_polygon_rejects_degenerate_rings(name):
+    coords, message = DEGENERATE_POLYGONS[name]
+    with pytest.raises(GeometryError) as err:
+        ConvexPolygon(coords)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e5, 1e6, 1e8])
+def test_polygon_rejects_a_dent_wherever_it_sits(offset):
+    o = offset
+    with pytest.raises(GeometryError, match="not convex"):
+        ConvexPolygon(((o, o), (o + 1.0, o), (o + 0.2, o + 0.2), (o, o + 1.0)))
+
+
+def test_polygon_far_from_the_origin_is_counter_clockwise():
+    """Ellipse rings of diameter 1 at (1e8, 1e8), given in both orders:
+    the shoelace on absolute coordinates gets the sign of some wrong."""
+    accepted = 0
+    for k in range(60):
+        n = 5 + k % 7
+        ring = [
+            (1e8 + 0.5 * math.cos(2.0 * math.pi * j / n + k), 1e8 + 0.3 * math.sin(2.0 * math.pi * j / n + k))
+            for j in range(n)
+        ]
+        for coords in (ring, ring[::-1]):
+            try:
+                poly = ConvexPolygon(coords)
+            except GeometryError:
+                continue
+            accepted += 1
+            x0, y0 = poly.coords[0]
+            assert _signed_area([(x - x0, y - y0) for x, y in poly.coords]) > 0.0, coords
+    assert accepted >= 40
+
+
 def test_polygon_rejects_non_finite_coords():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(GeometryError, match="non-finite"):

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tripart.geometry import ConvexPolygon, Triangle
+from tripart.geometry import ConvexPolygon, GeometryError, Triangle
 from tripart.masspart import MassPartitionError, SectorConfig, Targets, solve_translation
 from tripart.partition import SolverConfig, classify
 from tripart.problem import (
     DEFAULT_RAYS_DEG,
+    DEFAULT_SWEEP_RESOLUTION,
     MAX_SWEEP_RESOLUTION,
     InputError,
     ProblemSpec,
@@ -78,6 +79,62 @@ def test_serialize_round_trips():
     ):
         spec = parse_spec(text)
         assert parse_spec(serialize_spec(spec)) == spec
+
+
+SQUARE = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
+DIRECT_SPECS = {
+    "sweep": lambda: ProblemSpec(mode="sweep"),
+    "fan-without-rays": lambda: ProblemSpec(mode="mass-partition", polygon=SQUARE, fractions=(0.25, 0.35, 0.4)),
+    "triangle-with-solver": lambda: ProblemSpec(
+        mode="triangle",
+        triangle=((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)),
+        solver=(("max_iters", 50.0), ("area_tol_rel", 1e-10)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIRECT_SPECS))
+def test_directly_built_spec_round_trips(name):
+    spec = DIRECT_SPECS[name]()
+    assert parse_spec(serialize_spec(spec)) == spec
+
+
+def test_spec_fills_its_defaults():
+    assert ProblemSpec(mode="sweep").resolution == DEFAULT_SWEEP_RESOLUTION
+    assert DIRECT_SPECS["fan-without-rays"]().rays == DEFAULT_RAYS_DEG
+
+
+@pytest.mark.parametrize(
+    "mode, field", [("triangle", "triangle"), ("mass-partition", "polygon")], ids=["triangle", "mass-partition"]
+)
+def test_spec_without_its_shape_is_missing_field(mode, field):
+    with pytest.raises(InputError, match=f"field '{field}'") as err:
+        ProblemSpec(mode=mode, fractions=(0.25, 0.35, 0.4) if field == "polygon" else None)
+    assert err.value.code == "missing-field"
+
+
+@pytest.mark.parametrize(
+    "polygon",
+    [(), ((1.0, 1.0), (1.0, 1.0), (1.0 + 1e-15, 1.0)), ((0.0, 0.0), (1.0, 0.0), (2.0, 1e-13))],
+    ids=["empty", "collapsed", "near-collinear"],
+)
+def test_fan_spec_reports_the_polygon_rule(polygon):
+    """The spec's degenerate-geometry message is the library's own."""
+    with pytest.raises(GeometryError) as lib:
+        ConvexPolygon(polygon)
+    with pytest.raises(InputError) as err:
+        ProblemSpec(mode="mass-partition", polygon=polygon, fractions=(0.25, 0.35, 0.4))
+    assert err.value.code == "degenerate-geometry"
+    assert str(err.value) == str(lib.value)
+
+
+def test_null_fields_stay_invalid_values():
+    base = '{"mode": "mass-partition", "polygon": [[0, 0], [1, 0], [1, 1]], "fractions": [0.25, 0.35, 0.4]'
+    for key in ("rays", "targets"):
+        assert code_of(base + ', "%s": null}' % key) == "invalid-value"
+    assert code_of('{"mode": "triangle", "triangle": null}') == "invalid-value"
+    assert code_of('{"mode": "mass-partition", "polygon": null, "fractions": [0.25, 0.35, 0.4]}') == "invalid-value"
+    assert code_of('{"mode": "sweep", "resolution": null}') == "invalid-value"
 
 
 def test_error_codes():
@@ -171,7 +228,7 @@ def test_run_triangle_report():
     assert sum(report.areas) == pytest.approx(0.5, rel=1e-12)
     assert report.fractions[0] == pytest.approx(1 / 3, abs=1e-11)
     assert len(report.regions) == 3
-    assert report.timing_s > 0.0
+    assert run(parse_spec(TRI_SPEC)) == report  # run is pure: no timing in the report
 
 
 def test_run_is_label_consistent_for_clockwise_input():
@@ -245,6 +302,13 @@ def test_sweep_rows_match_classify_of_built_triangles(n):
         cls = classify(triangle_from_angles(row.angle_a_deg, row.angle_b_deg))
         assert row.kind == cls.kind, row
         assert _same_margin(row.margin, cls.criterion_margin), row
+
+
+@pytest.mark.parametrize("text", [MASS_SPEC, '{"mode": "sweep", "resolution": 12}'], ids=["fan", "sweep"])
+def test_run_is_a_pure_function_of_the_spec(text):
+    """The triangle case is in test_run_triangle_report."""
+    spec = parse_spec(text)
+    assert run(spec) == run(spec)
 
 
 def test_report_json_deterministic():
