@@ -115,65 +115,76 @@ def _sector_area(pts, normals, i: int, x: float, y: float, eps: float) -> float:
     return _signed_area(_clip(_clip(pts, ax, ay, ao, eps), bx, by, bo, eps))
 
 
-def _chords(pts, normals, x: float, y: float) -> tuple[float, float, float]:
-    """Length inside a convex CCW polygon of each ray of the fan at (x, y),
-    by one Cyrus-Beck pass over the edges.  Ray j runs along n_j turned
-    -90 degrees, so its point at parameter t lies inside edge (s, e) while
-    t * (w . n_j) <= cross(w, (x, y) - s) with w = e - s; the three rays
-    are unrolled, and min/max spelled out, because this is the Newton
-    step's inner loop."""
+def _edge_terms(pts, normals) -> tuple:
+    """The terms of `_chords` that do not depend on the apex, once per
+    solve: for each edge (s, e) of a convex CCW polygon, in order from the
+    closing edge, (sx, sy, wx, wy, w . n_0, w . n_1, w . n_2) with w = e - s
+    and n_j the fan's ray normals."""
     (n0x, n0y), (n1x, n1y), (n2x, n2y) = normals
-    lo0 = lo1 = lo2 = 0.0
-    hi0 = hi1 = hi2 = math.inf
+    out = []
     sx, sy = pts[-1]
     for ex, ey in pts:
         wx, wy = ex - sx, ey - sy
+        out.append((sx, sy, wx, wy, wx * n0x + wy * n0y, wx * n1x + wy * n1y, wx * n2x + wy * n2y))
+        sx, sy = ex, ey
+    return tuple(out)
+
+
+def _chords(edges, x: float, y: float) -> tuple[float, float, float]:
+    """Length inside a convex CCW polygon of each ray of the fan at (x, y),
+    by one Cyrus-Beck pass over the polygon's `_edge_terms`.  Ray j runs
+    along n_j turned -90 degrees, so its point at parameter t lies inside
+    edge (s, e) while t * (w . n_j) <= cross(w, (x, y) - s) with w = e - s;
+    only the cross product depends on the apex.  The three rays are
+    unrolled, and min/max spelled out, because this is the Newton step's
+    inner loop."""
+    lo0 = lo1 = lo2 = 0.0
+    hi0 = hi1 = hi2 = math.inf
+    for sx, sy, wx, wy, k0, k1, k2 in edges:
         c = wx * (y - sy) - wy * (x - sx)
-        k = wx * n0x + wy * n0y
-        if k > 0.0:
-            t = c / k
+        if k0 > 0.0:
+            t = c / k0
             if t < hi0:
                 hi0 = t
-        elif k < 0.0:
-            t = c / k
+        elif k0 < 0.0:
+            t = c / k0
             if t > lo0:
                 lo0 = t
         elif c < 0.0:
             hi0 = -math.inf
-        k = wx * n1x + wy * n1y
-        if k > 0.0:
-            t = c / k
+        if k1 > 0.0:
+            t = c / k1
             if t < hi1:
                 hi1 = t
-        elif k < 0.0:
-            t = c / k
+        elif k1 < 0.0:
+            t = c / k1
             if t > lo1:
                 lo1 = t
         elif c < 0.0:
             hi1 = -math.inf
-        k = wx * n2x + wy * n2y
-        if k > 0.0:
-            t = c / k
+        if k2 > 0.0:
+            t = c / k2
             if t < hi2:
                 hi2 = t
-        elif k < 0.0:
-            t = c / k
+        elif k2 < 0.0:
+            t = c / k2
             if t > lo2:
                 lo2 = t
         elif c < 0.0:
             hi2 = -math.inf
-        sx, sy = ex, ey
     return (max(0.0, hi0 - lo0), max(0.0, hi1 - lo1), max(0.0, hi2 - lo2))
 
 
-def _sector_jacobian(pts, normals, x: float, y: float) -> tuple[float, float, float, float]:
+def _sector_jacobian(edges, normals, x: float, y: float) -> tuple[float, float, float, float]:
     """Exact gradients of the areas of sectors 0 and 1 with respect to the
-    apex, as (dA0/dx, dA0/dy, dA1/dx, dA1/dy).  Moving the apex slides each
-    ray sideways, so by the Leibniz rule grad A_j = l_{j+1} n_{j+1} - l_j n_j
-    with n_j the ray normal and l_j the ray's chord length.  The
-    determinant is l0 l1 sin g0 + l1 l2 sin g1 + l2 l0 sin g2 >= 0 for fan
-    gaps g_i, positive exactly when at least two rays cross the polygon."""
-    l0, l1, l2 = _chords(pts, normals, x, y)
+    apex, as (dA0/dx, dA0/dy, dA1/dx, dA1/dy), from the polygon's
+    `_edge_terms` for the fan of ray normals `normals`.  Moving the apex
+    slides each ray sideways, so by the Leibniz rule
+    grad A_j = l_{j+1} n_{j+1} - l_j n_j with n_j the ray normal and l_j
+    the ray's chord length.  The determinant is
+    l0 l1 sin g0 + l1 l2 sin g1 + l2 l0 sin g2 >= 0 for fan gaps g_i,
+    positive exactly when at least two rays cross the polygon."""
+    l0, l1, l2 = _chords(edges, x, y)
     (n0x, n0y), (n1x, n1y), (n2x, n2y) = normals
     return (
         l1 * n1x - l0 * n0x,
@@ -281,6 +292,12 @@ def _sum_lr(values) -> float:
     return total
 
 
+def _bbox_diagonal(pts) -> float:
+    """Diagonal of the bounding box of a non-empty point sequence."""
+    xs, ys = zip(*pts)
+    return math.hypot(max(xs) - min(xs), max(ys) - min(ys))
+
+
 def _dedupe_ring(pts, tol: float):
     """Drop consecutive vertices (cyclically) closer than tol."""
     out = []
@@ -364,7 +381,9 @@ class ConvexPolygon(_Value):
     vertices, a reflex turn and an area of at most DEGENERACY_REL times
     the squared diameter raise GeometryError; `empty()` is the one empty
     polygon.  `coords` holds the vertices as (x, y) tuples; `vertices`
-    gives them as Points.
+    gives them as Points.  Construction stores the `area` and `diameter`
+    its checks compute; a clipped region (`_ring`) computes them when
+    first read.
     """
 
     _fields = ("coords",)
@@ -389,8 +408,8 @@ class ConvexPolygon(_Value):
         x0, y0 = pts[0]
         if _signed_area([(x - x0, y - y0) for x, y in pts]) < 0.0:
             pts.reverse()
-        object.__setattr__(self, "coords", tuple(pts))
-        diam = self.diameter
+        coords = tuple(pts)
+        diam = _bbox_diagonal(coords)
         # a turn is reflex past the rounding of its cross product, about
         # diam * ulp(scale), plus a margin relative to the polygon's own size
         cross_tol = -(1e-9 * diam + 8.0 * math.ulp(scale)) * diam
@@ -402,10 +421,11 @@ class ConvexPolygon(_Value):
             cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
             if cross < cross_tol:
                 raise GeometryError(f"polygon is not convex (cross product {cross:.3e} at vertex {i})")
-        area = self.area
+        area = abs(_signed_area(coords))
         _check_range(area, diam * diam)
         if area <= DEGENERACY_REL * diam * diam:
             raise GeometryError("polygon vertices are collinear")
+        self.__dict__.update(coords=coords, area=area, diameter=diam)
 
     @classmethod
     def _ring(cls, pts) -> "ConvexPolygon":
@@ -439,8 +459,7 @@ class ConvexPolygon(_Value):
     @cached_property
     def diameter(self) -> float:
         """Diagonal of the bounding box, an upper bound on the diameter."""
-        xs, ys = zip(*self.coords) if self.coords else ((0.0,), (0.0,))
-        return math.hypot(max(xs) - min(xs), max(ys) - min(ys))
+        return _bbox_diagonal(self.coords) if self.coords else 0.0
 
     @cached_property
     def _snap(self) -> float:
@@ -456,7 +475,8 @@ class ConvexPolygon(_Value):
 class Triangle(_Value):
     """Non-degenerate triangle, normalized to CCW vertex order.
     `swapped_bc` is True when the input was clockwise and b and c were
-    swapped."""
+    swapped.  Construction stores the `points`, as (x, y) tuples in that
+    order, and the `diameter`, the longest side, that its checks use."""
 
     _fields = ("a", "b", "c")
 
@@ -468,14 +488,14 @@ class Triangle(_Value):
         pts = ((self.a.x, self.a.y), (self.b.x, self.b.y), (self.c.x, self.c.y))
         signed = _signed_area(pts)
         if signed < 0.0:
-            b, c = self.b, self.c
-            object.__setattr__(self, "b", c)
-            object.__setattr__(self, "c", b)
-            object.__setattr__(self, "swapped_bc", True)
-        diam = self.diameter
+            pts = (pts[0], pts[2], pts[1])
+            self.__dict__.update(b=self.c, c=self.b, swapped_bc=True)
+        p, q, r = pts
+        diam = max(math.dist(p, q), math.dist(q, r), math.dist(r, p))
         _check_range(signed, diam * diam)
         if abs(signed) < DEGENERACY_REL * diam * diam:
             raise GeometryError(f"degenerate triangle: |signed area| = {abs(signed):.3e}")
+        self.__dict__.update(points=pts, diameter=diam)
 
     @classmethod
     def from_coords(cls, coords) -> "Triangle":
@@ -483,17 +503,8 @@ class Triangle(_Value):
         return cls(Point(float(ax), float(ay)), Point(float(bx), float(by)), Point(float(cx), float(cy)))
 
     @cached_property
-    def points(self) -> tuple[Vec, Vec, Vec]:
-        return ((self.a.x, self.a.y), (self.b.x, self.b.y), (self.c.x, self.c.y))
-
-    @cached_property
     def area(self) -> float:
         return _signed_area(self.points)
-
-    @cached_property
-    def diameter(self) -> float:
-        p, q, r = self.points
-        return max(math.dist(p, q), math.dist(q, r), math.dist(r, p))
 
     @cached_property
     def centroid(self) -> Point:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import cached_property
 
 from .geometry import ConvexPolygon, Point, Triangle, Vec, _sector_area, _sum_lr, _Value, outward_normal
 from .partition import SolverConfig, _fan_newton
@@ -34,7 +33,8 @@ class SectorConfig(_Value):
 
     Construction normalizes the directions to unit length and enforces the
     fan invariants: no coincident rays, CCW order, every gap below pi (so
-    each sector is convex)."""
+    each sector is convex).  It also stores `normals`, the directions
+    turned +90 degrees: the fan form the area kernel reads."""
 
     _fields = ("directions",)
 
@@ -54,6 +54,7 @@ class SectorConfig(_Value):
                 dx, dy = dx / h, dy / h
             dirs.append((dx, dy))
         object.__setattr__(self, "directions", tuple(dirs))
+        object.__setattr__(self, "normals", tuple((-dy, dx) for dx, dy in dirs))
         for g in self.gaps():
             if g < GAP_MIN:
                 raise MassPartitionError("two rays coincide")
@@ -72,12 +73,6 @@ class SectorConfig(_Value):
         with the perpendicular wedges: sectors 0, 1, 2 reproduce the regions
         at vertices b, c, a."""
         return cls((outward_normal(tri, "ab"), outward_normal(tri, "bc"), outward_normal(tri, "ca")))
-
-    @cached_property
-    def normals(self) -> tuple[Vec, Vec, Vec]:
-        """The ray directions turned +90 degrees: the fan form the area
-        kernel reads."""
-        return tuple((-dy, dx) for dx, dy in self.directions)
 
     def gaps(self) -> tuple[float, float, float]:
         """CCW angles between consecutive rays; they always sum to 2 pi."""
@@ -123,8 +118,10 @@ def solve_translation(poly, cfg: SectorConfig, targets: Targets, solver_cfg=None
     The polygon stays fixed and the apex moves; `translation` is the
     vector that would instead move the polygon onto a fan anchored at the
     origin, i.e. the negated apex.  Solved with the same damped Newton
-    engine as the triangle problem.  Raises SolverError on failure and
-    MassPartitionError for invalid targets."""
+    engine as the triangle problem.  `achieved` holds the sector areas at
+    the apex, bit for bit those `sector_areas` gives: sectors 0 and 1 are
+    Newton's last evaluation, so only sector 2 is clipped again.  Raises
+    SolverError on failure and MassPartitionError for invalid targets."""
     solver_cfg = solver_cfg or SolverConfig()
     if isinstance(poly, Triangle):
         poly = poly.as_polygon()
@@ -133,9 +130,10 @@ def solve_translation(poly, cfg: SectorConfig, targets: Targets, solver_cfg=None
     _check_targets(vals, total)
     pts = poly.coords
     seed = (_sum_lr(p[0] for p in pts) / len(pts), _sum_lr(p[1] for p in pts) / len(pts))
-    res = _fan_newton(pts, total, poly._snap, cfg.normals, vals, seed, 2.0 * poly.diameter, solver_cfg)
+    normals = cfg.normals
+    res, (a0, a1) = _fan_newton(pts, total, poly._snap, normals, vals, seed, 2.0 * poly.diameter, solver_cfg)
     apex = Point(res.x, res.y)
-    achieved = sector_areas(poly, cfg, apex)
+    achieved = (a0, a1, _sector_area(pts, normals, 2, res.x, res.y, poly._snap))
     residual = max(abs(a - t) for a, t in zip(achieved, vals))
     return TranslationSolution(
         apex=apex,

@@ -44,6 +44,7 @@ from .geometry import (  # the kinds, CLASSIFY_TOL and Classification are public
     _Value,
     _clip,
     _coord_scale,
+    _edge_terms,
     _sector_area,
     _sector_jacobian,
     _signed_area,
@@ -238,25 +239,33 @@ def _fan_newton(pts, total: float, eps: float, normals, targets, seed: Vec, pad:
     CCW polygon `pts` (area `total`, snap band `eps`) into the three
     `targets`; the fan is given by its ray normals, as in
     `tripart.geometry`.  Damped Newton on the areas of sectors 0 and 1
-    with the exact Jacobian, from `seed`, reseeding from a grid over the
-    bounding box grown by `pad` if the iteration stalls.  Returns the
-    RootResult; raises SolverError (with the best iterate in its report)
-    when the residual cannot be driven below cfg.area_tol_rel * total."""
+    from `seed`, with the exact Jacobian (its edge terms, which do not
+    depend on the apex, computed once per solve), reseeding from a grid
+    over the bounding box grown by `pad` if the iteration stalls.
+    Returns the RootResult and the areas of sectors 0 and 1 at its point:
+    on convergence newton2d stops right after evaluating the point it
+    returns, so they are the last ones evaluated.  Raises SolverError
+    (with the best iterate in its report) when the residual cannot be
+    driven below cfg.area_tol_rel * total."""
     t1, t2, t3 = targets
+    last = None
 
     def fun(x: float, y: float):
+        nonlocal last
         a1 = _sector_area(pts, normals, 0, x, y, eps)
         a2 = _sector_area(pts, normals, 1, x, y, eps)
+        last = a1, a2
         g1 = a1 - t1
         g2 = a2 - t2
         return g1, g2, max(abs(g1), abs(g2), abs(total - a1 - a2 - t3))
 
+    edges = _edge_terms(pts, normals)
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
     res = newton2d(
         fun,
         seed,
-        jac=lambda x, y: _sector_jacobian(pts, normals, x, y),
+        jac=lambda x, y: _sector_jacobian(edges, normals, x, y),
         tol=cfg.area_tol_rel * total,
         max_iters=cfg.max_iters,
         restart_box=(min(xs) - pad, max(xs) + pad, min(ys) - pad, max(ys) + pad),
@@ -266,7 +275,7 @@ def _fan_newton(pts, total: float, eps: float, normals, targets, seed: Vec, pad:
             "newton", res.iterations, res.residual, (res.x, res.y), res.residual_history,
             "newton iteration did not reach the area tolerance",
         )
-    return res
+    return res, last
 
 
 def _solution(tri: Triangle, point: Point, method: str) -> PartitionSolution:
@@ -292,7 +301,7 @@ def solve_newton(tri: Triangle, cfg: SolverConfig | None = None, seed: Point | N
     start = seed.as_tuple() if seed is not None else tri._centroid
     s = tri.area / 3.0
     cfg = cfg or SolverConfig()
-    res = _fan_newton(tri.points, tri.area, tri._snap, tri._normals, (s, s, s), start, tri.diameter, cfg)
+    res, _ = _fan_newton(tri.points, tri.area, tri._snap, tri._normals, (s, s, s), start, tri.diameter, cfg)
     return _solution(tri, Point(res.x, res.y), "newton")
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from collections import namedtuple
+from itertools import chain
 
 from .geometry import VERTEX_IDS, Classification, ConvexPolygon, GeometryError, Triangle, Vec, _Value
 from .geometry import _classify_angles, _triangle_angles  # the sweep's kernel
@@ -24,7 +25,7 @@ DEFAULT_RAYS_DEG = (90.0, 210.0, 330.0)
 DEFAULT_SWEEP_RESOLUTION = 100
 MAX_SWEEP_RESOLUTION = 1000  # a sweep of resolution n has about n^2 / 2 rows: 498,501 at the cap
 _SOLVER_KEYS = SolverConfig._fields
-_ALLOWED_KEYS = {
+_MODE_FIELDS = {  # the fields each mode uses
     "triangle": {"mode", "triangle", "solver"},
     "mass-partition": {"mode", "polygon", "rays", "targets", "fractions", "solver"},
     "sweep": {"mode", "resolution"},
@@ -41,16 +42,26 @@ class InputError(ValueError):
         self.code = code
 
 
+def _check_fields(mode: str, keys) -> None:
+    """The per-mode field rule: InputError for the first of `keys` that
+    `mode` does not use, a key that names no field included."""
+    for key in keys:
+        if key not in _MODE_FIELDS[mode]:
+            raise InputError("invalid-value", f"field '{key}' is not allowed in {mode} mode")
+
+
 class ProblemSpec(_Value):
     """One runnable job.  Construction validates every value, raising
-    InputError with a stable code: a triangle job requires `triangle`, a
-    fan job `polygon` (missing-field otherwise); a fan job's `rays`
-    default to DEFAULT_RAYS_DEG and a sweep's `resolution` to
-    DEFAULT_SWEEP_RESOLUTION; `solver` is kept sorted by option name, the
-    order `parse_spec` gives it.  It keeps what it builds: `shape` (the
-    Triangle or ConvexPolygon), `config` (the SolverConfig) and, for a fan
-    job, `fan`; each is None where the mode has none.  Every later step
-    reads these; they take no part in equality."""
+    InputError with a stable code: a field the mode does not use is left
+    unset, None or an empty `solver` (invalid-value otherwise); a triangle
+    job requires `triangle`, a fan job `polygon` (missing-field
+    otherwise); a fan job's `rays` default to DEFAULT_RAYS_DEG and a
+    sweep's `resolution` to DEFAULT_SWEEP_RESOLUTION; `solver` is kept
+    sorted by option name, the order `parse_spec` gives it.  It keeps what
+    it builds: `shape` (the Triangle or ConvexPolygon), `config` (the
+    SolverConfig) and, for a fan job, `fan`; each is None where the mode
+    has none.  Every later step reads these; they take no part in
+    equality."""
 
     _fields = ("mode", "triangle", "polygon", "rays", "targets", "fractions", "resolution", "solver")
 
@@ -72,14 +83,16 @@ class ProblemSpec(_Value):
         self.__post_init__()
 
     def __post_init__(self):
+        if self.mode not in _MODE_FIELDS:
+            raise InputError("invalid-value", f"unknown mode {self.mode!r}")
+        used = _MODE_FIELDS[self.mode]
+        _check_fields(self.mode, [k for k in self._fields if k not in used and getattr(self, k) not in (None, ())])
         if self.mode == "sweep":
             if self.resolution is None:
                 object.__setattr__(self, "resolution", DEFAULT_SWEEP_RESOLUTION)
             elif not 2 <= self.resolution <= MAX_SWEEP_RESOLUTION:
                 raise InputError("invalid-value", f"'resolution' must be from 2 to {MAX_SWEEP_RESOLUTION}")
             return
-        if self.mode not in _SHAPES:
-            raise InputError("invalid-value", f"unknown mode {self.mode!r}")
         field, build = _SHAPES[self.mode]
         if getattr(self, field) is None:
             raise InputError("missing-field", f"{self.mode} mode requires field '{field}'")
@@ -140,28 +153,37 @@ class Report(
 # ---------------------------------------------------------------------------
 
 
+_FLOAT = "%.17g"  # a float's canonical format: 17 significant digits, an exact float64 round trip
+_PAIR = f"[{_FLOAT},{_FLOAT}]"
+_TRIPLE = f"[{_FLOAT},{_FLOAT},{_FLOAT}]"
+
+
 def _fmt_num(v) -> str:
     """A number's canonical bytes: an int as written, a float with 17
     significant digits (exact float64 round-trip) and both zeros as 0."""
     if isinstance(v, int):
         return str(v)
-    if v == 0.0:
-        return "0"
     if math.isfinite(v):
-        return f"{v:.17g}"
+        return _FLOAT % (v + 0.0)  # -0.0 + 0.0 is 0.0
     raise ValueError(f"cannot serialize non-finite number {v!r}")
 
 
-def _vec(p) -> str:
-    return f"[{_fmt_num(p[0])},{_fmt_num(p[1])}]"
+def _fill(template: str, values: list) -> str:
+    """`template` with its _FLOAT slots, in order, holding the
+    canonical bytes of `values`, the same bytes `_fmt_num` gives each one.
+    When every value is a float and their sum is finite, which a sum of
+    floats is only when every term is, one `%` call writes them all, each
+    as v + 0.0, which turns -0.0 into 0.0.  Otherwise each value goes
+    through `_fmt_num`, which writes an int as written and raises
+    ValueError on a non-finite number."""
+    if set(map(type, values)) == {float} and math.isfinite(sum(values)):
+        return template % tuple([v + 0.0 for v in values])
+    return template.replace(_FLOAT, "%s") % tuple(map(_fmt_num, values))
 
 
-def _nums(values) -> str:
-    return "[" + ",".join(map(_fmt_num, values)) + "]"
-
-
-def _vecs(points) -> str:
-    return "[" + ",".join(map(_vec, points)) + "]"
+def _points_template(n: int) -> str:
+    """The template of a list of n points."""
+    return "[" + ",".join([_PAIR] * n) + "]"
 
 
 def canonical_json(value) -> str:
@@ -274,9 +296,9 @@ def parse_spec(text: str) -> ProblemSpec:
     mode = data["mode"]
     if mode not in MODES:
         raise InputError("invalid-value", f"mode must be one of {', '.join(MODES)}, got {mode!r}")
-    for key in sorted(data):
-        if key not in _ALLOWED_KEYS[mode]:
-            raise InputError("invalid-value", f"field '{key}' is not allowed in {mode} mode")
+    # the spec's rule on the keys as given: a JSON null reads as unset, and
+    # a key that names no field never reaches the spec
+    _check_fields(mode, sorted(data))
     # in field order; a key the JSON lacks is left to the spec
     fields = {key: _READERS[key](data[key], key) for key in ProblemSpec._fields[1:] if key in data}
     return ProblemSpec(mode=mode, **fields)
@@ -285,19 +307,30 @@ def parse_spec(text: str) -> ProblemSpec:
 def serialize_spec(spec: ProblemSpec) -> str:
     """Canonical JSON for a spec, its set fields in declaration order;
     parse_spec(serialize_spec(s)) == s."""
+    return _fill(*_spec_template(spec))
+
+
+def _spec_template(spec: ProblemSpec) -> tuple[str, list]:
+    """`serialize_spec` as a template for `_fill` and its values."""
     out = f'{{"mode":"{spec.mode}"'
-    if spec.triangle is not None:
-        out += f',"triangle":{_vecs(spec.triangle)}'
-    if spec.polygon is not None:
-        out += f',"polygon":{_vecs(spec.polygon)}'
+    values = []
+    for key in ("triangle", "polygon"):
+        pts = getattr(spec, key)
+        if pts is not None:
+            out += f',"{key}":{_points_template(len(pts))}'
+            values.extend(chain.from_iterable(pts))
     for key in ("rays", "targets", "fractions"):
-        if getattr(spec, key) is not None:
-            out += f',"{key}":{_nums(getattr(spec, key))}'
+        nums = getattr(spec, key)
+        if nums is not None:
+            out += f',"{key}":[{",".join([_FLOAT] * len(nums))}]'
+            values.extend(nums)
     if spec.resolution is not None:
-        out += f',"resolution":{_fmt_num(spec.resolution)}'
+        out += f',"resolution":{_FLOAT}'
+        values.append(spec.resolution)
     if spec.solver:
-        out += ',"solver":{' + ",".join(f'"{k}":{_fmt_num(v)}' for k, v in spec.solver) + "}"
-    return out + "}"
+        out += ',"solver":{' + ",".join(f'"{k}":{_FLOAT}' for k, _ in spec.solver) + "}"
+        values.extend(v for _, v in spec.solver)
+    return out + "}", values
 
 
 # ---------------------------------------------------------------------------
@@ -420,30 +453,41 @@ def run(spec: ProblemSpec, tol: float | None = None) -> Report:
 
 def report_json(report: Report) -> str:
     """Canonical JSON for a solve report (triangle or mass-partition),
-    written field by field; `canonical_json` of the same payload gives
-    the same bytes.  The strings (kind, method, vertex id) are package
-    constants that need no escaping."""
+    written from one template, spec echo included, in one `_fill`;
+    `canonical_json` of the same payload gives the same bytes.  The
+    strings (kind, method, vertex id) are package constants that need no
+    escaping."""
+    spec, values = _spec_template(report.spec)
     if report.mode == "triangle":
         cls = report.classification
         vertex = "null" if cls.obtuse_vertex is None else f'"{cls.obtuse_vertex}"'
-        margin = "null" if cls.criterion_margin is None else _fmt_num(cls.criterion_margin)
-        at_a, at_b, at_c = map(_fmt_num, report.areas)
-        ra, rb, rc = map(_vecs, report.regions)
-        return (
-            f'{{"mode":"triangle","input":{serialize_spec(report.spec)},'
+        margin = "null"
+        if cls.criterion_margin is not None:
+            margin = _FLOAT
+            values.append(cls.criterion_margin)
+        values += (*report.point, *report.areas, *report.fractions, report.total_area, report.residual)
+        ra, rb, rc = [_points_template(len(r)) for r in report.regions]
+        for ring in report.regions:
+            values.extend(chain.from_iterable(ring))
+        return _fill(
+            f'{{"mode":"triangle","input":{spec},'
             f'"classification":{{"kind":"{cls.kind}","obtuse_vertex":{vertex},"criterion_margin":{margin}}},'
-            f'"method":"{report.method}","point":{_vec(report.point)},'
-            f'"areas":{{"at_a":{at_a},"at_b":{at_b},"at_c":{at_c},"fractions":{_nums(report.fractions)},'
-            f'"total":{_fmt_num(report.total_area)}}},"residual":{_fmt_num(report.residual)},'
-            f'"regions":{{"at_a":{ra},"at_b":{rb},"at_c":{rc}}}}}'
+            f'"method":"{report.method}","point":{_PAIR},'
+            f'"areas":{{"at_a":{_FLOAT},"at_b":{_FLOAT},"at_c":{_FLOAT},"fractions":{_TRIPLE},'
+            f'"total":{_FLOAT}}},"residual":{_FLOAT},'
+            f'"regions":{{"at_a":{ra},"at_b":{rb},"at_c":{rc}}}}}',
+            values,
         )
     if report.mode == "mass-partition":
-        return (
-            f'{{"mode":"mass-partition","input":{serialize_spec(report.spec)},"method":"{report.method}",'
-            f'"apex":{_vec(report.apex)},"translation":{_vec(report.translation)},'
-            f'"areas":{{"achieved":{_nums(report.achieved)},"targets":{_nums(report.targets)},'
-            f'"total":{_fmt_num(report.total_area)}}},"residual":{_fmt_num(report.residual)},'
-            f'"iterations":{_fmt_num(report.iterations)}}}'
+        values += (*report.apex, *report.translation, *report.achieved, *report.targets)
+        values += (report.total_area, report.residual)
+        return _fill(
+            f'{{"mode":"mass-partition","input":{spec},"method":"{report.method}",'
+            f'"apex":{_PAIR},"translation":{_PAIR},'
+            f'"areas":{{"achieved":{_TRIPLE},"targets":{_TRIPLE},'
+            f'"total":{_FLOAT}}},"residual":{_FLOAT},'
+            f'"iterations":{_fmt_num(report.iterations)}}}',  # an int, written into the template
+            values,
         )
     raise ValueError(f"no JSON rendering for mode {report.mode!r}")
 

@@ -1,7 +1,9 @@
 """SVG rendering of a solved triangle partition.
 
 World coordinates are y-up; the emitter flips to SVG's y-down frame and
-records the mapping in a header comment.  Output is a pure function of
+records the mapping in a header comment.  The document is one template
+filled by one `%` call: each coordinate, size and line width is a `%.4f`
+field and each area label a `%.6g` field.  Output is a pure function of
 the report, so equal reports give byte-identical documents.
 """
 
@@ -20,15 +22,7 @@ FONT = "Helvetica, Arial, sans-serif"
 PAD_PX = 30.0
 MARKER_PX = 7.0
 MIN_SEGMENT_REL = 1e-9  # skip perpendiculars shorter than this x diameter
-LINE = '<line x1="%.4f" y1="%.4f" x2="%.4f" y2="%.4f" stroke="%s" stroke-width="%.4f"%s/>'
 DASH = ' stroke-dasharray="6 4"'
-
-
-def _tag(template: str, *values) -> str:
-    """`template % values` in one call.  Its numbers are all `%.4f` fields,
-    so "-0.0000" can only be a value that rounds to zero from below; it is
-    written 0.0000."""
-    return (template % values).replace("-0.0000", "0.0000")
 
 
 def emit_svg(report: Report, width: int = 640) -> str:
@@ -65,20 +59,30 @@ def emit_svg(report: Report, width: int = 640) -> str:
     def screen(p) -> tuple[float, float]:
         return (p[0] - min_x) * scale + PAD_PX, (max_y - p[1]) * scale + PAD_PX
 
+    # the document's template lines, and the values of their fields in
+    # order; each helper below appends the values of the template it returns
+    vals = [min_x, scale, PAD_PX, max_y, scale, PAD_PX, w, h, w, h, w, h]
+
     def points(coords) -> str:
-        return _tag(" ".join(["%.4f,%.4f"] * len(coords)), *[v for p in coords for v in screen(p)])
+        for p in coords:
+            vals.extend(screen(p))
+        return " ".join(["%.4f,%.4f"] * len(coords))
+
+    def line(start, end, stroke: str, width: float, dash: str) -> str:
+        vals.extend((*start, *end, width))
+        return f'<line x1="%.4f" y1="%.4f" x2="%.4f" y2="%.4f" stroke="{stroke}" stroke-width="%.4f"{dash}/>'
 
     def text(sx: float, sy: float, label: str, size: int = 13) -> str:
-        head = _tag('<text x="%.4f" y="%.4f" font-family="%s" font-size="%d" text-anchor="middle">', sx, sy, FONT, size)
-        return f"{head}{label}</text>"
+        vals.extend((sx, sy))
+        return f'<text x="%.4f" y="%.4f" font-family="{FONT}" font-size="{size}" text-anchor="middle">{label}</text>'
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         "<!-- Coordinate convention: problem data is y-up; screen position is",
-        _tag("     X = (x - %.4f) * %.4f + %.4f,", min_x, scale, PAD_PX),
-        _tag("     Y = (%.4f - y) * %.4f + %.4f (y-down). -->", max_y, scale, PAD_PX),
-        _tag('<svg xmlns="http://www.w3.org/2000/svg" width="%.4f" height="%.4f" viewBox="0 0 %.4f %.4f">', w, h, w, h),
-        _tag('<rect width="%.4f" height="%.4f" fill="#ffffff"/>', w, h),
+        "     X = (x - %.4f) * %.4f + %.4f,",
+        "     Y = (%.4f - y) * %.4f + %.4f (y-down). -->",
+        '<svg xmlns="http://www.w3.org/2000/svg" width="%.4f" height="%.4f" viewBox="0 0 %.4f %.4f">',
+        '<rect width="%.4f" height="%.4f" fill="#ffffff"/>',
     ]
 
     for coords, fill in zip(report.regions, REGION_FILLS):
@@ -88,7 +92,7 @@ def emit_svg(report: Report, width: int = 640) -> str:
     parts.append(f'<polygon points="{points(pts)}" fill="none" stroke="{OUTLINE}" stroke-width="1.5"/>')
 
     for p, q in cuts:
-        parts.append(_tag(LINE, *screen(p), *screen(q), CUT, 1.2, ""))
+        parts.append(line(screen(p), screen(q), CUT, 1.2, ""))
 
     sx0, sy0 = screen(report.point)
     m = MARKER_PX / scale
@@ -96,13 +100,14 @@ def emit_svg(report: Report, width: int = 640) -> str:
         gap = math.hypot(x0 - fx, y0 - fy)
         if gap < MIN_SEGMENT_REL * diam:
             continue
-        parts.append(_tag(LINE, sx0, sy0, *screen((fx, fy)), GUIDE, 1.0, DASH if exterior else ""))
+        parts.append(line((sx0, sy0), screen((fx, fy)), GUIDE, 1.0, DASH if exterior else ""))
         # right-angle glyph at the foot: along the side, toward X0
         tx, ty = (x0 - fx) / gap, (y0 - fy) / gap
         glyph = ((fx + m * ax, fy + m * ay), (fx + m * (ax + tx), fy + m * (ay + ty)), (fx + m * tx, fy + m * ty))
         parts.append(f'<polyline points="{points(glyph)}" fill="none" stroke="{GUIDE}" stroke-width="1"/>')
 
-    parts.append(_tag('<circle cx="%.4f" cy="%.4f" r="3" fill="#000000"/>', sx0, sy0))
+    vals += (sx0, sy0)
+    parts.append('<circle cx="%.4f" cy="%.4f" r="3" fill="#000000"/>')
 
     cx, cy = tri._centroid
     # label in the order the vertices were given, not the normalized order
@@ -118,7 +123,10 @@ def emit_svg(report: Report, width: int = 640) -> str:
             continue
         gx = _sum_lr(p[0] for p in coords) / len(coords)
         gy = _sum_lr(p[1] for p in coords) / len(coords)
-        parts.append(text(*screen((gx, gy)), format(area, ".6g"), size=11))
+        parts.append(text(*screen((gx, gy)), "%.6g", size=11))
+        vals.append(area)
 
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append("</svg>\n")
+    # every "-0.0000" is a %.4f field of a value that rounds to zero from
+    # below (no %.6g label can hold one); it is written 0.0000
+    return ("\n".join(parts) % tuple(vals)).replace("-0.0000", "0.0000")

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import oracles as oc
-from tripart.geometry import ConvexPolygon, Point, Triangle, _sector_jacobian
+import tripart.partition
+from test_problem import _writer_specs
+from tripart.geometry import ConvexPolygon, Point, Triangle, _edge_terms, _sector_jacobian
 from tripart.masspart import (
     MassPartitionError,
     SectorConfig,
@@ -15,6 +17,8 @@ from tripart.masspart import (
     sector_areas,
     solve_translation,
 )
+from tripart.partition import SolverError
+from tripart.problem import parse_spec
 
 SQUARE = ConvexPolygon.from_coords(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
 RIGHT_ISO = Triangle.from_coords(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
@@ -164,7 +168,7 @@ def test_exact_jacobian_matches_central_differences():
             out = np.array([edge[1], -edge[0]]) / np.hypot(*edge)
             apex = pts[i] + rng.uniform() * edge + 10.0 ** rng.uniform(-4.0, -1.0) * diam * out
         x, y = apex
-        jac = _sector_jacobian(poly.coords, cfg.normals, x, y)
+        jac = _sector_jacobian(_edge_terms(poly.coords, cfg.normals), cfg.normals, x, y)
         det = jac[0] * jac[3] - jac[1] * jac[2]
         if k % 2 == 0:
             assert det > 0.0
@@ -199,3 +203,109 @@ def test_hard_instance_fan_set_converges():
         cfg = SectorConfig.from_angles_deg(oc.rand_fan_angles_deg(rng))
         sol = solve_translation(poly, cfg, Targets.fractions(fracs, poly.area))
         assert sol.residual <= 1e-10 * poly.area
+
+
+def ref_sector_jacobian(pts, normals, x, y):
+    """The exact Jacobian with every edge term computed at each apex: the
+    per-call formula that the cached edge terms must reproduce bit for bit."""
+    lo = [0.0, 0.0, 0.0]
+    hi = [math.inf, math.inf, math.inf]
+    sx, sy = pts[-1]
+    for ex, ey in pts:
+        wx, wy = ex - sx, ey - sy
+        c = wx * (y - sy) - wy * (x - sx)
+        for j, (nx, ny) in enumerate(normals):
+            k = wx * nx + wy * ny
+            if k > 0.0:
+                hi[j] = min(hi[j], c / k)
+            elif k < 0.0:
+                lo[j] = max(lo[j], c / k)
+            elif c < 0.0:
+                hi[j] = -math.inf
+        sx, sy = ex, ey
+    l0, l1, l2 = (max(0.0, h - l) for l, h in zip(lo, hi))
+    (n0x, n0y), (n1x, n1y), (n2x, n2y) = normals
+    return (l1 * n1x - l0 * n0x, l1 * n1y - l0 * n0y, l2 * n2x - l1 * n1x, l2 * n2y - l1 * n1y)
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+def test_jacobian_from_cached_edge_terms_is_the_per_call_formula():
+    # apexes inside, just outside an edge, far away and on a vertex; the
+    # axis-aligned fan over the square (rays 0 and 1) and the right
+    # triangle's own fan (rays 0 and 2) have edges parallel to a ray
+    rng = np.random.default_rng(1301)
+    cases = [(SQUARE.coords, SectorConfig(((1.0, 0.0), (0.0, 1.0), (-1.0, -1.0))).normals),
+             (RIGHT_ISO.points, RIGHT_ISO._normals)]
+    for _ in range(300):
+        poly = ConvexPolygon.from_coords(oc.rand_convex_polygon(rng))
+        cases.append((poly.coords, SectorConfig.from_angles_deg(oc.rand_fan_angles_deg(rng)).normals))
+    for pts, normals in cases:
+        arr = np.asarray(pts)
+        diam = float(np.hypot(*np.ptp(arr, axis=0)))
+        i = int(rng.integers(len(pts)))
+        edge = arr[(i + 1) % len(pts)] - arr[i]
+        outward = np.array([edge[1], -edge[0]]) / np.hypot(*edge)
+        edges = _edge_terms(pts, normals)
+        for apex in (
+            rng.dirichlet(np.ones(len(pts))) @ arr,
+            arr[i] + rng.uniform() * edge + 1e-3 * diam * outward,
+            arr.mean(axis=0) + rng.uniform(-3.0, 3.0, 2) * diam,
+            arr[i],
+        ):
+            x, y = float(apex[0]), float(apex[1])
+            assert bits(_sector_jacobian(edges, normals, x, y)) == bits(ref_sector_jacobian(pts, normals, x, y))
+
+
+def _fan_solves():
+    """(polygon, fan, targets) of the fans of the writer specs in
+    test_problem and of the acceptance criterion 9 set, both of its parts."""
+    for text in _writer_specs():
+        spec = parse_spec(text)
+        if spec.mode == "mass-partition":
+            poly = spec.shape
+            targets = Targets(spec.targets) if spec.targets else Targets.fractions(spec.fractions, poly.area)
+            yield poly, spec.fan, targets
+    rng = np.random.default_rng(20240617)
+    for _ in range(500):
+        poly = ConvexPolygon.from_coords(oc.rand_convex_polygon(rng))
+        cfg = SectorConfig.from_angles_deg(oc.rand_fan_angles_deg(rng))
+        yield poly, cfg, Targets.fractions(tuple(oc.rand_fractions(rng)), poly.area)
+    for _ in range(20):
+        pts = np.asarray(oc.rand_convex_polygon(rng))
+        pts = pts / np.hypot(*np.ptp(pts, axis=0))
+        poly = ConvexPolygon.from_coords([tuple(p) for p in pts])
+        cfg = SectorConfig.from_angles_deg(oc.rand_fan_angles_deg(rng))
+        yield poly, cfg, Targets.fractions(tuple(oc.rand_fractions(rng)), poly.area)
+
+
+def _solve(poly, cfg, targets):
+    try:
+        return solve_translation(poly, cfg, targets)
+    except SolverError as exc:
+        return repr(exc.report)
+
+
+def test_solve_reuses_newtons_areas_and_keeps_its_path(monkeypatch):
+    """`achieved` is what `sector_areas` gives at the apex, bit for bit,
+    and a solve with the per-call Jacobian formula takes the same path:
+    the same apex, iterations and achieved areas, or the same failure."""
+    cases = list(_fan_solves())
+    assert len(cases) == 527
+    solved = [_solve(*case) for case in cases]
+    monkeypatch.setattr(tripart.partition, "_edge_terms", lambda pts, normals: pts)
+    monkeypatch.setattr(tripart.partition, "_sector_jacobian", ref_sector_jacobian)
+    converged = 0
+    for (poly, cfg, targets), sol in zip(cases, solved):
+        ref = _solve(poly, cfg, targets)
+        if isinstance(sol, str):
+            assert ref == sol
+            continue
+        converged += 1
+        assert bits(sol.achieved) == bits(sector_areas(poly, cfg, sol.apex))
+        assert bits(sol.apex.as_tuple()) == bits(ref.apex.as_tuple())
+        assert sol.iterations == ref.iterations
+        assert bits(sol.achieved) == bits(ref.achieved)
+    assert converged >= 520

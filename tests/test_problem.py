@@ -16,9 +16,12 @@ from tripart.problem import (
     DEFAULT_RAYS_DEG,
     DEFAULT_SWEEP_RESOLUTION,
     MAX_SWEEP_RESOLUTION,
+    MODES,
     InputError,
     ProblemSpec,
     SweepRow,
+    _fill,
+    _FLOAT,
     _fmt_num,
     _sweep_lines,
     canonical_json,
@@ -97,6 +100,51 @@ DIRECT_SPECS = {
 def test_directly_built_spec_round_trips(name):
     spec = DIRECT_SPECS[name]()
     assert parse_spec(serialize_spec(spec)) == spec
+
+
+# what each mode uses and a value for every field, ints where a spec built
+# in code may hold them
+USED_FIELDS = {
+    "triangle": {"triangle", "solver"},
+    "mass-partition": {"polygon", "rays", "targets", "fractions", "solver"},
+    "sweep": {"resolution"},
+}
+FIELD_VALUES = {
+    "triangle": ((0, 0), (1, 0), (0, 1)),
+    "polygon": SQUARE,
+    "rays": (80.0, 200.0, 320.0),
+    "targets": (0.25, 0.35, 0.4),
+    "fractions": (0.25, 0.35, 0.4),
+    "resolution": 5,
+    "solver": (("max_iters", 40),),
+}
+BASE_FIELDS = {"triangle": ("triangle",), "mass-partition": ("polygon", "fractions"), "sweep": ()}
+
+
+@pytest.mark.parametrize("field", ProblemSpec._fields[1:])
+@pytest.mark.parametrize("mode", MODES)
+def test_every_spec_built_in_code_round_trips(mode, field):
+    """A spec with the mode's required fields and one more either round-trips
+    through serialize_spec or, for a field the mode does not use, raises
+    the error parse_spec gives for that field in the JSON: for example
+    ProblemSpec(mode="triangle", triangle=((0, 0), (1, 0), (0, 1)),
+    resolution=5) raises invalid-value "field 'resolution' is not allowed
+    in triangle mode"."""
+    names = [k for k in BASE_FIELDS[mode] if not (field == "targets" and k == "fractions")]
+    fields = {k: FIELD_VALUES[k] for k in names + [field]}
+    if field in USED_FIELDS[mode]:
+        spec = ProblemSpec(mode=mode, **fields)
+        assert parse_spec(serialize_spec(spec)) == spec
+        return
+    with pytest.raises(InputError) as err:
+        ProblemSpec(mode=mode, **fields)
+    payload = {"mode": mode, **fields}
+    if field == "solver":
+        payload["solver"] = dict(payload["solver"])
+    with pytest.raises(InputError) as parsed:
+        parse_spec(json.dumps(payload))
+    assert (err.value.code, str(err.value)) == (parsed.value.code, str(parsed.value))
+    assert str(err.value) == f"field '{field}' is not allowed in {mode} mode"
 
 
 def test_spec_fills_its_defaults():
@@ -550,3 +598,42 @@ def test_report_json_rejects_non_finite_fields(field):
     value = (report.point[0], bad) if field == "point" else bad
     with pytest.raises(ValueError):
         report_json(report._replace(**{field: value}))
+
+
+# the edges of the float range and the values whose 17 digits are easy to get wrong
+WRITER_FLOATS = (
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+    0.1, -0.1, 1 / 3, 1e16, 1e17,
+)
+
+
+def test_one_call_writer_gives_the_bytes_of_fmt_num():
+    for v in WRITER_FLOATS:
+        assert _fill(_FLOAT, [v]) == _fmt_num(v)
+    template = ",".join([_FLOAT] * len(WRITER_FLOATS))
+    assert _fill(template, list(WRITER_FLOATS)) == ",".join(map(_fmt_num, WRITER_FLOATS))
+    # finite values whose sum overflows
+    big = 1.7976931348623157e308
+    assert _fill("%s,%s" % (_FLOAT, _FLOAT), [big, big]) == "1.7976931348623157e+308,1.7976931348623157e+308"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_one_call_writer_raises_the_error_of_fmt_num(bad):
+    with pytest.raises(ValueError) as want:
+        _fmt_num(bad)
+    with pytest.raises(ValueError) as got:
+        _fill("[%s,%s,%s]" % ((_FLOAT,) * 3), [0.5, bad, 1.0])
+    assert str(got.value) == str(want.value)
+
+
+def test_one_call_writer_writes_ints_as_written():
+    assert _fill(_FLOAT, [10**17]) == "100000000000000000" == _fmt_num(10**17)
+    assert _fill("[%s,%s,%s]" % ((_FLOAT,) * 3), [10**17, -0.0, 0.5]) == "[100000000000000000,0,0.5]"
+    tri = ((0, 0), (10**17, 0), (0, 10**17))
+    spec = ProblemSpec(mode="triangle", triangle=tri, solver=(("max_iters", 40),))
+    assert serialize_spec(spec) == (
+        '{"mode":"triangle","triangle":[[0,0],[100000000000000000,0],[0,100000000000000000]],'
+        '"solver":{"max_iters":40}}'
+    )
+    report = run(spec)
+    assert report_json(report) == canonical_json(_documented_payload(report))
