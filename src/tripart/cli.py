@@ -21,13 +21,13 @@ from .problem import (
     InputError,
     ProblemSpec,
     _sweep_lines,
-    _sweep_rows,
     canonical_json,
     input_order,
     parse_spec,
     report_json,
     run,
     sweep_csv,  # not called here: kept for callers that drive jobs through this module's bindings
+    sweep_rows,
 )
 from .svg import emit_svg
 
@@ -69,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--input", required=True, help="path of the JSON problem spec")
     solve.add_argument("--output", help="also write the JSON report to this path")
     solve.add_argument("--svg", help="write an SVG figure of a triangle solution to this path")
-    solve.add_argument("--tol", type=float, help="override the relative area tolerance")
+    solve.add_argument("--tol", type=float, help="set the spec's relative area tolerance (echoed in the report)")
 
     sweep = sub.add_parser("sweep", help="classify a grid of triangle shapes to CSV")
     sweep.add_argument("--resolution", type=int, help=f"angle grid resolution (default {DEFAULT_SWEEP_RESOLUTION})")
@@ -112,8 +112,11 @@ def _cmd_solve(args) -> int:
         raise InputError("invalid-value", "sweep specs run with the 'sweep' command")
     if args.svg and spec.mode != "triangle":
         raise InputError("invalid-value", "--svg applies only to triangle mode")
+    if args.tol is not None:  # into the spec, so the report's echoed input reproduces the run
+        fields = {f: getattr(spec, f) for f in ProblemSpec._fields}
+        spec = ProblemSpec(**fields | {"solver": tuple(dict(spec.solver, area_tol_rel=args.tol).items())})
     start = time.perf_counter()
-    report = run(spec, tol=args.tol)
+    report = run(spec)
     elapsed = time.perf_counter() - start
     text = report_json(report) + "\n"
     sys.stdout.write(text)
@@ -129,7 +132,7 @@ def _cmd_sweep(args) -> int:
     spec = ProblemSpec(mode="sweep", resolution=args.resolution)
     n = spec.resolution
     start = time.perf_counter()
-    _write(args.output, _sweep_lines(_sweep_rows(n)))  # rows stream, none is kept
+    _write(args.output, _sweep_lines(sweep_rows(n)))  # rows stream, none is kept
     sys.stderr.write(f"classified {(n - 1) * (n - 2) // 2} shapes in {time.perf_counter() - start:.3f}s\n")
     return EXIT_OK
 

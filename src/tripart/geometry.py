@@ -325,9 +325,9 @@ def _dedupe_ring(pts, tol: float):
 class _Value:
     """Base of the validated value types.  `_fields` names the constructor
     arguments; equality, hashing and repr read those alone, so what a value
-    derives from them takes no part.  Each `__init__` stores its arguments
-    and calls `__post_init__`, which validates them and may normalize them
-    or derive more attributes; after that, assignment is refused."""
+    derives from them takes no part.  Each `__init__` validates its
+    arguments and stores them, normalized where the type says so, together
+    with what it derives from them; assignment is refused."""
 
     _fields: tuple[str, ...] = ()
 
@@ -359,12 +359,9 @@ class Point(_Value):
     _fields = ("x", "y")
 
     def __init__(self, x: float, y: float):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise GeometryError(f"non-finite point ({x}, {y})")
         self.__dict__.update(x=x, y=y)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise GeometryError(f"non-finite point ({self.x}, {self.y})")
 
     def as_tuple(self) -> Vec:
         return (self.x, self.y)
@@ -382,18 +379,14 @@ class ConvexPolygon(_Value):
     the squared diameter raise GeometryError; `empty()` is the one empty
     polygon.  `coords` holds the vertices as (x, y) tuples; `vertices`
     gives them as Points.  Construction stores the `area` and `diameter`
-    its checks compute; a clipped region (`_ring`) computes them when
-    first read.
+    its checks compute and the clipping band `_snap`; a clipped region
+    (`_ring`) computes them when first read.
     """
 
     _fields = ("coords",)
 
     def __init__(self, coords: tuple[Vec, ...]):
-        self.__dict__.update(coords=coords)
-        self.__post_init__()
-
-    def __post_init__(self):
-        pts = [(float(x), float(y)) for x, y in self.coords]
+        pts = [(float(x), float(y)) for x, y in coords]
         for x, y in pts:
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise GeometryError(f"non-finite point ({x}, {y})")
@@ -425,13 +418,15 @@ class ConvexPolygon(_Value):
         _check_range(area, diam * diam)
         if area <= DEGENERACY_REL * diam * diam:
             raise GeometryError("polygon vertices are collinear")
-        self.__dict__.update(coords=coords, area=area, diameter=diam)
+        if n < given:  # dedupe dropped a vertex, which may have set the scale
+            scale = _coord_scale(coords)
+        self.__dict__.update(coords=coords, area=area, diameter=diam, _snap=CLIP_SNAP_REL * scale)
 
     @classmethod
     def _ring(cls, pts) -> "ConvexPolygon":
         """A polygon from a CCW ring of at least 3 points that the caller
         has deduped and knows to be convex (a clipped region), or from no
-        points, without `__post_init__`'s checks."""
+        points, without the constructor's checks."""
         poly = object.__new__(cls)
         object.__setattr__(poly, "coords", tuple(pts))
         return poly
@@ -476,44 +471,47 @@ class Triangle(_Value):
     """Non-degenerate triangle, normalized to CCW vertex order.
     `swapped_bc` is True when the input was clockwise and b and c were
     swapped.  Construction stores the `points`, as (x, y) tuples in that
-    order, and the `diameter`, the longest side, that its checks use."""
+    order, the `diameter`, the longest side, that its checks use, and the
+    facts every solver reads: the `area`, the `angles`, the
+    classification, the fan's ray normals and the clipping band."""
 
     _fields = ("a", "b", "c")
 
     def __init__(self, a: Point, b: Point, c: Point):
-        self.__dict__.update(a=a, b=b, c=c, swapped_bc=False)
-        self.__post_init__()
-
-    def __post_init__(self):
-        pts = ((self.a.x, self.a.y), (self.b.x, self.b.y), (self.c.x, self.c.y))
+        pts = ((a.x, a.y), (b.x, b.y), (c.x, c.y))
         signed = _signed_area(pts)
-        if signed < 0.0:
+        swapped = signed < 0.0
+        if swapped:
             pts = (pts[0], pts[2], pts[1])
-            self.__dict__.update(b=self.c, c=self.b, swapped_bc=True)
+            b, c = c, b
         p, q, r = pts
         diam = max(math.dist(p, q), math.dist(q, r), math.dist(r, p))
         _check_range(signed, diam * diam)
         if abs(signed) < DEGENERACY_REL * diam * diam:
             raise GeometryError(f"degenerate triangle: |signed area| = {abs(signed):.3e}")
-        self.__dict__.update(points=pts, diameter=diam)
+        angles = _triangle_angles(pts)
+        kind, i, margin = _classify_angles(angles)
+        cls = Classification(kind) if margin is None else Classification(kind, VERTEX_IDS[i], margin)
+        self.__dict__.update(
+            a=a, b=b, c=c, swapped_bc=swapped, points=pts, diameter=diam,
+            area=_signed_area(pts),
+            _centroid=((p[0] + q[0] + r[0]) / 3.0, (p[1] + q[1] + r[1]) / 3.0),
+            angles=angles,
+            _classification=cls,  # where the equal-area point lies
+            # the wedges' fan has the outward side normals for rays, so its ray
+            # normals are the side unit vectors (see SECTOR_VERTEX_ORDER)
+            _normals=(_unit(p, q), _unit(q, r), _unit(r, p)),
+            _snap=CLIP_SNAP_REL * _coord_scale(pts),
+        )
 
     @classmethod
     def from_coords(cls, coords) -> "Triangle":
         (ax, ay), (bx, by), (cx, cy) = coords
         return cls(Point(float(ax), float(ay)), Point(float(bx), float(by)), Point(float(cx), float(cy)))
 
-    @cached_property
-    def area(self) -> float:
-        return _signed_area(self.points)
-
-    @cached_property
+    @property
     def centroid(self) -> Point:
         return Point(*self._centroid)
-
-    @cached_property
-    def _centroid(self) -> Vec:
-        (ax, ay), (bx, by), (cx, cy) = self.points
-        return ((ax + bx + cx) / 3.0, (ay + by + cy) / 3.0)
 
     def vertex(self, v: str) -> Point:
         v = v.lower()
@@ -540,18 +538,6 @@ class Triangle(_Value):
         """Interior angle at vertex v, in (0, pi)."""
         return self.angles[VERTEX_IDS.index(v.lower())]
 
-    @cached_property
-    def angles(self) -> tuple[float, float, float]:
-        return _triangle_angles(self.points)
-
-    @cached_property
-    def _classification(self) -> Classification:
-        """Where the equal-area point lies, read by every triangle solver."""
-        kind, i, margin = _classify_angles(self.angles)
-        if margin is None:
-            return Classification(kind)
-        return Classification(kind, obtuse_vertex=VERTEX_IDS[i], criterion_margin=margin)
-
     def as_polygon(self) -> ConvexPolygon:
         return ConvexPolygon(self.points)
 
@@ -571,18 +557,6 @@ class Triangle(_Value):
 
     def contains(self, p: Point, tol: float = 0.0) -> bool:
         return self.signed_distance(p) >= -tol
-
-    # The perpendicular wedges are the sectors of the fan of outward side
-    # normals; turning an outward normal +90 degrees gives the side's unit
-    # vector, so these are the fan's ray normals (see SECTOR_VERTEX_ORDER).
-    @cached_property
-    def _normals(self) -> tuple[Vec, Vec, Vec]:
-        pts = self.points
-        return (_unit(pts[0], pts[1]), _unit(pts[1], pts[2]), _unit(pts[2], pts[0]))
-
-    @cached_property
-    def _snap(self) -> float:
-        return CLIP_SNAP_REL * _coord_scale(self.points)
 
 
 class RegionAreas(namedtuple("RegionAreas", "at_a at_b at_c")):

@@ -39,12 +39,8 @@ class SectorConfig(_Value):
     _fields = ("directions",)
 
     def __init__(self, directions: tuple[Vec, Vec, Vec]):
-        self.__dict__.update(directions=directions)
-        self.__post_init__()
-
-    def __post_init__(self):
         dirs = []
-        for dx, dy in self.directions:
+        for dx, dy in directions:
             h = math.hypot(dx, dy)
             if h == 0.0 or not math.isfinite(h):
                 raise MassPartitionError(f"ray direction ({dx}, {dy}) is not usable")
@@ -53,8 +49,7 @@ class SectorConfig(_Value):
             if abs(h - 1.0) > 1e-12:
                 dx, dy = dx / h, dy / h
             dirs.append((dx, dy))
-        object.__setattr__(self, "directions", tuple(dirs))
-        object.__setattr__(self, "normals", tuple((-dy, dx) for dx, dy in dirs))
+        self.__dict__.update(directions=tuple(dirs), normals=tuple((-dy, dx) for dx, dy in dirs))
         for g in self.gaps():
             if g < GAP_MIN:
                 raise MassPartitionError("two rays coincide")

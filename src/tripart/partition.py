@@ -87,14 +87,11 @@ class SolverConfig(_Value):
     _fields = ("area_tol_rel", "max_iters")
 
     def __init__(self, area_tol_rel: float = 1e-12, max_iters: int = 100):
-        self.__dict__.update(area_tol_rel=area_tol_rel, max_iters=max_iters)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if not (self.area_tol_rel > 0.0 and math.isfinite(self.area_tol_rel)):
+        if not (area_tol_rel > 0.0 and math.isfinite(area_tol_rel)):
             raise PartitionError("area_tol_rel must be a positive finite number")
-        if int(self.max_iters) != self.max_iters or self.max_iters < 1:
+        if int(max_iters) != max_iters or max_iters < 1:
             raise PartitionError("max_iters must be a positive integer")
+        self.__dict__.update(area_tol_rel=area_tol_rel, max_iters=max_iters)
 
 
 class SolverReport(
@@ -246,8 +243,17 @@ def _fan_newton(pts, total: float, eps: float, normals, targets, seed: Vec, pad:
     on convergence newton2d stops right after evaluating the point it
     returns, so they are the last ones evaluated.  Raises SolverError
     (with the best iterate in its report) when the residual cannot be
-    driven below cfg.area_tol_rel * total."""
-    t1, t2, t3 = targets
+    driven below cfg.area_tol_rel * total.
+
+    It iterates in coordinates scaled by k = 2**-e, e the binary exponent
+    of the largest coordinate, so the Newton step's products neither
+    overflow nor underflow at any scale a shape admits; a power of two
+    scales exactly, so results keep the bits of an unscaled run."""
+    e = math.frexp(_coord_scale(pts))[1]
+    k, k2 = math.ldexp(1.0, -e), math.ldexp(1.0, -2 * e)
+    pts = [(x * k, y * k) for x, y in pts]
+    t1, t2, t3 = [t * k2 for t in targets]
+    total, eps, pad = total * k2, eps * k, pad * k
     last = None
 
     def fun(x: float, y: float):
@@ -264,18 +270,22 @@ def _fan_newton(pts, total: float, eps: float, normals, targets, seed: Vec, pad:
     ys = [p[1] for p in pts]
     res = newton2d(
         fun,
-        seed,
+        (seed[0] * k, seed[1] * k),
         jac=lambda x, y: _sector_jacobian(edges, normals, x, y),
         tol=cfg.area_tol_rel * total,
         max_iters=cfg.max_iters,
         restart_box=(min(xs) - pad, max(xs) + pad, min(ys) - pad, max(ys) + pad),
+    )
+    res = res._replace(
+        x=res.x / k, y=res.y / k, residual=res.residual / k2,
+        residual_history=tuple([r / k2 for r in res.residual_history]),
     )
     if not res.converged:
         raise _failure(
             "newton", res.iterations, res.residual, (res.x, res.y), res.residual_history,
             "newton iteration did not reach the area tolerance",
         )
-    return res, last
+    return res, (last[0] / k2, last[1] / k2)
 
 
 def _solution(tri: Triangle, point: Point, method: str) -> PartitionSolution:
@@ -345,7 +355,6 @@ def solve_maximin(tri: Triangle) -> PartitionSolution:
     fx = f(x, y)
     step = MAXIMIN_STEP_FRACTION * diam
     floor = MAXIMIN_STOP_REL * diam
-    evals = 1
     rounds = 0
     while step >= floor and rounds < 100000:
         rounds += 1
@@ -358,7 +367,6 @@ def solve_maximin(tri: Triangle) -> PartitionSolution:
                 if not inside(nx, ny):
                     continue
                 fn = f(nx, ny)
-                evals += 1
                 if fn > bf:
                     bx, by, bf = nx, ny, fn
                     moved = True

@@ -4,8 +4,10 @@ JSON input describes one job (a triangle to partition, a polygon plus fan
 to translate, or a classification sweep); `run` executes it and the
 serializers below render byte-stable output: floats go through a 17
 significant digit round-trip format and keys have a fixed order.  `run`
-is a pure function of its spec, so identical inputs always produce
-identical bytes.
+is a pure function of its spec, solver settings included, so identical
+inputs always produce identical bytes and a report's echoed input
+reproduces it.  A sweep's rows are never held: `sweep_rows` yields them
+one at a time.
 """
 
 from __future__ import annotations
@@ -76,58 +78,62 @@ class ProblemSpec(_Value):
         resolution: int | None = None,
         solver: tuple[tuple[str, float], ...] = (),
     ):
+        if mode not in _MODE_FIELDS:
+            raise InputError("invalid-value", f"unknown mode {mode!r}")
+        solver = tuple(sorted(solver))
+        given = dict(
+            triangle=triangle, polygon=polygon, rays=rays, targets=targets, fractions=fractions,
+            resolution=resolution, solver=solver,
+        )
+        _check_fields(mode, [k for k, v in given.items() if k not in _MODE_FIELDS[mode] and v not in (None, ())])
+        shape = fan = config = None
+        if mode == "sweep":
+            if resolution is None:
+                resolution = DEFAULT_SWEEP_RESOLUTION
+            elif not 2 <= resolution <= MAX_SWEEP_RESOLUTION:
+                raise InputError("invalid-value", f"'resolution' must be from 2 to {MAX_SWEEP_RESOLUTION}")
+        else:
+            field, build = _SHAPES[mode]
+            if given[field] is None:
+                raise InputError("missing-field", f"{mode} mode requires field '{field}'")
+            try:
+                shape = build(given[field])
+            except GeometryError as exc:
+                raise InputError("degenerate-geometry", str(exc)) from exc
+            if mode == "mass-partition":
+                if rays is None:
+                    rays = DEFAULT_RAYS_DEG
+                fan = _fan_job(rays, targets, fractions, shape.area)
+            try:
+                config = SolverConfig(**dict(solver))
+            except PartitionError as exc:
+                raise InputError("invalid-value", str(exc)) from exc
         self.__dict__.update(
             mode=mode, triangle=triangle, polygon=polygon, rays=rays, targets=targets, fractions=fractions,
-            resolution=resolution, solver=tuple(sorted(solver)), shape=None, fan=None, config=None,
+            resolution=resolution, solver=solver, shape=shape, fan=fan, config=config,
         )
-        self.__post_init__()
 
-    def __post_init__(self):
-        if self.mode not in _MODE_FIELDS:
-            raise InputError("invalid-value", f"unknown mode {self.mode!r}")
-        used = _MODE_FIELDS[self.mode]
-        _check_fields(self.mode, [k for k in self._fields if k not in used and getattr(self, k) not in (None, ())])
-        if self.mode == "sweep":
-            if self.resolution is None:
-                object.__setattr__(self, "resolution", DEFAULT_SWEEP_RESOLUTION)
-            elif not 2 <= self.resolution <= MAX_SWEEP_RESOLUTION:
-                raise InputError("invalid-value", f"'resolution' must be from 2 to {MAX_SWEEP_RESOLUTION}")
-            return
-        field, build = _SHAPES[self.mode]
-        if getattr(self, field) is None:
-            raise InputError("missing-field", f"{self.mode} mode requires field '{field}'")
-        try:
-            shape = build(getattr(self, field))
-        except GeometryError as exc:
-            raise InputError("degenerate-geometry", str(exc)) from exc
-        object.__setattr__(self, "shape", shape)
-        if self.mode == "mass-partition":
-            self._check_fan_job(shape)
-        try:
-            object.__setattr__(self, "config", SolverConfig(**dict(self.solver)))
-        except PartitionError as exc:
-            raise InputError("invalid-value", str(exc)) from exc
 
-    def _check_fan_job(self, poly: ConvexPolygon) -> None:
-        if self.rays is None:
-            object.__setattr__(self, "rays", DEFAULT_RAYS_DEG)
-        try:
-            object.__setattr__(self, "fan", SectorConfig.from_angles_deg(self.rays))
-        except ValueError as exc:
-            raise InputError("invalid-value", f"unusable fan: {exc}") from exc
-        if (self.targets is None) == (self.fractions is None):
-            raise InputError(
-                "missing-field" if self.targets is None else "invalid-value",
-                "give exactly one of 'targets' (absolute areas) or 'fractions'",
-            )
-        # the rule `run` meets, on the very targets it will solve
-        fracs, area = self.fractions, poly.area
-        vals = self.targets if fracs is None else Targets.fractions(fracs, area).values
-        try:
-            _check_targets(vals, area)
-        except MassPartitionError as exc:
-            msg = str(exc) if fracs is None else f"fractions must be positive and sum to 1, got {fracs!r}"
-            raise InputError("invalid-value", msg) from exc
+def _fan_job(rays, targets, fractions, area: float) -> SectorConfig:
+    """The fan of a fan job, after checking that its rays make one and that
+    exactly one of `targets` and `fractions` is given and obeys the rule
+    `run` meets, on the very targets it will solve."""
+    try:
+        fan = SectorConfig.from_angles_deg(rays)
+    except ValueError as exc:
+        raise InputError("invalid-value", f"unusable fan: {exc}") from exc
+    if (targets is None) == (fractions is None):
+        raise InputError(
+            "missing-field" if targets is None else "invalid-value",
+            "give exactly one of 'targets' (absolute areas) or 'fractions'",
+        )
+    vals = targets if fractions is None else Targets.fractions(fractions, area).values
+    try:
+        _check_targets(vals, area)
+    except MassPartitionError as exc:
+        msg = str(exc) if fractions is None else f"fractions must be positive and sum to 1, got {fractions!r}"
+        raise InputError("invalid-value", msg) from exc
+    return fan
 
 
 SweepRow = namedtuple("SweepRow", "angle_a_deg angle_b_deg kind margin")
@@ -137,13 +143,13 @@ class Report(
     namedtuple(
         "Report",
         "mode spec method residual classification point areas fractions total_area regions apex"
-        " translation achieved targets iterations sweep_rows",
-        defaults=(None,) * 11 + ((),),
+        " translation achieved targets iterations",
+        defaults=(None,) * 11,
     )
 ):
     """Result of one run.  Only the fields for the report's mode are set;
-    the rest are None, and `sweep_rows` is empty.  A sweep holds all its
-    SweepRows at once (`tripart sweep` streams them instead)."""
+    the rest are None.  A sweep report holds no rows: `sweep_rows` of its
+    spec's resolution gives them, one at a time."""
 
     __slots__ = ()
 
@@ -369,9 +375,9 @@ def input_order(tri: Triangle, abc: tuple) -> tuple:
     return (abc[0], abc[2], abc[1]) if tri.swapped_bc else tuple(abc)
 
 
-def _run_triangle(spec: ProblemSpec, cfg: SolverConfig) -> Report:
+def _run_triangle(spec: ProblemSpec) -> Report:
     tri = spec.shape
-    sol = equal_partition(tri, cfg)
+    sol = equal_partition(tri, spec.config)
     cls = sol.classification
     if tri.swapped_bc and cls.obtuse_vertex:
         label = input_order(tri, VERTEX_IDS)[VERTEX_IDS.index(cls.obtuse_vertex)]
@@ -391,11 +397,11 @@ def _run_triangle(spec: ProblemSpec, cfg: SolverConfig) -> Report:
     )
 
 
-def _run_mass_partition(spec: ProblemSpec, cfg: SolverConfig) -> Report:
+def _run_mass_partition(spec: ProblemSpec) -> Report:
     poly = spec.shape
     total = poly.area
     targets = Targets(spec.targets) if spec.targets is not None else Targets.fractions(spec.fractions, total)
-    sol = solve_translation(poly, spec.fan, targets, cfg)
+    sol = solve_translation(poly, spec.fan, targets, spec.config)
     return Report(
         mode="mass-partition",
         spec=spec,
@@ -410,12 +416,12 @@ def _run_mass_partition(spec: ProblemSpec, cfg: SolverConfig) -> Report:
     )
 
 
-def _sweep_rows(n: int):
-    """The rows of a sweep of resolution n, one at a time: the grid of
+def sweep_rows(n: int):
+    """The SweepRows of a sweep of resolution n, one at a time: the grid of
     base angles 180 k / n degrees, classified.  The n angles and their
     tangents are computed once, and the rows share those float objects;
     each row classifies from the angles alone (the same angles a Triangle
-    built by triangle_from_angles would cache, without building it) and
+    built by triangle_from_angles would hold, without building it) and
     keeps the kind and margin as plain values."""
     degs = [180.0 * k / n for k in range(n)]
     tans = [_tan_deg(d) for d in degs]
@@ -428,22 +434,14 @@ def _sweep_rows(n: int):
             yield tuple.__new__(SweepRow, (a_deg, b_deg, kind, margin))  # SweepRow's own __new__ is Python code
 
 
-def _run_sweep(spec: ProblemSpec) -> Report:
-    """Every row of `_sweep_rows`, kept in `Report.sweep_rows`; the CLI
-    streams that generator instead, in memory that does not grow with n."""
-    rows = tuple(_sweep_rows(spec.resolution))
-    return Report(mode="sweep", spec=spec, method="classify", residual=0.0, sweep_rows=rows)
-
-
-def run(spec: ProblemSpec, tol: float | None = None) -> Report:
-    """Execute a spec.  `tol` overrides the solver's relative area
-    tolerance without touching the spec."""
+def run(spec: ProblemSpec) -> Report:
+    """Execute a spec with the solver settings it holds.  A sweep's report
+    carries only the spec; `sweep_csv` and `sweep_rows` produce its rows."""
     if spec.mode == "sweep":
-        return _run_sweep(spec)
-    cfg = spec.config if tol is None else SolverConfig(tol, spec.config.max_iters)
+        return Report(mode="sweep", spec=spec, method="classify", residual=0.0)
     if spec.mode == "triangle":
-        return _run_triangle(spec, cfg)
-    return _run_mass_partition(spec, cfg)
+        return _run_triangle(spec)
+    return _run_mass_partition(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -501,11 +499,12 @@ class _FmtCache(dict):
 
 
 def sweep_csv(report: Report) -> str:
-    """Deterministic CSV for a sweep report; margin is empty for kinds
-    where the criterion does not apply."""
+    """Deterministic CSV for a sweep report, from the rows `sweep_rows`
+    yields for its spec's resolution; margin is empty for kinds where the
+    criterion does not apply."""
     if report.mode != "sweep":
         raise ValueError(f"CSV rendering needs a sweep report, got mode {report.mode!r}")
-    return "".join(_sweep_lines(report.sweep_rows))
+    return "".join(_sweep_lines(sweep_rows(report.spec.resolution)))
 
 
 def _sweep_lines(rows):

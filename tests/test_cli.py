@@ -57,7 +57,25 @@ def test_solve_tol_flag(tmp_path):
     assert json.loads(res.stdout)["residual"] <= 1e-8 * 0.5
 
 
-@pytest.mark.parametrize("tol", ["nan", "-1"])
+@pytest.mark.parametrize(
+    "text, solver",
+    [
+        (TRI_SPEC, '"solver":{"area_tol_rel":0.001}'),
+        (MASS_SPEC.replace("}\n", ', "solver": {"max_iters": 50}}'), '"solver":{"area_tol_rel":0.001,"max_iters":50}'),
+    ],
+    ids=["triangle", "fan-keeps-max-iters"],
+)
+def test_solve_tol_is_echoed_and_reproduces_the_run(tmp_path, text, solver):
+    spec = tmp_path / "job.json"
+    spec.write_text(text)
+    res = tripart("solve", "--input", str(spec), "--tol", "1e-3")
+    assert res.returncode == 0, res.stderr
+    assert solver + "}," in res.stdout  # the last field of the echoed input
+    spec.write_text(json.dumps(json.loads(res.stdout)["input"]))
+    assert tripart("solve", "--input", str(spec)).stdout == res.stdout
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
 def test_solve_rejects_bad_tol(tmp_path, tol):
     spec = tmp_path / "job.json"
     spec.write_text(TRI_SPEC)

@@ -14,7 +14,7 @@ import pytest
 import oracles as oc
 from tripart import ConvexPolygon, SectorConfig, Targets, Triangle, equal_partition, solve_translation
 
-EXPONENTS = (-100, -50, -14, -13, -8, 0, 8, 50, 100)
+EXPONENTS = (-150, -110, -100, -50, -14, -13, -8, 0, 8, 50, 100, 110, 150)
 RESIDUAL_REL = 1e-10  # the acceptance suite's equal-area bar, relative to the area
 POINT_REL = 1e-9
 

@@ -98,7 +98,7 @@ def test_records_are_named_tuples():
     assert SolverReport("kkm", 1, 0.0, (0.0, 0.0), (), True).message == ""
     assert TranslationSolution(None, None, None, None, 0.0, 1).method == "newton"
     report = Report("sweep", None, "classify", 0.0, 0.0)
-    assert report.point is None and report.sweep_rows == ()
+    assert report.point is None
     assert report._replace(residual=1.0).residual == 1.0
 
 
