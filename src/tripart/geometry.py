@@ -292,13 +292,7 @@ def _sum_lr(values) -> float:
     return total
 
 
-def _bbox_diagonal(pts) -> float:
-    """Diagonal of the bounding box of a non-empty point sequence."""
-    xs, ys = zip(*pts)
-    return math.hypot(max(xs) - min(xs), max(ys) - min(ys))
-
-
-def _dedupe_ring(pts, tol: float):
+def _dedupe(pts, tol: float):
     """Drop consecutive vertices (cyclically) closer than tol."""
     out = []
     for p in pts:
@@ -376,11 +370,11 @@ class ConvexPolygon(_Value):
     Consecutive near-duplicate vertices are merged at construction.  Input
     given clockwise is reversed.  Empty input, a ring that merges below 3
     vertices, a reflex turn and an area of at most DEGENERACY_REL times
-    the squared diameter raise GeometryError; `empty()` is the one empty
-    polygon.  `coords` holds the vertices as (x, y) tuples; `vertices`
-    gives them as Points.  Construction stores the `area` and `diameter`
-    its checks compute and the clipping band `_snap`; a clipped region
-    (`_ring`) computes them when first read.
+    the squared diameter raise GeometryError.  `coords` holds the
+    vertices as (x, y) tuples; `vertices` gives them as Points.
+    Construction stores the `area` and `diameter` (the bounding-box
+    diagonal, an upper bound on the diameter) its checks compute and the
+    clipping band `_snap`.
     """
 
     _fields = ("coords",)
@@ -392,7 +386,7 @@ class ConvexPolygon(_Value):
                 raise GeometryError(f"non-finite point ({x}, {y})")
         scale = _coord_scale(pts)
         given = len(pts)
-        pts = _dedupe_ring(pts, CLIP_SNAP_REL * scale)
+        pts = _dedupe(pts, CLIP_SNAP_REL * scale)
         if len(pts) < 3:
             if 0 < len(pts) == given:
                 raise GeometryError("polygon needs at least 3 distinct vertices")
@@ -402,7 +396,8 @@ class ConvexPolygon(_Value):
         if _signed_area([(x - x0, y - y0) for x, y in pts]) < 0.0:
             pts.reverse()
         coords = tuple(pts)
-        diam = _bbox_diagonal(coords)
+        xs, ys = zip(*coords)
+        diam = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
         # a turn is reflex past the rounding of its cross product, about
         # diam * ulp(scale), plus a margin relative to the polygon's own size
         cross_tol = -(1e-9 * diam + 8.0 * math.ulp(scale)) * diam
@@ -423,15 +418,6 @@ class ConvexPolygon(_Value):
         self.__dict__.update(coords=coords, area=area, diameter=diam, _snap=CLIP_SNAP_REL * scale)
 
     @classmethod
-    def _ring(cls, pts) -> "ConvexPolygon":
-        """A polygon from a CCW ring of at least 3 points that the caller
-        has deduped and knows to be convex (a clipped region), or from no
-        points, without the constructor's checks."""
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "coords", tuple(pts))
-        return poly
-
-    @classmethod
     def from_coords(cls, coords) -> "ConvexPolygon":
         """The same as `ConvexPolygon(coords)`, named like `Triangle.from_coords`."""
         return cls(coords)
@@ -439,26 +425,6 @@ class ConvexPolygon(_Value):
     @cached_property
     def vertices(self) -> tuple[Point, ...]:
         return tuple(Point(x, y) for x, y in self.coords)
-
-    @classmethod
-    def empty(cls) -> "ConvexPolygon":
-        return cls._ring(())
-
-    def is_empty(self) -> bool:
-        return not self.coords
-
-    @cached_property
-    def area(self) -> float:
-        return abs(_signed_area(self.coords))
-
-    @cached_property
-    def diameter(self) -> float:
-        """Diagonal of the bounding box, an upper bound on the diameter."""
-        return _bbox_diagonal(self.coords) if self.coords else 0.0
-
-    @cached_property
-    def _snap(self) -> float:
-        return CLIP_SNAP_REL * _coord_scale(self.coords)
 
     def translated(self, dx: float, dy: float) -> "ConvexPolygon":
         return ConvexPolygon(tuple((x + dx, y + dy) for x, y in self.coords))
@@ -620,16 +586,17 @@ def region_areas(tri: Triangle, x: Point) -> RegionAreas:
     return RegionAreas(a, b, c)
 
 
-def region_polygon(tri: Triangle, v: str, x: Point) -> ConvexPolygon:
-    """The region at vertex v as a polygon (empty if the wedge misses the
-    triangle).  Consecutive vertices closer than 1e-12 * diameter are
-    merged so degenerate slivers do not inflate the vertex count."""
+def region_polygon(tri: Triangle, v: str, x: Point) -> tuple[Vec, ...]:
+    """The region at vertex v as a CCW ring of (x, y) points, () if the
+    wedge misses the triangle.  Consecutive vertices closer than
+    1e-12 * diameter are merged so degenerate slivers do not inflate the
+    vertex count."""
     (n1x, n1y, o1), (n2x, n2y, o2) = _sector_cuts(tri._normals, _SECTOR_OF[v.lower()], x.x, x.y)
     pts = _clip(_clip(tri.points, n1x, n1y, o1, tri._snap), n2x, n2y, o2, tri._snap)
     return _region(pts, 1e-12 * tri.diameter)
 
 
-def region_parts(tri: Triangle, x: Point) -> tuple[RegionAreas, tuple[ConvexPolygon, ConvexPolygon, ConvexPolygon]]:
+def region_parts(tri: Triangle, x: Point) -> tuple[RegionAreas, tuple[tuple[Vec, ...], ...]]:
     """`region_areas` and the three `region_polygon`s at x, in vertex
     order, from one clip pass per region: the same bits as calling them."""
     pts, normals, eps = tri.points, tri._normals, tri._snap
@@ -645,10 +612,10 @@ def region_parts(tri: Triangle, x: Point) -> tuple[RegionAreas, tuple[ConvexPoly
     return RegionAreas(a, b, c), (ra, rb, rc)
 
 
-def _region(ring, tol: float) -> ConvexPolygon:
-    """A clipped ring as a polygon, deduped at tol; empty below 3 vertices."""
-    ring = _dedupe_ring(ring, tol)
-    return ConvexPolygon._ring(ring) if len(ring) >= 3 else ConvexPolygon.empty()
+def _region(ring, tol: float) -> tuple[Vec, ...]:
+    """A clipped ring as a tuple, deduped at tol; () below 3 vertices."""
+    ring = _dedupe(ring, tol)
+    return tuple(ring) if len(ring) >= 3 else ()
 
 
 def min_area_f(tri: Triangle, x: Point) -> float:

@@ -32,13 +32,16 @@ class SectorConfig(_Value):
     and ray i+1 (indices mod 3).
 
     Construction normalizes the directions to unit length and enforces the
-    fan invariants: no coincident rays, CCW order, every gap below pi (so
-    each sector is convex).  It also stores `normals`, the directions
-    turned +90 degrees: the fan form the area kernel reads."""
+    fan invariants: exactly three rays, no coincident rays, CCW order,
+    every gap below pi (so each sector is convex).  It also stores
+    `normals`, the directions turned +90 degrees: the fan form the area
+    kernel reads."""
 
     _fields = ("directions",)
 
     def __init__(self, directions: tuple[Vec, Vec, Vec]):
+        if len(directions) != 3:
+            raise MassPartitionError(f"a fan has three ray directions, got {len(directions)}")
         dirs = []
         for dx, dy in directions:
             h = math.hypot(dx, dy)
@@ -126,9 +129,9 @@ def solve_translation(poly, cfg: SectorConfig, targets: Targets, solver_cfg=None
     pts = poly.coords
     seed = (_sum_lr(p[0] for p in pts) / len(pts), _sum_lr(p[1] for p in pts) / len(pts))
     normals = cfg.normals
-    res, (a0, a1) = _fan_newton(pts, total, poly._snap, normals, vals, seed, 2.0 * poly.diameter, solver_cfg)
-    apex = Point(res.x, res.y)
-    achieved = (a0, a1, _sector_area(pts, normals, 2, res.x, res.y, poly._snap))
+    x, y, iters, a0, a1 = _fan_newton(pts, total, poly._snap, normals, vals, seed, 2.0 * poly.diameter, solver_cfg)
+    apex = Point(x, y)
+    achieved = (a0, a1, _sector_area(pts, normals, 2, x, y, poly._snap))
     residual = max(abs(a - t) for a, t in zip(achieved, vals))
     return TranslationSolution(
         apex=apex,
@@ -136,5 +139,5 @@ def solve_translation(poly, cfg: SectorConfig, targets: Targets, solver_cfg=None
         achieved=achieved,
         targets=vals,
         residual=residual,
-        iterations=res.iterations,
+        iterations=iters,
     )

@@ -89,7 +89,7 @@ class SolverConfig(_Value):
     def __init__(self, area_tol_rel: float = 1e-12, max_iters: int = 100):
         if not (area_tol_rel > 0.0 and math.isfinite(area_tol_rel)):
             raise PartitionError("area_tol_rel must be a positive finite number")
-        if int(max_iters) != max_iters or max_iters < 1:
+        if not 1 <= max_iters < math.inf or int(max_iters) != max_iters:
             raise PartitionError("max_iters must be a positive integer")
         self.__dict__.update(area_tol_rel=area_tol_rel, max_iters=max_iters)
 
@@ -239,11 +239,11 @@ def _fan_newton(pts, total: float, eps: float, normals, targets, seed: Vec, pad:
     from `seed`, with the exact Jacobian (its edge terms, which do not
     depend on the apex, computed once per solve), reseeding from a grid
     over the bounding box grown by `pad` if the iteration stalls.
-    Returns the RootResult and the areas of sectors 0 and 1 at its point:
-    on convergence newton2d stops right after evaluating the point it
-    returns, so they are the last ones evaluated.  Raises SolverError
-    (with the best iterate in its report) when the residual cannot be
-    driven below cfg.area_tol_rel * total.
+    Returns the point's x and y, the iteration count and the areas of
+    sectors 0 and 1 at the point: on convergence newton2d stops right
+    after evaluating the point it returns, so they are the last ones
+    evaluated.  Raises SolverError (with the best iterate in its report)
+    when the residual cannot be driven below cfg.area_tol_rel * total.
 
     It iterates in coordinates scaled by k = 2**-e, e the binary exponent
     of the largest coordinate, so the Newton step's products neither
@@ -276,16 +276,12 @@ def _fan_newton(pts, total: float, eps: float, normals, targets, seed: Vec, pad:
         max_iters=cfg.max_iters,
         restart_box=(min(xs) - pad, max(xs) + pad, min(ys) - pad, max(ys) + pad),
     )
-    res = res._replace(
-        x=res.x / k, y=res.y / k, residual=res.residual / k2,
-        residual_history=tuple([r / k2 for r in res.residual_history]),
-    )
     if not res.converged:
         raise _failure(
-            "newton", res.iterations, res.residual, (res.x, res.y), res.residual_history,
-            "newton iteration did not reach the area tolerance",
+            "newton", res.iterations, res.residual / k2, (res.x / k, res.y / k),
+            [r / k2 for r in res.residual_history], "newton iteration did not reach the area tolerance",
         )
-    return res, (last[0] / k2, last[1] / k2)
+    return res.x / k, res.y / k, res.iterations, last[0] / k2, last[1] / k2
 
 
 def _solution(tri: Triangle, point: Point, method: str) -> PartitionSolution:
@@ -311,8 +307,8 @@ def solve_newton(tri: Triangle, cfg: SolverConfig | None = None, seed: Point | N
     start = seed.as_tuple() if seed is not None else tri._centroid
     s = tri.area / 3.0
     cfg = cfg or SolverConfig()
-    res, _ = _fan_newton(tri.points, tri.area, tri._snap, tri._normals, (s, s, s), start, tri.diameter, cfg)
-    return _solution(tri, Point(res.x, res.y), "newton")
+    x, y, *_ = _fan_newton(tri.points, tri.area, tri._snap, tri._normals, (s, s, s), start, tri.diameter, cfg)
+    return _solution(tri, Point(x, y), "newton")
 
 
 def solve_maximin(tri: Triangle) -> PartitionSolution:

@@ -55,15 +55,17 @@ def _check_fields(mode: str, keys) -> None:
 class ProblemSpec(_Value):
     """One runnable job.  Construction validates every value, raising
     InputError with a stable code: a field the mode does not use is left
-    unset, None or an empty `solver` (invalid-value otherwise); a triangle
+    unset, None or `()` for `solver` (invalid-value otherwise); a triangle
     job requires `triangle`, a fan job `polygon` (missing-field
     otherwise); a fan job's `rays` default to DEFAULT_RAYS_DEG and a
     sweep's `resolution` to DEFAULT_SWEEP_RESOLUTION; `solver` is kept
-    sorted by option name, the order `parse_spec` gives it.  It keeps what
-    it builds: `shape` (the Triangle or ConvexPolygon), `config` (the
-    SolverConfig) and, for a fan job, `fan`; each is None where the mode
-    has none.  Every later step reads these; they take no part in
-    equality."""
+    sorted by option name, the order `parse_spec` gives it.  A wrong
+    arity, a coordinate that `float` refuses, a resolution that is not
+    integral, or a solver option that is unknown or not a number raises
+    the error `parse_spec` gives for it.  It keeps what it builds: `shape`
+    (the Triangle or ConvexPolygon), `config` (the SolverConfig) and, for
+    a fan job, `fan`; each is None where the mode has none.  Every later
+    step reads these; they take no part in equality."""
 
     _fields = ("mode", "triangle", "polygon", "rays", "targets", "fractions", "resolution", "solver")
 
@@ -90,7 +92,9 @@ class ProblemSpec(_Value):
         if mode == "sweep":
             if resolution is None:
                 resolution = DEFAULT_SWEEP_RESOLUTION
-            elif not 2 <= resolution <= MAX_SWEEP_RESOLUTION:
+            elif type(resolution) is not int:
+                resolution = _require_int(resolution, "resolution")
+            if not 2 <= resolution <= MAX_SWEEP_RESOLUTION:
                 raise InputError("invalid-value", f"'resolution' must be from 2 to {MAX_SWEEP_RESOLUTION}")
         else:
             field, build = _SHAPES[mode]
@@ -100,13 +104,17 @@ class ProblemSpec(_Value):
                 shape = build(given[field])
             except GeometryError as exc:
                 raise InputError("degenerate-geometry", str(exc)) from exc
+            except (TypeError, ValueError):  # a wrong arity, or a coordinate that is no number
+                _require_vertices(_as_json(given[field]), field)
+                raise
             if mode == "mass-partition":
                 if rays is None:
                     rays = DEFAULT_RAYS_DEG
                 fan = _fan_job(rays, targets, fractions, shape.area)
             try:
                 config = SolverConfig(**dict(solver))
-            except PartitionError as exc:
+            except (TypeError, ValueError) as exc:  # PartitionError is a ValueError
+                _require_solver(dict(solver), "solver")  # an unknown option or a non-number
                 raise InputError("invalid-value", str(exc)) from exc
         self.__dict__.update(
             mode=mode, triangle=triangle, polygon=polygon, rays=rays, targets=targets, fractions=fractions,
@@ -118,6 +126,9 @@ def _fan_job(rays, targets, fractions, area: float) -> SectorConfig:
     """The fan of a fan job, after checking that its rays make one and that
     exactly one of `targets` and `fractions` is given and obeys the rule
     `run` meets, on the very targets it will solve."""
+    for key, v in (("rays", rays), ("targets", targets), ("fractions", fractions)):
+        if v is not None and len(v) != 3:  # the reader's arity error
+            _require_triple(_as_json(v), key)
     try:
         fan = SectorConfig.from_angles_deg(rays)
     except ValueError as exc:
@@ -224,6 +235,12 @@ def _finite(v) -> bool:
         return math.isfinite(v)
     except OverflowError:
         return False
+
+
+def _as_json(v):
+    """`v` with its tuples as lists, the form `parse_spec` reads, so that a
+    reader's message shows a value built in code as its JSON would."""
+    return [_as_json(x) for x in v] if isinstance(v, (list, tuple)) else v
 
 
 def _require_number(v, name: str) -> float:
@@ -393,7 +410,7 @@ def _run_triangle(spec: ProblemSpec) -> Report:
         areas=areas,
         fractions=tuple(a / tri.area for a in areas),
         total_area=tri.area,
-        regions=input_order(tri, tuple(r.coords for r in sol.regions)),
+        regions=input_order(tri, sol.regions),
     )
 
 
@@ -500,8 +517,8 @@ class _FmtCache(dict):
 
 def sweep_csv(report: Report) -> str:
     """Deterministic CSV for a sweep report, from the rows `sweep_rows`
-    yields for its spec's resolution; margin is empty for kinds where the
-    criterion does not apply."""
+    yields for its spec's resolution; the margin is left blank for kinds
+    where the criterion does not apply."""
     if report.mode != "sweep":
         raise ValueError(f"CSV rendering needs a sweep report, got mode {report.mode!r}")
     return "".join(_sweep_lines(sweep_rows(report.spec.resolution)))

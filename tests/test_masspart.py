@@ -43,6 +43,13 @@ def test_config_rejects_bad_fans():
         SectorConfig(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
 
 
+@pytest.mark.parametrize("count", [2, 4])
+def test_config_needs_three_directions(count):
+    dirs = ((1.0, 0.0), (-1.0, 1.0), (-1.0, -1.0), (0.0, -1.0))  # the first three make a fan
+    with pytest.raises(MassPartitionError, match=f"three ray directions, got {count}"):
+        SectorConfig(dirs[:count])
+
+
 def test_sector_areas_cover_polygon():
     rng = np.random.default_rng(73)
     for _ in range(60):

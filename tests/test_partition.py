@@ -576,3 +576,9 @@ def test_solver_config_validation():
         SolverConfig(area_tol_rel=0.0)
     with pytest.raises(PartitionError):
         SolverConfig(max_iters=0)
+
+
+@pytest.mark.parametrize("max_iters", [math.inf, math.nan])
+def test_solver_config_rejects_non_finite_max_iters(max_iters):
+    with pytest.raises(PartitionError, match="max_iters must be a positive integer"):
+        SolverConfig(max_iters=max_iters)

@@ -148,6 +148,56 @@ def test_every_spec_built_in_code_round_trips(mode, field):
     assert str(err.value) == f"field '{field}' is not allowed in {mode} mode"
 
 
+def _fan_fields(**fields):
+    return {"mode": "mass-partition", "polygon": SQUARE, "fractions": (0.25, 0.35, 0.4), **fields}
+
+
+def _triangle_fields(**fields):
+    return {"mode": "triangle", "triangle": ((0, 0), (1, 0), (0, 1)), **fields}
+
+
+# specs built in code from values a JSON reader refuses
+REFUSED_IN_CODE = {
+    "fractional-resolution": {"mode": "sweep", "resolution": 5.5},
+    "string-resolution": {"mode": "sweep", "resolution": "5"},
+    "two-rays": _fan_fields(rays=(90.0, 210.0)),
+    "four-rays": _fan_fields(rays=(90.0, 210.0, 300.0, 330.0)),
+    "two-fractions": _fan_fields(fractions=(0.25, 0.75)),
+    "four-targets": _fan_fields(fractions=None, targets=(0.25, 0.25, 0.25, 0.25)),
+    "two-vertex-triangle": _triangle_fields(triangle=((0, 0), (1, 0))),
+    "four-vertex-triangle": _triangle_fields(triangle=((0, 0), (1, 0), (0, 1), (1, 1))),
+    "string-in-triangle": _triangle_fields(triangle=((0, 0), (1, 0), (0, "one"))),
+    "three-number-vertex": _triangle_fields(triangle=((0, 0), (1, 0), (0, 1, 2))),
+    "string-in-polygon": _fan_fields(polygon=((0, 0), (1, 0), ("one", 1), (0, 1))),
+    "unknown-solver-option": _triangle_fields(solver=(("bogus", 5),)),
+    "infinite-max-iters": _triangle_fields(solver=(("max_iters", math.inf),)),
+    "nan-max-iters": _triangle_fields(solver=(("max_iters", math.nan),)),
+    "string-solver-value": _triangle_fields(solver=(("area_tol_rel", "1e-9"),)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_IN_CODE))
+def test_spec_built_in_code_raises_the_parsed_error(name):
+    """A spec built in code from a value JSON could not hold, a wrong arity
+    or a string for a number say, raises the (code, message) that
+    parse_spec gives for the same payload, not a TypeError, IndexError or
+    bare ValueError, and is never accepted."""
+    fields = {k: v for k, v in REFUSED_IN_CODE[name].items() if v is not None}
+    payload = dict(fields, **({"solver": dict(fields["solver"])} if "solver" in fields else {}))
+    with pytest.raises(InputError) as parsed:
+        parse_spec(json.dumps(payload))
+    with pytest.raises(InputError) as err:
+        ProblemSpec(**fields)
+    assert (err.value.code, str(err.value)) == (parsed.value.code, str(parsed.value))
+
+
+def test_spec_built_in_code_keeps_an_integral_resolution_as_an_int():
+    spec = ProblemSpec(mode="sweep", resolution=5.0)
+    parsed = parse_spec('{"mode": "sweep", "resolution": 5.0}')
+    assert spec == parsed and type(spec.resolution) is int
+    assert sweep_csv(run(spec)) == sweep_csv(run(parsed))
+
+
 def test_spec_fills_its_defaults():
     assert ProblemSpec(mode="sweep").resolution == DEFAULT_SWEEP_RESOLUTION
     assert DIRECT_SPECS["fan-without-rays"]().rays == DEFAULT_RAYS_DEG
