@@ -20,6 +20,7 @@ from .problem import (
     DEFAULT_SWEEP_RESOLUTION,
     InputError,
     ProblemSpec,
+    _spec_fields,
     _sweep_lines,
     canonical_json,
     input_order,
@@ -27,7 +28,6 @@ from .problem import (
     report_json,
     run,
     sweep_csv,  # not called here: kept for callers that drive jobs through this module's bindings
-    sweep_rows,
 )
 from .svg import emit_svg
 
@@ -107,14 +107,17 @@ def _parse_point(raw: str) -> Point:
 
 
 def _cmd_solve(args) -> int:
-    spec = parse_spec(_read(args.input))
-    if spec.mode == "sweep":
+    fields = _spec_fields(_read(args.input))
+    mode = fields["mode"]
+    if args.tol is not None and (mode == "triangle" or (mode == "mass-partition" and not args.svg)):
+        # into the spec before its one build, so the report's echoed input
+        # reproduces the run; a spec refused below is checked as written
+        fields["solver"] = tuple(dict(fields.get("solver", ()), area_tol_rel=args.tol).items())
+    spec = ProblemSpec(**fields)
+    if mode == "sweep":
         raise InputError("invalid-value", "sweep specs run with the 'sweep' command")
-    if args.svg and spec.mode != "triangle":
+    if args.svg and mode != "triangle":
         raise InputError("invalid-value", "--svg applies only to triangle mode")
-    if args.tol is not None:  # into the spec, so the report's echoed input reproduces the run
-        fields = {f: getattr(spec, f) for f in ProblemSpec._fields}
-        spec = ProblemSpec(**fields | {"solver": tuple(dict(spec.solver, area_tol_rel=args.tol).items())})
     start = time.perf_counter()
     report = run(spec)
     elapsed = time.perf_counter() - start
@@ -132,7 +135,7 @@ def _cmd_sweep(args) -> int:
     spec = ProblemSpec(mode="sweep", resolution=args.resolution)
     n = spec.resolution
     start = time.perf_counter()
-    _write(args.output, _sweep_lines(sweep_rows(n)))  # rows stream, none is kept
+    _write(args.output, _sweep_lines(n))  # one base angle's rows at a time
     sys.stderr.write(f"classified {(n - 1) * (n - 2) // 2} shapes in {time.perf_counter() - start:.3f}s\n")
     return EXIT_OK
 

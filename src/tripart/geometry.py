@@ -203,8 +203,9 @@ def _unit(p: Vec, q: Vec) -> Vec:
 
 def _triangle_angles(pts) -> tuple[float, float, float]:
     """Interior angles, in (0, pi), at the three points of a triangle; the
-    one expression behind `Triangle.angles` and the classification sweep:
-    at p, atan2(|u x w|, u . w) for u and w from p to the next two points."""
+    one expression behind `Triangle.angles` (`_base_angles` gives its bits
+    for the sweep's triangles): at p, atan2(|u x w|, u . w) for u and w
+    from p to the next two points."""
     (ax, ay), (bx, by), (cx, cy) = pts
     ux, uy, wx, wy = bx - ax, by - ay, cx - ax, cy - ay
     at_a = math.atan2(abs(ux * wy - uy * wx), ux * wx + uy * wy)
@@ -212,6 +213,21 @@ def _triangle_angles(pts) -> tuple[float, float, float]:
     at_b = math.atan2(abs(ux * wy - uy * wx), ux * wx + uy * wy)
     ux, uy, wx, wy = ax - cx, ay - cy, bx - cx, by - cy
     return at_a, at_b, math.atan2(abs(ux * wy - uy * wx), ux * wx + uy * wy)
+
+
+def _base_angles(x: float, y: float) -> tuple[float, float, float]:
+    """`_triangle_angles` of the triangle (0,0), (1,0), (x, y), bit for bit,
+    for finite x and nonzero finite y: the classification sweep's kernel.
+    Each term it drops is a product with an exact 1.0 or 0.0: a product
+    with 1.0 is its other factor, and a product with 0.0 is a zero, which
+    changes no nonzero value it is added to.  So the cross products at a
+    and b are y, the dot product at a is x and at b is -(x - 1.0), which
+    is 1.0 - x because rounding is symmetric.  A dot product that is zero
+    may differ in sign, which atan2 ignores when its first argument is
+    nonzero.  The angle at c is the general expression, with w's y equal
+    to u's (both are 0.0 - y)."""
+    ay, ux, uy, wx = abs(y), 0.0 - x, 0.0 - y, 1.0 - x
+    return math.atan2(ay, x), math.atan2(ay, wx), math.atan2(abs(ux * uy - uy * wx), ux * wx + uy * uy)
 
 
 # The classification: where a triangle's equal-area point lies.
@@ -426,9 +442,6 @@ class ConvexPolygon(_Value):
     def vertices(self) -> tuple[Point, ...]:
         return tuple(Point(x, y) for x, y in self.coords)
 
-    def translated(self, dx: float, dy: float) -> "ConvexPolygon":
-        return ConvexPolygon(tuple((x + dx, y + dy) for x, y in self.coords))
-
     def __len__(self) -> int:
         return len(self.coords)
 
@@ -475,10 +488,6 @@ class Triangle(_Value):
         (ax, ay), (bx, by), (cx, cy) = coords
         return cls(Point(float(ax), float(ay)), Point(float(bx), float(by)), Point(float(cx), float(cy)))
 
-    @property
-    def centroid(self) -> Point:
-        return Point(*self._centroid)
-
     def vertex(self, v: str) -> Point:
         v = v.lower()
         if v == "a":
@@ -500,13 +509,6 @@ class Triangle(_Value):
         p, q = self.side(side)
         return _unit((p.x, p.y), (q.x, q.y))
 
-    def angle(self, v: str) -> float:
-        """Interior angle at vertex v, in (0, pi)."""
-        return self.angles[VERTEX_IDS.index(v.lower())]
-
-    def as_polygon(self) -> ConvexPolygon:
-        return ConvexPolygon(self.points)
-
     def signed_distance(self, p: Point) -> float:
         """Distance to the boundary, positive inside, negative outside."""
         best = math.inf
@@ -521,9 +523,6 @@ class Triangle(_Value):
                 best = d
         return best
 
-    def contains(self, p: Point, tol: float = 0.0) -> bool:
-        return self.signed_distance(p) >= -tol
-
 
 class RegionAreas(namedtuple("RegionAreas", "at_a at_b at_c")):
     """The three region areas at a point, keyed by triangle vertex."""
@@ -535,9 +534,6 @@ class RegionAreas(namedtuple("RegionAreas", "at_a at_b at_c")):
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.at_a, self.at_b, self.at_c)
-
-    def total(self) -> float:
-        return self.at_a + self.at_b + self.at_c
 
 
 # ---------------------------------------------------------------------------

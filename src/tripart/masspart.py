@@ -121,8 +121,6 @@ def solve_translation(poly, cfg: SectorConfig, targets: Targets, solver_cfg=None
     Newton's last evaluation, so only sector 2 is clipped again.  Raises
     SolverError on failure and MassPartitionError for invalid targets."""
     solver_cfg = solver_cfg or SolverConfig()
-    if isinstance(poly, Triangle):
-        poly = poly.as_polygon()
     total = poly.area
     vals = targets.values
     _check_targets(vals, total)

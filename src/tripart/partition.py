@@ -126,10 +126,7 @@ class LabelSets:
         self.triangle = tri
 
     def _label(self, xx: float, xy: float) -> str:
-        tri = self.triangle
-        ra = _sector_area(tri.points, tri._normals, 2, xx, xy, tri._snap)
-        rb = _sector_area(tri.points, tri._normals, 0, xx, xy, tri._snap)
-        rc = tri.area - ra - rb
+        ra, rb, rc = _areas_at(self.triangle, xx, xy)
         if ra <= rb:
             return "a" if ra <= rc else "c"
         return "b" if rb <= rc else "c"
@@ -137,11 +134,13 @@ class LabelSets:
     def label(self, x: Point) -> str:
         return self._label(x.x, x.y)
 
-    def members(self, x: Point, tie_tol_rel: float = 1e-12) -> tuple[str, ...]:
-        """All labels whose region area is within tie_tol_rel * |T| of the min."""
-        areas = region_areas(self.triangle, x).as_tuple()
-        lo = min(areas) + tie_tol_rel * self.triangle.area
-        return tuple(v for v, a in zip(VERTEX_IDS, areas) if a <= lo)
+
+def _areas_at(tri: Triangle, xx: float, xy: float) -> tuple[float, float, float]:
+    """The region areas at a, b and c for the point (xx, xy), from two
+    clips: the region at c is what the other two leave of the triangle."""
+    ra = _sector_area(tri.points, tri._normals, 2, xx, xy, tri._snap)
+    rb = _sector_area(tri.points, tri._normals, 0, xx, xy, tri._snap)
+    return ra, rb, tri.area - ra - rb
 
 
 def classify(tri: Triangle) -> Classification:
@@ -321,14 +320,11 @@ def solve_maximin(tri: Triangle) -> PartitionSolution:
     kind = tri._classification.kind
     if kind not in INTERIOR_KINDS:
         raise PartitionError(f"maximin search needs the solution inside the triangle, not {kind}")
-    total = tri.area
     diam = tri.diameter
-    pts, normals, eps = tri.points, tri._normals, tri._snap
+    pts, normals = tri.points, tri._normals
 
     def f(xx: float, xy: float) -> float:
-        ra = _sector_area(pts, normals, 2, xx, xy, eps)
-        rb = _sector_area(pts, normals, 0, xx, xy, eps)
-        return min(ra, rb, total - ra - rb)
+        return min(_areas_at(tri, xx, xy))
 
     # each side's unit vector turned +90 degrees points into the triangle
     inward = [(-uy, ux, -uy * sx + ux * sy) for (ux, uy), (sx, sy) in zip(normals, pts)]
@@ -373,7 +369,7 @@ def solve_maximin(tri: Triangle) -> PartitionSolution:
             step *= 0.5
     point = Point(x, y)
     sol = _solution(tri, point, "maximin")
-    if sol.residual > MAXIMIN_AREA_TOL_REL * total:
+    if sol.residual > MAXIMIN_AREA_TOL_REL * tri.area:
         raise _failure(
             "maximin", rounds, sol.residual, (x, y), (sol.residual,),
             "pattern search stalled before equalizing the areas",

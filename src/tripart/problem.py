@@ -6,8 +6,8 @@ serializers below render byte-stable output: floats go through a 17
 significant digit round-trip format and keys have a fixed order.  `run`
 is a pure function of its spec, solver settings included, so identical
 inputs always produce identical bytes and a report's echoed input
-reproduces it.  A sweep's rows are never held: `sweep_rows` yields them
-one at a time.
+reproduces it.  A sweep is never held whole: it is classified and
+written one base angle at a time.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from collections import namedtuple
 from itertools import chain
 
 from .geometry import VERTEX_IDS, Classification, ConvexPolygon, GeometryError, Triangle, Vec, _Value
-from .geometry import _classify_angles, _triangle_angles  # the sweep's kernel
+from .geometry import _base_angles, _classify_angles  # the sweep's kernel
 from .masspart import MassPartitionError, SectorConfig, Targets, _check_targets, solve_translation
 from .partition import PartitionError, SolverConfig, equal_partition
 
@@ -308,6 +308,13 @@ def parse_spec(text: str) -> ProblemSpec:
     and the type of each value it holds; the spec fills defaults, requires
     fields and validates its values itself.  Raises InputError with a
     stable error code on any problem; a returned spec is runnable."""
+    return ProblemSpec(**_spec_fields(text))
+
+
+def _spec_fields(text: str) -> dict:
+    """The reading half of `parse_spec`: the arguments of the spec, `mode`
+    first, the rest in field order, each as its reader gives it, with the
+    same InputErrors."""
     try:
         data = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an int literal past the digit limit
@@ -323,8 +330,7 @@ def parse_spec(text: str) -> ProblemSpec:
     # a key that names no field never reaches the spec
     _check_fields(mode, sorted(data))
     # in field order; a key the JSON lacks is left to the spec
-    fields = {key: _READERS[key](data[key], key) for key in ProblemSpec._fields[1:] if key in data}
-    return ProblemSpec(mode=mode, **fields)
+    return {"mode": mode} | {key: _READERS[key](data[key], key) for key in ProblemSpec._fields[1:] if key in data}
 
 
 def serialize_spec(spec: ProblemSpec) -> str:
@@ -373,7 +379,8 @@ def _apex(a_deg: float, b_deg: float, ta: float, tb: float) -> Vec:
         return (0.0, tb)
     if b_deg == 90.0:
         return (1.0, ta)
-    return (tb / (ta + tb), ta * tb / (ta + tb))
+    s = ta + tb
+    return (tb / s, ta * tb / s)
 
 
 def triangle_from_angles(a_deg: float, b_deg: float) -> Triangle:
@@ -433,21 +440,29 @@ def _run_mass_partition(spec: ProblemSpec) -> Report:
     )
 
 
-def sweep_rows(n: int):
-    """The SweepRows of a sweep of resolution n, one at a time: the grid of
-    base angles 180 k / n degrees, classified.  The n angles and their
-    tangents are computed once, and the rows share those float objects;
-    each row classifies from the angles alone (the same angles a Triangle
-    built by triangle_from_angles would hold, without building it) and
-    keeps the kind and margin as plain values."""
+def _sweep_grid(n: int):
+    """The sweep of resolution n, one base angle at a time: for each base
+    angle a_deg of the grid 180 k / n degrees, a_deg and the list of
+    (b_deg, classification) of its cells, b_deg ascending, each
+    classified from the angles alone (the bits a Triangle built by
+    triangle_from_angles would hold, without building it).  The n angles
+    and their tangents are computed once, and the cells share those float
+    objects."""
     degs = [180.0 * k / n for k in range(n)]
     tans = [_tan_deg(d) for d in degs]
-    for i in range(1, n):
+    for i in range(1, n - 1):
         a_deg, ta = degs[i], tans[i]
-        for j in range(1, n - i):
-            b_deg = degs[j]
-            apex = _apex(a_deg, b_deg, ta, tans[j])
-            kind, _, margin = _classify_angles(_triangle_angles(((0.0, 0.0), (1.0, 0.0), apex)))
+        yield a_deg, [
+            (degs[j], _classify_angles(_base_angles(*_apex(a_deg, degs[j], ta, tans[j])))) for j in range(1, n - i)
+        ]
+
+
+def sweep_rows(n: int):
+    """The SweepRows of a sweep of resolution n, one at a time: the grid of
+    base angles 180 k / n degrees, classified, with the kind and margin
+    kept as plain values.  At most one base angle's cells are held."""
+    for a_deg, cells in _sweep_grid(n):
+        for b_deg, (kind, _, margin) in cells:
             yield tuple.__new__(SweepRow, (a_deg, b_deg, kind, margin))  # SweepRow's own __new__ is Python code
 
 
@@ -521,14 +536,16 @@ def sweep_csv(report: Report) -> str:
     where the criterion does not apply."""
     if report.mode != "sweep":
         raise ValueError(f"CSV rendering needs a sweep report, got mode {report.mode!r}")
-    return "".join(_sweep_lines(sweep_rows(report.spec.resolution)))
+    return "".join(_sweep_lines(report.spec.resolution))
 
 
-def _sweep_lines(rows):
-    """The lines of `sweep_csv` for an iterable of sweep rows, each with
-    its newline, one at a time, so a writer can stream them."""
+def _sweep_lines(n: int):
+    """`sweep_csv` of the sweep of resolution n in pieces a writer can
+    stream: the header line, then the lines of one base angle at a time."""
     angle = _FmtCache()
     yield "angle_a_deg,angle_b_deg,kind,margin\n"
-    for a_deg, b_deg, kind, margin in rows:
-        margin = "" if margin is None else _fmt_num(margin)
-        yield f"{angle[a_deg]},{angle[b_deg]},{kind},{margin}\n"
+    for a_deg, cells in _sweep_grid(n):
+        a = angle[a_deg]
+        yield "".join(
+            [f"{a},{angle[b_deg]},{kind},{'' if m is None else _fmt_num(m)}\n" for b_deg, (kind, _, m) in cells]
+        )

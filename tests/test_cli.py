@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from tripart.cli import main
+from tripart.geometry import ConvexPolygon, Triangle
 from tripart.problem import DEFAULT_SWEEP_RESOLUTION, ProblemSpec, run, sweep_csv
 
 TRI_SPEC = '{"mode": "triangle", "triangle": [[0, 0], [1, 0], [0, 1]]}\n'
@@ -83,6 +85,48 @@ def test_solve_rejects_bad_tol(tmp_path, tol):
     assert res.returncode == 2
     assert res.stdout == ""
     assert json.loads(res.stderr)["error"]["code"] == "invalid-value"
+
+
+@pytest.mark.parametrize("tol", [[], ["--tol", "1e-3"]], ids=["no-tol", "tol"])
+@pytest.mark.parametrize("text, shape", [(TRI_SPEC, Triangle), (MASS_SPEC, ConvexPolygon)], ids=["triangle", "fan"])
+def test_solve_builds_the_shape_once(tmp_path, monkeypatch, capsys, text, shape, tol):
+    spec = tmp_path / "job.json"
+    spec.write_text(text)
+    built = []
+    init = shape.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(shape, "__init__", counting)
+    assert main(["solve", "--input", str(spec), *tol]) == 0
+    assert len(built) == 1
+    assert json.loads(capsys.readouterr().out)["residual"] >= 0.0
+
+
+@pytest.mark.parametrize(
+    "text, args, message",
+    [
+        ('{"mode": "sweep"}', ["--tol", "1e-3"], "sweep specs run with the 'sweep' command"),
+        ('{"mode": "sweep"}', ["--tol", "-1"], "sweep specs run with the 'sweep' command"),
+        (MASS_SPEC, ["--svg", "x.svg", "--tol", "-1"], "--svg applies only to triangle mode"),
+        ('{"mode": "sweep", "resolution": 1}', ["--tol", "-1"], "'resolution' must be from 2 to 1000"),
+        (TRI_SPEC.replace("[0, 1]", "[2, 0]"), ["--tol", "-1"], None),  # the degenerate-geometry error
+    ],
+)
+def test_solve_checks_the_spec_then_the_command_then_the_tol(tmp_path, text, args, message):
+    spec = tmp_path / "job.json"
+    spec.write_text(text)
+    svg = tmp_path / "x.svg"
+    res = tripart("solve", "--input", str(spec), *[str(svg) if a == "x.svg" else a for a in args])
+    assert res.returncode == 2
+    error = json.loads(res.stderr)["error"]
+    if message is None:
+        assert error["code"] == "degenerate-geometry"
+    else:
+        assert (error["code"], error["message"]) == ("invalid-value", message)
+    assert not svg.exists()
 
 
 def test_solve_rejects_bad_input(tmp_path):

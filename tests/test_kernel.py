@@ -11,8 +11,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tripart.geometry import CLASSIFY_TOL, _classify_angles, _triangle_angles
+from tripart.geometry import CLASSIFY_TOL, _base_angles, _classify_angles, _triangle_angles
 from tripart.problem import _apex, _tan_deg
 
 ACUTE, RIGHT = "acute", "right"
@@ -98,6 +100,43 @@ def test_every_sweep_grid_row(n):
             pts = ((0.0, 0.0), (1.0, 0.0), _apex(degs[i], degs[j], tans[i], tans[j]))
             assert_same_angles(pts)
             assert_same_class(ref_angles(pts))
+
+
+def assert_same_base_angles(x, y):
+    assert bits(_base_angles(x, y)) == bits(_triangle_angles(((0.0, 0.0), (1.0, 0.0), (x, y)))), (x, y)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(FINITE, FINITE.filter(lambda y: y != 0.0))
+def test_base_angles_are_the_triangle_angles(x, y):
+    assert_same_base_angles(x, y)
+
+
+@pytest.mark.parametrize("y", [1.0, -1.0, 0.5, 1e-300, 5e-324, -3.0, 1e300])
+def test_base_angles_at_right_base_angles_and_past_the_base(y):
+    for x in (0.0, -0.0):  # the apex above a: a right angle at a
+        assert math.degrees(_base_angles(x, y)[0]) == 90.0
+        assert_same_base_angles(x, y)
+    assert math.degrees(_base_angles(1.0, y)[1]) == 90.0  # above b
+    assert_same_base_angles(1.0, y)
+    for x in (-1e-9, -0.25, -7.0, -1e300):  # not acute at a
+        assert _base_angles(x, y)[0] >= 0.5 * math.pi
+        assert_same_base_angles(x, y)
+    for x in (1.0 + 2.0**-52, 1.25, 8.0, 1e300):  # not acute at b
+        assert _base_angles(x, y)[1] >= 0.5 * math.pi
+        assert_same_base_angles(x, y)
+
+
+@pytest.mark.parametrize("n", [*range(2, 61), 400])
+def test_base_angles_on_every_sweep_grid_apex(n):
+    degs = [180.0 * k / n for k in range(n)]
+    tans = [_tan_deg(d) for d in degs]
+    for i in range(1, n):
+        for j in range(1, n - i):
+            assert_same_base_angles(*_apex(degs[i], degs[j], tans[i], tans[j]))
 
 
 def _around(x):

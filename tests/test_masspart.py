@@ -97,7 +97,7 @@ def test_triangle_fan_reproduces_wedge_regions():
         tri = Triangle.from_coords(oc.rand_triangle(rng))
         cfg = SectorConfig.from_triangle(tri)
         x = Point(*rng.uniform(-1.0, 1.0, 2))
-        s = sector_areas(tri.as_polygon(), cfg, x)
+        s = sector_areas(ConvexPolygon(tri.points), cfg, x)
         r = region_areas(tri, x)
         assert s[0] == r.at_b and s[1] == r.at_c and s[2] == r.at_a
 
@@ -118,7 +118,7 @@ def test_translation_moves_polygon_onto_origin_fan():
     cfg = SectorConfig.from_angles_deg((80.0, 200.0, 324.0))
     targets = Targets((0.2, 0.5, 0.3))
     sol = solve_translation(SQUARE, cfg, targets)
-    moved = SQUARE.translated(*sol.translation)
+    moved = ConvexPolygon([(x + sol.translation[0], y + sol.translation[1]) for x, y in SQUARE.coords])
     again = sector_areas(moved, cfg, Point(0.0, 0.0))
     for u, v in zip(again, sol.achieved):
         assert u == pytest.approx(v, abs=1e-12 * SQUARE.area)
@@ -140,7 +140,7 @@ def test_solve_translation_random_cases():
 def test_solve_translation_accepts_triangle():
     cfg = SectorConfig.from_triangle(RIGHT_ISO)
     targets = Targets.fractions((1 / 3, 1 / 3, 1 / 3), RIGHT_ISO.area)
-    sol = solve_translation(RIGHT_ISO, cfg, targets)
+    sol = solve_translation(ConvexPolygon(RIGHT_ISO.points), cfg, targets)
     r = 1.0 / math.sqrt(6.0)
     assert sol.apex.x == pytest.approx(r, abs=5e-12)
     assert sol.apex.y == pytest.approx(r, abs=5e-12)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tripart import problem
 from tripart.geometry import ConvexPolygon, GeometryError, Triangle
 from tripart.masspart import MassPartitionError, SectorConfig, Targets, solve_translation
 from tripart.partition import SolverConfig, classify
@@ -440,16 +441,23 @@ def test_sweep_csv_format():
     assert sweep_csv(run(parse_spec('{"mode": "sweep", "resolution": 8}'))) == text
 
 
+def _classify_to(monkeypatch, margin):
+    """Make every sweep cell classify as obtuse-interior with `margin`."""
+    monkeypatch.setattr(problem, "_classify_angles", lambda angles: ("obtuse-interior", 0, margin))
+
+
 @pytest.mark.parametrize("margin", [0.0, -0.0, 5e-324, -5e-324, -1e300, 0.1, 1e-9, -2.5])
-def test_sweep_lines_format_margins_as_fmt_num(margin):
-    lines = list(_sweep_lines([SweepRow(60.0, 30.0, "obtuse-interior", margin)]))
-    assert lines[1] == f"60,30,obtuse-interior,{_fmt_num(margin)}\n"
+def test_sweep_lines_format_margins_as_fmt_num(monkeypatch, margin):
+    _classify_to(monkeypatch, margin)
+    lines = list(_sweep_lines(6))  # base angles 30, 60, 90 and 120 degrees
+    assert lines[2] == "".join(f"60,{b},obtuse-interior,{_fmt_num(margin)}\n" for b in (30, 60, 90))
 
 
 @pytest.mark.parametrize("margin", [math.nan, math.inf, -math.inf])
-def test_sweep_lines_reject_non_finite_margins(margin):
+def test_sweep_lines_reject_non_finite_margins(monkeypatch, margin):
+    _classify_to(monkeypatch, margin)
     with pytest.raises(ValueError):
-        list(_sweep_lines([SweepRow(60.0, 30.0, "obtuse-interior", margin)]))
+        list(_sweep_lines(6))
 
 
 def test_sweep_csv_rejects_other_modes():
@@ -484,7 +492,7 @@ def test_triangle_from_angles():
     assert t.c.as_tuple() == (1.0, math.tan(math.radians(30.0)))
     t = triangle_from_angles(90.0, 30.0)
     assert t.c.as_tuple() == (0.0, math.tan(math.radians(30.0)))
-    assert math.degrees(triangle_from_angles(70.0, 60.0).angle("c")) == pytest.approx(50.0, abs=1e-9)
+    assert math.degrees(triangle_from_angles(70.0, 60.0).angles[2]) == pytest.approx(50.0, abs=1e-9)
     from tripart.partition import PartitionError
 
     with pytest.raises(PartitionError):
