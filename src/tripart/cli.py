@@ -112,7 +112,7 @@ def _cmd_solve(args) -> int:
     if args.tol is not None and (mode == "triangle" or (mode == "mass-partition" and not args.svg)):
         # into the spec before its one build, so the report's echoed input
         # reproduces the run; a spec refused below is checked as written
-        fields["solver"] = tuple(dict(fields.get("solver", ()), area_tol_rel=args.tol).items())
+        fields["solver"] = dict(fields.get("solver", {}), area_tol_rel=args.tol)
     spec = ProblemSpec(**fields)
     if mode == "sweep":
         raise InputError("invalid-value", "sweep specs run with the 'sweep' command")

@@ -582,6 +582,14 @@ def region_areas(tri: Triangle, x: Point) -> RegionAreas:
     return RegionAreas(a, b, c)
 
 
+def _areas_at(tri: Triangle, xx: float, xy: float) -> tuple[float, float, float]:
+    """The region areas at a, b and c for the point (xx, xy), from two
+    clips: the region at c is what the other two leave of the triangle."""
+    ra = _sector_area(tri.points, tri._normals, 2, xx, xy, tri._snap)
+    rb = _sector_area(tri.points, tri._normals, 0, xx, xy, tri._snap)
+    return ra, rb, tri.area - ra - rb
+
+
 def region_polygon(tri: Triangle, v: str, x: Point) -> tuple[Vec, ...]:
     """The region at vertex v as a CCW ring of (x, y) points, () if the
     wedge misses the triangle.  Consecutive vertices closer than
@@ -617,4 +625,4 @@ def _region(ring, tol: float) -> tuple[Vec, ...]:
 def min_area_f(tri: Triangle, x: Point) -> float:
     """Minimum of the three region areas at x.  Vanishes at the vertices
     and never exceeds a third of the triangle area."""
-    return min(region_areas(tri, x).as_tuple())
+    return min(_areas_at(tri, x.x, x.y))

@@ -42,6 +42,7 @@ from .geometry import (  # the kinds, CLASSIFY_TOL and Classification are public
     Triangle,
     Vec,
     _Value,
+    _areas_at,
     _clip,
     _coord_scale,
     _edge_terms,
@@ -133,14 +134,6 @@ class LabelSets:
 
     def label(self, x: Point) -> str:
         return self._label(x.x, x.y)
-
-
-def _areas_at(tri: Triangle, xx: float, xy: float) -> tuple[float, float, float]:
-    """The region areas at a, b and c for the point (xx, xy), from two
-    clips: the region at c is what the other two leave of the triangle."""
-    ra = _sector_area(tri.points, tri._normals, 2, xx, xy, tri._snap)
-    rb = _sector_area(tri.points, tri._normals, 0, xx, xy, tri._snap)
-    return ra, rb, tri.area - ra - rb
 
 
 def classify(tri: Triangle) -> Classification:

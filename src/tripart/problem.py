@@ -26,13 +26,13 @@ MODES = ("triangle", "mass-partition", "sweep")
 DEFAULT_RAYS_DEG = (90.0, 210.0, 330.0)
 DEFAULT_SWEEP_RESOLUTION = 100
 MAX_SWEEP_RESOLUTION = 1000  # a sweep of resolution n has about n^2 / 2 rows: 498,501 at the cap
-_SOLVER_KEYS = SolverConfig._fields
 _MODE_FIELDS = {  # the fields each mode uses
     "triangle": {"mode", "triangle", "solver"},
     "mass-partition": {"mode", "polygon", "rays", "targets", "fractions", "solver"},
     "sweep": {"mode", "resolution"},
 }
 _SHAPES = {"triangle": ("triangle", Triangle.from_coords), "mass-partition": ("polygon", ConvexPolygon.from_coords)}
+_DEFAULTS = {"mass-partition": {"rays": DEFAULT_RAYS_DEG}, "sweep": {"resolution": DEFAULT_SWEEP_RESOLUTION}}
 
 
 class InputError(ValueError):
@@ -44,28 +44,31 @@ class InputError(ValueError):
         self.code = code
 
 
-def _check_fields(mode: str, keys) -> None:
-    """The per-mode field rule: InputError for the first of `keys` that
-    `mode` does not use, a key that names no field included."""
+def _check_fields(mode, keys) -> None:
+    """The mode rule, then the per-mode field rule: InputError for the
+    first of `keys` that `mode` does not use, a key that names no field
+    included."""
+    if mode not in MODES:
+        raise InputError("invalid-value", f"mode must be one of {', '.join(MODES)}, got {_as_json(mode)!r}")
     for key in keys:
         if key not in _MODE_FIELDS[mode]:
             raise InputError("invalid-value", f"field '{key}' is not allowed in {mode} mode")
 
 
 class ProblemSpec(_Value):
-    """One runnable job.  Construction validates every value, raising
-    InputError with a stable code: a field the mode does not use is left
-    unset, None or `()` for `solver` (invalid-value otherwise); a triangle
-    job requires `triangle`, a fan job `polygon` (missing-field
-    otherwise); a fan job's `rays` default to DEFAULT_RAYS_DEG and a
-    sweep's `resolution` to DEFAULT_SWEEP_RESOLUTION; `solver` is kept
-    sorted by option name, the order `parse_spec` gives it.  A wrong
-    arity, a coordinate that `float` refuses, a resolution that is not
-    integral, or a solver option that is unknown or not a number raises
-    the error `parse_spec` gives for it.  It keeps what it builds: `shape`
-    (the Triangle or ConvexPolygon), `config` (the SolverConfig) and, for
-    a fan job, `fan`; each is None where the mode has none.  Every later
-    step reads these; they take no part in equality."""
+    """One runnable job.  Construction checks the mode and the fields it
+    uses, then passes every field given (a value that is not None)
+    through its reader, the type rule `parse_spec` applies, before it
+    builds anything: so a spec built in code takes exactly the values a
+    parsed one takes, or raises the same InputError.  A reader keeps each
+    number's type; `solver` takes a mapping or (name, value) pairs and
+    keeps the options sorted by name.  A triangle job requires
+    `triangle`, a fan job `polygon` (missing-field otherwise); _DEFAULTS
+    fills a fan's `rays` and a sweep's `resolution`.  It keeps what it
+    builds: `shape` (the Triangle or ConvexPolygon), `config` (the
+    SolverConfig) and, for a fan job, `fan`; each is None where the mode
+    has none.  Every later step reads these; they take no part in
+    equality."""
 
     _fields = ("mode", "triangle", "polygon", "rays", "targets", "fractions", "resolution", "solver")
 
@@ -78,57 +81,38 @@ class ProblemSpec(_Value):
         targets: tuple[float, float, float] | None = None,
         fractions: tuple[float, float, float] | None = None,
         resolution: int | None = None,
-        solver: tuple[tuple[str, float], ...] = (),
+        solver: dict | tuple[tuple[str, float], ...] | None = None,
     ):
-        if mode not in _MODE_FIELDS:
-            raise InputError("invalid-value", f"unknown mode {mode!r}")
-        solver = tuple(sorted(solver))
-        given = dict(
-            triangle=triangle, polygon=polygon, rays=rays, targets=targets, fractions=fractions,
-            resolution=resolution, solver=solver,
-        )
-        _check_fields(mode, [k for k, v in given.items() if k not in _MODE_FIELDS[mode] and v not in (None, ())])
+        given = zip(self._fields[1:], (triangle, polygon, rays, targets, fractions, resolution, solver))
+        given = {k: v for k, v in given if v is not None}
+        _check_fields(mode, sorted(given))  # in the order parse_spec checks the keys
+        f = dict.fromkeys(self._fields) | {"mode": mode, "solver": ()} | _DEFAULTS.get(mode, {})
+        f |= {k: _READERS[k](v, k) for k, v in given.items()}
         shape = fan = config = None
         if mode == "sweep":
-            if resolution is None:
-                resolution = DEFAULT_SWEEP_RESOLUTION
-            elif type(resolution) is not int:
-                resolution = _require_int(resolution, "resolution")
-            if not 2 <= resolution <= MAX_SWEEP_RESOLUTION:
+            if not 2 <= f["resolution"] <= MAX_SWEEP_RESOLUTION:
                 raise InputError("invalid-value", f"'resolution' must be from 2 to {MAX_SWEEP_RESOLUTION}")
         else:
             field, build = _SHAPES[mode]
-            if given[field] is None:
+            if field not in given:
                 raise InputError("missing-field", f"{mode} mode requires field '{field}'")
             try:
-                shape = build(given[field])
+                shape = build(f[field])
             except GeometryError as exc:
                 raise InputError("degenerate-geometry", str(exc)) from exc
-            except (TypeError, ValueError):  # a wrong arity, or a coordinate that is no number
-                _require_vertices(_as_json(given[field]), field)
-                raise
             if mode == "mass-partition":
-                if rays is None:
-                    rays = DEFAULT_RAYS_DEG
-                fan = _fan_job(rays, targets, fractions, shape.area)
+                fan = _fan_job(f["rays"], f["targets"], f["fractions"], shape.area)
             try:
-                config = SolverConfig(**dict(solver))
-            except (TypeError, ValueError) as exc:  # PartitionError is a ValueError
-                _require_solver(dict(solver), "solver")  # an unknown option or a non-number
+                config = SolverConfig(**dict(f["solver"]))
+            except PartitionError as exc:  # a number out of an option's range
                 raise InputError("invalid-value", str(exc)) from exc
-        self.__dict__.update(
-            mode=mode, triangle=triangle, polygon=polygon, rays=rays, targets=targets, fractions=fractions,
-            resolution=resolution, solver=solver, shape=shape, fan=fan, config=config,
-        )
+        self.__dict__.update(f, shape=shape, fan=fan, config=config)
 
 
 def _fan_job(rays, targets, fractions, area: float) -> SectorConfig:
     """The fan of a fan job, after checking that its rays make one and that
     exactly one of `targets` and `fractions` is given and obeys the rule
     `run` meets, on the very targets it will solve."""
-    for key, v in (("rays", rays), ("targets", targets), ("fractions", fractions)):
-        if v is not None and len(v) != 3:  # the reader's arity error
-            _require_triple(_as_json(v), key)
     try:
         fan = SectorConfig.from_angles_deg(rays)
     except ValueError as exc:
@@ -243,10 +227,10 @@ def _as_json(v):
     return [_as_json(x) for x in v] if isinstance(v, (list, tuple)) else v
 
 
-def _require_number(v, name: str) -> float:
+def _require_number(v, name: str) -> int | float:
     if isinstance(v, bool) or not isinstance(v, (int, float)) or not _finite(v):
-        raise InputError("invalid-value", f"field '{name}' must be a finite number, got {v!r}")
-    return float(v)
+        raise InputError("invalid-value", f"field '{name}' must be a finite number, got {_as_json(v)!r}")
+    return v
 
 
 def _require_pair(v, name: str) -> Vec:
@@ -255,13 +239,13 @@ def _require_pair(v, name: str) -> Vec:
         if type(x) is float and type(y) is float and math.isfinite(x) and math.isfinite(y):
             return (x, y)  # a pair of JSON floats needs no check but finiteness
     if not isinstance(v, (list, tuple)) or len(v) != 2:
-        raise InputError("invalid-value", f"'{name}' must be a pair [x, y], got {v!r}")
+        raise InputError("invalid-value", f"'{name}' must be a pair [x, y], got {_as_json(v)!r}")
     return (_require_number(v[0], name), _require_number(v[1], name))
 
 
 def _require_triple(v, name: str) -> tuple[float, float, float]:
     if not isinstance(v, (list, tuple)) or len(v) != 3:
-        raise InputError("invalid-value", f"'{name}' must have exactly three numbers, got {v!r}")
+        raise InputError("invalid-value", f"'{name}' must have exactly three numbers, got {_as_json(v)!r}")
     return tuple([_require_number(x, name) for x in v])
 
 
@@ -275,24 +259,26 @@ def _require_vertices(v, name: str) -> tuple[Vec, ...]:
 
 def _require_int(v, name: str) -> int:
     if isinstance(v, bool) or not isinstance(v, (int, float)) or not _finite(v) or v != int(v):
-        raise InputError("invalid-value", f"'{name}' must be an integer, got {v!r}")
+        raise InputError("invalid-value", f"'{name}' must be an integer, got {_as_json(v)!r}")
     return int(v)
 
 
 def _require_solver(raw, name: str) -> tuple[tuple[str, float], ...]:
-    if raw is None:
-        return ()
-    if not isinstance(raw, dict):
-        raise InputError("invalid-value", f"'{name}' must be an object of option values")
+    """The options of a mapping (a JSON object, or (name, value) pairs),
+    sorted by name; a repeated name keeps its last value, as in JSON."""
+    try:
+        raw = dict(None if isinstance(raw, str) else raw)  # dict("") would be {}
+    except (TypeError, ValueError):
+        raise InputError("invalid-value", f"'{name}' must be an object of option values") from None
     items = []
-    for key in sorted(raw):
-        if key not in _SOLVER_KEYS:
+    for key in sorted(raw, key=str):  # names in code need not be strings
+        if key not in SolverConfig._fields:
             raise InputError("invalid-value", f"unknown {name} option '{key}'")
         items.append((key, _require_number(raw[key], f"{name}.{key}")))
     return tuple(items)
 
 
-_READERS = {
+_READERS = {  # in field order
     "triangle": _require_vertices,
     "polygon": _require_vertices,
     "rays": _require_triple,
@@ -304,17 +290,16 @@ _READERS = {
 
 
 def parse_spec(text: str) -> ProblemSpec:
-    """Parse a JSON problem spec, checking its syntax, its mode, its keys
-    and the type of each value it holds; the spec fills defaults, requires
-    fields and validates its values itself.  Raises InputError with a
-    stable error code on any problem; a returned spec is runnable."""
+    """Parse a JSON problem spec: the rules only JSON has, then the spec's
+    own.  Raises InputError with a stable error code on any problem; a
+    returned spec is runnable."""
     return ProblemSpec(**_spec_fields(text))
 
 
 def _spec_fields(text: str) -> dict:
-    """The reading half of `parse_spec`: the arguments of the spec, `mode`
-    first, the rest in field order, each as its reader gives it, with the
-    same InputErrors."""
+    """The JSON half of `parse_spec`: the spec's arguments, after the rules
+    only JSON has: an object with a `mode`, no key that names no field, a
+    `solver` that is an object or null (no options), and no other null."""
     try:
         data = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an int literal past the digit limit
@@ -323,14 +308,16 @@ def _spec_fields(text: str) -> dict:
         raise InputError("invalid-value", "top-level JSON value must be an object")
     if "mode" not in data:
         raise InputError("missing-field", "field 'mode' is required")
-    mode = data["mode"]
-    if mode not in MODES:
-        raise InputError("invalid-value", f"mode must be one of {', '.join(MODES)}, got {mode!r}")
-    # the spec's rule on the keys as given: a JSON null reads as unset, and
-    # a key that names no field never reaches the spec
-    _check_fields(mode, sorted(data))
-    # in field order; a key the JSON lacks is left to the spec
-    return {"mode": mode} | {key: _READERS[key](data[key], key) for key in ProblemSpec._fields[1:] if key in data}
+    _check_fields(data["mode"], sorted(data))
+    solver = data.get("solver")
+    if solver is None:
+        data.pop("solver", None)
+    elif not isinstance(solver, dict):
+        raise InputError("invalid-value", "'solver' must be an object of option values")
+    for key, v in data.items():
+        if v is None:
+            _READERS[key](v, key)  # a null is no value of the field
+    return data
 
 
 def serialize_spec(spec: ProblemSpec) -> str:

@@ -10,6 +10,7 @@ import random
 import pytest
 
 from tripart.cli import EXIT_INPUT, EXIT_OK, EXIT_SOLVER, main
+from tripart.problem import InputError, ProblemSpec, parse_spec
 
 EXTREME_SPECS = {
     "triangle-near-1e200": {
@@ -258,3 +259,35 @@ def test_cli_fuzz_exit_codes(tmp_path, capsys):
         seen.add(code)
     # the fuzz reaches every outcome, not only the input errors
     assert seen == {EXIT_OK, EXIT_INPUT, EXIT_SOLVER}
+
+
+def test_fuzz_specs_built_in_code_agree_with_parsed_ones():
+    """The fuzz's payloads, built in code and parsed from their JSON, give
+    equal specs or the same (code, message).  Skipped are the payloads
+    that meet a rule only JSON has (a key that names no field, a null
+    field, a solver that is no object) and those without a mode, which a
+    constructor call cannot leave out."""
+    rng = random.Random(FUZZ_SEED)
+    compared = 0
+    for case in range(FUZZ_CASES):
+        spec = _spec(rng)
+        if rng.random() < 0.5:
+            _spoil(rng, spec)
+        solver = spec.get("solver", {})
+        if "bogus" in spec or "mode" not in spec or None in spec.values() or not isinstance(solver, dict):
+            continue
+        text = json.dumps(spec)
+        try:
+            parsed = parse_spec(text)
+        except InputError as exc:
+            parsed = (exc.code, str(exc))
+        fields = dict(spec)
+        if "solver" in spec:
+            fields["solver"] = tuple(solver.items())  # the pairs a caller in code passes
+        try:
+            built = ProblemSpec(**fields)
+        except InputError as exc:
+            built = (exc.code, str(exc))
+        assert built == parsed, (case, text)
+        compared += 1
+    assert compared >= FUZZ_CASES * 3 // 4
