@@ -148,7 +148,7 @@ def _cmd_verify(args) -> int:
     if not (args.tol > 0.0 and math.isfinite(args.tol)):
         raise InputError("invalid-value", "--tol must be a positive finite number")
     vr = verify_partition(spec.shape, point, tol=args.tol)
-    areas = input_order(spec.shape, vr.areas.as_tuple())
+    areas = input_order(spec.shape, vr.areas)
     payload = {
         "mode": "verify",
         "point": [vr.point.x, vr.point.y],

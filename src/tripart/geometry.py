@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-from functools import cached_property
 
 Vec = tuple[float, float]
 
@@ -387,10 +386,9 @@ class ConvexPolygon(_Value):
     given clockwise is reversed.  Empty input, a ring that merges below 3
     vertices, a reflex turn and an area of at most DEGENERACY_REL times
     the squared diameter raise GeometryError.  `coords` holds the
-    vertices as (x, y) tuples; `vertices` gives them as Points.
-    Construction stores the `area` and `diameter` (the bounding-box
-    diagonal, an upper bound on the diameter) its checks compute and the
-    clipping band `_snap`.
+    vertices as (x, y) tuples.  Construction stores the `area` and
+    `diameter` (the bounding-box diagonal, an upper bound on the diameter)
+    its checks compute and the clipping band `_snap`.
     """
 
     _fields = ("coords",)
@@ -437,10 +435,6 @@ class ConvexPolygon(_Value):
     def from_coords(cls, coords) -> "ConvexPolygon":
         """The same as `ConvexPolygon(coords)`, named like `Triangle.from_coords`."""
         return cls(coords)
-
-    @cached_property
-    def vertices(self) -> tuple[Point, ...]:
-        return tuple(Point(x, y) for x, y in self.coords)
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -532,9 +526,6 @@ class RegionAreas(namedtuple("RegionAreas", "at_a at_b at_c")):
     def at(self, v: str) -> float:
         return {"a": self.at_a, "b": self.at_b, "c": self.at_c}[v.lower()]
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.at_a, self.at_b, self.at_c)
-
 
 # ---------------------------------------------------------------------------
 # Operations
@@ -576,33 +567,13 @@ def region_area(tri: Triangle, v: str, x: Point) -> float:
     return _sector_area(tri.points, tri._normals, _SECTOR_OF[v.lower()], x.x, x.y, tri._snap)
 
 
-def region_areas(tri: Triangle, x: Point) -> RegionAreas:
-    """All three region areas at x; they sum to the triangle area."""
-    b, c, a = (_sector_area(tri.points, tri._normals, i, x.x, x.y, tri._snap) for i in range(3))
-    return RegionAreas(a, b, c)
-
-
-def _areas_at(tri: Triangle, xx: float, xy: float) -> tuple[float, float, float]:
-    """The region areas at a, b and c for the point (xx, xy), from two
-    clips: the region at c is what the other two leave of the triangle."""
-    ra = _sector_area(tri.points, tri._normals, 2, xx, xy, tri._snap)
-    rb = _sector_area(tri.points, tri._normals, 0, xx, xy, tri._snap)
-    return ra, rb, tri.area - ra - rb
-
-
-def region_polygon(tri: Triangle, v: str, x: Point) -> tuple[Vec, ...]:
-    """The region at vertex v as a CCW ring of (x, y) points, () if the
-    wedge misses the triangle.  Consecutive vertices closer than
-    1e-12 * diameter are merged so degenerate slivers do not inflate the
-    vertex count."""
-    (n1x, n1y, o1), (n2x, n2y, o2) = _sector_cuts(tri._normals, _SECTOR_OF[v.lower()], x.x, x.y)
-    pts = _clip(_clip(tri.points, n1x, n1y, o1, tri._snap), n2x, n2y, o2, tri._snap)
-    return _region(pts, 1e-12 * tri.diameter)
-
-
 def region_parts(tri: Triangle, x: Point) -> tuple[RegionAreas, tuple[tuple[Vec, ...], ...]]:
-    """`region_areas` and the three `region_polygon`s at x, in vertex
-    order, from one clip pass per region: the same bits as calling them."""
+    """The three region areas at x, which sum to the triangle area, and the
+    three regions as CCW rings of (x, y) points, both in vertex order,
+    from one clip pass per region: the one place a triangle's regions are
+    built.  A ring is () if the wedge misses the triangle; consecutive
+    vertices closer than 1e-12 * diameter are merged so degenerate slivers
+    do not inflate the vertex count."""
     pts, normals, eps = tri.points, tri._normals, tri._snap
     tol = 1e-12 * tri.diameter
     areas = []
@@ -611,15 +582,28 @@ def region_parts(tri: Triangle, x: Point) -> tuple[RegionAreas, tuple[tuple[Vec,
         (n1x, n1y, o1), (n2x, n2y, o2) = _sector_cuts(normals, i, x.x, x.y)
         ring = _clip(_clip(pts, n1x, n1y, o1, eps), n2x, n2y, o2, eps)
         areas.append(_signed_area(ring))
-        regions.append(_region(ring, tol))
+        ring = _dedupe(ring, tol)
+        regions.append(tuple(ring) if len(ring) >= 3 else ())
     (b, c, a), (rb, rc, ra) = areas, regions
     return RegionAreas(a, b, c), (ra, rb, rc)
 
 
-def _region(ring, tol: float) -> tuple[Vec, ...]:
-    """A clipped ring as a tuple, deduped at tol; () below 3 vertices."""
-    ring = _dedupe(ring, tol)
-    return tuple(ring) if len(ring) >= 3 else ()
+def region_areas(tri: Triangle, x: Point) -> RegionAreas:
+    """The three region areas at x, as `region_parts` gives them."""
+    return region_parts(tri, x)[0]
+
+
+def region_polygon(tri: Triangle, v: str, x: Point) -> tuple[Vec, ...]:
+    """The region at vertex v, as `region_parts` gives it."""
+    return dict(zip(VERTEX_IDS, region_parts(tri, x)[1]))[v.lower()]
+
+
+def _areas_at(tri: Triangle, xx: float, xy: float) -> tuple[float, float, float]:
+    """The region areas at a, b and c for the point (xx, xy), from two
+    clips: the region at c is what the other two leave of the triangle."""
+    ra = _sector_area(tri.points, tri._normals, 2, xx, xy, tri._snap)
+    rb = _sector_area(tri.points, tri._normals, 0, xx, xy, tri._snap)
+    return ra, rb, tri.area - ra - rb
 
 
 def min_area_f(tri: Triangle, x: Point) -> float:

@@ -78,16 +78,6 @@ class SectorConfig(_Value):
         return tuple((ang[(i + 1) % 3] - ang[i]) % (2.0 * math.pi) for i in range(3))
 
 
-class Targets(namedtuple("Targets", "values")):
-    """Positive target areas for the three sectors."""
-
-    __slots__ = ()
-
-    @classmethod
-    def fractions(cls, fracs: tuple[float, float, float], total: float) -> "Targets":
-        return cls(tuple(f * total for f in fracs))
-
-
 TranslationSolution = namedtuple(
     "TranslationSolution", "apex translation achieved targets residual iterations method", defaults=("newton",)
 )
@@ -110,8 +100,9 @@ def _check_targets(vals, total: float) -> None:
         raise MassPartitionError(f"targets sum to {_sum_lr(vals)!r} but the polygon area is {total!r}")
 
 
-def solve_translation(poly, cfg: SectorConfig, targets: Targets, solver_cfg=None) -> TranslationSolution:
-    """Place the fan so its sectors cut the polygon into the target areas.
+def solve_translation(poly, fan: SectorConfig, targets, solver_cfg=None) -> TranslationSolution:
+    """Place the fan so its sectors cut the polygon into `targets`, the
+    three target areas.
 
     The polygon stays fixed and the apex moves; `translation` is the
     vector that would instead move the polygon onto a fan anchored at the
@@ -122,20 +113,19 @@ def solve_translation(poly, cfg: SectorConfig, targets: Targets, solver_cfg=None
     SolverError on failure and MassPartitionError for invalid targets."""
     solver_cfg = solver_cfg or SolverConfig()
     total = poly.area
-    vals = targets.values
-    _check_targets(vals, total)
+    _check_targets(targets, total)
     pts = poly.coords
     seed = (_sum_lr(p[0] for p in pts) / len(pts), _sum_lr(p[1] for p in pts) / len(pts))
-    normals = cfg.normals
-    x, y, iters, a0, a1 = _fan_newton(pts, total, poly._snap, normals, vals, seed, 2.0 * poly.diameter, solver_cfg)
+    normals = fan.normals
+    x, y, iters, a0, a1 = _fan_newton(pts, total, poly._snap, normals, targets, seed, 2 * poly.diameter, solver_cfg)
     apex = Point(x, y)
     achieved = (a0, a1, _sector_area(pts, normals, 2, x, y, poly._snap))
-    residual = max(abs(a - t) for a, t in zip(achieved, vals))
+    residual = max(abs(a - t) for a, t in zip(achieved, targets))
     return TranslationSolution(
         apex=apex,
         translation=(-apex.x, -apex.y),
         achieved=achieved,
-        targets=vals,
+        targets=targets,
         residual=residual,
         iterations=iters,
     )

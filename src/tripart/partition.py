@@ -499,9 +499,8 @@ def verify_partition(tri: Triangle, x: Point, tol: float = 1e-9) -> VerifyReport
     areas from |T| / 3, the point's location (tol * diameter boundary
     band), and the region vertex counts.  ok means the worst deviation is
     within tol * |T|."""
-    areas, regions = region_parts(tri, x)
-    s = tri.area / 3.0
-    dev = max(abs(areas.at_a - s), abs(areas.at_b - s), abs(areas.at_c - s))
+    sol = _solution(tri, x, "verify")  # the residual is the worst deviation
+    dev = sol.residual
     sd = tri.signed_distance(x)
     band = tol * tri.diameter
     if sd > band:
@@ -510,14 +509,13 @@ def verify_partition(tri: Triangle, x: Point, tol: float = 1e-9) -> VerifyReport
         location = "exterior"
     else:
         location = "boundary"
-    counts = tuple(len(r) for r in regions)
     return VerifyReport(
         point=x,
-        areas=areas,
+        areas=sol.areas,
         max_deviation=dev,
         deviation_rel=dev / tri.area,
         location=location,
-        region_vertex_counts=counts,
+        region_vertex_counts=tuple(len(r) for r in sol.regions),
         ok=dev <= tol * tri.area,
     )
 
@@ -541,5 +539,5 @@ def lemma_check(tri: Triangle, x: Point) -> bool:
         raise PartitionError("point is not on the triangle boundary")
     opp = _OPPOSITE_VERTEX[side]
     areas = region_areas(tri, x)
-    others = min(a for v, a in zip(VERTEX_IDS, areas.as_tuple()) if v != opp)
+    others = min(a for v, a in zip(VERTEX_IDS, areas) if v != opp)
     return areas.at(opp) > others

@@ -19,7 +19,7 @@ from itertools import chain
 
 from .geometry import VERTEX_IDS, Classification, ConvexPolygon, GeometryError, Triangle, Vec, _Value
 from .geometry import _base_angles, _classify_angles  # the sweep's kernel
-from .masspart import MassPartitionError, SectorConfig, Targets, _check_targets, solve_translation
+from .masspart import MassPartitionError, SectorConfig, _check_targets, solve_translation
 from .partition import PartitionError, SolverConfig, equal_partition
 
 MODES = ("triangle", "mass-partition", "sweep")
@@ -58,16 +58,17 @@ def _check_fields(mode, keys) -> None:
 class ProblemSpec(_Value):
     """One runnable job.  Construction checks the mode and the fields it
     uses, then passes every field given (a value that is not None)
-    through its reader, the type rule `parse_spec` applies, before it
-    builds anything: so a spec built in code takes exactly the values a
-    parsed one takes, or raises the same InputError.  A reader keeps each
-    number's type; `solver` takes a mapping or (name, value) pairs and
-    keeps the options sorted by name.  A triangle job requires
-    `triangle`, a fan job `polygon` (missing-field otherwise); _DEFAULTS
-    fills a fan's `rays` and a sweep's `resolution`.  It keeps what it
-    builds: `shape` (the Triangle or ConvexPolygon), `config` (the
-    SolverConfig) and, for a fan job, `fan`; each is None where the mode
-    has none.  Every later step reads these; they take no part in
+    through its reader, the type rule `parse_spec` applies, `solver`
+    first, before it builds anything: so a spec built in code takes
+    exactly the values a parsed one takes, or raises the same InputError.
+    A reader keeps each number's type; `solver` takes a mapping or
+    (name, value) pairs and keeps the options sorted by name.  A triangle
+    job requires `triangle`, a fan job `polygon` (missing-field
+    otherwise); _DEFAULTS fills a fan's `rays` and a sweep's
+    `resolution`.  It keeps what it builds: `shape` (the Triangle or
+    ConvexPolygon), `config` (the SolverConfig) and, for a fan job, `fan`
+    and `target_areas`, the three areas it solves for; each is None where
+    the mode has none.  Every later step reads these; they take no part in
     equality."""
 
     _fields = ("mode", "triangle", "polygon", "rays", "targets", "fractions", "resolution", "solver")
@@ -87,8 +88,8 @@ class ProblemSpec(_Value):
         given = {k: v for k, v in given if v is not None}
         _check_fields(mode, sorted(given))  # in the order parse_spec checks the keys
         f = dict.fromkeys(self._fields) | {"mode": mode, "solver": ()} | _DEFAULTS.get(mode, {})
-        f |= {k: _READERS[k](v, k) for k, v in given.items()}
-        shape = fan = config = None
+        f |= {k: read(given[k], k) for k, read in _READERS.items() if k in given}
+        shape = fan = areas = config = None
         if mode == "sweep":
             if not 2 <= f["resolution"] <= MAX_SWEEP_RESOLUTION:
                 raise InputError("invalid-value", f"'resolution' must be from 2 to {MAX_SWEEP_RESOLUTION}")
@@ -101,18 +102,18 @@ class ProblemSpec(_Value):
             except GeometryError as exc:
                 raise InputError("degenerate-geometry", str(exc)) from exc
             if mode == "mass-partition":
-                fan = _fan_job(f["rays"], f["targets"], f["fractions"], shape.area)
+                fan, areas = _fan_job(f["rays"], f["targets"], f["fractions"], shape.area)
             try:
                 config = SolverConfig(**dict(f["solver"]))
             except PartitionError as exc:  # a number out of an option's range
                 raise InputError("invalid-value", str(exc)) from exc
-        self.__dict__.update(f, shape=shape, fan=fan, config=config)
+        self.__dict__.update(f, shape=shape, fan=fan, target_areas=areas, config=config)
 
 
-def _fan_job(rays, targets, fractions, area: float) -> SectorConfig:
-    """The fan of a fan job, after checking that its rays make one and that
-    exactly one of `targets` and `fractions` is given and obeys the rule
-    `run` meets, on the very targets it will solve."""
+def _fan_job(rays, targets, fractions, area: float) -> tuple[SectorConfig, tuple]:
+    """The fan of a fan job and the three areas it solves for, after
+    checking that its rays make one and that exactly one of `targets` and
+    `fractions` is given and obeys the rule `solve_translation` meets."""
     try:
         fan = SectorConfig.from_angles_deg(rays)
     except ValueError as exc:
@@ -122,13 +123,13 @@ def _fan_job(rays, targets, fractions, area: float) -> SectorConfig:
             "missing-field" if targets is None else "invalid-value",
             "give exactly one of 'targets' (absolute areas) or 'fractions'",
         )
-    vals = targets if fractions is None else Targets.fractions(fractions, area).values
+    vals = targets if fractions is None else tuple([f * area for f in fractions])
     try:
         _check_targets(vals, area)
     except MassPartitionError as exc:
         msg = str(exc) if fractions is None else f"fractions must be positive and sum to 1, got {fractions!r}"
         raise InputError("invalid-value", msg) from exc
-    return fan
+    return fan, vals
 
 
 SweepRow = namedtuple("SweepRow", "angle_a_deg angle_b_deg kind margin")
@@ -278,14 +279,14 @@ def _require_solver(raw, name: str) -> tuple[tuple[str, float], ...]:
     return tuple(items)
 
 
-_READERS = {  # in field order
+_READERS = {  # in the order a spec reads them: `solver` first, as parse_spec checks it first
+    "solver": _require_solver,
     "triangle": _require_vertices,
     "polygon": _require_vertices,
     "rays": _require_triple,
     "targets": _require_triple,
     "fractions": _require_triple,
     "resolution": _require_int,
-    "solver": _require_solver,
 }
 
 
@@ -393,7 +394,7 @@ def _run_triangle(spec: ProblemSpec) -> Report:
     if tri.swapped_bc and cls.obtuse_vertex:
         label = input_order(tri, VERTEX_IDS)[VERTEX_IDS.index(cls.obtuse_vertex)]
         cls = Classification(cls.kind, label, cls.criterion_margin)
-    areas = input_order(tri, sol.areas.as_tuple())
+    areas = input_order(tri, sol.areas)
     return Report(
         mode="triangle",
         spec=spec,
@@ -410,15 +411,13 @@ def _run_triangle(spec: ProblemSpec) -> Report:
 
 def _run_mass_partition(spec: ProblemSpec) -> Report:
     poly = spec.shape
-    total = poly.area
-    targets = Targets(spec.targets) if spec.targets is not None else Targets.fractions(spec.fractions, total)
-    sol = solve_translation(poly, spec.fan, targets, spec.config)
+    sol = solve_translation(poly, spec.fan, spec.target_areas, spec.config)
     return Report(
         mode="mass-partition",
         spec=spec,
         method=sol.method,
         residual=sol.residual,
-        total_area=total,
+        total_area=poly.area,
         apex=sol.apex.as_tuple(),
         translation=sol.translation,
         achieved=sol.achieved,

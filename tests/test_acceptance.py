@@ -13,7 +13,7 @@ from scipy import ndimage
 
 import oracles as oc
 from tripart.geometry import ConvexPolygon, Point, Triangle, min_area_f, region_areas
-from tripart.masspart import SectorConfig, Targets, solve_translation
+from tripart.masspart import SectorConfig, solve_translation
 from tripart.partition import (
     INTERIOR_KINDS,
     OBTUSE_BOUNDARY,
@@ -108,7 +108,7 @@ def test_criterion_04_boundary_closed_form():
         worst_dist = max(worst_dist, closed.distance_to(newton) / tri.diameter)
         third = tri.area / 3.0
         for p in (closed, newton):
-            areas = region_areas(tri, p).as_tuple()
+            areas = region_areas(tri, p)
             worst_area = max(worst_area, max(abs(a - third) for a in areas) / tri.area)
     ok = worst_dist <= 1e-8 and worst_area <= 1e-9
     _report(
@@ -190,7 +190,7 @@ def test_criterion_08_lemma_margin():
             opp = opposite[side]
             for t in rng.uniform(0.0, 1.0, ts):
                 x = Point(p.x + t * (q.x - p.x), p.y + t * (q.y - p.y))
-                areas = region_areas(tri, x).as_tuple()
+                areas = region_areas(tri, x)
                 others = min(areas[i] for i in range(3) if i != opp)
                 worst = min(worst, (areas[opp] - others) / tri.area)
     ok = worst > 1e-12
@@ -208,7 +208,7 @@ def test_criterion_09_translation_engine():
     for _ in range(500):
         poly = ConvexPolygon.from_coords(oc.rand_convex_polygon(rng))
         cfg = SectorConfig.from_angles_deg(oc.rand_fan_angles_deg(rng))
-        targets = Targets.fractions(tuple(oc.rand_fractions(rng)), poly.area)
+        targets = tuple(f * poly.area for f in oc.rand_fractions(rng))
         try:
             sol = solve_translation(poly, cfg, targets)
             if sol.residual > 1e-10 * poly.area:
@@ -223,7 +223,7 @@ def test_criterion_09_translation_engine():
         poly = ConvexPolygon.from_coords([tuple(p) for p in pts])
         angles = oc.rand_fan_angles_deg(rng)
         cfg = SectorConfig.from_angles_deg(angles)
-        targets = Targets.fractions(tuple(oc.rand_fractions(rng)), poly.area)
+        targets = tuple(f * poly.area for f in oc.rand_fractions(rng))
         sol = solve_translation(poly, cfg, targets)
         rad = np.radians(angles)
         dirs = np.stack([np.cos(rad), np.sin(rad)], axis=1)

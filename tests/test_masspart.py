@@ -13,7 +13,6 @@ from tripart.geometry import ConvexPolygon, Point, Triangle, _edge_terms, _secto
 from tripart.masspart import (
     MassPartitionError,
     SectorConfig,
-    Targets,
     sector_areas,
     solve_translation,
 )
@@ -104,7 +103,7 @@ def test_triangle_fan_reproduces_wedge_regions():
 
 def test_solve_translation_square_thirds():
     cfg = SectorConfig.from_angles_deg((90.0, 210.0, 330.0))
-    targets = Targets.fractions((1 / 3, 1 / 3, 1 / 3), SQUARE.area)
+    targets = tuple(f * SQUARE.area for f in (1 / 3, 1 / 3, 1 / 3))
     sol = solve_translation(SQUARE, cfg, targets)
     assert sol.residual <= 1e-12 * SQUARE.area
     for a in sol.achieved:
@@ -116,7 +115,7 @@ def test_solve_translation_square_thirds():
 
 def test_translation_moves_polygon_onto_origin_fan():
     cfg = SectorConfig.from_angles_deg((80.0, 200.0, 324.0))
-    targets = Targets((0.2, 0.5, 0.3))
+    targets = (0.2, 0.5, 0.3)
     sol = solve_translation(SQUARE, cfg, targets)
     moved = ConvexPolygon([(x + sol.translation[0], y + sol.translation[1]) for x, y in SQUARE.coords])
     again = sector_areas(moved, cfg, Point(0.0, 0.0))
@@ -130,16 +129,16 @@ def test_solve_translation_random_cases():
         poly = ConvexPolygon.from_coords(oc.rand_convex_polygon(rng))
         cfg = SectorConfig.from_angles_deg(oc.rand_fan_angles_deg(rng))
         fracs = oc.rand_fractions(rng)
-        targets = Targets.fractions(tuple(fracs), poly.area)
+        targets = tuple(f * poly.area for f in fracs)
         sol = solve_translation(poly, cfg, targets)
         assert sol.residual <= 1e-12 * poly.area
-        for a, t in zip(sol.achieved, targets.values):
+        for a, t in zip(sol.achieved, targets):
             assert abs(a - t) <= 1e-12 * poly.area
 
 
 def test_solve_translation_accepts_triangle():
     cfg = SectorConfig.from_triangle(RIGHT_ISO)
-    targets = Targets.fractions((1 / 3, 1 / 3, 1 / 3), RIGHT_ISO.area)
+    targets = tuple(f * RIGHT_ISO.area for f in (1 / 3, 1 / 3, 1 / 3))
     sol = solve_translation(ConvexPolygon(RIGHT_ISO.points), cfg, targets)
     r = 1.0 / math.sqrt(6.0)
     assert sol.apex.x == pytest.approx(r, abs=5e-12)
@@ -149,9 +148,9 @@ def test_solve_translation_accepts_triangle():
 def test_solve_translation_rejects_bad_targets():
     cfg = SectorConfig.from_angles_deg((90.0, 210.0, 330.0))
     with pytest.raises(MassPartitionError, match="positive"):
-        solve_translation(SQUARE, cfg, Targets((0.5, 0.5, 0.0)))
+        solve_translation(SQUARE, cfg, (0.5, 0.5, 0.0))
     with pytest.raises(MassPartitionError, match="polygon area"):
-        solve_translation(SQUARE, cfg, Targets((0.5, 0.5, 0.5)))
+        solve_translation(SQUARE, cfg, (0.5, 0.5, 0.5))
 
 
 def test_exact_jacobian_matches_central_differences():
@@ -208,7 +207,7 @@ def test_hard_instance_fan_set_converges():
             fracs = oc.tiny_fractions(rng, 10.0 ** rng.uniform(-5.0, -3.0))
         poly = ConvexPolygon.from_coords(oc.unit_scale(pts))
         cfg = SectorConfig.from_angles_deg(oc.rand_fan_angles_deg(rng))
-        sol = solve_translation(poly, cfg, Targets.fractions(fracs, poly.area))
+        sol = solve_translation(poly, cfg, tuple(f * poly.area for f in fracs))
         assert sol.residual <= 1e-10 * poly.area
 
 
@@ -272,20 +271,18 @@ def _fan_solves():
     for text in _writer_specs():
         spec = parse_spec(text)
         if spec.mode == "mass-partition":
-            poly = spec.shape
-            targets = Targets(spec.targets) if spec.targets else Targets.fractions(spec.fractions, poly.area)
-            yield poly, spec.fan, targets
+            yield spec.shape, spec.fan, spec.target_areas
     rng = np.random.default_rng(20240617)
     for _ in range(500):
         poly = ConvexPolygon.from_coords(oc.rand_convex_polygon(rng))
         cfg = SectorConfig.from_angles_deg(oc.rand_fan_angles_deg(rng))
-        yield poly, cfg, Targets.fractions(tuple(oc.rand_fractions(rng)), poly.area)
+        yield poly, cfg, tuple(f * poly.area for f in oc.rand_fractions(rng))
     for _ in range(20):
         pts = np.asarray(oc.rand_convex_polygon(rng))
         pts = pts / np.hypot(*np.ptp(pts, axis=0))
         poly = ConvexPolygon.from_coords([tuple(p) for p in pts])
         cfg = SectorConfig.from_angles_deg(oc.rand_fan_angles_deg(rng))
-        yield poly, cfg, Targets.fractions(tuple(oc.rand_fractions(rng)), poly.area)
+        yield poly, cfg, tuple(f * poly.area for f in oc.rand_fractions(rng))
 
 
 def _solve(poly, cfg, targets):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import oracles as oc
-from tripart import ConvexPolygon, SectorConfig, Targets, Triangle, equal_partition, solve_translation
+from tripart import ConvexPolygon, SectorConfig, Triangle, equal_partition, solve_translation
 
 EXPONENTS = (-150, -110, -100, -50, -14, -13, -8, 0, 8, 50, 100, 110, 150)
 RESIDUAL_REL = 1e-10  # the acceptance suite's equal-area bar, relative to the area
@@ -67,9 +67,9 @@ def test_fan_placement_commutes_with_scaling(k):
     for pts, rays, fractions in _fan_jobs():
         fan = SectorConfig.from_angles_deg(rays)
         base = ConvexPolygon.from_coords(_scaled(pts, 0))
-        ref = solve_translation(base, fan, Targets.fractions(fractions, base.area))
+        ref = solve_translation(base, fan, tuple(f * base.area for f in fractions))
         poly = ConvexPolygon.from_coords(_scaled(pts, k))
-        sol = solve_translation(poly, fan, Targets.fractions(fractions, poly.area))
+        sol = solve_translation(poly, fan, tuple(f * poly.area for f in fractions))
         gap = math.hypot(sol.apex.x / s - ref.apex.x, sol.apex.y / s - ref.apex.y)
         assert gap <= POINT_REL * poly.diameter / s, (k, gap)
         assert sol.residual <= RESIDUAL_REL * poly.area, (k, sol.residual / poly.area)

@@ -568,7 +568,7 @@ def test_label_sets_partition_and_ties():
         from tripart.geometry import region_areas
 
         got = region_areas(tri, x)
-        best = min(got.as_tuple())
+        best = min(got)
         assert got.at(lab) == best
 
 

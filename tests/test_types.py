@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from tripart.geometry import ConvexPolygon, Point, RegionAreas, Triangle
-from tripart.masspart import SectorConfig, Targets, TranslationSolution
+from tripart.masspart import SectorConfig, TranslationSolution
 from tripart.partition import Classification, PartitionSolution, SolverConfig, SolverReport, VerifyReport
 from tripart.problem import ProblemSpec, Report, SweepRow
 from tripart.rootfind import RootResult
@@ -49,7 +49,6 @@ VALUES = {
         lambda: VerifyReport(Point(0.0, 0.0), RegionAreas(1.0, 1.0, 1.0), 0.0, 0.0, "interior", (4, 4, 4), True),
         lambda: VerifyReport(Point(0.0, 0.0), RegionAreas(1.0, 1.0, 1.0), 0.0, 0.0, "boundary", (4, 4, 4), True),
     ),
-    "Targets": (lambda: Targets((1.0, 2.0, 3.0)), lambda: Targets((1.0, 3.0, 2.0))),
     "TranslationSolution": (
         lambda: TranslationSolution(Point(0.0, 0.0), (0.0, 0.0), (1.0, 1.0, 1.0), (1.0, 1.0, 1.0), 0.0, 3),
         lambda: TranslationSolution(Point(0.0, 0.0), (0.0, 0.0), (1.0, 1.0, 1.0), (1.0, 1.0, 1.0), 0.0, 4),
@@ -62,7 +61,7 @@ VALUES = {
 }
 RECORDS = (
     RegionAreas, RootResult, SolverReport, Classification, PartitionSolution,
-    VerifyReport, Targets, TranslationSolution, Report, SweepRow,
+    VerifyReport, TranslationSolution, Report, SweepRow,
 )
 
 
@@ -136,16 +135,17 @@ def test_problem_spec_equality_ignores_what_it_builds():
         lambda: ProblemSpec(mode="mass-partition", polygon=SQUARE, fractions=(0.2, 0.3, 0.5)),
     ):
         a, b = make(), make()
-        for derived in ("shape", "fan", "config"):
+        for derived in ("shape", "fan", "target_areas", "config"):
             object.__setattr__(b, derived, object())
         assert a == b and hash(a) == hash(b)
         assert repr(a) == repr(b)
 
 
-def test_polygon_equality_ignores_vertices():
+def test_polygon_equality_ignores_what_it_derives():
     a, b = ConvexPolygon.from_coords(SQUARE), ConvexPolygon.from_coords(SQUARE)
-    assert a.vertices == b.vertices == tuple(Point(x, y) for x, y in SQUARE)
-    object.__setattr__(b, "vertices", ())
+    assert (a.area, a.diameter) == (b.area, b.diameter) == (1.0, 2.0**0.5)
+    for derived in ("area", "diameter", "_snap"):
+        object.__setattr__(b, derived, -1.0)
     assert a == b and hash(a) == hash(b)
     assert repr(a) == repr(b) == f"ConvexPolygon(coords={SQUARE!r})"
 

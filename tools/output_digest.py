@@ -11,13 +11,21 @@ Run it in two checkouts and compare the last line: equal digests mean
 the outputs and error reports are byte-identical on these jobs.  The
 lines before it give one digest per workload.
 
-    python3 tools/output_digest.py
+    python3 tools/output_digest.py [--dump FILE]
+
+`--dump FILE` also writes one JSON line per job, in run order: its
+workload, index, share, status ("answer" or "error") and outputs.
+`tools/output_diff.py` compares two such files.  The digests do not
+depend on it.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import itertools
+import json
+import os
 import sys
 from pathlib import Path
 
@@ -31,25 +39,33 @@ from jobs import run_job  # noqa: E402
 JOB_SETS = (("triangles", 4, 3000), ("fans", 5, 600), ("sweep", 6, 40))
 
 
-def job_outputs(workload: str, text: str) -> tuple[str, ...]:
-    """The job's output strings, or its error as one string."""
+def job_result(workload: str, text: str) -> tuple[str, tuple[str, ...]]:
+    """The job's status and its output strings, or its error as one string."""
     try:
-        return run_job(cli, workload, text)
+        return "answer", run_job(cli, workload, text)
     except Exception as exc:  # the error report is part of the output
         report = getattr(exc, "report", None)
-        return (f"{type(exc).__name__}: {exc}" + ("" if report is None else f" {report!r}"),)
+        return "error", (f"{type(exc).__name__}: {exc}" + ("" if report is None else f" {report!r}"),)
 
 
-def main() -> None:
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description="Digest the outputs of fixed benchmark jobs.")
+    parser.add_argument("--dump", metavar="FILE", help="also write one JSON line per job to FILE")
+    args = parser.parse_args(argv)
     total = hashlib.sha256()
-    for workload, seed, count in JOB_SETS:
-        digest = hashlib.sha256()
-        for job in itertools.islice(workloads.GENERATORS[workload](seed), count):
-            for out in job_outputs(workload, job.text):
-                digest.update(out.encode() + b"\0")
-            digest.update(b"\1")
-        print(f"{workload} seed {seed}, {count} jobs: {digest.hexdigest()}")
-        total.update(digest.digest())
+    with open(args.dump or os.devnull, "w", encoding="utf-8") as dump:
+        for workload, seed, count in JOB_SETS:
+            digest = hashlib.sha256()
+            for index, job in enumerate(itertools.islice(workloads.GENERATORS[workload](seed), count)):
+                status, outputs = job_result(workload, job.text)
+                for out in outputs:
+                    digest.update(out.encode() + b"\0")
+                digest.update(b"\1")
+                if args.dump:
+                    record = {"workload": workload, "index": index, "share": job.share}
+                    dump.write(json.dumps(record | {"status": status, "outputs": outputs}) + "\n")
+            print(f"{workload} seed {seed}, {count} jobs: {digest.hexdigest()}")
+            total.update(digest.digest())
     print(total.hexdigest())
 
 
