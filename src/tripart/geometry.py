@@ -40,6 +40,13 @@ class GeometryError(ValueError):
     """Invalid geometric input: non-finite, degenerate or non-convex."""
 
 
+def _vertex_id(v: str) -> str:
+    """Vertex id v in lower case; GeometryError unless it is a, b or c."""
+    if v.lower() in VERTEX_IDS:
+        return v.lower()
+    raise GeometryError(f"unknown vertex id {v.lower()!r}")
+
+
 # ---------------------------------------------------------------------------
 # Low-level helpers on raw coordinate tuples.  These are the hot paths; they
 # deliberately avoid constructing wrapper objects.
@@ -265,28 +272,30 @@ def _widest(angles) -> int:
     return 1 if a1 >= a2 else 2
 
 
+def _obtuse_kind(ta: float, tb: float) -> tuple[str, float]:
+    """An obtuse triangle's kind and criterion margin, from the tangents of
+    its acute angles A and B after the widest: the signed slack of the
+    interior criterion, positive when the equal-area point is interior,
+    zero (within CLASSIFY_TOL) on side AB and negative outside."""
+    margin = math.sqrt((1.0 + ta * ta) * tb) + math.sqrt((1.0 + tb * tb) * ta) - math.sqrt(3.0 * (ta + tb))
+    if margin > CLASSIFY_TOL:
+        return OBTUSE_INTERIOR, margin
+    if margin < -CLASSIFY_TOL:
+        return OBTUSE_EXTERIOR, margin
+    return OBTUSE_BOUNDARY, margin
+
+
 def _classify_angles(angles) -> tuple[str, int, float | None]:
     """The classification from the interior angles at a, b, c, all it
     depends on, as plain values: the kind, the index of the widest angle
-    and the criterion margin (None unless the triangle is obtuse).
-    CLASSIFY_TOL is the half-width of both the right-angle band and the
-    band around a zero margin.
-
-    The margin is the signed slack of the interior criterion, from the
-    tangents of the acute angles A and B after the widest one: positive
-    means the equal-area point is interior, zero puts it on side AB,
-    negative pushes it outside."""
+    and the criterion margin (None unless the triangle is obtuse, when
+    `_obtuse_kind` gives both).  CLASSIFY_TOL is the half-width of the right-angle band."""
     i = _widest(angles)
     widest = angles[i]
     if widest <= _RIGHT_MAX:
         return (RIGHT if abs(widest - _HALF_PI) <= CLASSIFY_TOL else ACUTE), i, None
-    ta, tb = math.tan(angles[(i + 1) % 3]), math.tan(angles[(i + 2) % 3])
-    margin = math.sqrt((1.0 + ta * ta) * tb) + math.sqrt((1.0 + tb * tb) * ta) - math.sqrt(3.0 * (ta + tb))
-    if margin > CLASSIFY_TOL:
-        return OBTUSE_INTERIOR, i, margin
-    if margin < -CLASSIFY_TOL:
-        return OBTUSE_EXTERIOR, i, margin
-    return OBTUSE_BOUNDARY, i, margin
+    kind, margin = _obtuse_kind(math.tan(angles[(i + 1) % 3]), math.tan(angles[(i + 2) % 3]))
+    return kind, i, margin
 
 
 def _check_range(area: float, diam_sq: float) -> None:
@@ -483,14 +492,7 @@ class Triangle(_Value):
         return cls(Point(float(ax), float(ay)), Point(float(bx), float(by)), Point(float(cx), float(cy)))
 
     def vertex(self, v: str) -> Point:
-        v = v.lower()
-        if v == "a":
-            return self.a
-        if v == "b":
-            return self.b
-        if v == "c":
-            return self.c
-        raise GeometryError(f"unknown vertex id {v!r}")
+        return getattr(self, _vertex_id(v))
 
     def side(self, side: str) -> tuple[Point, Point]:
         """Directed side, e.g. 'ab' is a -> b and 'ba' is b -> a."""
@@ -524,7 +526,7 @@ class RegionAreas(namedtuple("RegionAreas", "at_a at_b at_c")):
     __slots__ = ()
 
     def at(self, v: str) -> float:
-        return {"a": self.at_a, "b": self.at_b, "c": self.at_c}[v.lower()]
+        return {"a": self.at_a, "b": self.at_b, "c": self.at_c}[_vertex_id(v)]
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +566,7 @@ def region_area(tri: Triangle, v: str, x: Point) -> float:
     Defined and continuous for every x in the plane, not just inside the
     triangle.
     """
-    return _sector_area(tri.points, tri._normals, _SECTOR_OF[v.lower()], x.x, x.y, tri._snap)
+    return _sector_area(tri.points, tri._normals, _SECTOR_OF[_vertex_id(v)], x.x, x.y, tri._snap)
 
 
 def region_parts(tri: Triangle, x: Point) -> tuple[RegionAreas, tuple[tuple[Vec, ...], ...]]:
@@ -595,7 +597,7 @@ def region_areas(tri: Triangle, x: Point) -> RegionAreas:
 
 def region_polygon(tri: Triangle, v: str, x: Point) -> tuple[Vec, ...]:
     """The region at vertex v, as `region_parts` gives it."""
-    return dict(zip(VERTEX_IDS, region_parts(tri, x)[1]))[v.lower()]
+    return dict(zip(VERTEX_IDS, region_parts(tri, x)[1]))[_vertex_id(v)]
 
 
 def _areas_at(tri: Triangle, xx: float, xy: float) -> tuple[float, float, float]:

@@ -94,7 +94,11 @@ def _check_targets(vals, total: float) -> None:
     """The rule every fan job's targets obey: three positive finite areas
     whose sum, left to right, is within 1e-12 * total of the polygon area
     `total`.  Raises MassPartitionError otherwise."""
-    if len(vals) != 3 or any(not (v > 0.0 and math.isfinite(v)) for v in vals):
+    try:
+        bad = len(vals) != 3 or any(not (v > 0.0 and math.isfinite(v)) for v in vals)
+    except (TypeError, OverflowError):  # not a sized sequence, or a value that is no real number
+        bad = True
+    if bad:
         raise MassPartitionError(f"targets must be three positive areas, got {vals!r}")
     if abs(_sum_lr(vals) - total) > 1e-12 * total:
         raise MassPartitionError(f"targets sum to {_sum_lr(vals)!r} but the polygon area is {total!r}")

@@ -18,7 +18,7 @@ from collections import namedtuple
 from itertools import chain
 
 from .geometry import VERTEX_IDS, Classification, ConvexPolygon, GeometryError, Triangle, Vec, _Value
-from .geometry import _base_angles, _classify_angles  # the sweep's kernel
+from .geometry import ACUTE, RIGHT, _base_angles, _obtuse_kind  # the sweep's kernel
 from .masspart import MassPartitionError, SectorConfig, _check_targets, solve_translation
 from .partition import PartitionError, SolverConfig, equal_partition
 
@@ -426,30 +426,52 @@ def _run_mass_partition(spec: ProblemSpec) -> Report:
     )
 
 
+def _grid_degs(n: int) -> list:
+    """The sweep's angles 180 k / n degrees, k = 0 .. n - 1."""
+    return [180.0 * k / n for k in range(n)]
+
+
 def _sweep_grid(n: int):
-    """The sweep of resolution n, one base angle at a time: for each base
-    angle a_deg of the grid 180 k / n degrees, a_deg and the list of
-    (b_deg, classification) of its cells, b_deg ascending, each
-    classified from the angles alone (the bits a Triangle built by
-    triangle_from_angles would hold, without building it).  The n angles
-    and their tangents are computed once, and the cells share those float
-    objects."""
-    degs = [180.0 * k / n for k in range(n)]
-    tans = [_tan_deg(d) for d in degs]
-    for i in range(1, n - 1):
-        a_deg, ta = degs[i], tans[i]
-        yield a_deg, [
-            (degs[j], _classify_angles(_base_angles(*_apex(a_deg, degs[j], ta, tans[j])))) for j in range(1, n - i)
+    """The sweep of resolution n, one base angle at a time: each index i
+    into `_grid_degs(n)` with the (j, kind, margin) of its cells, j
+    ascending.  Cell (i, j) has the angles 180 / n times i, j and
+    k = n - i - j, and no grid angle but 90 is within 90 / n degrees of a
+    right one, so the integers give the kinds `_classify_angles` would:
+    right if 2i, 2j or 2k is n, acute if all are below n, else obtuse.
+    Only obtuse cells take trigonometry, the angles of the Triangle
+    triangle_from_angles would build and their `_obtuse_kind`."""
+    tans = [_tan_deg(d) for d in _grid_degs(n)]
+    tan = math.tan  # a local name, looked up fast in the obtuse cells' comprehension
+    m = n // 2 + 1  # the least index of an obtuse angle
+
+    def obtuse(ta, js, p, q):  # cells whose angles after the widest are at p and q; the apex is _apex's general one
+        return [
+            (j, *_obtuse_kind(tan(t[p]), tan(t[q])))
+            for j in js
+            for tb, s in [(tans[j], ta + tans[j])]
+            for t in [_base_angles(tb / s, ta * tb / s)]
         ]
+
+    for i in range(1, n - 1):
+        ta = tans[i]
+        if 2 * i > n:
+            yield i, obtuse(ta, range(1, n - i), 1, 2)
+        elif 2 * i == n:
+            yield i, [(j, RIGHT, None) for j in range(1, n - i)]
+        else:  # obtuse at c while 2k > n, then acute or right, then obtuse at b once 2j > n
+            c = n - i - m + 1
+            middle = [(j, RIGHT if n in (2 * j, 2 * (n - i - j)) else ACUTE, None) for j in range(c, m)]
+            yield i, obtuse(ta, range(1, c), 0, 1) + middle + obtuse(ta, range(m, n - i), 2, 0)
 
 
 def sweep_rows(n: int):
-    """The SweepRows of a sweep of resolution n, one at a time: the grid of
-    base angles 180 k / n degrees, classified, with the kind and margin
-    kept as plain values.  At most one base angle's cells are held."""
-    for a_deg, cells in _sweep_grid(n):
-        for b_deg, (kind, _, margin) in cells:
-            yield tuple.__new__(SweepRow, (a_deg, b_deg, kind, margin))  # SweepRow's own __new__ is Python code
+    """The SweepRows of a sweep of resolution n, one at a time, from
+    `_sweep_grid`: kind and margin bit for bit those of `classify(
+    triangle_from_angles(a, b))`.  At most one base angle's cells are held."""
+    degs = _grid_degs(n)
+    for i, cells in _sweep_grid(n):
+        for j, kind, margin in cells:
+            yield tuple.__new__(SweepRow, (degs[i], degs[j], kind, margin))  # SweepRow's own __new__ is Python code
 
 
 def run(spec: ProblemSpec) -> Report:
@@ -508,14 +530,6 @@ def report_json(report: Report) -> str:
     raise ValueError(f"no JSON rendering for mode {report.mode!r}")
 
 
-class _FmtCache(dict):
-    """_fmt_num of each number looked up, formatted on its first lookup."""
-
-    def __missing__(self, v) -> str:
-        text = self[v] = _fmt_num(v)
-        return text
-
-
 def sweep_csv(report: Report) -> str:
     """Deterministic CSV for a sweep report, from the rows `sweep_rows`
     yields for its spec's resolution; the margin is left blank for kinds
@@ -526,12 +540,12 @@ def sweep_csv(report: Report) -> str:
 
 
 def _sweep_lines(n: int):
-    """`sweep_csv` of the sweep of resolution n in pieces a writer can
-    stream: the header line, then the lines of one base angle at a time."""
-    angle = _FmtCache()
+    """`sweep_csv` of resolution n in pieces a writer can stream: the header,
+    then each base angle's lines as one `_fill` of a template with a _FLOAT
+    slot per margin, so margins have `_fmt_num`'s bytes and errors."""
+    angles = list(map(_fmt_num, _grid_degs(n)))
     yield "angle_a_deg,angle_b_deg,kind,margin\n"
-    for a_deg, cells in _sweep_grid(n):
-        a = angle[a_deg]
-        yield "".join(
-            [f"{a},{angle[b_deg]},{kind},{'' if m is None else _fmt_num(m)}\n" for b_deg, (kind, _, m) in cells]
-        )
+    for i, cells in _sweep_grid(n):
+        a = angles[i]
+        template = "".join([f"{a},{angles[j]},{kind},{'' if m is None else _FLOAT}\n" for j, kind, m in cells])
+        yield _fill(template, [m for _, _, m in cells if m is not None])

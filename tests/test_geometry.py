@@ -2,6 +2,7 @@
 and agreement with the independent clipping and Monte Carlo engines."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -438,6 +439,25 @@ def test_triangle_accessors():
         tri.vertex("d")
     with pytest.raises(GeometryError):
         tri.side("aa")
+
+
+@pytest.mark.parametrize("v", ["d", "", "ab", "A "])
+def test_unknown_vertex_ids_are_geometry_errors(v):
+    tri = Triangle.from_coords(RIGHT_ISO)
+    x = Point(0.25, 0.25)
+    message = f"unknown vertex id {v.lower()!r}"
+    for call in (
+        lambda: tri.vertex(v),
+        lambda: region_area(tri, v, x),
+        lambda: region_polygon(tri, v, x),
+        lambda: region_areas(tri, x).at(v),
+    ):
+        with pytest.raises(GeometryError, match=re.escape(message)):
+            call()
+    for v in "aBc":  # known ids are read in any case
+        assert region_areas(tri, x).at(v) == region_area(tri, v, x)
+        assert region_polygon(tri, v, x) == region_polygon(tri, v.lower(), x)
+        assert tri.vertex(v) is tri.vertex(v.upper())
 
 
 def test_point_and_halfplane_validation():

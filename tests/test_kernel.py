@@ -9,13 +9,14 @@ including the sign of a zero margin.
 
 import math
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tripart.geometry import CLASSIFY_TOL, _base_angles, _classify_angles, _triangle_angles
-from tripart.problem import _apex, _tan_deg
+from tripart.problem import _apex, _tan_deg, sweep_rows
 
 ACUTE, RIGHT = "acute", "right"
 INTERIOR, BOUNDARY, EXTERIOR = "obtuse-interior", "obtuse-boundary", "obtuse-exterior"
@@ -137,6 +138,28 @@ def test_base_angles_on_every_sweep_grid_apex(n):
     for i in range(1, n):
         for j in range(1, n - i):
             assert_same_base_angles(*_apex(degs[i], degs[j], tans[i], tans[j]))
+
+
+@pytest.mark.parametrize("ns", [range(2, 151), range(997, 1001)], ids=["2-150", "997-1000"])
+def test_sweep_rows_are_the_kernel_classification(ns):
+    """sweep_rows decides acute and right cells from their grid indices and
+    takes trigonometry only for obtuse ones; each row's kind and margin
+    must still be those of the kernel on the cell's apex, the margin bit
+    for bit.  The rows are compared one base angle at a time."""
+    for n in ns:
+        degs = [180.0 * k / n for k in range(n)]
+        tans = [_tan_deg(d) for d in degs]
+        rows = sweep_rows(n)
+        for i in range(1, n - 1):
+            a, ta = degs[i], tans[i]
+            want = [
+                (kind, m if m is None else m.hex())
+                for j in range(1, n - i)
+                for kind, _, m in [_classify_angles(_base_angles(*_apex(a, degs[j], ta, tans[j])))]
+            ]
+            got = [(kind, m if m is None else m.hex()) for _, _, kind, m in islice(rows, n - i - 1)]
+            assert got == want, (n, i)
+        assert next(rows, None) is None, n
 
 
 def _around(x):

@@ -153,6 +153,17 @@ def test_solve_translation_rejects_bad_targets():
         solve_translation(SQUARE, cfg, (0.5, 0.5, 0.5))
 
 
+@pytest.mark.parametrize(
+    "targets",
+    [("a", "b", "c"), (None, 0.5, 0.5), (1 / 3 for _ in range(3)), (10**400, 0.5, 0.5), (1j, 0.5, 0.5), 1.0],
+    ids=["strings", "none", "generator", "huge-int", "complex", "scalar"],
+)
+def test_solve_translation_rejects_targets_that_are_no_areas(targets):
+    cfg = SectorConfig.from_angles_deg((90.0, 210.0, 330.0))
+    with pytest.raises(MassPartitionError, match="targets must be three positive areas"):
+        solve_translation(SQUARE, cfg, targets)
+
+
 def test_exact_jacobian_matches_central_differences():
     # apex inside the polygon on even cases and pushed out across an edge on
     # odd ones; the tolerance is far above the rounding of a difference

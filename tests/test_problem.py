@@ -580,21 +580,24 @@ def test_sweep_csv_format():
     assert sweep_csv(run(parse_spec('{"mode": "sweep", "resolution": 8}'))) == text
 
 
-def _classify_to(monkeypatch, margin):
-    """Make every sweep cell classify as obtuse-interior with `margin`."""
-    monkeypatch.setattr(problem, "_classify_angles", lambda angles: ("obtuse-interior", 0, margin))
+def _obtuse_cells_to(monkeypatch, margin):
+    """Make every obtuse sweep cell obtuse-interior with `margin`."""
+    monkeypatch.setattr(problem, "_obtuse_kind", lambda ta, tb: ("obtuse-interior", margin))
 
 
 @pytest.mark.parametrize("margin", [0.0, -0.0, 5e-324, -5e-324, -1e300, 0.1, 1e-9, -2.5])
 def test_sweep_lines_format_margins_as_fmt_num(monkeypatch, margin):
-    _classify_to(monkeypatch, margin)
+    _obtuse_cells_to(monkeypatch, margin)
     lines = list(_sweep_lines(6))  # base angles 30, 60, 90 and 120 degrees
-    assert lines[2] == "".join(f"60,{b},obtuse-interior,{_fmt_num(margin)}\n" for b in (30, 60, 90))
+    m = _fmt_num(margin)
+    # the third angle is 120, 90, 60 and 30 degrees along the first base angle's cells
+    assert lines[1] == f"30,30,obtuse-interior,{m}\n30,60,right,\n30,90,right,\n30,120,obtuse-interior,{m}\n"
+    assert lines[4] == f"120,30,obtuse-interior,{m}\n"
 
 
 @pytest.mark.parametrize("margin", [math.nan, math.inf, -math.inf])
 def test_sweep_lines_reject_non_finite_margins(monkeypatch, margin):
-    _classify_to(monkeypatch, margin)
+    _obtuse_cells_to(monkeypatch, margin)
     with pytest.raises(ValueError):
         list(_sweep_lines(6))
 
