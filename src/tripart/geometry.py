@@ -40,6 +40,23 @@ class GeometryError(ValueError):
     """Invalid geometric input: non-finite, degenerate or non-convex."""
 
 
+def _real(v) -> bool:
+    """Whether v is a real number and not a bool, as the value types' numbers must be."""
+    if type(v) is float or type(v) is int:
+        return True
+    import numbers  # only for other types: at module level its import would slow every command's start
+
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _reals(v, n: int) -> bool:
+    """Whether v is a sized sequence of n real numbers (see `_real`)."""
+    try:  # a plain float or int needs no call of its own
+        return len(v) == n and (set(map(type, v)) <= {float, int} or all(map(_real, v)))
+    except TypeError:  # v has no length
+        return False
+
+
 def _vertex_id(v: str) -> str:
     """Vertex id v in lower case; GeometryError unless it is a, b or c."""
     if v.lower() in VERTEX_IDS:
@@ -209,9 +226,9 @@ def _unit(p: Vec, q: Vec) -> Vec:
 
 def _triangle_angles(pts) -> tuple[float, float, float]:
     """Interior angles, in (0, pi), at the three points of a triangle; the
-    one expression behind `Triangle.angles` (`_base_angles` gives its bits
-    for the sweep's triangles): at p, atan2(|u x w|, u . w) for u and w
-    from p to the next two points."""
+    one expression behind `Triangle.angles` (the sweep's `_obtuse_cells`
+    gives its bits): at p, atan2(|u x w|, u . w) for u and w from p to the
+    next two points."""
     (ax, ay), (bx, by), (cx, cy) = pts
     ux, uy, wx, wy = bx - ax, by - ay, cx - ax, cy - ay
     at_a = math.atan2(abs(ux * wy - uy * wx), ux * wx + uy * wy)
@@ -219,21 +236,6 @@ def _triangle_angles(pts) -> tuple[float, float, float]:
     at_b = math.atan2(abs(ux * wy - uy * wx), ux * wx + uy * wy)
     ux, uy, wx, wy = ax - cx, ay - cy, bx - cx, by - cy
     return at_a, at_b, math.atan2(abs(ux * wy - uy * wx), ux * wx + uy * wy)
-
-
-def _base_angles(x: float, y: float) -> tuple[float, float, float]:
-    """`_triangle_angles` of the triangle (0,0), (1,0), (x, y), bit for bit,
-    for finite x and nonzero finite y: the classification sweep's kernel.
-    Each term it drops is a product with an exact 1.0 or 0.0: a product
-    with 1.0 is its other factor, and a product with 0.0 is a zero, which
-    changes no nonzero value it is added to.  So the cross products at a
-    and b are y, the dot product at a is x and at b is -(x - 1.0), which
-    is 1.0 - x because rounding is symmetric.  A dot product that is zero
-    may differ in sign, which atan2 ignores when its first argument is
-    nonzero.  The angle at c is the general expression, with w's y equal
-    to u's (both are 0.0 - y)."""
-    ay, ux, uy, wx = abs(y), 0.0 - x, 0.0 - y, 1.0 - x
-    return math.atan2(ay, x), math.atan2(ay, wx), math.atan2(abs(ux * uy - uy * wx), ux * wx + uy * uy)
 
 
 # The classification: where a triangle's equal-area point lies.

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .geometry import ConvexPolygon, Point, Triangle, Vec, _sector_area, _sum_lr, _Value, outward_normal
+from .geometry import ConvexPolygon, Point, Triangle, Vec, _reals, _sector_area, _sum_lr, _Value, outward_normal
 from .partition import SolverConfig, _fan_newton
 
 GAP_MIN = 1e-9  # smallest allowed angle between consecutive rays
@@ -40,6 +40,12 @@ class SectorConfig(_Value):
     _fields = ("directions",)
 
     def __init__(self, directions: tuple[Vec, Vec, Vec]):
+        try:
+            flat = [v for dx, dy in directions for v in (dx, dy)]
+        except (TypeError, ValueError):  # not a sequence of pairs
+            flat = None
+        if flat is None or not _reals(flat, len(flat)):
+            raise MassPartitionError(f"directions must be (x, y) pairs of real numbers, got {directions!r}")
         if len(directions) != 3:
             raise MassPartitionError(f"a fan has three ray directions, got {len(directions)}")
         dirs = []
@@ -63,6 +69,9 @@ class SectorConfig(_Value):
 
     @classmethod
     def from_angles_deg(cls, angles: tuple[float, float, float]) -> "SectorConfig":
+        """The fan of rays at `angles`, three real numbers in degrees."""
+        if not _reals(angles, 3):
+            raise MassPartitionError(f"angles must be three real numbers, got {angles!r}")
         return cls(tuple((math.cos(math.radians(a)), math.sin(math.radians(a))) for a in angles))
 
     @classmethod

@@ -46,6 +46,7 @@ from .geometry import (  # the kinds, CLASSIFY_TOL and Classification are public
     _clip,
     _coord_scale,
     _edge_terms,
+    _real,
     _sector_area,
     _sector_jacobian,
     _signed_area,
@@ -88,9 +89,9 @@ class SolverConfig(_Value):
     _fields = ("area_tol_rel", "max_iters")
 
     def __init__(self, area_tol_rel: float = 1e-12, max_iters: int = 100):
-        if not (area_tol_rel > 0.0 and math.isfinite(area_tol_rel)):
+        if not (_real(area_tol_rel) and area_tol_rel > 0.0 and math.isfinite(area_tol_rel)):
             raise PartitionError("area_tol_rel must be a positive finite number")
-        if not 1 <= max_iters < math.inf or int(max_iters) != max_iters:
+        if not (_real(max_iters) and 1 <= max_iters < math.inf and int(max_iters) == max_iters):
             raise PartitionError("max_iters must be a positive integer")
         self.__dict__.update(area_tol_rel=area_tol_rel, max_iters=max_iters)
 
@@ -187,10 +188,8 @@ def cut_line_offset(tri: Triangle, side: str, target_area: float) -> float:
     the path and answer are those of clipping at every step.  Written
     with ratios, the estimate neither overflows nor underflows at any
     scale a Triangle admits."""
-    if not (0.0 < target_area < tri.area) or not math.isfinite(target_area):
-        raise PartitionError(
-            f"target area must lie strictly between 0 and the triangle area, got {target_area!r}"
-        )
+    if not (_real(target_area) and 0.0 < target_area < tri.area and math.isfinite(target_area)):
+        raise PartitionError(f"target_area must lie strictly between 0 and the triangle area, got {target_area!r}")
     return _cut_offset(tri.points, tri.side_unit(side), tri._snap, target_area)
 
 

@@ -18,7 +18,7 @@ from collections import namedtuple
 from itertools import chain
 
 from .geometry import VERTEX_IDS, Classification, ConvexPolygon, GeometryError, Triangle, Vec, _Value
-from .geometry import ACUTE, RIGHT, _base_angles, _obtuse_kind  # the sweep's kernel
+from .geometry import ACUTE, KINDS, RIGHT, _obtuse_kind  # the sweep's kernel
 from .masspart import MassPartitionError, SectorConfig, _check_targets, solve_translation
 from .partition import PartitionError, SolverConfig, equal_partition
 
@@ -431,47 +431,71 @@ def _grid_degs(n: int) -> list:
     return [180.0 * k / n for k in range(n)]
 
 
+def _obtuse_cells(ta: float, tbs, widest: int) -> tuple[list, list]:
+    """The kinds and margins, as two lists, that the module name
+    `_obtuse_kind` gives the cells of base angle tangents ta and each tb
+    of `tbs` with the widest angle at index `widest` (0, 1, 2 for a, b, c).
+    Only the two angles after the widest are computed, at _apex's general
+    apex (x, y): `_triangle_angles` on (0,0), (1,0), (x, y) less products
+    with an exact 1.0 or 0.0, so the same bits (cross products y at a and
+    b, dot products x at a and 1.0 - x at b, and at c w's y is u's)."""
+    atan2, tan, kind_of = math.atan2, math.tan, _obtuse_kind
+    if widest == 2:  # the angles at a and b
+        pairs = [
+            kind_of(tan(atan2(y, x)), tan(atan2(y, 1.0 - x)))
+            for tb in tbs for s in [ta + tb] for x in [tb / s] for y in [abs(ta * tb / s)]
+        ]
+    elif widest == 0:  # the angles at b and c
+        pairs = [
+            kind_of(tan(atan2(abs(y), wx)), tan(atan2(abs(ux * uy - uy * wx), ux * wx + uy * uy)))
+            for tb in tbs for s in [ta + tb] for x in [tb / s] for y in [ta * tb / s]
+            for ux in [0.0 - x] for uy in [0.0 - y] for wx in [1.0 - x]
+        ]
+    else:  # the angles at c and a
+        pairs = [
+            kind_of(tan(atan2(abs(ux * uy - uy * wx), ux * wx + uy * uy)), tan(atan2(abs(y), x)))
+            for tb in tbs for s in [ta + tb] for x in [tb / s] for y in [ta * tb / s]
+            for ux in [0.0 - x] for uy in [0.0 - y] for wx in [1.0 - x]
+        ]
+    return [k for k, _ in pairs], [m for _, m in pairs]
+
+
 def _sweep_grid(n: int):
     """The sweep of resolution n, one base angle at a time: each index i
-    into `_grid_degs(n)` with the (j, kind, margin) of its cells, j
-    ascending.  Cell (i, j) has the angles 180 / n times i, j and
-    k = n - i - j, and no grid angle but 90 is within 90 / n degrees of a
-    right one, so the integers give the kinds `_classify_angles` would:
-    right if 2i, 2j or 2k is n, acute if all are below n, else obtuse.
-    Only obtuse cells take trigonometry, the angles of the Triangle
-    triangle_from_angles would build and their `_obtuse_kind`."""
+    into `_grid_degs(n)` with the kinds of its cells j = 1 .. n - i - 1
+    and the margins of its obtuse cells, both lists in j order.  Cell
+    (i, j) has the angles 180 / n times i, j and k = n - i - j, and no
+    grid angle but 90 is within 90 / n degrees of a right one, so the
+    integers give the kinds `_classify_angles` would: right if 2i, 2j or
+    2k is n, acute if all are below n, else obtuse with the widest angle
+    at the index whose double exceeds n.  Only obtuse cells take
+    trigonometry, in `_obtuse_cells`."""
     tans = [_tan_deg(d) for d in _grid_degs(n)]
-    tan = math.tan  # a local name, looked up fast in the obtuse cells' comprehension
     m = n // 2 + 1  # the least index of an obtuse angle
-
-    def obtuse(ta, js, p, q):  # cells whose angles after the widest are at p and q; the apex is _apex's general one
-        return [
-            (j, *_obtuse_kind(tan(t[p]), tan(t[q])))
-            for j in js
-            for tb, s in [(tans[j], ta + tans[j])]
-            for t in [_base_angles(tb / s, ta * tb / s)]
-        ]
-
     for i in range(1, n - 1):
         ta = tans[i]
         if 2 * i > n:
-            yield i, obtuse(ta, range(1, n - i), 1, 2)
+            yield (i, *_obtuse_cells(ta, tans[1 : n - i], 0))
         elif 2 * i == n:
-            yield i, [(j, RIGHT, None) for j in range(1, n - i)]
+            yield i, [RIGHT] * (n - i - 1), []
         else:  # obtuse at c while 2k > n, then acute or right, then obtuse at b once 2j > n
             c = n - i - m + 1
-            middle = [(j, RIGHT if n in (2 * j, 2 * (n - i - j)) else ACUTE, None) for j in range(c, m)]
-            yield i, obtuse(ta, range(1, c), 0, 1) + middle + obtuse(ta, range(m, n - i), 2, 0)
+            kinds, margins = _obtuse_cells(ta, tans[1:c], 2)
+            kinds += [RIGHT if n in (2 * j, 2 * (n - i - j)) else ACUTE for j in range(c, m)]
+            at_b = _obtuse_cells(ta, tans[m : n - i], 1)
+            yield i, kinds + at_b[0], margins + at_b[1]
 
 
 def sweep_rows(n: int):
-    """The SweepRows of a sweep of resolution n, one at a time, from
-    `_sweep_grid`: kind and margin bit for bit those of `classify(
-    triangle_from_angles(a, b))`.  At most one base angle's cells are held."""
+    """The SweepRows of a sweep of resolution n, one at a time, from the
+    kinds and margins of `_sweep_grid`: kind and margin bit for bit those of
+    `classify(triangle_from_angles(a, b))`.  At most one base angle's cells
+    are held."""
     degs = _grid_degs(n)
-    for i, cells in _sweep_grid(n):
-        for j, kind, margin in cells:
-            yield tuple.__new__(SweepRow, (degs[i], degs[j], kind, margin))  # SweepRow's own __new__ is Python code
+    for i, kinds, margins in _sweep_grid(n):
+        a, obtuse = degs[i], iter(margins)
+        for j, kind in enumerate(kinds, 1):  # SweepRow's own __new__ is Python code
+            yield tuple.__new__(SweepRow, (a, degs[j], kind, None if kind in (ACUTE, RIGHT) else next(obtuse)))
 
 
 def run(spec: ProblemSpec) -> Report:
@@ -541,11 +565,14 @@ def sweep_csv(report: Report) -> str:
 
 def _sweep_lines(n: int):
     """`sweep_csv` of resolution n in pieces a writer can stream: the header,
-    then each base angle's lines as one `_fill` of a template with a _FLOAT
-    slot per margin, so margins have `_fmt_num`'s bytes and errors."""
+    then each base angle's lines as one `_fill` of its angle string joined
+    with its cells' row tails ",b,kind,margin\n", from a table built per call
+    for each grid angle b and kind, with a _FLOAT slot for an obtuse margin
+    (so margins have `_fmt_num`'s bytes and errors) and none for the rest."""
     angles = list(map(_fmt_num, _grid_degs(n)))
+    heads = [f",{b}," for b in angles]
+    tails = {k: [h + s for h in heads] for k in KINDS for s in [f"{k},{'' if k in (ACUTE, RIGHT) else _FLOAT}\n"]}
     yield "angle_a_deg,angle_b_deg,kind,margin\n"
-    for i, cells in _sweep_grid(n):
+    for i, kinds, margins in _sweep_grid(n):
         a = angles[i]
-        template = "".join([f"{a},{angles[j]},{kind},{'' if m is None else _FLOAT}\n" for j, kind, m in cells])
-        yield _fill(template, [m for _, _, m in cells if m is not None])
+        yield _fill(a + a.join([tails[k][j] for j, k in enumerate(kinds, 1)]), margins)

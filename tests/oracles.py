@@ -3,12 +3,15 @@
 Nothing here shares code with the library: the clipper is a vectorized
 Sutherland-Hodgman over padded numpy buffers, and the Monte Carlo
 estimators avoid clipping entirely (pointwise sign tests only), giving
-two independent routes to every area the library computes.
+two independent routes to every area the library computes.  A third,
+exact route clips in `fractions.Fraction`, so it can say how far a float
+answer is from exact.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -362,3 +365,81 @@ def tiny_fractions(rng, small):
     f.append(1.0 - f[0] - f[1])
     rng.shuffle(f)
     return tuple(f)
+
+
+# ---------------------------------------------------------------------------
+# Exact areas in rational arithmetic
+# ---------------------------------------------------------------------------
+#
+# A float is a dyadic rational, so the areas a float point cuts from a
+# shape with float vertices are exact rationals once each cut is a
+# half-plane with rational coefficients: a triangle's wedges are cut with
+# its unnormalized side vectors, and a fan's sectors with the float ray
+# normals that define its problem.  `fractions.Fraction` computes them
+# with no rounding at all.
+
+
+def _exact_points(pts):
+    return [(Fraction(float(x)), Fraction(float(y))) for x, y in pts]
+
+
+def _exact_signed_area(ring):
+    n = len(ring)
+    return sum(ring[k][0] * ring[(k + 1) % n][1] - ring[(k + 1) % n][0] * ring[k][1] for k in range(n)) / 2
+
+
+def _exact_clip(ring, n, off):
+    """A convex ring clipped to {p : n . p <= off}, exactly."""
+    out = []
+    for k, p in enumerate(ring):
+        q = ring[(k + 1) % len(ring)]
+        dp = n[0] * p[0] + n[1] * p[1] - off
+        dq = n[0] * q[0] + n[1] * q[1] - off
+        if dp <= 0:
+            out.append(p)
+        if (dp < 0 < dq) or (dq < 0 < dp):
+            t = dp / (dp - dq)
+            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+    return out
+
+
+def _exact_cone_area(ring, n1, n2, apex):
+    """Area of the ring inside {p : n1 . (p - apex) <= 0, n2 . (p - apex) <= 0}."""
+    for n in (n1, n2):
+        ring = _exact_clip(ring, n, n[0] * apex[0] + n[1] * apex[1])
+    return _exact_signed_area(ring) if len(ring) >= 3 else Fraction(0)
+
+
+def exact_region_areas(tri_pts, x):
+    """The exact areas of the regions at a, b, c (counter-clockwise vertex
+    order, as `ccw` labels them) of the triangle's wedges at the float
+    point x, and the exact triangle area."""
+    t = _exact_points(tri_pts)
+    if _exact_signed_area(t) < 0:
+        t = [t[0], t[2], t[1]]
+    x = _exact_points([x])[0]
+    u = [(t[(k + 1) % 3][0] - t[k][0], t[(k + 1) % 3][1] - t[k][1]) for k in range(3)]  # ab, bc, ca
+    cones = [(u[0], u[2]), (u[1], u[0]), (u[2], u[1])]  # region k: u_out . (p - x) <= 0 and u_in . (p - x) >= 0
+    areas = tuple(_exact_cone_area(t, a, (-b[0], -b[1]), x) for a, b in cones)
+    return areas, _exact_signed_area(t)
+
+
+def fan_normals_deg(angles):
+    """The float ray normals of the fan with rays at `angles` degrees: each
+    direction (cos, sin) turned +90 degrees."""
+    return tuple((-math.sin(math.radians(a)), math.cos(math.radians(a))) for a in angles)
+
+
+def exact_sector_areas(poly_pts, normals, apex):
+    """The exact areas of the polygon in sectors 0, 1, 2 of the fan with
+    the given float ray normals at the float apex (sector i between rays i
+    and i + 1), and the exact polygon area."""
+    ring = _exact_points(poly_pts)
+    if _exact_signed_area(ring) < 0:
+        ring.reverse()
+    nrm = _exact_points(normals)
+    apex = _exact_points([apex])[0]
+    areas = tuple(
+        _exact_cone_area(ring, nrm[(i + 1) % 3], (-nrm[i][0], -nrm[i][1]), apex) for i in range(3)
+    )
+    return areas, _exact_signed_area(ring)

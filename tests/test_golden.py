@@ -5,18 +5,29 @@ trailing-digit drift of a Newton point does not reach; and one fan solve,
 whose bytes must not depend on the Python version.  The files under
 tests/data were written by the command line and must be reproduced byte
 for byte; the larger sweeps, at 400 and at the cap of 1,000, are pinned by
-their md5s."""
+their md5s, and every resolution from 2 to 100 by one sha256 of
+`tools/sweep_digest.py`."""
 
 import hashlib
+import importlib.util
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
+import oracles as oc
 import pytest
 
 from tripart.cli import main
+from tripart.masspart import SectorConfig
+from tripart.partition import SolverConfig
 
 DATA = Path(__file__).parent / "data"
+
+_TOOL = Path(__file__).resolve().parent.parent / "tools" / "sweep_digest.py"
+_spec = importlib.util.spec_from_file_location("sweep_digest", _TOOL)
+sweep_digest = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(sweep_digest)
 
 EXTERIOR_SPEC = '{"mode": "triangle", "triangle": [[0, 0], [1, 0], [0.5, 0.05]]}\n'
 BOUNDARY_SPEC = '{"mode": "triangle", "triangle": [[0, 0], [1, 0], [0.5, 0.35355339059327379]]}\n'
@@ -91,3 +102,37 @@ def test_sweep_csv_resolution_1000_md5(tmp_path):
     csv = tmp_path / "sweep.csv"
     assert main(["sweep", "--resolution", "1000", "--output", str(csv)]) == 0
     assert hashlib.md5(csv.read_bytes()).hexdigest() == "59052812a7552c891aaadb02ac471b5b"
+
+
+def test_sweep_csvs_of_every_resolution_to_100():
+    assert sweep_digest.sweep_digest(2, 100) == "de52c60a3afc2d65fda14a4ebf87c2f9a81a54175831fb976e2152bf10ae01e5"
+
+
+# |reported residual - exact deviation| / area, measured on the three
+# answers below: 4.3e-17 (exterior), 8.7e-17 (boundary) and 7.7e-17 (fan),
+# so the bound of 4e-16, about 4 units of rounding, has a margin of 4.6
+# over the worst.  Their exact deviations, 1.1e-16, 3.0e-17 and 2.3e-15
+# times the area, are far inside the default area_tol_rel of 1e-12.
+RESIDUAL_HONESTY_REL = 4e-16
+
+
+@pytest.mark.parametrize("name", ["exterior_solve.json", "boundary_solve.json", "fan_solve.json"])
+def test_golden_answers_judged_exactly(name):
+    """Each golden answer, its point and residual read back from the
+    golden JSON, is within area_tol_rel of the area of exactly equal parts
+    (the exact areas at the float point, in rational arithmetic), and the
+    residual it reports is within RESIDUAL_HONESTY_REL of the exact one."""
+    report = json.loads(_golden(name))
+    spec = report["input"]
+    if report["mode"] == "triangle":
+        areas, whole = oc.exact_region_areas(spec["triangle"], report["point"])
+        targets = (whole / 3,) * 3
+    else:
+        normals = oc.fan_normals_deg(spec["rays"])
+        assert normals == SectorConfig.from_angles_deg(spec["rays"]).normals
+        areas, whole = oc.exact_sector_areas(spec["polygon"], normals, report["apex"])
+        targets = tuple(map(Fraction, report["areas"]["targets"]))
+    assert sum(areas) == whole
+    deviation = max(abs(a - t) for a, t in zip(areas, targets))
+    assert deviation <= Fraction(SolverConfig().area_tol_rel) * whole
+    assert abs(Fraction(report["residual"]) - deviation) <= Fraction(RESIDUAL_HONESTY_REL) * whole

@@ -12,10 +12,11 @@ import random
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tripart.geometry import CLASSIFY_TOL, _base_angles, _classify_angles, _triangle_angles
+from tripart import problem
+from tripart.geometry import CLASSIFY_TOL, _classify_angles, _triangle_angles
 from tripart.problem import _apex, _tan_deg, sweep_rows
 
 ACUTE, RIGHT = "acute", "right"
@@ -103,41 +104,71 @@ def test_every_sweep_grid_row(n):
             assert_same_class(ref_angles(pts))
 
 
-def assert_same_base_angles(x, y):
-    assert bits(_base_angles(x, y)) == bits(_triangle_angles(((0.0, 0.0), (1.0, 0.0), (x, y)))), (x, y)
+def sweep_tangents(ta, tbs, widest):
+    """The tangent pairs the sweep's `_obtuse_cells` hands `_obtuse_kind`
+    for the cells with base angle tangents ta and each tb of tbs."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(problem, "_obtuse_kind", lambda t1, t2: seen.append((t1, t2)) or (INTERIOR, 1.0))
+        problem._obtuse_cells(ta, tbs, widest)
+    return seen
+
+
+def kernel_tangents(ta, tb, widest):
+    """The tangents of the two `_triangle_angles` after the widest, at the
+    apex (0,0), (1,0), (x, y) of _apex's general branch."""
+    s = ta + tb
+    angles = _triangle_angles(((0.0, 0.0), (1.0, 0.0), (tb / s, ta * tb / s)))
+    return math.tan(angles[(widest + 1) % 3]), math.tan(angles[(widest + 2) % 3])
+
+
+def assert_sweep_angles_are_the_triangle_angles(ta, tbs, widest):
+    want = [bits(kernel_tangents(ta, tb, widest)) for tb in tbs]
+    assert [bits(t) for t in sweep_tangents(ta, tbs, widest)] == want, (ta, tbs, widest)
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
-@settings(max_examples=1000, deadline=None)
-@given(FINITE, FINITE.filter(lambda y: y != 0.0))
-def test_base_angles_are_the_triangle_angles(x, y):
-    assert_same_base_angles(x, y)
+def _usable_apex(ta, tb):
+    """Whether ta and tb give a finite apex off the base line."""
+    s = ta + tb
+    return s != 0.0 and math.isfinite(tb / s) and math.isfinite(ta * tb / s) and ta * tb / s != 0.0
 
 
-@pytest.mark.parametrize("y", [1.0, -1.0, 0.5, 1e-300, 5e-324, -3.0, 1e300])
-def test_base_angles_at_right_base_angles_and_past_the_base(y):
-    for x in (0.0, -0.0):  # the apex above a: a right angle at a
-        assert math.degrees(_base_angles(x, y)[0]) == 90.0
-        assert_same_base_angles(x, y)
-    assert math.degrees(_base_angles(1.0, y)[1]) == 90.0  # above b
-    assert_same_base_angles(1.0, y)
-    for x in (-1e-9, -0.25, -7.0, -1e300):  # not acute at a
-        assert _base_angles(x, y)[0] >= 0.5 * math.pi
-        assert_same_base_angles(x, y)
-    for x in (1.0 + 2.0**-52, 1.25, 8.0, 1e300):  # not acute at b
-        assert _base_angles(x, y)[1] >= 0.5 * math.pi
-        assert_same_base_angles(x, y)
+@settings(max_examples=3000, deadline=None)
+@given(st.sampled_from([0, 1, 2]), FINITE, FINITE)
+def test_base_angles_are_the_triangle_angles(widest, ta, tb):
+    """The sweep computes only the two angles after the widest, each with
+    `_triangle_angles`'s expression less its products with an exact 1.0 or
+    0.0; the bits must be the same at any apex off the base line, for each
+    position of the widest angle."""
+    assume(_usable_apex(ta, tb))
+    assert_sweep_angles_are_the_triangle_angles(ta, [tb], widest)
+
+
+@pytest.mark.parametrize("ta", [1.0, -1.0, 0.5, 1e-300, 5e-324, -3.0, 1e300])
+def test_base_angles_at_right_base_angles_and_past_the_base(ta):
+    """Cells with the base angle tangent ta at a and tangents at b next to
+    a right angle (the largest) or past either end of the base (a negative
+    one, obtuse at a or b): where a dropped 0.0 or 1.0 product could
+    matter, at every scale the apex stays finite and off the base line."""
+    tbs = (1.0, -1.0, 0.5, -0.5, 2.0**-52, -(2.0**-52), 1e-9, -1e-9, 3.0, -3.0, 1e9, -1e9, 1e300, -1e300)
+    tbs = [tb for tb in tbs if _usable_apex(ta, tb)]
+    assert len(tbs) >= 4, ta
+    for widest in (0, 1, 2):
+        assert_sweep_angles_are_the_triangle_angles(ta, tbs, widest)
 
 
 @pytest.mark.parametrize("n", [*range(2, 61), 400])
 def test_base_angles_on_every_sweep_grid_apex(n):
-    degs = [180.0 * k / n for k in range(n)]
-    tans = [_tan_deg(d) for d in degs]
-    for i in range(1, n):
+    """Each obtuse cell of the sweep grid takes the tangents of the two
+    `_triangle_angles` after its widest angle, bit for bit."""
+    tans = [_tan_deg(180.0 * k / n) for k in range(n)]
+    for i in range(1, n - 1):
         for j in range(1, n - i):
-            assert_same_base_angles(*_apex(degs[i], degs[j], tans[i], tans[j]))
+            for widest in [w for w, k in enumerate((i, j, n - i - j)) if 2 * k > n]:
+                assert_sweep_angles_are_the_triangle_angles(tans[i], [tans[j]], widest)
 
 
 @pytest.mark.parametrize("ns", [range(2, 151), range(997, 1001)], ids=["2-150", "997-1000"])
@@ -155,7 +186,8 @@ def test_sweep_rows_are_the_kernel_classification(ns):
             want = [
                 (kind, m if m is None else m.hex())
                 for j in range(1, n - i)
-                for kind, _, m in [_classify_angles(_base_angles(*_apex(a, degs[j], ta, tans[j])))]
+                for apex in [_apex(a, degs[j], ta, tans[j])]
+                for kind, _, m in [_classify_angles(_triangle_angles(((0.0, 0.0), (1.0, 0.0), apex)))]
             ]
             got = [(kind, m if m is None else m.hex()) for _, _, kind, m in islice(rows, n - i - 1)]
             assert got == want, (n, i)

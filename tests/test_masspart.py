@@ -42,6 +42,28 @@ def test_config_rejects_bad_fans():
         SectorConfig(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
 
 
+@pytest.mark.parametrize(
+    "directions",
+    [((1, 0), (0, 1), "ab"), ((1, 0), (0, 1), (-1, "x")), ((True, 0), (-1, 1), (-1, -1)), ((1, 0), (0, 1), None),
+     ((1, 0), (0, 1), (-1, -1, 0)), ((1, 0), (0, 1), 5), 5, None],
+)
+def test_config_rejects_directions_that_are_no_pairs_of_numbers(directions):
+    with pytest.raises(MassPartitionError, match="^directions must be"):
+        SectorConfig(directions)
+
+
+@pytest.mark.parametrize("angles", [("a", 1, 2), (True, 120, 240), (90, 210, None), (90, 210), 90, None])
+def test_config_rejects_angles_that_are_no_three_numbers(angles):
+    with pytest.raises(MassPartitionError, match="^angles must be three real numbers"):
+        SectorConfig.from_angles_deg(angles)
+
+
+def test_config_takes_numpy_numbers():
+    fan = SectorConfig(np.array([[2.0, 0.0], [0.0, 3.0], [-1.0, -1.0]]))
+    assert fan == SectorConfig(((2.0, 0.0), (0.0, 3.0), (-1.0, -1.0)))
+    assert SectorConfig.from_angles_deg(np.array([90, 210, 330])) == SectorConfig.from_angles_deg((90, 210, 330))
+
+
 @pytest.mark.parametrize("count", [2, 4])
 def test_config_needs_three_directions(count):
     dirs = ((1.0, 0.0), (-1.0, 1.0), (-1.0, -1.0), (0.0, -1.0))  # the first three make a fan

@@ -579,6 +579,24 @@ def test_solver_config_validation():
         SolverConfig(max_iters=0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("max_iters", True), ("max_iters", False), ("max_iters", "5"), ("max_iters", None), ("max_iters", 5j),
+     ("area_tol_rel", True), ("area_tol_rel", "x"), ("area_tol_rel", None), ("area_tol_rel", 1e-9j)],
+)
+def test_solver_config_rejects_bools_and_non_numbers(field, value):
+    """A bool is no number here: max_iters=True would cap Newton at one
+    step, and area_tol_rel=True would be a tolerance of the whole area."""
+    with pytest.raises(PartitionError, match=f"^{field} must be a positive"):
+        SolverConfig(**{field: value})
+
+
+@pytest.mark.parametrize("target", ["x", None, True, 0.1j, (0.1,)])
+def test_cut_line_offset_rejects_a_target_that_is_no_number(target):
+    with pytest.raises(PartitionError, match="^target_area must lie"):
+        cut_line_offset(RIGHT_ISO, "ab", target)
+
+
 @pytest.mark.parametrize("max_iters", [math.inf, math.nan])
 def test_solver_config_rejects_non_finite_max_iters(max_iters):
     with pytest.raises(PartitionError, match="max_iters must be a positive integer"):

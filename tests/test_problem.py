@@ -580,6 +580,18 @@ def test_sweep_csv_format():
     assert sweep_csv(run(parse_spec('{"mode": "sweep", "resolution": 8}'))) == text
 
 
+def test_sweep_csv_is_the_rows_written_with_fmt_num():
+    """The CSV and the rows read the same grid; each line is its row's
+    fields as `_fmt_num` writes them, the margin blank when it is None."""
+    for n in range(2, 151):
+        lines = [
+            f"{_fmt_num(a)},{_fmt_num(b)},{kind},{'' if m is None else _fmt_num(m)}\n"
+            for a, b, kind, m in sweep_rows(n)
+        ]
+        want = "angle_a_deg,angle_b_deg,kind,margin\n" + "".join(lines)
+        assert sweep_csv(run(ProblemSpec(mode="sweep", resolution=n))) == want, n
+
+
 def _obtuse_cells_to(monkeypatch, margin):
     """Make every obtuse sweep cell obtuse-interior with `margin`."""
     monkeypatch.setattr(problem, "_obtuse_kind", lambda ta, tb: ("obtuse-interior", margin))
