@@ -49,6 +49,13 @@ def _real(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
+def _float(v) -> float:
+    """A coordinate v as a float; GeometryError naming it unless it is a real number (see `_real`)."""
+    if type(v) is not float and not _real(v):
+        raise GeometryError(f"coordinate {v!r} is not a real number")
+    return float(v)
+
+
 def _reals(v, n: int) -> bool:
     """Whether v is a sized sequence of n real numbers (see `_real`)."""
     try:  # a plain float or int needs no call of its own
@@ -374,11 +381,13 @@ class _Value:
 
 
 class Point(_Value):
-    """A point in the plane; coordinates must be finite."""
+    """A point in the plane; coordinates must be finite real numbers (see `_real`)."""
 
     _fields = ("x", "y")
 
     def __init__(self, x: float, y: float):
+        if not ((type(x) is float or _real(x)) and (type(y) is float or _real(y))):
+            raise GeometryError(f"coordinate {y if _real(x) else x!r} is not a real number")
         if not (math.isfinite(x) and math.isfinite(y)):
             raise GeometryError(f"non-finite point ({x}, {y})")
         self.__dict__.update(x=x, y=y)
@@ -405,7 +414,7 @@ class ConvexPolygon(_Value):
     _fields = ("coords",)
 
     def __init__(self, coords: tuple[Vec, ...]):
-        pts = [(float(x), float(y)) for x, y in coords]
+        pts = [(x if type(x) is float else _float(x), y if type(y) is float else _float(y)) for x, y in coords]
         for x, y in pts:
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise GeometryError(f"non-finite point ({x}, {y})")
@@ -491,7 +500,7 @@ class Triangle(_Value):
     @classmethod
     def from_coords(cls, coords) -> "Triangle":
         (ax, ay), (bx, by), (cx, cy) = coords
-        return cls(Point(float(ax), float(ay)), Point(float(bx), float(by)), Point(float(cx), float(cy)))
+        return cls(Point(_float(ax), _float(ay)), Point(_float(bx), _float(by)), Point(_float(cx), _float(cy)))
 
     def vertex(self, v: str) -> Point:
         return getattr(self, _vertex_id(v))

@@ -24,6 +24,21 @@ MARKER_PX = 7.0
 MIN_SEGMENT_REL = 1e-9  # skip perpendiculars shorter than this x diameter
 DASH = ' stroke-dasharray="6 4"'
 
+# the document's first lines, and the templates of the others
+_HEAD = (
+    '<?xml version="1.0" encoding="UTF-8"?>\n<!-- Coordinate convention: problem data is y-up; screen position is\n'
+    "     X = (x - %.4f) * %.4f + %.4f,\n     Y = (%.4f - y) * %.4f + %.4f (y-down). -->\n"
+    '<svg xmlns="http://www.w3.org/2000/svg" width="%.4f" height="%.4f" viewBox="0 0 %.4f %.4f">\n'
+    '<rect width="%.4f" height="%.4f" fill="#ffffff"/>'
+)
+_LINE = '<line x1="%.4f" y1="%.4f" x2="%.4f" y2="%.4f" stroke="{}" stroke-width="%.4f"{}/>'
+_CUT_LINE, _GUIDE_LINE, _DASHED_GUIDE_LINE = _LINE.format(CUT, ""), _LINE.format(GUIDE, ""), _LINE.format(GUIDE, DASH)
+_OUTLINE = f'<polygon points="%.4f,%.4f %.4f,%.4f %.4f,%.4f" fill="none" stroke="{OUTLINE}" stroke-width="1.5"/>'
+_GLYPH = f'<polyline points="%.4f,%.4f %.4f,%.4f %.4f,%.4f" fill="none" stroke="{GUIDE}" stroke-width="1"/>'
+_TEXT = '<text x="%.4f" y="%.4f" font-family="' + FONT + '" font-size="{}" text-anchor="middle">{}</text>'
+_DOT_AND_LABELS = ('<circle cx="%.4f" cy="%.4f" r="3" fill="#000000"/>', *(_TEXT.format(13, v) for v in ("A", "B", "C", "X0")))
+_AREA_LABEL = _TEXT.format(11, "%.6g")
+
 
 def emit_svg(report: Report, width: int = 640) -> str:
     """Render a solved triangle report as a standalone SVG document."""
@@ -38,93 +53,58 @@ def emit_svg(report: Report, width: int = 640) -> str:
     units = tri._normals  # each side's unit vector, in the same order
     feet = [_foot(x0, y0, p, q) for p, q in sides]
 
-    # the exterior construction's cut lines: the perpendiculars through X0
-    # to the two sides at the obtuse vertex, that is, to all sides but the
-    # longest side k, in the order the construction takes them
-    cuts = []
-    if exterior:
-        reach = 1.6 * diam
-        lengths = [math.dist(p, q) for p, q in sides]
-        k = lengths.index(max(lengths))
-        for ux, uy in (units[k - 1], units[k - 2]):
-            cuts.append(((x0 + reach * uy, y0 - reach * ux), (x0 - reach * uy, y0 + reach * ux)))
-
-    # world to screen: uniform scale, y flipped
+    # world to screen, written out below: X = (x - min_x) * scale + PAD_PX, Y = (max_y - y) * scale + PAD_PX
     xs = [p[0] for p in pts] + [x0] + [f[0] for f in feet]
     ys = [p[1] for p in pts] + [y0] + [f[1] for f in feet]
     min_x, max_y = min(xs), max(ys)
     scale = (width - 2.0 * PAD_PX) / max(max(xs) - min_x, 1e-30)
     w, h = float(width), (max_y - min(ys)) * scale + 2.0 * PAD_PX
 
-    def screen(p) -> tuple[float, float]:
-        return (p[0] - min_x) * scale + PAD_PX, (max_y - p[1]) * scale + PAD_PX
+    # the template's lines, and the values of their fields in order
+    parts, vals = [_HEAD], [min_x, scale, PAD_PX, max_y, scale, PAD_PX, w, h, w, h, w, h]
+    rings = [(f'<polygon points="{" ".join(["%.4f,%.4f"] * len(ring))}" fill="{fill}" fill-opacity="0.35"/>', ring, area)
+             for ring, fill, area in zip(report.regions, REGION_FILLS, report.areas) if len(ring) >= 3]
+    for line, ring, _ in rings + [(_OUTLINE, pts, None)]:
+        parts.append(line)
+        for x, y in ring:
+            vals += ((x - min_x) * scale + PAD_PX, (max_y - y) * scale + PAD_PX)
 
-    # the document's template lines, and the values of their fields in
-    # order; each helper below appends the values of the template it returns
-    vals = [min_x, scale, PAD_PX, max_y, scale, PAD_PX, w, h, w, h, w, h]
+    if exterior:
+        # the construction's cut lines: the perpendiculars through X0 to the sides at
+        # the obtuse vertex, all but the longest side k, in the construction's order
+        reach = 1.6 * diam
+        lengths = [math.dist(p, q) for p, q in sides]
+        k = lengths.index(max(lengths))
+        for ux, uy in (units[k - 1], units[k - 2]):
+            parts.append(_CUT_LINE)
+            vals += ((x0 + reach * uy - min_x) * scale + PAD_PX, (max_y - (y0 - reach * ux)) * scale + PAD_PX,
+                     (x0 - reach * uy - min_x) * scale + PAD_PX, (max_y - (y0 + reach * ux)) * scale + PAD_PX, 1.2)
 
-    def points(coords) -> str:
-        for p in coords:
-            vals.extend(screen(p))
-        return " ".join(["%.4f,%.4f"] * len(coords))
-
-    def line(start, end, stroke: str, width: float, dash: str) -> str:
-        vals.extend((*start, *end, width))
-        return f'<line x1="%.4f" y1="%.4f" x2="%.4f" y2="%.4f" stroke="{stroke}" stroke-width="%.4f"{dash}/>'
-
-    def text(sx: float, sy: float, label: str, size: int = 13) -> str:
-        vals.extend((sx, sy))
-        return f'<text x="%.4f" y="%.4f" font-family="{FONT}" font-size="{size}" text-anchor="middle">{label}</text>'
-
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        "<!-- Coordinate convention: problem data is y-up; screen position is",
-        "     X = (x - %.4f) * %.4f + %.4f,",
-        "     Y = (%.4f - y) * %.4f + %.4f (y-down). -->",
-        '<svg xmlns="http://www.w3.org/2000/svg" width="%.4f" height="%.4f" viewBox="0 0 %.4f %.4f">',
-        '<rect width="%.4f" height="%.4f" fill="#ffffff"/>',
-    ]
-
-    for coords, fill in zip(report.regions, REGION_FILLS):
-        if len(coords) >= 3:
-            parts.append(f'<polygon points="{points(coords)}" fill="{fill}" fill-opacity="0.35"/>')
-
-    parts.append(f'<polygon points="{points(pts)}" fill="none" stroke="{OUTLINE}" stroke-width="1.5"/>')
-
-    for p, q in cuts:
-        parts.append(line(screen(p), screen(q), CUT, 1.2, ""))
-
-    sx0, sy0 = screen(report.point)
+    sx0, sy0 = (x0 - min_x) * scale + PAD_PX, (max_y - y0) * scale + PAD_PX
     m = MARKER_PX / scale
     for (fx, fy), (ax, ay) in zip(feet, units):
         gap = math.hypot(x0 - fx, y0 - fy)
         if gap < MIN_SEGMENT_REL * diam:
             continue
-        parts.append(line((sx0, sy0), screen((fx, fy)), GUIDE, 1.0, DASH if exterior else ""))
-        # right-angle glyph at the foot: along the side, toward X0
+        # the perpendicular, and a right-angle glyph at the foot: along the side, toward X0
         tx, ty = (x0 - fx) / gap, (y0 - fy) / gap
-        glyph = ((fx + m * ax, fy + m * ay), (fx + m * (ax + tx), fy + m * (ay + ty)), (fx + m * tx, fy + m * ty))
-        parts.append(f'<polyline points="{points(glyph)}" fill="none" stroke="{GUIDE}" stroke-width="1"/>')
+        parts += (_DASHED_GUIDE_LINE if exterior else _GUIDE_LINE, _GLYPH)
+        vals += (sx0, sy0, (fx - min_x) * scale + PAD_PX, (max_y - fy) * scale + PAD_PX, 1.0)
+        for x, y in ((fx + m * ax, fy + m * ay), (fx + m * (ax + tx), fy + m * (ay + ty)), (fx + m * tx, fy + m * ty)):
+            vals += ((x - min_x) * scale + PAD_PX, (max_y - y) * scale + PAD_PX)
 
+    parts += _DOT_AND_LABELS
     vals += (sx0, sy0)
-    parts.append('<circle cx="%.4f" cy="%.4f" r="3" fill="#000000"/>')
-
     cx, cy = tri._centroid
-    # label in the order the vertices were given, not the normalized order
-    for vid, vertex in zip("ABC", report.spec.triangle):
-        dx, dy = vertex[0] - cx, vertex[1] - cy
+    for x, y in report.spec.triangle:  # A, B and C as given, not in the normalized order
+        dx, dy = x - cx, y - cy
         d = math.hypot(dx, dy)
-        sx, sy = screen(vertex)
-        parts.append(text(sx + 16.0 * dx / d, sy + (-16.0 * dy / d + 4.0), vid))
-    parts.append(text(sx0 + 14.0, sy0 - 8.0, "X0"))
-
-    for coords, area in zip(report.regions, report.areas):
-        if len(coords) < 3:
-            continue
-        gx = _sum_lr(p[0] for p in coords) / len(coords)
-        gy = _sum_lr(p[1] for p in coords) / len(coords)
-        parts.append(text(*screen((gx, gy)), "%.6g", size=11))
-        vals.append(area)
+        vals += ((x - min_x) * scale + PAD_PX + 16.0 * dx / d, (max_y - y) * scale + PAD_PX + (-16.0 * dy / d + 4.0))
+    vals += (sx0 + 14.0, sy0 - 8.0)
+    for _, ring, area in rings:  # each drawn region's area, at its vertex mean
+        x, y = _sum_lr(p[0] for p in ring) / len(ring), _sum_lr(p[1] for p in ring) / len(ring)
+        parts.append(_AREA_LABEL)
+        vals += ((x - min_x) * scale + PAD_PX, (max_y - y) * scale + PAD_PX, area)
 
     parts.append("</svg>\n")
     # every "-0.0000" is a %.4f field of a value that rounds to zero from

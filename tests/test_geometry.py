@@ -116,6 +116,24 @@ def test_polygon_rejects_non_finite_coords():
             ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (1.0, bad)))
 
 
+# one bad coordinate at each door: a string or a bool does not pass for a
+# number ('0' for 0.0, True for 1.0), and a non-number gives GeometryError
+@pytest.mark.parametrize(
+    "build, bad",
+    [
+        (lambda: Triangle.from_coords((("0", 0), (1, 0), (0, 1))), "'0'"),
+        (lambda: Triangle.from_coords(((0, 0), (1, 0), (0, True))), "True"),
+        (lambda: ConvexPolygon.from_coords([(0, 0), (1, False), (1, 1), (0, 1)]), "False"),
+        (lambda: ConvexPolygon(((0, 0), (1, 0), (1, "1"), (0, 1))), "'1'"),
+        (lambda: Point("a", 0), "'a'"),
+        (lambda: Point(0.0, True), "True"),
+    ],
+)
+def test_coordinates_are_real_numbers_at_every_door(build, bad):
+    with pytest.raises(GeometryError, match=re.escape(f"coordinate {bad} is not a real number")):
+        build()
+
+
 def test_polygon_vertices_are_points_of_coords():
     poly = ConvexPolygon.from_coords(((0, 0), (0, 1), (1, 1), (1, 0)))  # clockwise
     assert poly.coords == ((1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0))

@@ -212,11 +212,16 @@ def test_cut_line_offset_matches_plain_bisection():
     tris, rng = _cut_shapes()
     for tri in tris:
         area = tri.area
-        targets = [area / 3.0, area / 2.0, 1e-12 * area, (1.0 - 1e-12) * area]
+        targets = [area / 3.0, area / 2.0, 1e-12 * area, 1e-9 * area, (1.0 - 1e-12) * area]
         targets += [float(f) * area for f in rng.uniform(0.0, 1.0, 3)]
         for side in ("ab", "ba", "bc", "cb", "ca", "ac"):
             u = tri.side_unit(side)
-            for target in targets:
+            # the piece cut at the middle vertex's projection: on most shapes
+            # its answer is inside that vertex's snap band, where steps clip
+            # (none where the vertex ties with an end)
+            middle = sorted(u[0] * px + u[1] * py for px, py in tri.points)[1]
+            at_middle = _signed_area(_clip(list(tri.points), *u, middle, tri._snap))
+            for target in targets + [at_middle] * (0.0 < at_middle < area):
                 want = _plain_cut(tri.points, u, tri._snap, target)
                 assert cut_line_offset(tri, side, target) == want, (tri.points, side, target)
 
@@ -249,7 +254,7 @@ def test_exterior_construction_matches_plain_bisection():
     assert checked >= 12
 
 
-def test_exterior_cuts_clip_at_most_20_times_on_average(monkeypatch):
+def test_exterior_cuts_clip_at_most_15_times_on_average(monkeypatch):
     counts = {"clips": 0, "cuts": 0}
     real_clip, real_cut = part._clip, part._cut_offset
 
@@ -270,7 +275,7 @@ def test_exterior_cuts_clip_at_most_20_times_on_average(monkeypatch):
         if classify(tri).kind == OBTUSE_EXTERIOR:
             equal_partition(tri)
     assert counts["cuts"] >= 200
-    assert counts["clips"] <= 20 * counts["cuts"], counts
+    assert counts["clips"] <= 15 * counts["cuts"], counts
 
 
 def test_exterior_job_builds_one_triangle(monkeypatch, tmp_path, capsys):
