@@ -49,10 +49,21 @@ def _real(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
+def _finite(v) -> bool:
+    """math.isfinite, false also for an int too large for a float."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 def _float(v) -> float:
-    """A coordinate v as a float; GeometryError naming it unless it is a real number (see `_real`)."""
+    """A coordinate v as a float; GeometryError naming it unless it is a
+    real number (see `_real`) and finite."""
     if type(v) is not float and not _real(v):
         raise GeometryError(f"coordinate {v!r} is not a real number")
+    if not _finite(v):
+        raise GeometryError(f"non-finite coordinate {v!r}")
     return float(v)
 
 
@@ -388,7 +399,7 @@ class Point(_Value):
     def __init__(self, x: float, y: float):
         if not ((type(x) is float or _real(x)) and (type(y) is float or _real(y))):
             raise GeometryError(f"coordinate {y if _real(x) else x!r} is not a real number")
-        if not (math.isfinite(x) and math.isfinite(y)):
+        if not (_finite(x) and _finite(y)):
             raise GeometryError(f"non-finite point ({x}, {y})")
         self.__dict__.update(x=x, y=y)
 
@@ -414,7 +425,11 @@ class ConvexPolygon(_Value):
     _fields = ("coords",)
 
     def __init__(self, coords: tuple[Vec, ...]):
-        pts = [(x if type(x) is float else _float(x), y if type(y) is float else _float(y)) for x, y in coords]
+        try:
+            pairs = [(x, y) for x, y in coords]
+        except (TypeError, ValueError):  # not a sequence of pairs
+            raise GeometryError(f"polygon vertices must be (x, y) points, got {coords!r}") from None
+        pts = [(x if type(x) is float else _float(x), y if type(y) is float else _float(y)) for x, y in pairs]
         for x, y in pts:
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise GeometryError(f"non-finite point ({x}, {y})")
@@ -499,7 +514,10 @@ class Triangle(_Value):
 
     @classmethod
     def from_coords(cls, coords) -> "Triangle":
-        (ax, ay), (bx, by), (cx, cy) = coords
+        try:
+            (ax, ay), (bx, by), (cx, cy) = coords
+        except (TypeError, ValueError):  # not three pairs
+            raise GeometryError(f"a triangle takes three (x, y) points, got {coords!r}") from None
         return cls(Point(_float(ax), _float(ay)), Point(_float(bx), _float(by)), Point(_float(cx), _float(cy)))
 
     def vertex(self, v: str) -> Point:
@@ -518,17 +536,14 @@ class Triangle(_Value):
 
     def signed_distance(self, p: Point) -> float:
         """Distance to the boundary, positive inside, negative outside."""
-        best = math.inf
-        pts = self.points
-        for i in range(3):
-            sx, sy = pts[i]
-            ex, ey = pts[(i + 1) % 3]
-            dx, dy = ex - sx, ey - sy
-            h = math.hypot(dx, dy)
-            d = ((p.x - sx) * -dy + (p.y - sy) * dx) / h
-            if d < best:
-                best = d
-        return best
+        return min(self._side_distances(p.x, p.y))
+
+    def _side_distances(self, x: float, y: float) -> tuple[float, float, float]:
+        """Signed distances from (x, y) to the lines of sides ab, bc and ca,
+        positive inside: each side's unit vector turned +90 degrees points in."""
+        (ux, uy), (vx, vy), (wx, wy) = self._normals
+        (ax, ay), (bx, by), (cx, cy) = self.points
+        return (ux * (y - ay) - uy * (x - ax), vx * (y - by) - vy * (x - bx), wx * (y - cy) - wy * (x - cx))
 
 
 class RegionAreas(namedtuple("RegionAreas", "at_a at_b at_c")):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .geometry import ConvexPolygon, Point, Triangle, Vec, _reals, _sector_area, _sum_lr, _Value, outward_normal
+from .geometry import ConvexPolygon, Point, Triangle, Vec, _finite, _reals, _sector_area, _sum_lr, _Value, outward_normal
 from .partition import SolverConfig, _fan_newton
 
 GAP_MIN = 1e-9  # smallest allowed angle between consecutive rays
@@ -50,7 +50,7 @@ class SectorConfig(_Value):
             raise MassPartitionError(f"a fan has three ray directions, got {len(directions)}")
         dirs = []
         for dx, dy in directions:
-            h = math.hypot(dx, dy)
+            h = math.hypot(dx, dy) if _finite(dx) and _finite(dy) else math.inf
             if h == 0.0 or not math.isfinite(h):
                 raise MassPartitionError(f"ray direction ({dx}, {dy}) is not usable")
             # keep vectors that are already unit length bit-for-bit, so fans
@@ -72,6 +72,8 @@ class SectorConfig(_Value):
         """The fan of rays at `angles`, three real numbers in degrees."""
         if not _reals(angles, 3):
             raise MassPartitionError(f"angles must be three real numbers, got {angles!r}")
+        if not all(map(_finite, angles)):
+            raise MassPartitionError(f"angles must be finite, got {angles!r}")
         return cls(tuple((math.cos(math.radians(a)), math.sin(math.radians(a))) for a in angles))
 
     @classmethod
@@ -104,8 +106,8 @@ def _check_targets(vals, total: float) -> None:
     whose sum, left to right, is within 1e-12 * total of the polygon area
     `total`.  Raises MassPartitionError otherwise."""
     try:
-        bad = len(vals) != 3 or any(not (v > 0.0 and math.isfinite(v)) for v in vals)
-    except (TypeError, OverflowError):  # not a sized sequence, or a value that is no real number
+        bad = len(vals) != 3 or any(not (v > 0.0 and _finite(v)) for v in vals)
+    except TypeError:  # not a sized sequence, or a value that is no real number
         bad = True
     if bad:
         raise MassPartitionError(f"targets must be three positive areas, got {vals!r}")

@@ -17,7 +17,7 @@ import math
 from collections import namedtuple
 from itertools import chain
 
-from .geometry import VERTEX_IDS, Classification, ConvexPolygon, GeometryError, Triangle, Vec, _Value
+from .geometry import VERTEX_IDS, Classification, ConvexPolygon, GeometryError, Triangle, Vec, _finite, _Value
 from .geometry import ACUTE, KINDS, RIGHT, _obtuse_kind  # the sweep's kernel
 from .masspart import MassPartitionError, SectorConfig, _check_targets, solve_translation
 from .partition import PartitionError, SolverConfig, equal_partition
@@ -212,14 +212,6 @@ def canonical_json(value) -> str:
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
-
-
-def _finite(v) -> bool:
-    """math.isfinite, false also for an int too large for a float."""
-    try:
-        return math.isfinite(v)
-    except OverflowError:
-        return False
 
 
 def _as_json(v):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .geometry import OBTUSE_EXTERIOR, _foot, _sum_lr
+from .geometry import OBTUSE_EXTERIOR, VERTEX_IDS, _foot, _sum_lr
 from .problem import Report
 
 REGION_FILLS = ("#4477aa", "#ee7733", "#228833")
@@ -49,9 +49,8 @@ def emit_svg(report: Report, width: int = 640) -> str:
     exterior = report.classification.kind == OBTUSE_EXTERIOR
     diam = tri.diameter
     pts = tri.points
-    sides = tuple(zip(pts, pts[1:] + pts[:1]))  # ab, bc, ca
-    units = tri._normals  # each side's unit vector, in the same order
-    feet = [_foot(x0, y0, p, q) for p, q in sides]
+    units = tri._normals  # the unit vectors of sides ab, bc and ca
+    feet = [_foot(x0, y0, p, q) for p, q in zip(pts, pts[1:] + pts[:1])]
 
     # world to screen, written out below: X = (x - min_x) * scale + PAD_PX, Y = (max_y - y) * scale + PAD_PX
     xs = [p[0] for p in pts] + [x0] + [f[0] for f in feet]
@@ -70,12 +69,11 @@ def emit_svg(report: Report, width: int = 640) -> str:
             vals += ((x - min_x) * scale + PAD_PX, (max_y - y) * scale + PAD_PX)
 
     if exterior:
-        # the construction's cut lines: the perpendiculars through X0 to the sides at
-        # the obtuse vertex, all but the longest side k, in the construction's order
+        # the construction's cut lines: the perpendiculars through X0 to the two
+        # sides at the obtuse vertex i, the one from it first, as the construction takes them
         reach = 1.6 * diam
-        lengths = [math.dist(p, q) for p, q in sides]
-        k = lengths.index(max(lengths))
-        for ux, uy in (units[k - 1], units[k - 2]):
+        i = VERTEX_IDS.index(tri._classification.obtuse_vertex)
+        for ux, uy in (units[i], units[i - 1]):
             parts.append(_CUT_LINE)
             vals += ((x0 + reach * uy - min_x) * scale + PAD_PX, (max_y - (y0 - reach * ux)) * scale + PAD_PX,
                      (x0 - reach * uy - min_x) * scale + PAD_PX, (max_y - (y0 + reach * ux)) * scale + PAD_PX, 1.2)

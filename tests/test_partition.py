@@ -1,6 +1,7 @@
 """Solver layer: classification, closed forms, the three iterative routes
 and their cross-agreement, verification and the boundary-label inequality."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -557,6 +558,75 @@ def test_lemma_inequality_can_fail_when_point_is_exterior():
 def test_lemma_check_requires_boundary_point():
     with pytest.raises(PartitionError):
         lemma_check(RIGHT_ISO, Point(0.2, 0.2))
+
+
+def _segment_side(tri, x, band):
+    """The first side whose clamped segment is within band of x, or None:
+    the boundary rule lemma_check used before it read the side lines."""
+    for side in ("ab", "bc", "ca"):
+        p, q = tri.side(side)
+        dx, dy = q.x - p.x, q.y - p.y
+        t = min(1.0, max(0.0, ((x.x - p.x) * dx + (x.y - p.y) * dy) / (dx * dx + dy * dy)))
+        if math.hypot(p.x + t * dx - x.x, p.y + t * dy - x.y) <= band:
+            return side
+    return None
+
+
+def _hypot_signed_distance(tri, x):
+    """Distance to the boundary, positive inside, with each side's normal
+    divided by its length: the formula signed_distance used before."""
+    best = math.inf
+    for (sx, sy), (ex, ey) in zip(tri.points, tri.points[1:] + tri.points[:1]):
+        dx, dy = ex - sx, ey - sy
+        best = min(best, ((x.x - sx) * -dy + (x.y - sy) * dx) / math.hypot(dx, dy))
+    return best
+
+
+# sha256 over the hex coordinates of solve_maximin's answers on the interior
+# triangles of the probe set, from the inline feasibility test it had before
+# it read the side distance
+MAXIMIN_PROBE_SHA256 = "94c106997e4ba556ccb0fa060147b9d2664032c23cbb8ff4349d4067ef614b0d"
+
+
+def test_one_side_distance_keeps_each_caller_on_a_seeded_probe_set():
+    """signed_distance, verify_partition, lemma_check and solve_maximin read
+    a point against the side lines through one signed side distance.  On
+    300 seeded triangles they give what their own formulas gave: 125 of 125
+    maximin answers keep their bits, the lemma's outcome and the verified
+    location are the same at 6,300 points on each side and its extensions,
+    and signed_distance stays within 4e-15 * diameter of the old formula at
+    15,000 points (1.2e-15 measured)."""
+    rng = np.random.default_rng(11)
+    tris = [Triangle.from_coords(oc.rand_triangle(rng)) for _ in range(300)]
+    digest, solved = hashlib.sha256(), 0
+    for tri in tris:
+        if tri._classification.kind in (ACUTE, RIGHT, OBTUSE_INTERIOR):
+            p = solve_maximin(tri).point
+            digest.update(f"{p.x.hex()} {p.y.hex()}\n".encode())
+            solved += 1
+    assert (solved, digest.hexdigest()) == (125, MAXIMIN_PROBE_SHA256)
+    for tri in tris:
+        band = 1e-9 * tri.diameter  # verify_partition's default boundary band
+        for side in ("ab", "bc", "ca"):
+            p, q = tri.side(side)
+            for u in (-1e-3, -1e-13, 0.0, 0.3, 1.0, 1.0 + 1e-13, 1.001):
+                x = Point(p.x + u * (q.x - p.x), p.y + u * (q.y - p.y))
+                old = _segment_side(tri, x, 1e-12 * tri.diameter)
+                if old is None:
+                    with pytest.raises(PartitionError):
+                        lemma_check(tri, x)
+                else:
+                    areas = geometry.region_areas(tri, x)
+                    opp = "abc".index(next(v for v in "abc" if v not in old))
+                    assert lemma_check(tri, x) == (areas[opp] > min(a for k, a in enumerate(areas) if k != opp))
+                sd = _hypot_signed_distance(tri, x)
+                want = "interior" if sd > band else "exterior" if sd < -band else "boundary"
+                assert verify_partition(tri, x).location == want, (tri, side, u)
+    probe = np.random.default_rng(12)
+    for tri in tris:
+        for x, y in probe.uniform(-1.5, 1.5, (50, 2)):
+            x = Point(float(x), float(y))
+            assert abs(tri.signed_distance(x) - _hypot_signed_distance(tri, x)) <= 4e-15 * tri.diameter
 
 
 def test_label_sets_partition_and_ties():

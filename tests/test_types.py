@@ -1,5 +1,6 @@
 """The public types: value semantics of the validated types and the
-records, and an import of the command line that stays cheap."""
+records, the package's own errors at every door, and an import of the
+command line that stays cheap."""
 
 import subprocess
 import sys
@@ -7,9 +8,17 @@ from pathlib import Path
 
 import pytest
 
-from tripart.geometry import ConvexPolygon, Point, RegionAreas, Triangle
-from tripart.masspart import SectorConfig, TranslationSolution
-from tripart.partition import Classification, PartitionSolution, SolverConfig, SolverReport, VerifyReport
+from tripart.geometry import ConvexPolygon, GeometryError, Point, RegionAreas, Triangle
+from tripart.masspart import MassPartitionError, SectorConfig, TranslationSolution
+from tripart.partition import (
+    Classification,
+    PartitionError,
+    PartitionSolution,
+    SolverConfig,
+    SolverReport,
+    VerifyReport,
+    verify_partition,
+)
 from tripart.problem import ProblemSpec, Report, SweepRow
 from tripart.rootfind import RootResult
 
@@ -120,6 +129,43 @@ def test_value_repr_lists_fields_only():
         "ProblemSpec(mode='sweep', triangle=None, polygon=None, rays=None, targets=None,"
         " fractions=None, resolution=4, solver=())"
     )
+
+
+HUGE = 10**400  # a real number that no float holds: math.isfinite and float() raise OverflowError on it
+
+# one bad argument at each door: (build, the package error, its message)
+DOORS = {
+    "Point, huge": (lambda: Point(HUGE, 0.0), GeometryError, "^non-finite point"),
+    "Triangle.from_coords, huge": (lambda: Triangle.from_coords(((HUGE, 0), TRI[1], TRI[2])), GeometryError,
+                                   "^non-finite coordinate"),
+    "Triangle.from_coords, two points": (lambda: Triangle.from_coords(TRI[:2]), GeometryError, "^a triangle takes"),
+    "Triangle.from_coords, three coordinates": (lambda: Triangle.from_coords(((0, 0, 0), TRI[1], TRI[2])),
+                                                GeometryError, "^a triangle takes"),
+    "Triangle.from_coords, None": (lambda: Triangle.from_coords(None), GeometryError, "^a triangle takes"),
+    "ConvexPolygon, huge": (lambda: ConvexPolygon(((0, 0), (HUGE, 0), (1, 1))), GeometryError,
+                            "^non-finite coordinate"),
+    "ConvexPolygon, None": (lambda: ConvexPolygon(None), GeometryError, "^polygon vertices must be"),
+    "ConvexPolygon, three coordinates": (lambda: ConvexPolygon(((0, 0, 0), (1, 0), (1, 1))), GeometryError,
+                                         "^polygon vertices must be"),
+    "ConvexPolygon, string": (lambda: ConvexPolygon("abc"), GeometryError, "^polygon vertices must be"),
+    "SolverConfig, huge": (lambda: SolverConfig(area_tol_rel=HUGE), PartitionError, "^area_tol_rel must be a positive"),
+    "SectorConfig, huge": (lambda: SectorConfig(((HUGE, 0), (0, 1), (-1, -1))), MassPartitionError, "not usable$"),
+    "from_angles_deg, huge": (lambda: SectorConfig.from_angles_deg((HUGE, 120, 240)), MassPartitionError,
+                              "^angles must be finite"),
+    "verify_partition, huge": (lambda: verify_partition(Triangle.from_coords(TRI), Point(0.4, 0.3), tol=HUGE),
+                               PartitionError, "^tol must be a positive finite number"),
+    "verify_partition, nan": (lambda: verify_partition(Triangle.from_coords(TRI), Point(0.4, 0.3), tol=float("nan")),
+                              PartitionError, "^tol must be a positive finite number"),
+    "verify_partition, negative": (lambda: verify_partition(Triangle.from_coords(TRI), Point(0.4, 0.3), tol=-1.0),
+                                   PartitionError, "^tol must be a positive finite number"),
+}
+
+
+@pytest.mark.parametrize("door", sorted(DOORS))
+def test_every_door_raises_the_package_error(door):
+    build, error, message = DOORS[door]
+    with pytest.raises(error, match=message):
+        build()
 
 
 def test_triangle_equality_ignores_swapped_bc():
