@@ -22,7 +22,6 @@ functions, so everything here is safe to use concurrently.
 from __future__ import annotations
 
 import math
-import sys
 from collections import namedtuple
 
 Vec = tuple[float, float]
@@ -34,6 +33,7 @@ _SECTOR_OF = {v: i for i, v in enumerate(SECTOR_VERTEX_ORDER)}
 
 DEGENERACY_REL = 1e-12  # min |signed area| / diameter**2 for a usable triangle or polygon
 CLIP_SNAP_REL = 1e-14   # on-line band for clipping, relative to coordinate scale
+_FLOAT_MIN = 2.2250738585072014e-308  # sys.float_info.min, the least normal float
 
 
 class GeometryError(ValueError):
@@ -57,13 +57,21 @@ def _finite(v) -> bool:
         return False
 
 
+def _shown(v) -> str:
+    """repr(v), but an int past the float range (whose repr raises past 4,300 digits) by its bit count."""
+    if type(v) in (tuple, list):
+        inner = ", ".join(map(_shown, v)) + ("," if len(v) == 1 and type(v) is tuple else "")
+        return f"({inner})" if type(v) is tuple else f"[{inner}]"
+    return f"<int of {v.bit_length()} bits>" if isinstance(v, int) and not _finite(v) else repr(v)
+
+
 def _float(v) -> float:
     """A coordinate v as a float; GeometryError naming it unless it is a
     real number (see `_real`) and finite."""
     if type(v) is not float and not _real(v):
         raise GeometryError(f"coordinate {v!r} is not a real number")
     if not _finite(v):
-        raise GeometryError(f"non-finite coordinate {v!r}")
+        raise GeometryError(f"non-finite coordinate {_shown(v)}")
     return float(v)
 
 
@@ -322,7 +330,7 @@ def _check_range(area: float, diam_sq: float) -> None:
     """Reject a shape whose area or squared diameter is zero or over- or
     underflows: the solvers multiply and divide coordinates, so such a
     shape has no usable arithmetic even when its points are finite."""
-    if not (sys.float_info.min <= abs(area) < math.inf and sys.float_info.min <= diam_sq < math.inf):
+    if not (_FLOAT_MIN <= abs(area) < math.inf and _FLOAT_MIN <= diam_sq < math.inf):
         raise GeometryError(f"area {area!r} or squared diameter {diam_sq!r} is zero, subnormal or not finite")
 
 
@@ -400,7 +408,7 @@ class Point(_Value):
         if not ((type(x) is float or _real(x)) and (type(y) is float or _real(y))):
             raise GeometryError(f"coordinate {y if _real(x) else x!r} is not a real number")
         if not (_finite(x) and _finite(y)):
-            raise GeometryError(f"non-finite point ({x}, {y})")
+            raise GeometryError(f"non-finite point ({_shown(x)}, {_shown(y)})")
         self.__dict__.update(x=x, y=y)
 
     def as_tuple(self) -> Vec:
@@ -428,7 +436,7 @@ class ConvexPolygon(_Value):
         try:
             pairs = [(x, y) for x, y in coords]
         except (TypeError, ValueError):  # not a sequence of pairs
-            raise GeometryError(f"polygon vertices must be (x, y) points, got {coords!r}") from None
+            raise GeometryError(f"polygon vertices must be (x, y) points, got {_shown(coords)}") from None
         pts = [(x if type(x) is float else _float(x), y if type(y) is float else _float(y)) for x, y in pairs]
         for x, y in pts:
             if not (math.isfinite(x) and math.isfinite(y)):
@@ -517,7 +525,7 @@ class Triangle(_Value):
         try:
             (ax, ay), (bx, by), (cx, cy) = coords
         except (TypeError, ValueError):  # not three pairs
-            raise GeometryError(f"a triangle takes three (x, y) points, got {coords!r}") from None
+            raise GeometryError(f"a triangle takes three (x, y) points, got {_shown(coords)}") from None
         return cls(Point(_float(ax), _float(ay)), Point(_float(bx), _float(by)), Point(_float(cx), _float(cy)))
 
     def vertex(self, v: str) -> Point:
@@ -595,20 +603,23 @@ def region_area(tri: Triangle, v: str, x: Point) -> float:
     return _sector_area(tri.points, tri._normals, _SECTOR_OF[_vertex_id(v)], x.x, x.y, tri._snap)
 
 
-def region_parts(tri: Triangle, x: Point) -> tuple[RegionAreas, tuple[tuple[Vec, ...], ...]]:
+def region_parts(tri: Triangle, x: Point, given=()) -> tuple[RegionAreas, tuple[tuple[Vec, ...], ...]]:
     """The three region areas at x, which sum to the triangle area, and the
     three regions as CCW rings of (x, y) points, both in vertex order,
     from one clip pass per region: the one place a triangle's regions are
     built.  A ring is () if the wedge misses the triangle; consecutive
     vertices closer than 1e-12 * diameter are merged so degenerate slivers
-    do not inflate the vertex count."""
+    do not inflate the vertex count.  `given` may hold the unmerged clip
+    passes of the regions at b, or b and c, with this pass's bits."""
     pts, normals, eps = tri.points, tri._normals, tri._snap
     tol = 1e-12 * tri.diameter
     areas = []
     regions = []
-    for i in range(3):
+    rings = list(given)
+    for i in range(len(given), 3):
         (n1x, n1y, o1), (n2x, n2y, o2) = _sector_cuts(normals, i, x.x, x.y)
-        ring = _clip(_clip(pts, n1x, n1y, o1, eps), n2x, n2y, o2, eps)
+        rings.append(_clip(_clip(pts, n1x, n1y, o1, eps), n2x, n2y, o2, eps))
+    for ring in rings:
         areas.append(_signed_area(ring))
         ring = _dedupe(ring, tol)
         regions.append(tuple(ring) if len(ring) >= 3 else ())

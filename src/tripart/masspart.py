@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .geometry import ConvexPolygon, Point, Triangle, Vec, _finite, _reals, _sector_area, _sum_lr, _Value, outward_normal
+from .geometry import ConvexPolygon, Point, Triangle, Vec, _finite, _reals, _sector_area, _shown, _sum_lr, _Value, outward_normal
 from .partition import SolverConfig, _fan_newton
 
 GAP_MIN = 1e-9  # smallest allowed angle between consecutive rays
@@ -45,14 +45,14 @@ class SectorConfig(_Value):
         except (TypeError, ValueError):  # not a sequence of pairs
             flat = None
         if flat is None or not _reals(flat, len(flat)):
-            raise MassPartitionError(f"directions must be (x, y) pairs of real numbers, got {directions!r}")
+            raise MassPartitionError(f"directions must be (x, y) pairs of real numbers, got {_shown(directions)}")
         if len(directions) != 3:
             raise MassPartitionError(f"a fan has three ray directions, got {len(directions)}")
         dirs = []
         for dx, dy in directions:
             h = math.hypot(dx, dy) if _finite(dx) and _finite(dy) else math.inf
             if h == 0.0 or not math.isfinite(h):
-                raise MassPartitionError(f"ray direction ({dx}, {dy}) is not usable")
+                raise MassPartitionError(f"ray direction ({_shown(dx)}, {_shown(dy)}) is not usable")
             # keep vectors that are already unit length bit-for-bit, so fans
             # built from triangle normals reproduce the wedge areas exactly
             if abs(h - 1.0) > 1e-12:
@@ -71,9 +71,9 @@ class SectorConfig(_Value):
     def from_angles_deg(cls, angles: tuple[float, float, float]) -> "SectorConfig":
         """The fan of rays at `angles`, three real numbers in degrees."""
         if not _reals(angles, 3):
-            raise MassPartitionError(f"angles must be three real numbers, got {angles!r}")
+            raise MassPartitionError(f"angles must be three real numbers, got {_shown(angles)}")
         if not all(map(_finite, angles)):
-            raise MassPartitionError(f"angles must be finite, got {angles!r}")
+            raise MassPartitionError(f"angles must be finite, got {_shown(angles)}")
         return cls(tuple((math.cos(math.radians(a)), math.sin(math.radians(a))) for a in angles))
 
     @classmethod
@@ -110,7 +110,7 @@ def _check_targets(vals, total: float) -> None:
     except TypeError:  # not a sized sequence, or a value that is no real number
         bad = True
     if bad:
-        raise MassPartitionError(f"targets must be three positive areas, got {vals!r}")
+        raise MassPartitionError(f"targets must be three positive areas, got {_shown(vals)}")
     if abs(_sum_lr(vals) - total) > 1e-12 * total:
         raise MassPartitionError(f"targets sum to {_sum_lr(vals)!r} but the polygon area is {total!r}")
 
@@ -132,7 +132,7 @@ def solve_translation(poly, fan: SectorConfig, targets, solver_cfg=None) -> Tran
     pts = poly.coords
     seed = (_sum_lr(p[0] for p in pts) / len(pts), _sum_lr(p[1] for p in pts) / len(pts))
     normals = fan.normals
-    x, y, iters, a0, a1 = _fan_newton(pts, total, poly._snap, normals, targets, seed, 2 * poly.diameter, solver_cfg)
+    x, y, iters, a0, a1, _ = _fan_newton(pts, total, poly._snap, normals, targets, seed, 2 * poly.diameter, solver_cfg)
     apex = Point(x, y)
     achieved = (a0, a1, _sector_area(pts, normals, 2, x, y, poly._snap))
     residual = max(abs(a - t) for a, t in zip(achieved, targets))

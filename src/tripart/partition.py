@@ -47,8 +47,8 @@ from .geometry import (  # the kinds, CLASSIFY_TOL and Classification are public
     _edge_terms,
     _finite,
     _real,
-    _sector_area,
     _sector_jacobian,
+    _shown,
     _signed_area,
     _widest,
     region_areas,
@@ -198,7 +198,7 @@ def cut_line_offset(tri: Triangle, side: str, target_area: float) -> float:
     cut's 50.6 steps.  In ratio form the estimate does not over- or
     underflow at any scale a Triangle admits."""
     if not (_real(target_area) and 0.0 < target_area < tri.area and math.isfinite(target_area)):
-        raise PartitionError(f"target_area must lie strictly between 0 and the triangle area, got {target_area!r}")
+        raise PartitionError(f"target_area must lie strictly between 0 and the triangle area, got {_shown(target_area)}")
     return _cut_offset(tri.points, tri.side_unit(side), tri._snap, target_area)
 
 
@@ -238,11 +238,12 @@ def _fan_newton(pts, total: float, eps: float, normals, targets, seed: Vec, pad:
     from `seed`, with the exact Jacobian (its edge terms, which do not
     depend on the apex, computed once per solve), reseeding from a grid
     over the bounding box grown by `pad` if the iteration stalls.
-    Returns the point's x and y, the iteration count and the areas of
-    sectors 0 and 1 at the point: on convergence newton2d stops right
-    after evaluating the point it returns, so they are the last ones
-    evaluated.  Raises SolverError (with the best iterate in its report)
-    when the residual cannot be driven below cfg.area_tol_rel * total.
+    Returns the point's x and y, the iteration count, the areas of
+    sectors 0 and 1 at the point and (their rings / 2**e, 2**e): on
+    convergence newton2d stops right after evaluating the point it
+    returns, so these are its last, clipped in `_sector_area`'s bits.
+    Raises SolverError (with the best iterate in its report) when the
+    residual cannot be driven below cfg.area_tol_rel * total.
 
     It iterates in coordinates scaled by k = 2**-e, e the binary exponent
     of the largest coordinate, so the Newton step's products neither
@@ -253,13 +254,16 @@ def _fan_newton(pts, total: float, eps: float, normals, targets, seed: Vec, pad:
     pts = [(x * k, y * k) for x, y in pts]
     t1, t2, t3 = [t * k2 for t in targets]
     total, eps, pad = total * k2, eps * k, pad * k
+    (n0x, n0y), (n1x, n1y), (n2x, n2y) = normals
+    m0x, m0y, m1x, m1y = -n0x, -n0y, -n1x, -n1y
     last = None
 
     def fun(x: float, y: float):
         nonlocal last
-        a1 = _sector_area(pts, normals, 0, x, y, eps)
-        a2 = _sector_area(pts, normals, 1, x, y, eps)
-        last = a1, a2
+        r1 = _clip(_clip(pts, n1x, n1y, n1x * x + n1y * y, eps), m0x, m0y, m0x * x + m0y * y, eps)
+        r2 = _clip(_clip(pts, n2x, n2y, n2x * x + n2y * y, eps), m1x, m1y, m1x * x + m1y * y, eps)
+        a1, a2 = _signed_area(r1), _signed_area(r2)
+        last = a1, a2, r1, r2
         g1 = a1 - t1
         g2 = a2 - t2
         return g1, g2, max(abs(g1), abs(g2), abs(total - a1 - a2 - t3))
@@ -280,11 +284,11 @@ def _fan_newton(pts, total: float, eps: float, normals, targets, seed: Vec, pad:
             "newton", res.iterations, res.residual / k2, (res.x / k, res.y / k),
             [r / k2 for r in res.residual_history], "newton iteration did not reach the area tolerance",
         )
-    return res.x / k, res.y / k, res.iterations, last[0] / k2, last[1] / k2
+    return res.x / k, res.y / k, res.iterations, last[0] / k2, last[1] / k2, (*last[2:], math.ldexp(1.0, e))
 
 
-def _solution(tri: Triangle, point: Point, method: str) -> PartitionSolution:
-    areas, regions = region_parts(tri, point)
+def _solution(tri: Triangle, point: Point, method: str, rings=()) -> PartitionSolution:
+    areas, regions = region_parts(tri, point, rings)
     s = tri.area / 3.0
     residual = max(abs(areas.at_a - s), abs(areas.at_b - s), abs(areas.at_c - s))
     return PartitionSolution(
@@ -300,14 +304,14 @@ def _solution(tri: Triangle, point: Point, method: str) -> PartitionSolution:
 def solve_newton(tri: Triangle, cfg: SolverConfig | None = None, seed: Point | None = None) -> PartitionSolution:
     """Locate the equal-area point as the apex of the triangle's fan of
     outward side normals that cuts three equal areas (see `_fan_newton`),
-    starting from `seed` or the centroid.  Raises SolverError (with the
-    best iterate in its report) when the residual cannot be driven below
-    tolerance."""
+    starting from `seed` or the centroid; the regions at b and c are its
+    last evaluation's.  Raises SolverError (with the best iterate in its
+    report) when the residual cannot be driven below tolerance."""
     start = seed.as_tuple() if seed is not None else tri._centroid
     s = tri.area / 3.0
     cfg = cfg or SolverConfig()
-    x, y, *_ = _fan_newton(tri.points, tri.area, tri._snap, tri._normals, (s, s, s), start, tri.diameter, cfg)
-    return _solution(tri, Point(x, y), "newton")
+    x, y, *_, (r1, r2, unit) = _fan_newton(tri.points, tri.area, tri._snap, tri._normals, (s, s, s), start, tri.diameter, cfg)
+    return _solution(tri, Point(x, y), "newton", [[(px * unit, py * unit) for px, py in r] for r in (r1, r2)])
 
 
 def solve_maximin(tri: Triangle) -> PartitionSolution:

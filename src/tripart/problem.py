@@ -15,9 +15,10 @@ from __future__ import annotations
 import json
 import math
 from collections import namedtuple
+from functools import lru_cache
 from itertools import chain
 
-from .geometry import VERTEX_IDS, Classification, ConvexPolygon, GeometryError, Triangle, Vec, _finite, _Value
+from .geometry import VERTEX_IDS, Classification, ConvexPolygon, GeometryError, Triangle, Vec, _finite, _shown, _Value
 from .geometry import ACUTE, KINDS, RIGHT, _obtuse_kind  # the sweep's kernel
 from .masspart import MassPartitionError, SectorConfig, _check_targets, solve_translation
 from .partition import PartitionError, SolverConfig, equal_partition
@@ -49,7 +50,7 @@ def _check_fields(mode, keys) -> None:
     first of `keys` that `mode` does not use, a key that names no field
     included."""
     if mode not in MODES:
-        raise InputError("invalid-value", f"mode must be one of {', '.join(MODES)}, got {_as_json(mode)!r}")
+        raise InputError("invalid-value", f"mode must be one of {', '.join(MODES)}, got {_shown(_as_json(mode))}")
     for key in keys:
         if key not in _MODE_FIELDS[mode]:
             raise InputError("invalid-value", f"field '{key}' is not allowed in {mode} mode")
@@ -183,8 +184,9 @@ def _fill(template: str, values: list) -> str:
     return template.replace(_FLOAT, "%s") % tuple(map(_fmt_num, values))
 
 
+@lru_cache(maxsize=64)
 def _points_template(n: int) -> str:
-    """The template of a list of n points."""
+    """The template of a list of n points, built once per n while in use."""
     return "[" + ",".join([_PAIR] * n) + "]"
 
 
@@ -222,7 +224,7 @@ def _as_json(v):
 
 def _require_number(v, name: str) -> int | float:
     if isinstance(v, bool) or not isinstance(v, (int, float)) or not _finite(v):
-        raise InputError("invalid-value", f"field '{name}' must be a finite number, got {_as_json(v)!r}")
+        raise InputError("invalid-value", f"field '{name}' must be a finite number, got {_shown(_as_json(v))}")
     return v
 
 
@@ -232,13 +234,13 @@ def _require_pair(v, name: str) -> Vec:
         if type(x) is float and type(y) is float and math.isfinite(x) and math.isfinite(y):
             return (x, y)  # a pair of JSON floats needs no check but finiteness
     if not isinstance(v, (list, tuple)) or len(v) != 2:
-        raise InputError("invalid-value", f"'{name}' must be a pair [x, y], got {_as_json(v)!r}")
+        raise InputError("invalid-value", f"'{name}' must be a pair [x, y], got {_shown(_as_json(v))}")
     return (_require_number(v[0], name), _require_number(v[1], name))
 
 
 def _require_triple(v, name: str) -> tuple[float, float, float]:
     if not isinstance(v, (list, tuple)) or len(v) != 3:
-        raise InputError("invalid-value", f"'{name}' must have exactly three numbers, got {_as_json(v)!r}")
+        raise InputError("invalid-value", f"'{name}' must have exactly three numbers, got {_shown(_as_json(v))}")
     return tuple([_require_number(x, name) for x in v])
 
 
@@ -252,7 +254,7 @@ def _require_vertices(v, name: str) -> tuple[Vec, ...]:
 
 def _require_int(v, name: str) -> int:
     if isinstance(v, bool) or not isinstance(v, (int, float)) or not _finite(v) or v != int(v):
-        raise InputError("invalid-value", f"'{name}' must be an integer, got {_as_json(v)!r}")
+        raise InputError("invalid-value", f"'{name}' must be an integer, got {_shown(_as_json(v))}")
     return int(v)
 
 
@@ -505,12 +507,25 @@ def run(spec: ProblemSpec) -> Report:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=256)
+def _triangle_template(spec: str, kind: str, vertex: str, margin: str, method: str, ra: int, rb: int, rc: int) -> str:
+    """A triangle report's template, from its parts and ring sizes, built once per output shape while in use."""
+    return (
+        f'{{"mode":"triangle","input":{spec},'
+        f'"classification":{{"kind":"{kind}","obtuse_vertex":{vertex},"criterion_margin":{margin}}},'
+        f'"method":"{method}","point":{_PAIR},'
+        f'"areas":{{"at_a":{_FLOAT},"at_b":{_FLOAT},"at_c":{_FLOAT},"fractions":{_TRIPLE},'
+        f'"total":{_FLOAT}}},"residual":{_FLOAT},'
+        f'"regions":{{"at_a":{_points_template(ra)},"at_b":{_points_template(rb)},"at_c":{_points_template(rc)}}}}}'
+    )
+
+
 def report_json(report: Report) -> str:
     """Canonical JSON for a solve report (triangle or mass-partition),
-    written from one template, spec echo included, in one `_fill`;
-    `canonical_json` of the same payload gives the same bytes.  The
-    strings (kind, method, vertex id) are package constants that need no
-    escaping."""
+    from one template, spec echo included, built once per triangle output
+    shape while in use and filled in one `_fill`; `canonical_json` of the
+    same payload gives the same bytes.  The strings (kind, method, vertex
+    id) are package constants that need no escaping."""
     spec, values = _spec_template(report.spec)
     if report.mode == "triangle":
         cls = report.classification
@@ -520,18 +535,9 @@ def report_json(report: Report) -> str:
             margin = _FLOAT
             values.append(cls.criterion_margin)
         values += (*report.point, *report.areas, *report.fractions, report.total_area, report.residual)
-        ra, rb, rc = [_points_template(len(r)) for r in report.regions]
         for ring in report.regions:
             values.extend(chain.from_iterable(ring))
-        return _fill(
-            f'{{"mode":"triangle","input":{spec},'
-            f'"classification":{{"kind":"{cls.kind}","obtuse_vertex":{vertex},"criterion_margin":{margin}}},'
-            f'"method":"{report.method}","point":{_PAIR},'
-            f'"areas":{{"at_a":{_FLOAT},"at_b":{_FLOAT},"at_c":{_FLOAT},"fractions":{_TRIPLE},'
-            f'"total":{_FLOAT}}},"residual":{_FLOAT},'
-            f'"regions":{{"at_a":{ra},"at_b":{rb},"at_c":{rc}}}}}',
-            values,
-        )
+        return _fill(_triangle_template(spec, cls.kind, vertex, margin, report.method, *map(len, report.regions)), values)
     if report.mode == "mass-partition":
         values += (*report.apex, *report.translation, *report.achieved, *report.targets)
         values += (report.total_area, report.residual)

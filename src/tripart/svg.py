@@ -10,8 +10,9 @@ the report, so equal reports give byte-identical documents.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
-from .geometry import OBTUSE_EXTERIOR, VERTEX_IDS, _foot, _sum_lr
+from .geometry import OBTUSE_EXTERIOR, VERTEX_IDS, _foot
 from .problem import Report
 
 REGION_FILLS = ("#4477aa", "#ee7733", "#228833")
@@ -40,6 +41,12 @@ _DOT_AND_LABELS = ('<circle cx="%.4f" cy="%.4f" r="3" fill="#000000"/>', *(_TEXT
 _AREA_LABEL = _TEXT.format(11, "%.6g")
 
 
+@lru_cache(maxsize=64)
+def _ring_line(n: int, fill: str) -> str:
+    """A region's template, built once per point count and fill while in use."""
+    return f'<polygon points="{" ".join(["%.4f,%.4f"] * n)}" fill="{fill}" fill-opacity="0.35"/>'
+
+
 def emit_svg(report: Report, width: int = 640) -> str:
     """Render a solved triangle report as a standalone SVG document."""
     if report.mode != "triangle" or report.point is None or report.regions is None:
@@ -61,7 +68,7 @@ def emit_svg(report: Report, width: int = 640) -> str:
 
     # the template's lines, and the values of their fields in order
     parts, vals = [_HEAD], [min_x, scale, PAD_PX, max_y, scale, PAD_PX, w, h, w, h, w, h]
-    rings = [(f'<polygon points="{" ".join(["%.4f,%.4f"] * len(ring))}" fill="{fill}" fill-opacity="0.35"/>', ring, area)
+    rings = [(_ring_line(len(ring), fill), ring, area)
              for ring, fill, area in zip(report.regions, REGION_FILLS, report.areas) if len(ring) >= 3]
     for line, ring, _ in rings + [(_OUTLINE, pts, None)]:
         parts.append(line)
@@ -99,10 +106,12 @@ def emit_svg(report: Report, width: int = 640) -> str:
         d = math.hypot(dx, dy)
         vals += ((x - min_x) * scale + PAD_PX + 16.0 * dx / d, (max_y - y) * scale + PAD_PX + (-16.0 * dy / d + 4.0))
     vals += (sx0 + 14.0, sy0 - 8.0)
-    for _, ring, area in rings:  # each drawn region's area, at its vertex mean
-        x, y = _sum_lr(p[0] for p in ring) / len(ring), _sum_lr(p[1] for p in ring) / len(ring)
+    for _, ring, area in rings:  # each drawn region's area, at its vertex mean, summed left to right as _sum_lr does
+        x = y = 0.0
+        for px, py in ring:
+            x, y = x + px, y + py
         parts.append(_AREA_LABEL)
-        vals += ((x - min_x) * scale + PAD_PX, (max_y - y) * scale + PAD_PX, area)
+        vals += ((x / len(ring) - min_x) * scale + PAD_PX, (max_y - y / len(ring)) * scale + PAD_PX, area)
 
     parts.append("</svg>\n")
     # every "-0.0000" is a %.4f field of a value that rounds to zero from

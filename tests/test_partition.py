@@ -312,6 +312,25 @@ def test_solution_clips_each_region_once(monkeypatch):
     assert len(calls) == 6
 
 
+def test_newton_reuses_its_last_regions_bit_for_bit():
+    """`solve_newton` takes the regions at b and c from Newton's last
+    evaluation, scaled back by a power of two, and clips only the one at
+    a: its regions, areas and residual are those a fresh `region_parts`
+    gives at its point, bit for bit (repr writes each float exactly).  The
+    Newton kinds of the acceptance suite, as given and scaled by 1e-150,
+    1e150 and 1e153; `Triangle` rejects them at 1e300, where the squared
+    diameter overflows."""
+    rng = np.random.default_rng(20240601)
+    kinds = (ACUTE, RIGHT, OBTUSE_INTERIOR)
+    suite = [pts for pts in oc.kind_suite(rng, n=500) if classify(Triangle.from_coords(pts)).kind in kinds]
+    assert len(suite) >= 200
+    for scale in (1.0, 1e-150, 1e150, 1e153):
+        for pts in suite:
+            tri = Triangle.from_coords([(x * scale, y * scale) for x, y in pts])
+            sol = solve_newton(tri)
+            assert repr(sol) == repr(part._solution(tri, sol.point, "newton"))
+
+
 def test_newton_right_isoceles():
     sol = solve_newton(RIGHT_ISO)
     r = 1.0 / math.sqrt(6.0)

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from tripart.geometry import ConvexPolygon, GeometryError, Point, RegionAreas, Triangle
-from tripart.masspart import MassPartitionError, SectorConfig, TranslationSolution
+from tripart.geometry import ConvexPolygon, GeometryError, Point, RegionAreas, Triangle, _shown
+from tripart.masspart import MassPartitionError, SectorConfig, TranslationSolution, solve_translation
 from tripart.partition import (
     Classification,
     PartitionError,
@@ -17,9 +17,10 @@ from tripart.partition import (
     SolverConfig,
     SolverReport,
     VerifyReport,
+    cut_line_offset,
     verify_partition,
 )
-from tripart.problem import ProblemSpec, Report, SweepRow
+from tripart.problem import InputError, ProblemSpec, Report, SweepRow
 from tripart.rootfind import RootResult
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -132,6 +133,7 @@ def test_value_repr_lists_fields_only():
 
 
 HUGE = 10**400  # a real number that no float holds: math.isfinite and float() raise OverflowError on it
+LONG = 10**5000  # an int whose repr raises ValueError: it has more than 4,300 digits
 
 # one bad argument at each door: (build, the package error, its message)
 DOORS = {
@@ -156,9 +158,30 @@ DOORS = {
                                PartitionError, "^tol must be a positive finite number"),
     "verify_partition, nan": (lambda: verify_partition(Triangle.from_coords(TRI), Point(0.4, 0.3), tol=float("nan")),
                               PartitionError, "^tol must be a positive finite number"),
+    "Point, long": (lambda: Point(LONG, 0.0), GeometryError, "^non-finite point"),
+    "Triangle.from_coords, long": (lambda: Triangle.from_coords(((LONG, 0), TRI[1], TRI[2])), GeometryError,
+                                   "^non-finite coordinate"),
+    "ConvexPolygon, long": (lambda: ConvexPolygon(((0, 0), (LONG, 0), (1, 1))), GeometryError,
+                            "^non-finite coordinate"),
+    "SectorConfig, long": (lambda: SectorConfig(((LONG, 0), (0, 1), (-1, -1))), MassPartitionError, "not usable$"),
+    "from_angles_deg, long": (lambda: SectorConfig.from_angles_deg((LONG, 120, 240)), MassPartitionError,
+                              "^angles must be finite"),
+    "solve_translation targets, long": (
+        lambda: solve_translation(ConvexPolygon(SQUARE), SectorConfig.from_angles_deg((90, 210, 330)), (LONG, 0.5, 0.5)),
+        MassPartitionError, "^targets must be three positive areas"),
+    "cut_line_offset, long": (lambda: cut_line_offset(Triangle.from_coords(TRI), "ab", LONG), PartitionError,
+                              "^target_area must lie strictly between"),
+    "ProblemSpec, long": (lambda: ProblemSpec(mode="triangle", triangle=((LONG, 0), TRI[1], TRI[2])), InputError,
+                          "must be a finite number"),
     "verify_partition, negative": (lambda: verify_partition(Triangle.from_coords(TRI), Point(0.4, 0.3), tol=-1.0),
                                    PartitionError, "^tol must be a positive finite number"),
 }
+
+
+def test_messages_show_values_as_repr_but_ints_past_the_float_range():
+    for v in (1, -2.5, 10**300, (1,), (), [], (0.0, [1, (2.0, 3)]), "abc", None):
+        assert _shown(v) == repr(v)
+    assert _shown((LONG, [HUGE])) == f"(<int of {LONG.bit_length()} bits>, [<int of {HUGE.bit_length()} bits>])"
 
 
 @pytest.mark.parametrize("door", sorted(DOORS))
