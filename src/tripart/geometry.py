@@ -49,30 +49,35 @@ def _real(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
-def _finite(v) -> bool:
-    """math.isfinite, false also for an int too large for a float."""
+def _real_float(v) -> float:
+    """v as a float64, inf past the float range, nan unless v is a real
+    number (see `_real`): how every door converts a number, once."""
+    if not _real(v):
+        return math.nan
     try:
-        return math.isfinite(v)
-    except OverflowError:
-        return False
+        return float(v)
+    except OverflowError:  # an int or Fraction past the float range
+        return math.inf
 
 
 def _shown(v) -> str:
-    """repr(v), but an int past the float range (whose repr raises past 4,300 digits) by its bit count."""
+    """repr(v) for a door's message, but never raising: an int past the float
+    range by its bit count, a value whose repr raises (past 4,300 digits) by its type."""
     if type(v) in (tuple, list):
         inner = ", ".join(map(_shown, v)) + ("," if len(v) == 1 and type(v) is tuple else "")
         return f"({inner})" if type(v) is tuple else f"[{inner}]"
-    return f"<int of {v.bit_length()} bits>" if isinstance(v, int) and not _finite(v) else repr(v)
+    try:
+        return f"<int of {v.bit_length()} bits>" if isinstance(v, int) and _real_float(v) == math.inf else repr(v)
+    except ValueError:
+        return f"<{type(v).__name__} too long to show>"
 
 
 def _float(v) -> float:
-    """A coordinate v as a float; GeometryError naming it unless it is a
-    real number (see `_real`) and finite."""
-    if type(v) is not float and not _real(v):
-        raise GeometryError(f"coordinate {v!r} is not a real number")
-    if not _finite(v):
-        raise GeometryError(f"non-finite coordinate {_shown(v)}")
-    return float(v)
+    """A coordinate as a float64, the value types' one rule; GeometryError naming it unless finite and real."""
+    f = v if type(v) is float else _real_float(v)
+    if not math.isfinite(f):
+        raise GeometryError(f"non-finite coordinate {_shown(v)}" if _real(v) else f"coordinate {_shown(v)} is not a real number")
+    return f
 
 
 def _reals(v, n: int) -> bool:
@@ -400,16 +405,12 @@ class _Value:
 
 
 class Point(_Value):
-    """A point in the plane; coordinates must be finite real numbers (see `_real`)."""
+    """A point in the plane; its coordinates are stored as floats by `_float`."""
 
     _fields = ("x", "y")
 
     def __init__(self, x: float, y: float):
-        if not ((type(x) is float or _real(x)) and (type(y) is float or _real(y))):
-            raise GeometryError(f"coordinate {y if _real(x) else x!r} is not a real number")
-        if not (_finite(x) and _finite(y)):
-            raise GeometryError(f"non-finite point ({_shown(x)}, {_shown(y)})")
-        self.__dict__.update(x=x, y=y)
+        self.__dict__.update(x=_float(x), y=_float(y))
 
     def as_tuple(self) -> Vec:
         return (self.x, self.y)
@@ -437,10 +438,7 @@ class ConvexPolygon(_Value):
             pairs = [(x, y) for x, y in coords]
         except (TypeError, ValueError):  # not a sequence of pairs
             raise GeometryError(f"polygon vertices must be (x, y) points, got {_shown(coords)}") from None
-        pts = [(x if type(x) is float else _float(x), y if type(y) is float else _float(y)) for x, y in pairs]
-        for x, y in pts:
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise GeometryError(f"non-finite point ({x}, {y})")
+        pts = [(_float(x), _float(y)) for x, y in pairs]
         scale = _coord_scale(pts)
         given = len(pts)
         pts = _dedupe(pts, CLIP_SNAP_REL * scale)
@@ -494,6 +492,9 @@ class Triangle(_Value):
     _fields = ("a", "b", "c")
 
     def __init__(self, a: Point, b: Point, c: Point):
+        if not (isinstance(a, Point) and isinstance(b, Point) and isinstance(c, Point)):
+            v, p = next((v, p) for v, p in zip(VERTEX_IDS, (a, b, c)) if not isinstance(p, Point))
+            raise GeometryError(f"triangle vertex {v} must be a Point, got {_shown(p)}")
         pts = ((a.x, a.y), (b.x, b.y), (c.x, c.y))
         signed = _signed_area(pts)
         swapped = signed < 0.0
@@ -526,7 +527,7 @@ class Triangle(_Value):
             (ax, ay), (bx, by), (cx, cy) = coords
         except (TypeError, ValueError):  # not three pairs
             raise GeometryError(f"a triangle takes three (x, y) points, got {_shown(coords)}") from None
-        return cls(Point(_float(ax), _float(ay)), Point(_float(bx), _float(by)), Point(_float(cx), _float(cy)))
+        return cls(Point(ax, ay), Point(bx, by), Point(cx, cy))
 
     def vertex(self, v: str) -> Point:
         return getattr(self, _vertex_id(v))
@@ -613,9 +614,7 @@ def region_parts(tri: Triangle, x: Point, given=()) -> tuple[RegionAreas, tuple[
     passes of the regions at b, or b and c, with this pass's bits."""
     pts, normals, eps = tri.points, tri._normals, tri._snap
     tol = 1e-12 * tri.diameter
-    areas = []
-    regions = []
-    rings = list(given)
+    areas, regions, rings = [], [], list(given)
     for i in range(len(given), 3):
         (n1x, n1y, o1), (n2x, n2y, o2) = _sector_cuts(normals, i, x.x, x.y)
         rings.append(_clip(_clip(pts, n1x, n1y, o1, eps), n2x, n2y, o2, eps))

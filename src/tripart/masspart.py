@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .geometry import ConvexPolygon, Point, Triangle, Vec, _finite, _reals, _sector_area, _shown, _sum_lr, _Value, outward_normal
+from .geometry import ConvexPolygon, Point, Triangle, Vec, _real_float, _reals, _sector_area, _shown, _sum_lr, _Value, outward_normal
 from .partition import SolverConfig, _fan_newton
 
 GAP_MIN = 1e-9  # smallest allowed angle between consecutive rays
@@ -49,10 +49,11 @@ class SectorConfig(_Value):
         if len(directions) != 3:
             raise MassPartitionError(f"a fan has three ray directions, got {len(directions)}")
         dirs = []
-        for dx, dy in directions:
-            h = math.hypot(dx, dy) if _finite(dx) and _finite(dy) else math.inf
+        for rx, ry in directions:
+            dx, dy = _real_float(rx), _real_float(ry)
+            h = math.hypot(dx, dy)
             if h == 0.0 or not math.isfinite(h):
-                raise MassPartitionError(f"ray direction ({_shown(dx)}, {_shown(dy)}) is not usable")
+                raise MassPartitionError(f"ray direction ({_shown(rx)}, {_shown(ry)}) is not usable")
             # keep vectors that are already unit length bit-for-bit, so fans
             # built from triangle normals reproduce the wedge areas exactly
             if abs(h - 1.0) > 1e-12:
@@ -72,7 +73,7 @@ class SectorConfig(_Value):
         """The fan of rays at `angles`, three real numbers in degrees."""
         if not _reals(angles, 3):
             raise MassPartitionError(f"angles must be three real numbers, got {_shown(angles)}")
-        if not all(map(_finite, angles)):
+        if not all(math.isfinite(_real_float(a)) for a in angles):
             raise MassPartitionError(f"angles must be finite, got {_shown(angles)}")
         return cls(tuple((math.cos(math.radians(a)), math.sin(math.radians(a))) for a in angles))
 
@@ -101,18 +102,17 @@ def sector_areas(poly: ConvexPolygon, cfg: SectorConfig, apex: Point) -> tuple[f
     return tuple(_sector_area(pts, normals, i, apex.x, apex.y, eps) for i in range(3))
 
 
-def _check_targets(vals, total: float) -> None:
+def _check_targets(vals, total: float) -> tuple[float, float, float]:
     """The rule every fan job's targets obey: three positive finite areas
     whose sum, left to right, is within 1e-12 * total of the polygon area
-    `total`.  Raises MassPartitionError otherwise."""
-    try:
-        bad = len(vals) != 3 or any(not (v > 0.0 and _finite(v)) for v in vals)
-    except TypeError:  # not a sized sequence, or a value that is no real number
-        bad = True
-    if bad:
+    `total`.  Returns them as floats, the values the rule judged; raises
+    MassPartitionError otherwise."""
+    floats = tuple(map(_real_float, vals)) if _reals(vals, 3) else ()
+    if not (floats and all(0.0 < v < math.inf for v in floats)):
         raise MassPartitionError(f"targets must be three positive areas, got {_shown(vals)}")
-    if abs(_sum_lr(vals) - total) > 1e-12 * total:
-        raise MassPartitionError(f"targets sum to {_sum_lr(vals)!r} but the polygon area is {total!r}")
+    if abs(_sum_lr(floats) - total) > 1e-12 * total:
+        raise MassPartitionError(f"targets sum to {_sum_lr(floats)!r} but the polygon area is {total!r}")
+    return floats
 
 
 def solve_translation(poly, fan: SectorConfig, targets, solver_cfg=None) -> TranslationSolution:
@@ -128,14 +128,14 @@ def solve_translation(poly, fan: SectorConfig, targets, solver_cfg=None) -> Tran
     SolverError on failure and MassPartitionError for invalid targets."""
     solver_cfg = solver_cfg or SolverConfig()
     total = poly.area
-    _check_targets(targets, total)
+    floats = _check_targets(targets, total)
     pts = poly.coords
     seed = (_sum_lr(p[0] for p in pts) / len(pts), _sum_lr(p[1] for p in pts) / len(pts))
     normals = fan.normals
-    x, y, iters, a0, a1, _ = _fan_newton(pts, total, poly._snap, normals, targets, seed, 2 * poly.diameter, solver_cfg)
+    x, y, iters, a0, a1, _ = _fan_newton(pts, total, poly._snap, normals, floats, seed, 2 * poly.diameter, solver_cfg)
     apex = Point(x, y)
     achieved = (a0, a1, _sector_area(pts, normals, 2, x, y, poly._snap))
-    residual = max(abs(a - t) for a, t in zip(achieved, targets))
+    residual = max(abs(a - t) for a, t in zip(achieved, floats))
     return TranslationSolution(
         apex=apex,
         translation=(-apex.x, -apex.y),

@@ -45,8 +45,8 @@ from .geometry import (  # the kinds, CLASSIFY_TOL and Classification are public
     _clip,
     _coord_scale,
     _edge_terms,
-    _finite,
     _real,
+    _real_float,
     _sector_jacobian,
     _shown,
     _signed_area,
@@ -86,7 +86,7 @@ class SolverConfig(_Value):
     _fields = ("area_tol_rel", "max_iters")
 
     def __init__(self, area_tol_rel: float = 1e-12, max_iters: int = 100):
-        if not (_real(area_tol_rel) and area_tol_rel > 0.0 and _finite(area_tol_rel)):
+        if not 0.0 < (area_tol_rel := _real_float(area_tol_rel)) < math.inf:
             raise PartitionError("area_tol_rel must be a positive finite number")
         if not (_real(max_iters) and 1 <= max_iters < math.inf and int(max_iters) == max_iters):
             raise PartitionError("max_iters must be a positive integer")
@@ -197,9 +197,9 @@ def cut_line_offset(tri: Triangle, side: str, target_area: float) -> float:
     at most 1.9e-16 s^2, 104 times below the margin, and 16.4 clips in a
     cut's 50.6 steps.  In ratio form the estimate does not over- or
     underflow at any scale a Triangle admits."""
-    if not (_real(target_area) and 0.0 < target_area < tri.area and math.isfinite(target_area)):
+    if not 0.0 < (target := _real_float(target_area)) < tri.area:
         raise PartitionError(f"target_area must lie strictly between 0 and the triangle area, got {_shown(target_area)}")
-    return _cut_offset(tri.points, tri.side_unit(side), tri._snap, target_area)
+    return _cut_offset(tri.points, tri.side_unit(side), tri._snap, target)
 
 
 def _cut_offset(pts, u: Vec, eps: float, target: float) -> float:
@@ -506,7 +506,7 @@ def verify_partition(tri: Triangle, x: Point, tol: float = 1e-9) -> VerifyReport
     areas from |T| / 3, the point's location (tol * diameter boundary
     band), and the region vertex counts.  ok means the worst deviation is
     within tol * |T|; tol must be a positive finite number."""
-    if not (_real(tol) and tol > 0.0 and _finite(tol)):
+    if not 0.0 < (tol := _real_float(tol)) < math.inf:
         raise PartitionError("tol must be a positive finite number")
     sol = _solution(tri, x, "verify")  # the residual is the worst deviation
     dev = sol.residual

@@ -18,7 +18,7 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import chain
 
-from .geometry import VERTEX_IDS, Classification, ConvexPolygon, GeometryError, Triangle, Vec, _finite, _shown, _Value
+from .geometry import VERTEX_IDS, Classification, ConvexPolygon, GeometryError, Triangle, Vec, _real_float, _shown, _Value
 from .geometry import ACUTE, KINDS, RIGHT, _obtuse_kind  # the sweep's kernel
 from .masspart import MassPartitionError, SectorConfig, _check_targets, solve_translation
 from .partition import PartitionError, SolverConfig, equal_partition
@@ -223,7 +223,7 @@ def _as_json(v):
 
 
 def _require_number(v, name: str) -> int | float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not _finite(v):
+    if not isinstance(v, (int, float)) or not math.isfinite(_real_float(v)):
         raise InputError("invalid-value", f"field '{name}' must be a finite number, got {_shown(_as_json(v))}")
     return v
 
@@ -253,7 +253,7 @@ def _require_vertices(v, name: str) -> tuple[Vec, ...]:
 
 
 def _require_int(v, name: str) -> int:
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not _finite(v) or v != int(v):
+    if not isinstance(v, (int, float)) or not math.isfinite(_real_float(v)) or v != int(v):
         raise InputError("invalid-value", f"'{name}' must be an integer, got {_shown(_as_json(v))}")
     return int(v)
 

@@ -5,12 +5,14 @@ Sutherland-Hodgman over padded numpy buffers, and the Monte Carlo
 estimators avoid clipping entirely (pointwise sign tests only), giving
 two independent routes to every area the library computes.  A third,
 exact route clips in `fractions.Fraction`, so it can say how far a float
-answer is from exact.
+answer is from exact.  The sweep's criterion margin, which needs pi and
+tangents, is judged in `decimal` to 50 digits.
 """
 
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -443,3 +445,65 @@ def exact_sector_areas(poly_pts, normals, apex):
         _exact_cone_area(ring, nrm[(i + 1) % 3], (-nrm[i][0], -nrm[i][1]), apex) for i in range(3)
     )
     return areas, _exact_signed_area(ring)
+
+
+# ---------------------------------------------------------------------------
+# The sweep's criterion margin in decimal
+# ---------------------------------------------------------------------------
+# An obtuse sweep cell's kind is the sign of the interior criterion's margin
+# at the tangents of its two acute angles, pi i / n and pi j / n.  These
+# are irrational, so the margin is computed in `decimal` with its own pi
+# (Machin's formula) and tangent (the sine and cosine Taylor series), with
+# 15 guard digits over MARGIN_DIGITS.
+
+MARGIN_DIGITS = 50
+_GUARD = 15  # guard digits of every step before the margin
+
+
+def _series(first, step):
+    """first plus the terms that follow it, each step(previous, k) for
+    k = 1, 2, ..., until a term no longer changes the sum."""
+    total, term, k = first, first, 1
+    while True:
+        term = step(term, k)
+        if total + term == total:
+            return total
+        total += term
+        k += 1
+
+
+def _atan_inv(m: int):
+    """atan(1 / m) by its Taylor series, at the current precision."""
+    x2 = Decimal(1) / (m * m)
+    return _series(Decimal(1) / m, lambda t, k: -t * x2 * (2 * k - 1) / (2 * k + 1))
+
+
+def decimal_pi():
+    """pi to MARGIN_DIGITS + _GUARD digits, by Machin's formula."""
+    with localcontext() as ctx:
+        ctx.prec = MARGIN_DIGITS + _GUARD
+        return 16 * _atan_inv(5) - 4 * _atan_inv(239)
+
+
+def decimal_tan(x):
+    """tan(x) for a Decimal x in (0, pi / 2), by the sine and cosine
+    series, to MARGIN_DIGITS + _GUARD digits."""
+    with localcontext() as ctx:
+        ctx.prec = MARGIN_DIGITS + _GUARD
+        x2 = x * x
+        sin = _series(x, lambda t, k: -t * x2 / ((2 * k) * (2 * k + 1)))
+        cos = _series(Decimal(1), lambda t, k: -t * x2 / ((2 * k - 1) * (2 * k)))
+        return sin / cos
+
+
+def sweep_margin(n: int, i: int, j: int):
+    """The exact criterion margin, to MARGIN_DIGITS digits, of the obtuse
+    triangle with acute angles pi i / n and pi j / n:
+    sqrt((1 + ta^2) tb) + sqrt((1 + tb^2) ta) - sqrt(3 (ta + tb))."""
+    pi = decimal_pi()
+    with localcontext() as ctx:
+        ctx.prec = MARGIN_DIGITS + _GUARD
+        ta, tb = decimal_tan(pi * i / n), decimal_tan(pi * j / n)
+        value = ((1 + ta * ta) * tb).sqrt() + ((1 + tb * tb) * ta).sqrt() - (3 * (ta + tb)).sqrt()
+        ctx.prec = MARGIN_DIGITS
+        return +value

@@ -2,10 +2,13 @@
 records, the package's own errors at every door, and an import of the
 command line that stays cheap."""
 
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tripart.geometry import ConvexPolygon, GeometryError, Point, RegionAreas, Triangle, _shown
@@ -18,6 +21,7 @@ from tripart.partition import (
     SolverReport,
     VerifyReport,
     cut_line_offset,
+    equal_partition,
     verify_partition,
 )
 from tripart.problem import InputError, ProblemSpec, Report, SweepRow
@@ -137,7 +141,7 @@ LONG = 10**5000  # an int whose repr raises ValueError: it has more than 4,300 d
 
 # one bad argument at each door: (build, the package error, its message)
 DOORS = {
-    "Point, huge": (lambda: Point(HUGE, 0.0), GeometryError, "^non-finite point"),
+    "Point, huge": (lambda: Point(HUGE, 0.0), GeometryError, "^non-finite coordinate"),
     "Triangle.from_coords, huge": (lambda: Triangle.from_coords(((HUGE, 0), TRI[1], TRI[2])), GeometryError,
                                    "^non-finite coordinate"),
     "Triangle.from_coords, two points": (lambda: Triangle.from_coords(TRI[:2]), GeometryError, "^a triangle takes"),
@@ -158,7 +162,12 @@ DOORS = {
                                PartitionError, "^tol must be a positive finite number"),
     "verify_partition, nan": (lambda: verify_partition(Triangle.from_coords(TRI), Point(0.4, 0.3), tol=float("nan")),
                               PartitionError, "^tol must be a positive finite number"),
-    "Point, long": (lambda: Point(LONG, 0.0), GeometryError, "^non-finite point"),
+    "Point, long": (lambda: Point(LONG, 0.0), GeometryError, "^non-finite coordinate"),
+    "Point, long Fraction": (lambda: Point(Fraction(LONG), 0.0), GeometryError, "^non-finite coordinate"),
+    "ConvexPolygon, long Fraction": (lambda: ConvexPolygon(((0, 0), (Fraction(LONG), 0), (1, 1))), GeometryError,
+                                     "^non-finite coordinate"),
+    "Triangle, tuple vertex": (lambda: Triangle((0, 0), (1, 0), (0, 1)), GeometryError,
+                               r"^triangle vertex a must be a Point, got \(0, 0\)$"),
     "Triangle.from_coords, long": (lambda: Triangle.from_coords(((LONG, 0), TRI[1], TRI[2])), GeometryError,
                                    "^non-finite coordinate"),
     "ConvexPolygon, long": (lambda: ConvexPolygon(((0, 0), (LONG, 0), (1, 1))), GeometryError,
@@ -179,9 +188,14 @@ DOORS = {
 
 
 def test_messages_show_values_as_repr_but_ints_past_the_float_range():
-    for v in (1, -2.5, 10**300, (1,), (), [], (0.0, [1, (2.0, 3)]), "abc", None):
+    for v in (1, -2.5, 10**300, (1,), (), [], (0.0, [1, (2.0, 3)]), "abc", None, Fraction(1, 3)):
         assert _shown(v) == repr(v)
     assert _shown((LONG, [HUGE])) == f"(<int of {LONG.bit_length()} bits>, [<int of {HUGE.bit_length()} bits>])"
+    try:
+        expected = repr(Fraction(LONG))
+    except ValueError:  # the 4,300-digit limit of int to str, from Python 3.11 and 3.10.7
+        expected = "<Fraction too long to show>"
+    assert _shown(Fraction(LONG)) == expected
 
 
 @pytest.mark.parametrize("door", sorted(DOORS))
@@ -189,6 +203,50 @@ def test_every_door_raises_the_package_error(door):
     build, error, message = DOORS[door]
     with pytest.raises(error, match=message):
         build()
+
+
+# integer-valued inputs, so that every number type below holds them exactly
+_RNG = random.Random(2)
+TYPED_TRIANGLES = [tuple((_RNG.randint(-40, 40), _RNG.randint(-40, 40)) for _ in range(3)) for _ in range(40)]
+TYPED_POLYGONS = (((0, 0), (4, 0), (4, 3), (0, 3)), ((0, 0), (6, 0), (6, 2), (3, 6), (0, 2)))  # areas 12 and 24
+TYPED_FANS = (((0, 1), (-1, -1), (1, -1)), ((1, 0), (-1, 3), (-2, -3)), ((3, 1), (-1, 2), (0, -1)))
+TYPED_FRACTIONS = ((1, 1, 2), (1, 2, 1), (1, 1, 1))  # of sums 4 and 3, so whole targets
+NUMBER_TYPES = {"int": int, "np.int64": np.int64, "np.float32": np.float32, "np.float64": np.float64,
+                "Fraction": Fraction}
+
+
+def _answers(of):
+    """Each typed job's answer as text: repr shows a float's every bit and
+    the type of any number that is not a float."""
+    out = []
+    for tri in TYPED_TRIANGLES:
+        points = [Point(of(x), of(y)) for x, y in tri]
+        try:
+            triangle = Triangle(*points)
+        except GeometryError:  # a degenerate draw is refused whatever the type
+            continue
+        sol = equal_partition(triangle)
+        out += [repr(sol), repr(verify_partition(triangle, sol.point, tol=of(1)))]
+        area = int(triangle.area)
+        if area >= 2:
+            out.append(repr(cut_line_offset(triangle, "ab", of(area // 2))))
+    for poly in TYPED_POLYGONS:
+        polygon = ConvexPolygon(tuple((of(x), of(y)) for x, y in poly))
+        for fan in TYPED_FANS:
+            config = SectorConfig(tuple((of(x), of(y)) for x, y in fan))
+            for fractions in TYPED_FRACTIONS:
+                whole = int(polygon.area) // sum(fractions)
+                sol = solve_translation(polygon, config, tuple(of(whole * f) for f in fractions))
+                out.append(repr(sol._replace(targets=None)))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(NUMBER_TYPES))
+def test_a_number_type_never_changes_an_answer(name):
+    # a door converts every number to a float once, so the kernels see the
+    # same float64 values whatever type brought them
+    assert type(Point(NUMBER_TYPES[name](1), 0).x) is float
+    assert _answers(NUMBER_TYPES[name]) == _answers(float)
 
 
 def test_triangle_equality_ignores_swapped_bc():
