@@ -89,10 +89,11 @@ def _reals(v, n: int) -> bool:
 
 
 def _vertex_id(v: str) -> str:
-    """Vertex id v in lower case; GeometryError unless it is a, b or c."""
-    if v.lower() in VERTEX_IDS:
-        return v.lower()
-    raise GeometryError(f"unknown vertex id {v.lower()!r}")
+    """Vertex id v in lower case; GeometryError unless it is a string a, b or c, in either case."""
+    key = v.lower() if isinstance(v, str) else v
+    if isinstance(key, str) and key in VERTEX_IDS:
+        return key
+    raise GeometryError(f"unknown vertex id {_shown(key)}")
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +512,7 @@ class Triangle(_Value):
         cls = Classification(kind) if margin is None else Classification(kind, VERTEX_IDS[i], margin)
         self.__dict__.update(
             a=a, b=b, c=c, swapped_bc=swapped, points=pts, diameter=diam,
-            area=_signed_area(pts),
+            area=abs(signed),  # swapping b and c negates each shoelace term exactly
             _centroid=((p[0] + q[0] + r[0]) / 3.0, (p[1] + q[1] + r[1]) / 3.0),
             angles=angles,
             _classification=cls,  # where the equal-area point lies
@@ -534,9 +535,8 @@ class Triangle(_Value):
 
     def side(self, side: str) -> tuple[Point, Point]:
         """Directed side, e.g. 'ab' is a -> b and 'ba' is b -> a."""
-        side = side.lower()
-        if len(side) != 2 or side[0] == side[1]:
-            raise GeometryError(f"unknown side id {side!r}")
+        if not isinstance(side, str) or len(side) != 2 or side[0].lower() == side[1].lower():
+            raise GeometryError(f"unknown side id {_shown(side)}")
         return self.vertex(side[0]), self.vertex(side[1])
 
     def side_unit(self, side: str) -> Vec:
@@ -570,12 +570,9 @@ class RegionAreas(namedtuple("RegionAreas", "at_a at_b at_c")):
 
 
 def outward_normal(tri: Triangle, side: str) -> Vec:
-    """Unit normal of a side, pointing away from the opposite vertex."""
-    side = side.lower()
-    key = side if side in SIDE_IDS else side[::-1]
-    if key not in SIDE_IDS:
-        raise GeometryError(f"unknown side id {side!r}")
-    ux, uy = tri.side_unit(key)
+    """Unit normal of a side, named in either direction, pointing away from the opposite vertex."""
+    against = isinstance(side, str) and side.lower()[::-1] in SIDE_IDS  # named against the CCW order, as "ba"
+    ux, uy = tri.side_unit(side[::-1] if against else side)
     return (uy, -ux)
 
 
@@ -604,20 +601,21 @@ def region_area(tri: Triangle, v: str, x: Point) -> float:
     return _sector_area(tri.points, tri._normals, _SECTOR_OF[_vertex_id(v)], x.x, x.y, tri._snap)
 
 
-def region_parts(tri: Triangle, x: Point, given=()) -> tuple[RegionAreas, tuple[tuple[Vec, ...], ...]]:
+def region_parts(tri: Triangle, x: Point, rings=()) -> tuple[RegionAreas, tuple[tuple[Vec, ...], ...]]:
     """The three region areas at x, which sum to the triangle area, and the
     three regions as CCW rings of (x, y) points, both in vertex order,
     from one clip pass per region: the one place a triangle's regions are
     built.  A ring is () if the wedge misses the triangle; consecutive
     vertices closer than 1e-12 * diameter are merged so degenerate slivers
-    do not inflate the vertex count.  `given` may hold the unmerged clip
-    passes of the regions at b, or b and c, with this pass's bits."""
+    do not inflate the vertex count.  `rings` may hold the unmerged clip
+    passes of all three regions, at b, c and a, with this pass's bits, as
+    Newton gives them at its answer; then nothing is clipped here."""
     pts, normals, eps = tri.points, tri._normals, tri._snap
     tol = 1e-12 * tri.diameter
-    areas, regions, rings = [], [], list(given)
-    for i in range(len(given), 3):
-        (n1x, n1y, o1), (n2x, n2y, o2) = _sector_cuts(normals, i, x.x, x.y)
-        rings.append(_clip(_clip(pts, n1x, n1y, o1, eps), n2x, n2y, o2, eps))
+    if not rings:
+        cuts = [_sector_cuts(normals, i, x.x, x.y) for i in range(3)]
+        rings = [_clip(_clip(pts, n1x, n1y, o1, eps), n2x, n2y, o2, eps) for (n1x, n1y, o1), (n2x, n2y, o2) in cuts]
+    areas, regions = [], []
     for ring in rings:
         areas.append(_signed_area(ring))
         ring = _dedupe(ring, tol)

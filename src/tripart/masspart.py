@@ -122,19 +122,15 @@ def solve_translation(poly, fan: SectorConfig, targets, solver_cfg=None) -> Tran
     The polygon stays fixed and the apex moves; `translation` is the
     vector that would instead move the polygon onto a fan anchored at the
     origin, i.e. the negated apex.  Solved with the same damped Newton
-    engine as the triangle problem.  `achieved` holds the sector areas at
-    the apex, bit for bit those `sector_areas` gives: sectors 0 and 1 are
-    Newton's last evaluation, so only sector 2 is clipped again.  Raises
-    SolverError on failure and MassPartitionError for invalid targets."""
+    engine as the triangle problem.  `achieved` holds the sector areas of
+    Newton's answer, bit for bit those `sector_areas` gives at the apex.
+    Raises SolverError on failure and MassPartitionError for invalid
+    targets."""
     solver_cfg = solver_cfg or SolverConfig()
     total = poly.area
     floats = _check_targets(targets, total)
-    pts = poly.coords
-    seed = (_sum_lr(p[0] for p in pts) / len(pts), _sum_lr(p[1] for p in pts) / len(pts))
-    normals = fan.normals
-    x, y, iters, a0, a1, _ = _fan_newton(pts, total, poly._snap, normals, floats, seed, 2 * poly.diameter, solver_cfg)
+    x, y, iters, achieved, *_ = _fan_newton(poly.coords, total, poly._snap, fan.normals, floats, 2 * poly.diameter, solver_cfg)
     apex = Point(x, y)
-    achieved = (a0, a1, _sector_area(pts, normals, 2, x, y, poly._snap))
     residual = max(abs(a - t) for a, t in zip(achieved, floats))
     return TranslationSolution(
         apex=apex,

@@ -50,6 +50,7 @@ from .geometry import (  # the kinds, CLASSIFY_TOL and Classification are public
     _sector_jacobian,
     _shown,
     _signed_area,
+    _sum_lr,
     _widest,
     region_areas,
     region_parts,
@@ -230,32 +231,36 @@ def _cut_offset(pts, u: Vec, eps: float, target: float) -> float:
             hi = mid
 
 
-def _fan_newton(pts, total: float, eps: float, normals, targets, seed: Vec, pad: float, cfg: SolverConfig):
+def _fan_newton(pts, total: float, eps: float, normals, targets, pad: float, cfg: SolverConfig, seed: Point | None = None):
     """Place the apex of a three-ray fan so that its sectors cut the convex
     CCW polygon `pts` (area `total`, snap band `eps`) into the three
     `targets`; the fan is given by its ray normals, as in
     `tripart.geometry`.  Damped Newton on the areas of sectors 0 and 1
-    from `seed`, with the exact Jacobian (its edge terms, which do not
-    depend on the apex, computed once per solve), reseeding from a grid
-    over the bounding box grown by `pad` if the iteration stalls.
-    Returns the point's x and y, the iteration count, the areas of
-    sectors 0 and 1 at the point and (their rings / 2**e, 2**e): on
-    convergence newton2d stops right after evaluating the point it
-    returns, so these are its last, clipped in `_sector_area`'s bits.
-    Raises SolverError (with the best iterate in its report) when the
-    residual cannot be driven below cfg.area_tol_rel * total.
+    from `seed`, by default the vertex mean summed left to right (a
+    triangle's `_centroid`, bit for bit), with the exact Jacobian (its edge
+    terms, which do not depend on the apex, computed once per solve),
+    reseeding from a grid over the bounding box grown by `pad` if the
+    iteration stalls.  Returns the point's x and y, the iteration count,
+    the three sector areas there, their unmerged rings / 2**e and 2**e:
+    newton2d stops right after evaluating the point it returns, so sectors
+    0 and 1 are that evaluation's, and sector 2 is clipped once there, all
+    in `_sector_area`'s bits.  Raises SolverError (with the best iterate in
+    its report) when the residual cannot be driven below
+    cfg.area_tol_rel * total.
 
     It iterates in coordinates scaled by k = 2**-e, e the binary exponent
     of the largest coordinate, so the Newton step's products neither
     overflow nor underflow at any scale a shape admits; a power of two
     scales exactly, so results keep the bits of an unscaled run."""
+    n = len(pts)
+    sx, sy = (_sum_lr(p[0] for p in pts) / n, _sum_lr(p[1] for p in pts) / n) if seed is None else seed.as_tuple()
     e = math.frexp(_coord_scale(pts))[1]
     k, k2 = math.ldexp(1.0, -e), math.ldexp(1.0, -2 * e)
     pts = [(x * k, y * k) for x, y in pts]
     t1, t2, t3 = [t * k2 for t in targets]
     total, eps, pad = total * k2, eps * k, pad * k
     (n0x, n0y), (n1x, n1y), (n2x, n2y) = normals
-    m0x, m0y, m1x, m1y = -n0x, -n0y, -n1x, -n1y
+    m0x, m0y, m1x, m1y, m2x, m2y = -n0x, -n0y, -n1x, -n1y, -n2x, -n2y
     last = None
 
     def fun(x: float, y: float):
@@ -273,7 +278,7 @@ def _fan_newton(pts, total: float, eps: float, normals, targets, seed: Vec, pad:
     ys = [p[1] for p in pts]
     res = newton2d(
         fun,
-        (seed[0] * k, seed[1] * k),
+        (sx * k, sy * k),
         jac=lambda x, y: _sector_jacobian(edges, normals, x, y),
         tol=cfg.area_tol_rel * total,
         max_iters=cfg.max_iters,
@@ -284,7 +289,9 @@ def _fan_newton(pts, total: float, eps: float, normals, targets, seed: Vec, pad:
             "newton", res.iterations, res.residual / k2, (res.x / k, res.y / k),
             [r / k2 for r in res.residual_history], "newton iteration did not reach the area tolerance",
         )
-    return res.x / k, res.y / k, res.iterations, last[0] / k2, last[1] / k2, (*last[2:], math.ldexp(1.0, e))
+    x, y, (a1, a2, r1, r2) = res.x, res.y, last
+    r3 = _clip(_clip(pts, n0x, n0y, n0x * x + n0y * y, eps), m2x, m2y, m2x * x + m2y * y, eps)
+    return x / k, y / k, res.iterations, (a1 / k2, a2 / k2, _signed_area(r3) / k2), (r1, r2, r3), math.ldexp(1.0, e)
 
 
 def _solution(tri: Triangle, point: Point, method: str, rings=()) -> PartitionSolution:
@@ -304,14 +311,14 @@ def _solution(tri: Triangle, point: Point, method: str, rings=()) -> PartitionSo
 def solve_newton(tri: Triangle, cfg: SolverConfig | None = None, seed: Point | None = None) -> PartitionSolution:
     """Locate the equal-area point as the apex of the triangle's fan of
     outward side normals that cuts three equal areas (see `_fan_newton`),
-    starting from `seed` or the centroid; the regions at b and c are its
-    last evaluation's.  Raises SolverError (with the best iterate in its
-    report) when the residual cannot be driven below tolerance."""
-    start = seed.as_tuple() if seed is not None else tri._centroid
+    starting from `seed` or the centroid; its three regions are the ones
+    Newton clipped at its answer, in its frame, scaled back.  Raises
+    SolverError (with the best iterate in its report) when the residual
+    cannot be driven below tolerance."""
     s = tri.area / 3.0
     cfg = cfg or SolverConfig()
-    x, y, *_, (r1, r2, unit) = _fan_newton(tri.points, tri.area, tri._snap, tri._normals, (s, s, s), start, tri.diameter, cfg)
-    return _solution(tri, Point(x, y), "newton", [[(px * unit, py * unit) for px, py in r] for r in (r1, r2)])
+    x, y, _, _, rings, unit = _fan_newton(tri.points, tri.area, tri._snap, tri._normals, (s, s, s), tri.diameter, cfg, seed)
+    return _solution(tri, Point(x, y), "newton", [[(px * unit, py * unit) for px, py in r] for r in rings])
 
 
 def solve_maximin(tri: Triangle) -> PartitionSolution:

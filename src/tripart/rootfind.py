@@ -129,7 +129,7 @@ def newton2d(
     jac,
     tol: float,
     max_iters: int,
-    restart_box: tuple[float, float, float, float] | None = None,
+    restart_box: tuple[float, float, float, float],
 ) -> RootResult:
     """Drive fun(x, y) -> (g1, g2, merit) to merit <= tol.
 
@@ -168,28 +168,21 @@ def newton2d(
                         stalled = False
                         break
                 step *= 0.5
-        if not stalled:
+        if stalled:
+            if seeds is None:
+                seeds = _restart_seeds(fun, restart_box)
+            if not seeds:
+                break
+            _, x, y = seeds.pop(0)
+            restarts += 1
+            g1, g2, merit = fun(x, y)
+            j11, j12, j21, j22 = jac(x, y)
+        else:
             iters += 1
-            history.append(merit)
-            if merit < best[0]:
-                best = (merit, x, y)
-            continue
-        if restart_box is None:
-            break
-        if seeds is None:
-            seeds = _restart_seeds(fun, restart_box)
-        if not seeds:
-            break
-        _, x, y = seeds.pop(0)
-        restarts += 1
-        g1, g2, merit = fun(x, y)
-        j11, j12, j21, j22 = jac(x, y)
         history.append(merit)
         if merit < best[0]:
             best = (merit, x, y)
 
-    if merit < best[0]:
-        best = (merit, x, y)
     return RootResult(
         x=best[1],
         y=best[2],

@@ -20,6 +20,7 @@ OUTLINE = "#1a1a1a"
 GUIDE = "#666666"
 CUT = "#aa3377"
 FONT = "Helvetica, Arial, sans-serif"
+WIDTH_PX = 640.0
 PAD_PX = 30.0
 MARKER_PX = 7.0
 MIN_SEGMENT_REL = 1e-9  # skip perpendiculars shorter than this x diameter
@@ -47,7 +48,7 @@ def _ring_line(n: int, fill: str) -> str:
     return f'<polygon points="{" ".join(["%.4f,%.4f"] * n)}" fill="{fill}" fill-opacity="0.35"/>'
 
 
-def emit_svg(report: Report, width: int = 640) -> str:
+def emit_svg(report: Report) -> str:
     """Render a solved triangle report as a standalone SVG document."""
     if report.mode != "triangle" or report.point is None or report.regions is None:
         raise ValueError("SVG rendering needs a triangle report carrying a solution")
@@ -63,8 +64,8 @@ def emit_svg(report: Report, width: int = 640) -> str:
     xs = [p[0] for p in pts] + [x0] + [f[0] for f in feet]
     ys = [p[1] for p in pts] + [y0] + [f[1] for f in feet]
     min_x, max_y = min(xs), max(ys)
-    scale = (width - 2.0 * PAD_PX) / max(max(xs) - min_x, 1e-30)
-    w, h = float(width), (max_y - min(ys)) * scale + 2.0 * PAD_PX
+    scale = (WIDTH_PX - 2.0 * PAD_PX) / max(max(xs) - min_x, 1e-30)
+    w, h = WIDTH_PX, (max_y - min(ys)) * scale + 2.0 * PAD_PX
 
     # the template's lines, and the values of their fields in order
     parts, vals = [_HEAD], [min_x, scale, PAD_PX, max_y, scale, PAD_PX, w, h, w, h, w, h]

@@ -13,8 +13,11 @@ import pytest
 import oracles as oc
 import tripart.geometry as geometry
 import tripart.partition as part
+import tripart.rootfind as rootfind
 from tripart.cli import main
-from tripart.geometry import Point, Triangle, _clip, _signed_area
+from test_golden import BOUNDARY_SPEC, EXTERIOR_SPEC, FAN_SPEC
+from tripart.geometry import ConvexPolygon, Point, Triangle, _clip, _signed_area
+from tripart.masspart import SectorConfig, solve_translation
 from tripart.partition import (
     ACUTE,
     OBTUSE_BOUNDARY,
@@ -36,7 +39,7 @@ from tripart.partition import (
     solve_newton,
     verify_partition,
 )
-from tripart.problem import canonical_json, parse_spec, triangle_from_angles
+from tripart.problem import canonical_json, parse_spec, run, triangle_from_angles
 
 RIGHT_ISO = Triangle.from_coords(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
 EQUILATERAL = Triangle.from_coords(((0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0)))
@@ -313,13 +316,14 @@ def test_solution_clips_each_region_once(monkeypatch):
 
 
 def test_newton_reuses_its_last_regions_bit_for_bit():
-    """`solve_newton` takes the regions at b and c from Newton's last
-    evaluation, scaled back by a power of two, and clips only the one at
-    a: its regions, areas and residual are those a fresh `region_parts`
-    gives at its point, bit for bit (repr writes each float exactly).  The
-    Newton kinds of the acceptance suite, as given and scaled by 1e-150,
-    1e150 and 1e153; `Triangle` rejects them at 1e300, where the squared
-    diameter overflows."""
+    """`solve_newton` takes all three regions from Newton's answer, scaled
+    back by a power of two: those at b and c from its last evaluation, the
+    one at a clipped once at its point in its frame.  Its regions, areas
+    and residual are those a fresh `region_parts` gives at its point, bit
+    for bit (repr writes each float exactly).  The Newton kinds of the
+    acceptance suite, as given and scaled by 1e-150, 1e150 and 1e153;
+    `Triangle` rejects them at 1e300, where their areas, near 1e600, and
+    their squared diameters are not floats."""
     rng = np.random.default_rng(20240601)
     kinds = (ACUTE, RIGHT, OBTUSE_INTERIOR)
     suite = [pts for pts in oc.kind_suite(rng, n=500) if classify(Triangle.from_coords(pts)).kind in kinds]
@@ -353,6 +357,36 @@ def test_newton_survives_terrible_seed():
     sol = solve_newton(EQUILATERAL, seed=Point(40.0, -35.0))
     assert sol.point.x == pytest.approx(0.5, abs=1e-9)
     assert sol.point.y == pytest.approx(math.sqrt(3.0) / 6.0, abs=1e-9)
+
+
+class _Restarted(Exception):
+    """Raised in place of the grid restart's scan."""
+
+
+def test_grid_restart_serves_only_far_seeds(monkeypatch):
+    """Newton reaches the grid restart only from a far seed or on a shape
+    far from the origin: with the restart's scan made to raise, the
+    acceptance suite through `equal_partition`, the 500 fan instances of
+    acceptance 9 and the golden specs solve without reaching it, while the
+    far seed above does reach it.  So a change that makes Newton stall on
+    core input cannot hide behind the restart."""
+
+    def refuse(fun, box):
+        raise _Restarted
+
+    monkeypatch.setattr(rootfind, "_restart_seeds", refuse)
+    rng = np.random.default_rng(20240601)
+    for pts in oc.kind_suite(rng, n=500):
+        equal_partition(Triangle.from_coords(pts))
+    rng = np.random.default_rng(20240617)
+    for _ in range(500):
+        poly = ConvexPolygon.from_coords(oc.rand_convex_polygon(rng))
+        cfg = SectorConfig.from_angles_deg(oc.rand_fan_angles_deg(rng))
+        solve_translation(poly, cfg, tuple(f * poly.area for f in oc.rand_fractions(rng)))
+    for spec in (EXTERIOR_SPEC, BOUNDARY_SPEC, FAN_SPEC):
+        run(parse_spec(spec))
+    with pytest.raises(_Restarted):
+        solve_newton(EQUILATERAL, seed=Point(40.0, -35.0))
 
 
 def test_newton_failure_carries_report():

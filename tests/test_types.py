@@ -11,7 +11,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tripart.geometry import ConvexPolygon, GeometryError, Point, RegionAreas, Triangle, _shown
+from tripart.geometry import (
+    ConvexPolygon,
+    GeometryError,
+    Point,
+    RegionAreas,
+    Triangle,
+    _shown,
+    outward_normal,
+    region_area,
+    region_polygon,
+)
 from tripart.masspart import MassPartitionError, SectorConfig, TranslationSolution, solve_translation
 from tripart.partition import (
     Classification,
@@ -184,6 +194,19 @@ DOORS = {
                           "must be a finite number"),
     "verify_partition, negative": (lambda: verify_partition(Triangle.from_coords(TRI), Point(0.4, 0.3), tol=-1.0),
                                    PartitionError, "^tol must be a positive finite number"),
+    "Triangle.vertex, int": (lambda: Triangle.from_coords(TRI).vertex(1), GeometryError, "^unknown vertex id 1$"),
+    "Triangle.side, None": (lambda: Triangle.from_coords(TRI).side(None), GeometryError, "^unknown side id None$"),
+    "Triangle.side_unit, int": (lambda: Triangle.from_coords(TRI).side_unit(12), GeometryError, "^unknown side id 12$"),
+    "outward_normal, int": (lambda: outward_normal(Triangle.from_coords(TRI), 2), GeometryError, "^unknown side id 2$"),
+    "region_area, int": (lambda: region_area(Triangle.from_coords(TRI), 1, Point(0.4, 0.3)), GeometryError,
+                         "^unknown vertex id 1$"),
+    "region_polygon, None": (lambda: region_polygon(Triangle.from_coords(TRI), None, Point(0.4, 0.3)), GeometryError,
+                             "^unknown vertex id None$"),
+    "RegionAreas.at, int": (lambda: RegionAreas(1.0, 2.0, 3.0).at(0), GeometryError, "^unknown vertex id 0$"),
+    "cut_line_offset, int side": (lambda: cut_line_offset(Triangle.from_coords(TRI), 1, 0.01), GeometryError,
+                                  "^unknown side id 1$"),
+    "cut_line_offset, bytes side": (lambda: cut_line_offset(Triangle.from_coords(TRI), b"ab", 0.01), GeometryError,
+                                    "^unknown side id b'ab'$"),
 }
 
 
