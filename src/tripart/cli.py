@@ -8,7 +8,6 @@ stderr so byte-level reproducibility of the outputs is preserved.
 from __future__ import annotations
 
 import argparse
-import math
 import re
 import sys
 import time
@@ -144,10 +143,7 @@ def _cmd_verify(args) -> int:
     spec = parse_spec(_read(args.input))
     if spec.mode != "triangle":
         raise InputError("invalid-value", "verify needs a triangle-mode spec")
-    point = _parse_point(args.point)
-    if not (args.tol > 0.0 and math.isfinite(args.tol)):
-        raise InputError("invalid-value", "--tol must be a positive finite number")
-    vr = verify_partition(spec.shape, point, tol=args.tol)
+    vr = verify_partition(spec.shape, _parse_point(args.point), tol=args.tol)  # which judges the tol
     areas = input_order(spec.shape, vr.areas)
     payload = {
         "mode": "verify",

@@ -34,6 +34,7 @@ _SECTOR_OF = {v: i for i, v in enumerate(SECTOR_VERTEX_ORDER)}
 DEGENERACY_REL = 1e-12  # min |signed area| / diameter**2 for a usable triangle or polygon
 CLIP_SNAP_REL = 1e-14   # on-line band for clipping, relative to coordinate scale
 _FLOAT_MIN = 2.2250738585072014e-308  # sys.float_info.min, the least normal float
+_SHOWN_DEPTH = 100  # a message shows what sits inside this many lists or tuples as ...
 
 
 class GeometryError(ValueError):
@@ -60,15 +61,18 @@ def _real_float(v) -> float:
         return math.inf
 
 
-def _shown(v) -> str:
-    """repr(v) for a door's message, but never raising: an int past the float
-    range by its bit count, a value whose repr raises (past 4,300 digits) by its type."""
+def _shown(v, depth: int = 0) -> str:
+    """repr(v) for a door's message, but never raising: an int past the float range
+    by its bit count, a value whose repr raises (past 4,300 digits or the recursion
+    limit) by its type, and what sits `_SHOWN_DEPTH` lists or tuples deep as `...`."""
+    if depth == _SHOWN_DEPTH:
+        return "..."
     if type(v) in (tuple, list):
-        inner = ", ".join(map(_shown, v)) + ("," if len(v) == 1 and type(v) is tuple else "")
+        inner = ", ".join([_shown(x, depth + 1) for x in v]) + ("," if len(v) == 1 and type(v) is tuple else "")
         return f"({inner})" if type(v) is tuple else f"[{inner}]"
     try:
         return f"<int of {v.bit_length()} bits>" if isinstance(v, int) and _real_float(v) == math.inf else repr(v)
-    except ValueError:
+    except (ValueError, RecursionError):
         return f"<{type(v).__name__} too long to show>"
 
 
@@ -429,7 +433,8 @@ class ConvexPolygon(_Value):
     the squared diameter raise GeometryError.  `coords` holds the
     vertices as (x, y) tuples.  Construction stores the `area` and
     `diameter` (the bounding-box diagonal, an upper bound on the diameter)
-    its checks compute and the clipping band `_snap`.
+    its checks compute, the coordinate scale `_scale`, the clipping band
+    `_snap` made from it and the vertex mean `_centroid`, summed left to right.
     """
 
     _fields = ("coords",)
@@ -471,7 +476,8 @@ class ConvexPolygon(_Value):
             raise GeometryError("polygon vertices are collinear")
         if n < given:  # dedupe dropped a vertex, which may have set the scale
             scale = _coord_scale(coords)
-        self.__dict__.update(coords=coords, area=area, diameter=diam, _snap=CLIP_SNAP_REL * scale)
+        self.__dict__.update(coords=coords, area=area, diameter=diam, _scale=scale, _snap=CLIP_SNAP_REL * scale,
+                             _centroid=(_sum_lr(xs) / n, _sum_lr(ys) / n))
 
     @classmethod
     def from_coords(cls, coords) -> "ConvexPolygon":
@@ -488,7 +494,8 @@ class Triangle(_Value):
     swapped.  Construction stores the `points`, as (x, y) tuples in that
     order, the `diameter`, the longest side, that its checks use, and the
     facts every solver reads: the `area`, the `angles`, the
-    classification, the fan's ray normals and the clipping band."""
+    classification, the fan's ray normals, the centroid, the coordinate
+    scale (the largest |coordinate|) and the clipping band made from it."""
 
     _fields = ("a", "b", "c")
 
@@ -519,7 +526,7 @@ class Triangle(_Value):
             # the wedges' fan has the outward side normals for rays, so its ray
             # normals are the side unit vectors (see SECTOR_VERTEX_ORDER)
             _normals=(_unit(p, q), _unit(q, r), _unit(r, p)),
-            _snap=CLIP_SNAP_REL * _coord_scale(pts),
+            _scale=(scale := _coord_scale(pts)), _snap=CLIP_SNAP_REL * scale,
         )
 
     @classmethod

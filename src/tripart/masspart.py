@@ -122,14 +122,16 @@ def solve_translation(poly, fan: SectorConfig, targets, solver_cfg=None) -> Tran
     The polygon stays fixed and the apex moves; `translation` is the
     vector that would instead move the polygon onto a fan anchored at the
     origin, i.e. the negated apex.  Solved with the same damped Newton
-    engine as the triangle problem.  `achieved` holds the sector areas of
-    Newton's answer, bit for bit those `sector_areas` gives at the apex.
+    engine as the triangle problem, from the vertex mean the polygon
+    stores.  `achieved` holds the sector areas of Newton's answer, bit for
+    bit those `sector_areas` gives at the apex.
     Raises SolverError on failure and MassPartitionError for invalid
     targets."""
-    solver_cfg = solver_cfg or SolverConfig()
-    total = poly.area
-    floats = _check_targets(targets, total)
-    x, y, iters, achieved, *_ = _fan_newton(poly.coords, total, poly._snap, fan.normals, floats, 2 * poly.diameter, solver_cfg)
+    floats = _check_targets(targets, poly.area)
+    x, y, iters, achieved, *_ = _fan_newton(
+        poly.coords, poly.area, poly._scale, poly._snap, fan.normals, floats, 2 * poly.diameter,
+        solver_cfg or SolverConfig(), poly._centroid,
+    )
     apex = Point(x, y)
     residual = max(abs(a - t) for a, t in zip(achieved, floats))
     return TranslationSolution(

@@ -43,14 +43,12 @@ from .geometry import (  # the kinds, CLASSIFY_TOL and Classification are public
     _Value,
     _areas_at,
     _clip,
-    _coord_scale,
     _edge_terms,
     _real,
     _real_float,
     _sector_jacobian,
     _shown,
     _signed_area,
-    _sum_lr,
     _widest,
     region_areas,
     region_parts,
@@ -200,17 +198,17 @@ def cut_line_offset(tri: Triangle, side: str, target_area: float) -> float:
     underflow at any scale a Triangle admits."""
     if not 0.0 < (target := _real_float(target_area)) < tri.area:
         raise PartitionError(f"target_area must lie strictly between 0 and the triangle area, got {_shown(target_area)}")
-    return _cut_offset(tri.points, tri.side_unit(side), tri._snap, target)
+    return _cut_offset(tri.points, tri.side_unit(side), tri._scale, tri._snap, target)
 
 
-def _cut_offset(pts, u: Vec, eps: float, target: float) -> float:
-    """`cut_line_offset` on the CCW point tuple `pts` with snap band `eps`,
-    along the unit vector `u`; the clipped areas depend on the vertex
-    order of `pts`."""
+def _cut_offset(pts, u: Vec, scale: float, eps: float, target: float) -> float:
+    """`cut_line_offset` on the CCW point tuple `pts` of coordinate scale
+    `scale` (the largest |coordinate|, which the triangle stores) and snap
+    band `eps`, along the unit vector `u`; the clipped areas depend on the
+    vertex order of `pts`."""
     ux, uy = u
     p0, p1, p2 = sorted([ux * px + uy * py for px, py in pts])
     area = _signed_area(pts)
-    scale = _coord_scale(pts)
     margin = CUT_CERTIFY_REL * scale * scale + 5e-322
     band = 2.0 * eps  # mid is off the bands [p_i - band, p_i + band] when b0 < mid < b1 or b2 < mid < b3
     b0, b1, b2, b3 = p0 + band, p1 - band, p1 + band, p2 - band
@@ -231,15 +229,14 @@ def _cut_offset(pts, u: Vec, eps: float, target: float) -> float:
             hi = mid
 
 
-def _fan_newton(pts, total: float, eps: float, normals, targets, pad: float, cfg: SolverConfig, seed: Point | None = None):
+def _fan_newton(pts, total: float, scale: float, eps: float, normals, targets, pad: float, cfg: SolverConfig, seed: Vec):
     """Place the apex of a three-ray fan so that its sectors cut the convex
-    CCW polygon `pts` (area `total`, snap band `eps`) into the three
-    `targets`; the fan is given by its ray normals, as in
-    `tripart.geometry`.  Damped Newton on the areas of sectors 0 and 1
-    from `seed`, by default the vertex mean summed left to right (a
-    triangle's `_centroid`, bit for bit), with the exact Jacobian (its edge
-    terms, which do not depend on the apex, computed once per solve),
-    reseeding from a grid over the bounding box grown by `pad` if the
+    CCW polygon `pts` (area `total`, coordinate scale `scale`, snap band
+    `eps`, as its shape stores them) into the three `targets`; the fan is
+    given by its ray normals, as in `tripart.geometry`.  Damped Newton on
+    the areas of sectors 0 and 1 from the (x, y) pair `seed`, with the
+    exact Jacobian (its edge terms, which do not depend on the apex,
+    computed once per solve), reseeding from a grid over the bounding box grown by `pad` if the
     iteration stalls.  Returns the point's x and y, the iteration count,
     the three sector areas there, their unmerged rings / 2**e and 2**e:
     newton2d stops right after evaluating the point it returns, so sectors
@@ -249,12 +246,10 @@ def _fan_newton(pts, total: float, eps: float, normals, targets, pad: float, cfg
     cfg.area_tol_rel * total.
 
     It iterates in coordinates scaled by k = 2**-e, e the binary exponent
-    of the largest coordinate, so the Newton step's products neither
-    overflow nor underflow at any scale a shape admits; a power of two
-    scales exactly, so results keep the bits of an unscaled run."""
-    n = len(pts)
-    sx, sy = (_sum_lr(p[0] for p in pts) / n, _sum_lr(p[1] for p in pts) / n) if seed is None else seed.as_tuple()
-    e = math.frexp(_coord_scale(pts))[1]
+    of `scale`, so the Newton step's products neither overflow nor
+    underflow at any scale a shape admits; a power of two scales exactly,
+    so results keep the bits of an unscaled run."""
+    e = math.frexp(scale)[1]
     k, k2 = math.ldexp(1.0, -e), math.ldexp(1.0, -2 * e)
     pts = [(x * k, y * k) for x, y in pts]
     t1, t2, t3 = [t * k2 for t in targets]
@@ -274,11 +269,10 @@ def _fan_newton(pts, total: float, eps: float, normals, targets, pad: float, cfg
         return g1, g2, max(abs(g1), abs(g2), abs(total - a1 - a2 - t3))
 
     edges = _edge_terms(pts, normals)
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
+    xs, ys = zip(*pts)
     res = newton2d(
         fun,
-        (sx * k, sy * k),
+        (seed[0] * k, seed[1] * k),
         jac=lambda x, y: _sector_jacobian(edges, normals, x, y),
         tol=cfg.area_tol_rel * total,
         max_iters=cfg.max_iters,
@@ -299,25 +293,22 @@ def _solution(tri: Triangle, point: Point, method: str, rings=()) -> PartitionSo
     s = tri.area / 3.0
     residual = max(abs(areas.at_a - s), abs(areas.at_b - s), abs(areas.at_c - s))
     return PartitionSolution(
-        point=point,
-        areas=areas,
-        regions=regions,
-        classification=tri._classification,
-        method=method,
-        residual=residual,
+        point=point, areas=areas, regions=regions, classification=tri._classification, method=method, residual=residual
     )
 
 
 def solve_newton(tri: Triangle, cfg: SolverConfig | None = None, seed: Point | None = None) -> PartitionSolution:
     """Locate the equal-area point as the apex of the triangle's fan of
     outward side normals that cuts three equal areas (see `_fan_newton`),
-    starting from `seed` or the centroid; its three regions are the ones
-    Newton clipped at its answer, in its frame, scaled back.  Raises
-    SolverError (with the best iterate in its report) when the residual
-    cannot be driven below tolerance."""
+    starting from `seed` or the centroid the triangle stores; its three
+    regions are the ones Newton clipped at its answer, in its frame,
+    scaled back.  Raises SolverError (with the best iterate in its report)
+    when the residual cannot be driven below tolerance."""
     s = tri.area / 3.0
-    cfg = cfg or SolverConfig()
-    x, y, _, _, rings, unit = _fan_newton(tri.points, tri.area, tri._snap, tri._normals, (s, s, s), tri.diameter, cfg, seed)
+    seed = tri._centroid if seed is None else seed.as_tuple()
+    x, y, _, _, rings, unit = _fan_newton(
+        tri.points, tri.area, tri._scale, tri._snap, tri._normals, (s, s, s), tri.diameter, cfg or SolverConfig(), seed
+    )
     return _solution(tri, Point(x, y), "newton", [[(px * unit, py * unit) for px, py in r] for r in rings])
 
 
@@ -485,8 +476,8 @@ def solve_exterior(tri: Triangle, cfg: SolverConfig | None = None) -> PartitionS
     uax, uay = -tri._normals[i][0], -tri._normals[i][1]
     ubx, uby = tri._normals[i - 1]
     s = tri.area / 3.0
-    da = _cut_offset(rotated, (uax, uay), tri._snap, s)
-    db = _cut_offset(rotated, (ubx, uby), tri._snap, s)
+    da = _cut_offset(rotated, (uax, uay), tri._scale, tri._snap, s)
+    db = _cut_offset(rotated, (ubx, uby), tri._scale, tri._snap, s)
     det = uax * uby - uay * ubx
     x = (da * uby - uay * db) / det
     y = (uax * db - da * ubx) / det

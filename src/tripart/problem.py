@@ -19,6 +19,7 @@ from functools import lru_cache
 from itertools import chain
 
 from .geometry import VERTEX_IDS, Classification, ConvexPolygon, GeometryError, Triangle, Vec, _real_float, _shown, _Value
+from .geometry import _SHOWN_DEPTH  # where `_shown` stops, and so does `_as_json`
 from .geometry import ACUTE, KINDS, RIGHT, _obtuse_kind  # the sweep's kernel
 from .masspart import MassPartitionError, SectorConfig, _check_targets, solve_translation
 from .partition import PartitionError, SolverConfig, equal_partition
@@ -216,10 +217,10 @@ def canonical_json(value) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _as_json(v):
+def _as_json(v, depth: int = 0):
     """`v` with its tuples as lists, the form `parse_spec` reads, so that a
-    reader's message shows a value built in code as its JSON would."""
-    return [_as_json(x) for x in v] if isinstance(v, (list, tuple)) else v
+    reader's message shows a value built in code as its JSON would, as deep as `_shown` shows."""
+    return [_as_json(x, depth + 1) for x in v] if isinstance(v, (list, tuple)) and depth < _SHOWN_DEPTH else v
 
 
 def _require_number(v, name: str) -> int | float:
@@ -297,7 +298,7 @@ def _spec_fields(text: str) -> dict:
     `solver` that is an object or null (no options), and no other null."""
     try:
         data = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an int literal past the digit limit
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, an int past the digit limit, deep nesting
         raise InputError("malformed-json", f"input is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError("invalid-value", "top-level JSON value must be an object")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .geometry import OBTUSE_EXTERIOR, VERTEX_IDS, _foot
+from .geometry import OBTUSE_EXTERIOR, VERTEX_IDS, _foot, _sum_lr
 from .problem import Report
 
 REGION_FILLS = ("#4477aa", "#ee7733", "#228833")
@@ -107,10 +107,9 @@ def emit_svg(report: Report) -> str:
         d = math.hypot(dx, dy)
         vals += ((x - min_x) * scale + PAD_PX + 16.0 * dx / d, (max_y - y) * scale + PAD_PX + (-16.0 * dy / d + 4.0))
     vals += (sx0 + 14.0, sy0 - 8.0)
-    for _, ring, area in rings:  # each drawn region's area, at its vertex mean, summed left to right as _sum_lr does
-        x = y = 0.0
-        for px, py in ring:
-            x, y = x + px, y + py
+    for _, ring, area in rings:  # each drawn region's area, at its vertex mean
+        rx, ry = zip(*ring)
+        x, y = _sum_lr(rx), _sum_lr(ry)
         parts.append(_AREA_LABEL)
         vals += ((x / len(ring) - min_x) * scale + PAD_PX, (max_y - y / len(ring)) * scale + PAD_PX, area)
 

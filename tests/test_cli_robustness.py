@@ -116,6 +116,27 @@ def test_integer_past_the_digit_limit_is_malformed_json(tmp_path, capsys):
     assert json.loads(err)["error"]["code"] == "malformed-json"
 
 
+# JSON nested past a recursive reader or message printer: the bare text is
+# past the JSON parser's own depth limit on Python 3.11, and `rays` parses
+# but its message shows it.  Python versions differ in that limit, so the
+# text may instead be a parsed value of the wrong type: exit 2 either way.
+NESTED_TEXTS = {
+    "text 1000 deep": "[" * 1000 + "]" * 1000,
+    "rays 600 deep": '{"mode": "mass-partition", "polygon": [[0, 0], [1, 0], [0, 1]], "rays": %s,'
+    ' "fractions": [0.3, 0.3, 0.4]}' % ("[" * 600 + "]" * 600),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NESTED_TEXTS))
+def test_deeply_nested_input_exits_2(name, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(NESTED_TEXTS[name])
+    code, out, err = _main(["solve", "--input", str(path)], capsys)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert json.loads(err)["error"]["code"] in ("malformed-json", "invalid-value")
+
+
 @pytest.mark.parametrize("offset", [0.0, 1e3, 1e5, 1e6, 1e8])
 def test_dented_polygon_is_invalid_input_wherever_it_sits(offset, tmp_path, capsys):
     o = offset

@@ -16,7 +16,7 @@ import tripart.partition as part
 import tripart.rootfind as rootfind
 from tripart.cli import main
 from test_golden import BOUNDARY_SPEC, EXTERIOR_SPEC, FAN_SPEC
-from tripart.geometry import ConvexPolygon, Point, Triangle, _clip, _signed_area
+from tripart.geometry import ConvexPolygon, Point, Triangle, _clip, _signed_area, _sum_lr
 from tripart.masspart import SectorConfig, solve_translation
 from tripart.partition import (
     ACUTE,
@@ -313,6 +313,45 @@ def test_solution_clips_each_region_once(monkeypatch):
     calls.clear()
     verify_partition(BOUNDARY_ISO, sol.point)
     assert len(calls) == 6
+
+
+def test_a_built_shape_is_never_rescanned_and_both_solves_seed_at_its_mean(monkeypatch):
+    """A shape derives its coordinate scale and its vertex mean once, at its
+    door: once built, no solve scans its points for the scale again, and
+    Newton starts the triangle and the fan solve at the stored mean, scaled
+    by the power of two of the stored scale."""
+    tri = Triangle.from_coords(((0.0, 0.0), (1.0, 0.0), (0.3, 0.8)))
+    poly = ConvexPolygon.from_coords(((0.0, 0.0), (2.0, 0.0), (2.5, 1.0), (1.0, 2.0), (-0.5, 1.0)))
+    fan = SectorConfig.from_angles_deg((90.0, 210.0, 330.0))
+    for shape, pts in ((tri, tri.points), (poly, poly.coords)):
+        xs, ys = zip(*pts)
+        assert shape._centroid == (_sum_lr(xs) / len(pts), _sum_lr(ys) / len(pts))
+    calls = (
+        lambda: equal_partition(tri),
+        lambda: equal_partition(THIN_OBTUSE),
+        lambda: equal_partition(BOUNDARY_ISO),
+        lambda: cut_line_offset(THIN_OBTUSE, "ab", THIN_OBTUSE.area / 3.0),
+        lambda: solve_translation(poly, fan, (0.2 * poly.area, 0.3 * poly.area, 0.5 * poly.area)),
+    )
+    before = [repr(call()) for call in calls]
+    assert [equal_partition(t).method for t in (tri, THIN_OBTUSE, BOUNDARY_ISO)] == [
+        "newton", "exterior-construction", "closed-form"
+    ]
+
+    def scan(pts):
+        raise AssertionError("a built shape's points were scanned for the scale again")
+
+    seeds = []
+    real = part.newton2d
+    monkeypatch.setattr(geometry, "_coord_scale", scan)
+    monkeypatch.setattr(part, "_coord_scale", scan, raising=False)  # a binding of its own, if it has one
+    monkeypatch.setattr(part, "newton2d", lambda fun, seed, **kw: seeds.append(seed) or real(fun, seed, **kw))
+    assert [repr(call()) for call in calls] == before
+    expected = []
+    for shape in (tri, poly):
+        k = math.ldexp(1.0, -math.frexp(shape._scale)[1])
+        expected.append((shape._centroid[0] * k, shape._centroid[1] * k))
+    assert seeds == expected
 
 
 def test_newton_reuses_its_last_regions_bit_for_bit():

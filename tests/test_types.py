@@ -149,6 +149,17 @@ def test_value_repr_lists_fields_only():
 HUGE = 10**400  # a real number that no float holds: math.isfinite and float() raise OverflowError on it
 LONG = 10**5000  # an int whose repr raises ValueError: it has more than 4,300 digits
 
+
+def _nested(depth: int, leaf=0):
+    """`leaf` inside `depth` lists."""
+    for _ in range(depth):
+        leaf = [leaf]
+    return leaf
+
+
+DEEP = _nested(600)  # past the depth where a message printer that recursed without bound raised RecursionError
+DEEP_SHOWN = r"\[{100}\.\.\.\]{100}"  # how a message shows DEEP: cut off 100 lists deep
+
 # one bad argument at each door: (build, the package error, its message)
 DOORS = {
     "Point, huge": (lambda: Point(HUGE, 0.0), GeometryError, "^non-finite coordinate"),
@@ -207,6 +218,11 @@ DOORS = {
                                   "^unknown side id 1$"),
     "cut_line_offset, bytes side": (lambda: cut_line_offset(Triangle.from_coords(TRI), b"ab", 0.01), GeometryError,
                                     "^unknown side id b'ab'$"),
+    "Point, nested 600 deep": (lambda: Point(DEEP, 0.0), GeometryError, f"^coordinate {DEEP_SHOWN} is not a real number$"),
+    "ConvexPolygon, nested 600 deep": (lambda: ConvexPolygon(DEEP), GeometryError,
+                                       f"^polygon vertices must be \\(x, y\\) points, got {DEEP_SHOWN}$"),
+    "from_angles_deg, nested 600 deep": (lambda: SectorConfig.from_angles_deg(DEEP), MassPartitionError,
+                                         f"^angles must be three real numbers, got {DEEP_SHOWN}$"),
 }
 
 
@@ -219,6 +235,9 @@ def test_messages_show_values_as_repr_but_ints_past_the_float_range():
     except ValueError:  # the 4,300-digit limit of int to str, from Python 3.11 and 3.10.7
         expected = "<Fraction too long to show>"
     assert _shown(Fraction(LONG)) == expected
+    # a message shows a value nested up to 99 deep whole, and cuts off what sits 100 lists or tuples deep
+    assert _shown(_nested(99)) == repr(_nested(99)) and _shown((_nested(98),)) == repr((_nested(98),))
+    assert _shown(_nested(100)) == "[" * 100 + "..." + "]" * 100
 
 
 @pytest.mark.parametrize("door", sorted(DOORS))
@@ -294,7 +313,7 @@ def test_problem_spec_equality_ignores_what_it_builds():
 def test_polygon_equality_ignores_what_it_derives():
     a, b = ConvexPolygon.from_coords(SQUARE), ConvexPolygon.from_coords(SQUARE)
     assert (a.area, a.diameter) == (b.area, b.diameter) == (1.0, 2.0**0.5)
-    for derived in ("area", "diameter", "_snap"):
+    for derived in ("area", "diameter", "_scale", "_snap", "_centroid"):
         object.__setattr__(b, derived, -1.0)
     assert a == b and hash(a) == hash(b)
     assert repr(a) == repr(b) == f"ConvexPolygon(coords={SQUARE!r})"

@@ -1,13 +1,16 @@
-"""Count the half-plane clips of benchmark triangle and fan jobs.
+"""Count the half-plane clips and scale scans of benchmark triangle and fan jobs.
 
 Over the core jobs among the first N jobs of `workloads.triangles(4)`
 (default 2,000), this tool prints the `_clip` calls per job by the method
 that solved it, and over the core and hard jobs among the first N jobs of
 `workloads.fans(5)` the calls per job by share: the deterministic count
 of the solve's main work, which unlike seconds repeats exactly from run
-to run and machine to machine.  Offset jobs are left out, because their
-grid restarts dominate and depend on where Newton stalls.  Stdlib only;
-the benchmark modules are imported, never changed.
+to run and machine to machine.  Beside each it prints the `_coord_scale`
+calls per job, the scans of a shape's points for its coordinate scale:
+a shape takes its scale once, when it is built, so each reads 1.00.
+Offset jobs are left out, because their grid restarts dominate and depend
+on where Newton stalls.  Stdlib only; the benchmark modules are imported,
+never changed.
 
     python3 tools/clip_count.py [N]
 """
@@ -27,65 +30,75 @@ import tripart.partition as part  # noqa: E402
 import workloads  # noqa: E402
 from tripart.problem import parse_spec, run  # noqa: E402
 
+COUNTED = ("_clip", "_coord_scale")
 
-def _clip_counts(jobs, solve) -> dict[str, tuple[int, int]]:
-    """name -> (jobs, `_clip` calls) over `jobs`, where `solve(job)` runs
-    a job and names its row; a job that raises SolverError counts under
-    "error"."""
-    clips = 0
-    real = geometry._clip
 
-    def counting(*args):
-        nonlocal clips
-        clips += 1
-        return real(*args)
+def _counts(jobs, solve) -> dict[str, tuple[int, int, int]]:
+    """name -> (jobs, `_clip` calls, `_coord_scale` calls) over `jobs`,
+    where `solve(job)` runs a job and names its row; a job that raises
+    SolverError counts under "error"."""
+    calls = dict.fromkeys(COUNTED, 0)
+    # a module that imports a name calls its own binding, so every binding is patched
+    bound = [(module, name, getattr(module, name)) for module in (geometry, part) for name in COUNTED
+             if hasattr(module, name)]
+
+    def counting(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return call
 
     out = {}
-    geometry._clip = part._clip = counting  # partition imports the name, so both modules are patched
+    for module, name, real in bound:
+        setattr(module, name, counting(name, real))
     try:
         for job in jobs:
-            before = clips
+            before = dict(calls)
             try:
                 name = solve(job)
             except part.SolverError:
                 name = "error"
-            count, calls = out.get(name, (0, 0))
-            out[name] = (count + 1, calls + clips - before)
+            row = out.setdefault(name, [0, 0, 0])
+            row[0] += 1
+            for i, counted in enumerate(COUNTED, 1):
+                row[i] += calls[counted] - before[counted]
     finally:
-        geometry._clip = part._clip = real
-    return out
+        for module, name, real in bound:
+            setattr(module, name, real)
+    return {name: tuple(row) for name, row in out.items()}
 
 
-def clips_by_method(count: int) -> dict[str, tuple[int, int]]:
-    """method -> (core jobs, `_clip` calls) over the first `count` triangle jobs."""
+def clips_by_method(count: int) -> dict[str, tuple[int, int, int]]:
+    """method -> (core jobs, `_clip` calls, `_coord_scale` calls) over the first `count` triangle jobs."""
     jobs = (job for job in itertools.islice(workloads.triangles(4), count) if job.share == "core")
-    return _clip_counts(jobs, lambda job: run(parse_spec(job.text)).method)
+    return _counts(jobs, lambda job: run(parse_spec(job.text)).method)
 
 
-def clips_by_fan_share(count: int) -> dict[str, tuple[int, int]]:
-    """share -> (jobs, `_clip` calls) over the core and hard jobs among the first `count` fan jobs."""
+def clips_by_fan_share(count: int) -> dict[str, tuple[int, int, int]]:
+    """share -> (jobs, `_clip` calls, `_coord_scale` calls) over the core and hard jobs among the first `count` fan jobs."""
     def solve(job) -> str:
         run(parse_spec(job.text))
         return job.share
 
     jobs = (job for job in itertools.islice(workloads.fans(5), count) if job.share != "offset")
-    return _clip_counts(jobs, solve)
+    return _counts(jobs, solve)
 
 
-def _print_counts(counts: dict[str, tuple[int, int]]) -> None:
-    for name, (jobs, calls) in sorted(counts.items()):
-        print(f"{name}: {jobs} jobs, {calls / jobs:.2f} clips per job")
-    jobs, calls = map(sum, zip(*counts.values())) if counts else (0, 0)
-    print(f"all: {jobs} jobs, {calls / max(jobs, 1):.2f} clips per job")
+def _print_counts(counts: dict[str, tuple[int, int, int]]) -> None:
+    total = tuple(map(sum, zip(*counts.values()))) if counts else (0, 0, 0)
+    for name, (jobs, clips, scans) in [*sorted(counts.items()), ("all", total)]:
+        n = max(jobs, 1)
+        print(f"{name}: {jobs} jobs, {clips / n:.2f} clips per job, {scans / n:.2f} scale scans per job")
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Count the clips of benchmark triangle and fan jobs.")
+    parser = argparse.ArgumentParser(description="Count the clips and scale scans of benchmark triangle and fan jobs.")
     parser.add_argument("jobs", nargs="?", type=int, default=2000, help="jobs to take of each workload (default 2000)")
     args = parser.parse_args(argv)
-    print(f"_clip calls per core job of the first {args.jobs} triangles(4) jobs, by method")
+    print(f"_clip and _coord_scale calls per core job of the first {args.jobs} triangles(4) jobs, by method")
     _print_counts(clips_by_method(args.jobs))
-    print(f"_clip calls per core and hard job of the first {args.jobs} fans(5) jobs, by share")
+    print(f"_clip and _coord_scale calls per core and hard job of the first {args.jobs} fans(5) jobs, by share")
     _print_counts(clips_by_fan_share(args.jobs))
     return 0
 

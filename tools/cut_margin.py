@@ -33,7 +33,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import tripart.partition as part  # noqa: E402
 import workloads  # noqa: E402
-from tripart.geometry import _clip, _coord_scale, _signed_area  # noqa: E402
+from tripart.geometry import _clip, _signed_area  # noqa: E402
 from tripart.problem import parse_spec  # noqa: E402
 
 
@@ -61,13 +61,14 @@ def exterior_cuts(count: int) -> list[tuple]:
     return cuts
 
 
-def replay(pts, u, eps: float, target: float) -> tuple[float, float, int]:
+def replay(pts, u, scale: float, eps: float, target: float) -> tuple[float, float, int]:
     """The bisection that clips at every step: the worst off-band
-    |clipped - estimate| / s^2 on its path, its answer and its steps."""
+    |clipped - estimate| / s^2 on its path (s the triangle's stored
+    `scale`), its answer and its steps."""
     ux, uy = u
     p0, p1, p2 = sorted([ux * px + uy * py for px, py in pts])
     area = _signed_area(pts)
-    s2 = _coord_scale(pts) ** 2
+    s2 = scale**2
     worst, steps = 0.0, 0
     lo, hi = p0, p2
     while True:
