@@ -8,8 +8,9 @@ perpendicular to the sides meeting at V and opens toward V.  The three
 wedges tile the plane for every X, so the three region areas always sum
 to the triangle area.  The wedges are the sectors of a three-ray fan at X
 whose rays are the outward side normals, so one fan kernel serves both
-problems: sector areas by clipping, and the ray chords that give the
-exact gradient of those areas.
+problems: `_sector_ring` clips a polygon to a sector with `_clip`,
+`_signed_area` gives the area of what it keeps, and `_sector_jacobian`
+gives the exact gradient of those areas from the rays' chords.
 
 Where a triangle's equal-area point lies (its classification) follows
 from its angles alone, so it is computed here, once per `Triangle`, and
@@ -157,28 +158,22 @@ def _clip(pts, nx: float, ny: float, off: float, eps: float):
     return out
 
 
-def _sector_cuts(normals, i: int, x: float, y: float):
-    """The two half-planes (nx, ny, offset), <= form, bounding sector i of
-    a fan with apex (x, y).  `normals` holds each ray direction turned +90
-    degrees; sector i lies between ray i and ray i+1, so it is the inner
-    side of ray i+1 followed by the inner side of ray i."""
-    ax, ay = normals[(i + 1) % 3]
-    bx, by = normals[i]
+def _sector_ring(pts, normals, i: int, x: float, y: float, eps: float):
+    """The unmerged part of a convex CCW polygon inside sector i of the fan
+    at (x, y), the package's one sector clip.  `normals` holds each ray
+    direction turned +90 degrees, and sector i lies between rays i and i+1:
+    it is {p : n . p <= n . (x, y)} clipped first for n = normals[i+1],
+    the inner side of ray i+1, then for n = -normals[i], that of ray i."""
+    (ax, ay), (bx, by) = normals[(i + 1) % 3], normals[i]
     bx, by = -bx, -by
-    return (ax, ay, ax * x + ay * y), (bx, by, bx * x + by * y)
-
-
-def _sector_area(pts, normals, i: int, x: float, y: float, eps: float) -> float:
-    """Area of a convex CCW polygon inside sector i of the fan at (x, y)."""
-    (ax, ay, ao), (bx, by, bo) = _sector_cuts(normals, i, x, y)
-    return _signed_area(_clip(_clip(pts, ax, ay, ao, eps), bx, by, bo, eps))
+    return _clip(_clip(pts, ax, ay, ax * x + ay * y, eps), bx, by, bx * x + by * y, eps)
 
 
 def _edge_terms(pts, normals) -> tuple:
-    """The terms of `_chords` that do not depend on the apex, once per
-    solve: for each edge (s, e) of a convex CCW polygon, in order from the
-    closing edge, (sx, sy, wx, wy, w . n_0, w . n_1, w . n_2) with w = e - s
-    and n_j the fan's ray normals."""
+    """The terms of `_sector_jacobian` that do not depend on the apex, once
+    per solve: for each edge (s, e) of a convex CCW polygon, in order from
+    the closing edge, (sx, sy, wx, wy, w . n_0, w . n_1, w . n_2) with
+    w = e - s and n_j the fan's ray normals."""
     (n0x, n0y), (n1x, n1y), (n2x, n2y) = normals
     out = []
     sx, sy = pts[-1]
@@ -189,14 +184,19 @@ def _edge_terms(pts, normals) -> tuple:
     return tuple(out)
 
 
-def _chords(edges, x: float, y: float) -> tuple[float, float, float]:
-    """Length inside a convex CCW polygon of each ray of the fan at (x, y),
-    by one Cyrus-Beck pass over the polygon's `_edge_terms`.  Ray j runs
-    along n_j turned -90 degrees, so its point at parameter t lies inside
-    edge (s, e) while t * (w . n_j) <= cross(w, (x, y) - s) with w = e - s;
-    only the cross product depends on the apex.  The three rays are
-    unrolled, and min/max spelled out, because this is the Newton step's
-    inner loop."""
+def _sector_jacobian(edges, normals, x: float, y: float) -> tuple[float, float, float, float]:
+    """Exact gradients of the areas of sectors 0 and 1 with respect to the
+    apex (x, y), as (dA0/dx, dA0/dy, dA1/dx, dA1/dy), from the polygon's
+    `_edge_terms` for the fan of ray normals `normals`.  Moving the apex
+    slides each ray sideways, so by the Leibniz rule
+    grad A_j = l_{j+1} n_{j+1} - l_j n_j, with l_j the chord of ray j in the
+    polygon; the determinant l0 l1 sin g0 + l1 l2 sin g1 + l2 l0 sin g2 (g_i
+    the fan's gaps) is positive exactly when at least two rays cross it.
+    The chords come from one Cyrus-Beck pass: ray j runs along n_j turned
+    -90 degrees, so its point at parameter t lies inside edge (s, e) while
+    t * (w . n_j) <= cross(w, (x, y) - s) with w = e - s; only the cross
+    product depends on the apex.  The rays are unrolled, and min/max
+    spelled out, because this is the Newton step's inner loop."""
     lo0 = lo1 = lo2 = 0.0
     hi0 = hi1 = hi2 = math.inf
     for sx, sy, wx, wy, k0, k1, k2 in edges:
@@ -231,26 +231,9 @@ def _chords(edges, x: float, y: float) -> tuple[float, float, float]:
                 lo2 = t
         elif c < 0.0:
             hi2 = -math.inf
-    return (max(0.0, hi0 - lo0), max(0.0, hi1 - lo1), max(0.0, hi2 - lo2))
-
-
-def _sector_jacobian(edges, normals, x: float, y: float) -> tuple[float, float, float, float]:
-    """Exact gradients of the areas of sectors 0 and 1 with respect to the
-    apex, as (dA0/dx, dA0/dy, dA1/dx, dA1/dy), from the polygon's
-    `_edge_terms` for the fan of ray normals `normals`.  Moving the apex
-    slides each ray sideways, so by the Leibniz rule
-    grad A_j = l_{j+1} n_{j+1} - l_j n_j with n_j the ray normal and l_j
-    the ray's chord length.  The determinant is
-    l0 l1 sin g0 + l1 l2 sin g1 + l2 l0 sin g2 >= 0 for fan gaps g_i,
-    positive exactly when at least two rays cross the polygon."""
-    l0, l1, l2 = _chords(edges, x, y)
+    l0, l1, l2 = max(0.0, hi0 - lo0), max(0.0, hi1 - lo1), max(0.0, hi2 - lo2)
     (n0x, n0y), (n1x, n1y), (n2x, n2y) = normals
-    return (
-        l1 * n1x - l0 * n0x,
-        l1 * n1y - l0 * n0y,
-        l2 * n2x - l1 * n1x,
-        l2 * n2y - l1 * n1y,
-    )
+    return (l1 * n1x - l0 * n0x, l1 * n1y - l0 * n0y, l2 * n2x - l1 * n1x, l2 * n2y - l1 * n1y)
 
 
 def _unit(p: Vec, q: Vec) -> Vec:
@@ -605,23 +588,20 @@ def region_area(tri: Triangle, v: str, x: Point) -> float:
     Defined and continuous for every x in the plane, not just inside the
     triangle.
     """
-    return _sector_area(tri.points, tri._normals, _SECTOR_OF[_vertex_id(v)], x.x, x.y, tri._snap)
+    return _signed_area(_sector_ring(tri.points, tri._normals, _SECTOR_OF[_vertex_id(v)], x.x, x.y, tri._snap))
 
 
 def region_parts(tri: Triangle, x: Point, rings=()) -> tuple[RegionAreas, tuple[tuple[Vec, ...], ...]]:
     """The three region areas at x, which sum to the triangle area, and the
     three regions as CCW rings of (x, y) points, both in vertex order,
-    from one clip pass per region: the one place a triangle's regions are
-    built.  A ring is () if the wedge misses the triangle; consecutive
+    from one `_sector_ring` per region: the one place a triangle's regions
+    are built.  A ring is () if the wedge misses the triangle; consecutive
     vertices closer than 1e-12 * diameter are merged so degenerate slivers
-    do not inflate the vertex count.  `rings` may hold the unmerged clip
-    passes of all three regions, at b, c and a, with this pass's bits, as
+    do not inflate the vertex count.  `rings` may hold the unmerged rings
+    of all three regions, at b, c and a, in `_sector_ring`'s bits, as
     Newton gives them at its answer; then nothing is clipped here."""
-    pts, normals, eps = tri.points, tri._normals, tri._snap
     tol = 1e-12 * tri.diameter
-    if not rings:
-        cuts = [_sector_cuts(normals, i, x.x, x.y) for i in range(3)]
-        rings = [_clip(_clip(pts, n1x, n1y, o1, eps), n2x, n2y, o2, eps) for (n1x, n1y, o1), (n2x, n2y, o2) in cuts]
+    rings = rings or [_sector_ring(tri.points, tri._normals, i, x.x, x.y, tri._snap) for i in range(3)]
     areas, regions = [], []
     for ring in rings:
         areas.append(_signed_area(ring))
@@ -644,8 +624,8 @@ def region_polygon(tri: Triangle, v: str, x: Point) -> tuple[Vec, ...]:
 def _areas_at(tri: Triangle, xx: float, xy: float) -> tuple[float, float, float]:
     """The region areas at a, b and c for the point (xx, xy), from two
     clips: the region at c is what the other two leave of the triangle."""
-    ra = _sector_area(tri.points, tri._normals, 2, xx, xy, tri._snap)
-    rb = _sector_area(tri.points, tri._normals, 0, xx, xy, tri._snap)
+    ra = _signed_area(_sector_ring(tri.points, tri._normals, 2, xx, xy, tri._snap))
+    rb = _signed_area(_sector_ring(tri.points, tri._normals, 0, xx, xy, tri._snap))
     return ra, rb, tri.area - ra - rb
 
 

@@ -6,9 +6,9 @@ and any positive target areas summing to the polygon's area there is a
 position of the apex realizing the targets; `solve_translation` finds it.
 The perpendicular-wedge partition of a triangle is the special case where
 the rays are the outward side normals: sectors 0, 1, 2 reproduce the
-regions at vertices b, c, a bit for bit.  Both problems share one area
-kernel (`tripart.geometry`) and one Newton front end with an exact
-Jacobian (`tripart.partition`).
+regions at vertices b, c, a bit for bit, because both are clipped by
+`_sector_ring`.  Both problems share that area kernel (`tripart.geometry`)
+and one Newton front end with an exact Jacobian (`tripart.partition`).
 """
 
 from __future__ import annotations
@@ -16,8 +16,10 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .geometry import ConvexPolygon, Point, Triangle, Vec, _real_float, _reals, _sector_area, _shown, _sum_lr, _Value, outward_normal
-from .partition import SolverConfig, _fan_newton
+from .geometry import (
+    ConvexPolygon, Point, Triangle, Vec, _real_float, _reals, _sector_ring, _shown, _signed_area, _sum_lr, _Value, outward_normal,
+)
+from .partition import _config, _fan_newton
 
 GAP_MIN = 1e-9  # smallest allowed angle between consecutive rays
 GAP_GUARD = 1e-9  # each gap must stay below pi by this margin
@@ -40,16 +42,16 @@ class SectorConfig(_Value):
     _fields = ("directions",)
 
     def __init__(self, directions: tuple[Vec, Vec, Vec]):
-        try:
-            flat = [v for dx, dy in directions for v in (dx, dy)]
-        except (TypeError, ValueError):  # not a sequence of pairs
-            flat = None
-        if flat is None or not _reals(flat, len(flat)):
+        try:  # read once, so any iterable of pairs will do
+            pairs = [(dx, dy) for dx, dy in directions]
+        except (TypeError, ValueError):  # not an iterable of pairs
+            pairs = None
+        if pairs is None or not _reals([v for pair in pairs for v in pair], 2 * len(pairs)):
             raise MassPartitionError(f"directions must be (x, y) pairs of real numbers, got {_shown(directions)}")
-        if len(directions) != 3:
-            raise MassPartitionError(f"a fan has three ray directions, got {len(directions)}")
+        if len(pairs) != 3:
+            raise MassPartitionError(f"a fan has three ray directions, got {len(pairs)}")
         dirs = []
-        for rx, ry in directions:
+        for rx, ry in pairs:
             dx, dy = _real_float(rx), _real_float(ry)
             h = math.hypot(dx, dy)
             if h == 0.0 or not math.isfinite(h):
@@ -98,8 +100,7 @@ TranslationSolution = namedtuple(
 def sector_areas(poly: ConvexPolygon, cfg: SectorConfig, apex: Point) -> tuple[float, float, float]:
     """Areas of the polygon pieces cut by the fan placed at `apex`.  The
     three values sum to the polygon area for every apex position."""
-    pts, normals, eps = poly.coords, cfg.normals, poly._snap
-    return tuple(_sector_area(pts, normals, i, apex.x, apex.y, eps) for i in range(3))
+    return tuple(_signed_area(_sector_ring(poly.coords, cfg.normals, i, apex.x, apex.y, poly._snap)) for i in range(3))
 
 
 def _check_targets(vals, total: float) -> tuple[float, float, float]:
@@ -126,11 +127,14 @@ def solve_translation(poly, fan: SectorConfig, targets, solver_cfg=None) -> Tran
     stores.  `achieved` holds the sector areas of Newton's answer, bit for
     bit those `sector_areas` gives at the apex.
     Raises SolverError on failure and MassPartitionError for invalid
-    targets."""
+    targets or a `poly` or `fan` of the wrong type."""
+    for name, value, kind in (("poly", poly, ConvexPolygon), ("fan", fan, SectorConfig)):
+        if not isinstance(value, kind):
+            raise MassPartitionError(f"{name} must be a {kind.__name__}, got {_shown(value)}")
     floats = _check_targets(targets, poly.area)
     x, y, iters, achieved, *_ = _fan_newton(
         poly.coords, poly.area, poly._scale, poly._snap, fan.normals, floats, 2 * poly.diameter,
-        solver_cfg or SolverConfig(), poly._centroid,
+        _config(solver_cfg, "solver_cfg"), poly._centroid,
     )
     apex = Point(x, y)
     residual = max(abs(a - t) for a, t in zip(achieved, floats))

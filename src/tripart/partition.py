@@ -47,6 +47,7 @@ from .geometry import (  # the kinds, CLASSIFY_TOL and Classification are public
     _real,
     _real_float,
     _sector_jacobian,
+    _sector_ring,
     _shown,
     _signed_area,
     _widest,
@@ -90,6 +91,13 @@ class SolverConfig(_Value):
         if not (_real(max_iters) and 1 <= max_iters < math.inf and int(max_iters) == max_iters):
             raise PartitionError("max_iters must be a positive integer")
         self.__dict__.update(area_tol_rel=area_tol_rel, max_iters=max_iters)
+
+
+def _config(cfg, name: str) -> SolverConfig:
+    """A solver door's argument `name`: `SolverConfig()` for None, `cfg` if it is a SolverConfig, else PartitionError."""
+    if not (cfg is None or isinstance(cfg, SolverConfig)):
+        raise PartitionError(f"{name} must be a SolverConfig, got {_shown(cfg)}")
+    return SolverConfig() if cfg is None else cfg
 
 
 class SolverReport(
@@ -241,7 +249,7 @@ def _fan_newton(pts, total: float, scale: float, eps: float, normals, targets, p
     the three sector areas there, their unmerged rings / 2**e and 2**e:
     newton2d stops right after evaluating the point it returns, so sectors
     0 and 1 are that evaluation's, and sector 2 is clipped once there, all
-    in `_sector_area`'s bits.  Raises SolverError (with the best iterate in
+    in `_sector_ring`'s bits.  Raises SolverError (with the best iterate in
     its report) when the residual cannot be driven below
     cfg.area_tol_rel * total.
 
@@ -254,14 +262,11 @@ def _fan_newton(pts, total: float, scale: float, eps: float, normals, targets, p
     pts = [(x * k, y * k) for x, y in pts]
     t1, t2, t3 = [t * k2 for t in targets]
     total, eps, pad = total * k2, eps * k, pad * k
-    (n0x, n0y), (n1x, n1y), (n2x, n2y) = normals
-    m0x, m0y, m1x, m1y, m2x, m2y = -n0x, -n0y, -n1x, -n1y, -n2x, -n2y
     last = None
 
     def fun(x: float, y: float):
         nonlocal last
-        r1 = _clip(_clip(pts, n1x, n1y, n1x * x + n1y * y, eps), m0x, m0y, m0x * x + m0y * y, eps)
-        r2 = _clip(_clip(pts, n2x, n2y, n2x * x + n2y * y, eps), m1x, m1y, m1x * x + m1y * y, eps)
+        r1, r2 = _sector_ring(pts, normals, 0, x, y, eps), _sector_ring(pts, normals, 1, x, y, eps)
         a1, a2 = _signed_area(r1), _signed_area(r2)
         last = a1, a2, r1, r2
         g1 = a1 - t1
@@ -284,7 +289,7 @@ def _fan_newton(pts, total: float, scale: float, eps: float, normals, targets, p
             [r / k2 for r in res.residual_history], "newton iteration did not reach the area tolerance",
         )
     x, y, (a1, a2, r1, r2) = res.x, res.y, last
-    r3 = _clip(_clip(pts, n0x, n0y, n0x * x + n0y * y, eps), m2x, m2y, m2x * x + m2y * y, eps)
+    r3 = _sector_ring(pts, normals, 2, x, y, eps)
     return x / k, y / k, res.iterations, (a1 / k2, a2 / k2, _signed_area(r3) / k2), (r1, r2, r3), math.ldexp(1.0, e)
 
 
@@ -304,11 +309,12 @@ def solve_newton(tri: Triangle, cfg: SolverConfig | None = None, seed: Point | N
     regions are the ones Newton clipped at its answer, in its frame,
     scaled back.  Raises SolverError (with the best iterate in its report)
     when the residual cannot be driven below tolerance."""
+    cfg = _config(cfg, "cfg")
+    if not (seed is None or isinstance(seed, Point)):
+        raise PartitionError(f"seed must be a Point, got {_shown(seed)}")
     s = tri.area / 3.0
     seed = tri._centroid if seed is None else seed.as_tuple()
-    x, y, _, _, rings, unit = _fan_newton(
-        tri.points, tri.area, tri._scale, tri._snap, tri._normals, (s, s, s), tri.diameter, cfg or SolverConfig(), seed
-    )
+    x, y, *_, rings, unit = _fan_newton(tri.points, tri.area, tri._scale, tri._snap, tri._normals, (s, s, s), tri.diameter, cfg, seed)
     return _solution(tri, Point(x, y), "newton", [[(px * unit, py * unit) for px, py in r] for r in rings])
 
 
@@ -463,7 +469,7 @@ def solve_exterior(tri: Triangle, cfg: SolverConfig | None = None) -> PartitionS
     cls = tri._classification
     if cls.kind != OBTUSE_EXTERIOR:
         raise PartitionError(f"exterior construction applies only to {OBTUSE_EXTERIOR}, not {cls.kind}")
-    cfg = cfg or SolverConfig()
+    cfg = _config(cfg, "cfg")
     # bisect on the vertices rotated so the obtuse vertex i comes last: the
     # cuts are perpendicular to the sides from the other two to it, along
     # -_normals[i] and _normals[i - 1] (reversing a side negates its unit
@@ -491,6 +497,7 @@ def equal_partition(tri: Triangle, cfg: SolverConfig | None = None) -> Partition
     """Solve the equal-area partition, dispatching on the classification:
     closed form for the boundary case, cut-line construction for the
     exterior case, Newton otherwise."""
+    cfg = _config(cfg, "cfg")
     kind = classify(tri).kind
     if kind == OBTUSE_BOUNDARY:
         return _solution(tri, boundary_point_closed_form(tri), "closed-form")

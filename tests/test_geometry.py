@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles as oc
+from tripart import geometry, masspart, partition
 from tripart.geometry import (
     _SECTOR_OF,
     ConvexPolygon,
@@ -17,7 +18,7 @@ from tripart.geometry import (
     Point,
     Triangle,
     _clip,
-    _sector_cuts,
+    _sector_ring,
     _signed_area,
     _unit,
     foot_of_perpendicular,
@@ -28,6 +29,7 @@ from tripart.geometry import (
     region_parts,
     region_polygon,
 )
+from tripart.masspart import SectorConfig
 
 RIGHT_ISO = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
 EQUILATERAL = ((0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0))
@@ -231,10 +233,64 @@ def test_foot_is_on_line_and_orthogonal(px, py, qx, qy, xx, xy):
     assert abs((xx - foot.x) * dx + (xy - foot.y) * dy) / h <= 1e-7 * (1 + abs(xx) + abs(xy))
 
 
+def _cuts(normals, i: int, x: float, y: float):
+    """The two half-planes (nx, ny, offset), <= form, of sector i of the fan
+    of ray normals `normals` at (x, y), as `_sector_ring` states them: the
+    inner side of ray i+1, then that of ray i, whose normal is negated."""
+    (ax, ay), (bx, by) = normals[(i + 1) % 3], normals[i]
+    bx, by = -bx, -by
+    return (ax, ay, ax * x + ay * y), (bx, by, bx * x + by * y)
+
+
 def _wedge_cuts(tri: Triangle, v: str, x: float, y: float):
-    """The two half-planes (nx, ny, offset), <= form, of the wedge at
-    (x, y) opening toward vertex v."""
-    return _sector_cuts(tri._normals, _SECTOR_OF[v], x, y)
+    """The two half-planes of the wedge at (x, y) opening toward vertex v."""
+    return _cuts(tri._normals, _SECTOR_OF[v], x, y)
+
+
+def test_sector_ring_clips_to_the_wedge_cuts_bit_for_bit():
+    # the kernel is the two clips by the half-planes the wedge tests below check
+    rng = np.random.default_rng(14)
+    for _ in range(100):
+        tri = Triangle.from_coords(oc.rand_triangle(rng))
+        poly = ConvexPolygon.from_coords(oc.rand_convex_polygon(rng))
+        fan = SectorConfig.from_angles_deg(oc.rand_fan_angles_deg(rng))
+        for pts, normals, eps in ((tri.points, tri._normals, tri._snap), (poly.coords, fan.normals, poly._snap)):
+            for x, y in (rng.uniform(-1.0, 1.0, 2), rng.uniform(-1e3, 1e3, 2)):
+                for i in range(3):
+                    cut1, cut2 = _cuts(normals, i, x, y)
+                    assert _sector_ring(pts, normals, i, x, y, eps) == _clip(_clip(pts, *cut1, eps), *cut2, eps)
+
+
+def test_every_sector_clip_goes_through_the_kernel(monkeypatch):
+    # two clips per sector ring, and no sector clipped elsewhere: every
+    # solve, area and region below clips only inside `_sector_ring`
+    calls = {"_clip": 0, "_sector_ring": 0}
+
+    def counting(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return call
+
+    for module in (geometry, partition, masspart):  # a module that imports a name calls its own binding
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    tri = Triangle.from_coords(((0.0, 0.0), (1.0, 0.0), (0.3, 0.8)))
+    boundary = Triangle.from_coords(((0.0, 0.0), (1.0, 0.0), (0.5, 0.5 / math.sqrt(2.0))))
+    poly = ConvexPolygon.from_coords(((0.0, 0.0), (2.0, 0.0), (2.5, 1.0), (1.0, 2.0), (-0.5, 1.0)))
+    fan = SectorConfig.from_angles_deg((90.0, 210.0, 330.0))
+    x = Point(0.4, 0.3)
+    assert partition.solve_newton(tri).method == "newton"
+    assert partition.equal_partition(boundary).method == "closed-form"
+    masspart.solve_translation(poly, fan, (0.2 * poly.area, 0.3 * poly.area, 0.5 * poly.area))
+    region_area(tri, "a", x)
+    region_areas(boundary, x)
+    masspart.sector_areas(poly, fan, x)
+    partition.verify_partition(tri, x)
+    assert calls["_sector_ring"] >= 30
+    assert calls["_clip"] == 2 * calls["_sector_ring"], calls
 
 
 def _width(cuts) -> float:

@@ -64,6 +64,12 @@ def test_config_takes_numpy_numbers():
     assert SectorConfig.from_angles_deg(np.array([90, 210, 330])) == SectorConfig.from_angles_deg((90, 210, 330))
 
 
+def test_config_reads_its_directions_once():
+    # a generator can be read only once, like any iterable of pairs a polygon takes
+    dirs = ((1.0, 0.0), (-0.5, math.sqrt(3.0) / 2.0), (-0.5, -math.sqrt(3.0) / 2.0))
+    assert SectorConfig(d for d in dirs) == SectorConfig(dirs)
+
+
 @pytest.mark.parametrize("count", [2, 4])
 def test_config_needs_three_directions(count):
     dirs = ((1.0, 0.0), (-1.0, 1.0), (-1.0, -1.0), (0.0, -1.0))  # the first three make a fan

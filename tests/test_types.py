@@ -32,6 +32,7 @@ from tripart.partition import (
     VerifyReport,
     cut_line_offset,
     equal_partition,
+    solve_newton,
     verify_partition,
 )
 from tripart.problem import InputError, ProblemSpec, Report, SweepRow
@@ -223,6 +224,25 @@ DOORS = {
                                        f"^polygon vertices must be \\(x, y\\) points, got {DEEP_SHOWN}$"),
     "from_angles_deg, nested 600 deep": (lambda: SectorConfig.from_angles_deg(DEEP), MassPartitionError,
                                          f"^angles must be three real numbers, got {DEEP_SHOWN}$"),
+    "solve_newton, tuple seed": (lambda: solve_newton(Triangle.from_coords(TRI), seed=(0.3, 0.3)), PartitionError,
+                                 r"^seed must be a Point, got \(0\.3, 0\.3\)$"),
+    "solve_newton, int cfg": (lambda: solve_newton(Triangle.from_coords(TRI), cfg=5), PartitionError,
+                              "^cfg must be a SolverConfig, got 5$"),
+    "equal_partition, string cfg": (lambda: equal_partition(Triangle.from_coords(TRI), cfg="x"), PartitionError,
+                                    "^cfg must be a SolverConfig, got 'x'$"),
+    "equal_partition closed form, string cfg": (  # the closed form reads no cfg, but its door checks it
+        lambda: equal_partition(Triangle.from_coords(((0, 0), (1, 0), (0.5, 0.5 / 2**0.5))), cfg="x"), PartitionError,
+        "^cfg must be a SolverConfig, got 'x'$"),
+    "solve_translation, int solver_cfg": (
+        lambda: solve_translation(ConvexPolygon(SQUARE), SectorConfig.from_angles_deg((90, 210, 330)), (0.2, 0.3, 0.5),
+                                  solver_cfg=3),
+        PartitionError, "^solver_cfg must be a SolverConfig, got 3$"),
+    "solve_translation, tuple polygon": (
+        lambda: solve_translation(SQUARE, SectorConfig.from_angles_deg((90, 210, 330)), (0.2, 0.3, 0.5)),
+        MassPartitionError, "^poly must be a ConvexPolygon, got "),
+    "solve_translation, tuple fan": (
+        lambda: solve_translation(ConvexPolygon(SQUARE), ((0, 1), (-1, -1), (1, -1)), (0.2, 0.3, 0.5)),
+        MassPartitionError, "^fan must be a SectorConfig, got "),
 }
 
 
