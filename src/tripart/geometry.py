@@ -77,6 +77,13 @@ def _shown(v, depth: int = 0) -> str:
         return f"<{type(v).__name__} too long to show>"
 
 
+def _need(value, kind: type, name: str, error: type = GeometryError):
+    """`value` if it is a `kind`, else `error` naming the parameter `name`: the package's one type check at a door."""
+    if isinstance(value, kind):
+        return value
+    raise error(f"{name} must be a {kind.__name__}, got {_shown(value)}")
+
+
 def _float(v) -> float:
     """A coordinate as a float64, the value types' one rule; GeometryError naming it unless finite and real."""
     f = v if type(v) is float else _real_float(v)
@@ -404,7 +411,7 @@ class Point(_Value):
         return (self.x, self.y)
 
     def distance_to(self, other: "Point") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
+        return math.hypot(self.x - _need(other, Point, "other").x, self.y - other.y)
 
 
 class ConvexPolygon(_Value):
@@ -483,10 +490,8 @@ class Triangle(_Value):
     _fields = ("a", "b", "c")
 
     def __init__(self, a: Point, b: Point, c: Point):
-        if not (isinstance(a, Point) and isinstance(b, Point) and isinstance(c, Point)):
-            v, p = next((v, p) for v, p in zip(VERTEX_IDS, (a, b, c)) if not isinstance(p, Point))
-            raise GeometryError(f"triangle vertex {v} must be a Point, got {_shown(p)}")
-        pts = ((a.x, a.y), (b.x, b.y), (c.x, c.y))
+        pts = ((_need(a, Point, "triangle vertex a").x, a.y), (_need(b, Point, "triangle vertex b").x, b.y),
+               (_need(c, Point, "triangle vertex c").x, c.y))
         signed = _signed_area(pts)
         swapped = signed < 0.0
         if swapped:
@@ -535,7 +540,7 @@ class Triangle(_Value):
 
     def signed_distance(self, p: Point) -> float:
         """Distance to the boundary, positive inside, negative outside."""
-        return min(self._side_distances(p.x, p.y))
+        return min(self._side_distances(_need(p, Point, "p").x, p.y))
 
     def _side_distances(self, x: float, y: float) -> tuple[float, float, float]:
         """Signed distances from (x, y) to the lines of sides ab, bc and ca,
@@ -562,7 +567,7 @@ class RegionAreas(namedtuple("RegionAreas", "at_a at_b at_c")):
 def outward_normal(tri: Triangle, side: str) -> Vec:
     """Unit normal of a side, named in either direction, pointing away from the opposite vertex."""
     against = isinstance(side, str) and side.lower()[::-1] in SIDE_IDS  # named against the CCW order, as "ba"
-    ux, uy = tri.side_unit(side[::-1] if against else side)
+    ux, uy = _need(tri, Triangle, "tri").side_unit(side[::-1] if against else side)
     return (uy, -ux)
 
 
@@ -578,8 +583,8 @@ def _foot(x: float, y: float, p: Vec, q: Vec) -> Vec:
 
 def foot_of_perpendicular(x: Point, seg: tuple[Point, Point]) -> Point:
     """Orthogonal projection of x onto the supporting line of a segment."""
-    p, q = seg
-    return Point(*_foot(x.x, x.y, p.as_tuple(), q.as_tuple()))
+    x, (p, q) = _need(x, Point, "x"), seg
+    return Point(*_foot(x.x, x.y, _need(p, Point, "seg[0]").as_tuple(), _need(q, Point, "seg[1]").as_tuple()))
 
 
 def region_area(tri: Triangle, v: str, x: Point) -> float:
@@ -588,6 +593,7 @@ def region_area(tri: Triangle, v: str, x: Point) -> float:
     Defined and continuous for every x in the plane, not just inside the
     triangle.
     """
+    tri, x = _need(tri, Triangle, "tri"), _need(x, Point, "x")
     return _signed_area(_sector_ring(tri.points, tri._normals, _SECTOR_OF[_vertex_id(v)], x.x, x.y, tri._snap))
 
 
@@ -600,6 +606,7 @@ def region_parts(tri: Triangle, x: Point, rings=()) -> tuple[RegionAreas, tuple[
     do not inflate the vertex count.  `rings` may hold the unmerged rings
     of all three regions, at b, c and a, in `_sector_ring`'s bits, as
     Newton gives them at its answer; then nothing is clipped here."""
+    tri, x = _need(tri, Triangle, "tri"), _need(x, Point, "x")
     tol = 1e-12 * tri.diameter
     rings = rings or [_sector_ring(tri.points, tri._normals, i, x.x, x.y, tri._snap) for i in range(3)]
     areas, regions = [], []
@@ -632,4 +639,4 @@ def _areas_at(tri: Triangle, xx: float, xy: float) -> tuple[float, float, float]
 def min_area_f(tri: Triangle, x: Point) -> float:
     """Minimum of the three region areas at x.  Vanishes at the vertices
     and never exceeds a third of the triangle area."""
-    return min(_areas_at(tri, x.x, x.y))
+    return min(_areas_at(_need(tri, Triangle, "tri"), _need(x, Point, "x").x, x.y))

@@ -17,7 +17,7 @@ import math
 from collections import namedtuple
 
 from .geometry import (
-    ConvexPolygon, Point, Triangle, Vec, _real_float, _reals, _sector_ring, _shown, _signed_area, _sum_lr, _Value, outward_normal,
+    ConvexPolygon, Point, Triangle, Vec, _need, _real_float, _reals, _sector_ring, _shown, _signed_area, _sum_lr, _Value,
 )
 from .partition import _config, _fan_newton
 
@@ -81,10 +81,10 @@ class SectorConfig(_Value):
 
     @classmethod
     def from_triangle(cls, tri: Triangle) -> "SectorConfig":
-        """Fan of the triangle's outward side normals.  Its sectors coincide
-        with the perpendicular wedges: sectors 0, 1, 2 reproduce the regions
-        at vertices b, c, a."""
-        return cls((outward_normal(tri, "ab"), outward_normal(tri, "bc"), outward_normal(tri, "ca")))
+        """Fan of the triangle's outward side normals, its stored side unit
+        vectors turned -90 degrees.  Its sectors coincide with the perpendicular
+        wedges: sectors 0, 1, 2 reproduce the regions at vertices b, c, a."""
+        return cls(tuple([(uy, -ux) for ux, uy in _need(tri, Triangle, "tri", MassPartitionError)._normals]))
 
     def gaps(self) -> tuple[float, float, float]:
         """CCW angles between consecutive rays; they always sum to 2 pi."""
@@ -100,7 +100,9 @@ TranslationSolution = namedtuple(
 def sector_areas(poly: ConvexPolygon, cfg: SectorConfig, apex: Point) -> tuple[float, float, float]:
     """Areas of the polygon pieces cut by the fan placed at `apex`.  The
     three values sum to the polygon area for every apex position."""
-    return tuple(_signed_area(_sector_ring(poly.coords, cfg.normals, i, apex.x, apex.y, poly._snap)) for i in range(3))
+    poly, apex = _need(poly, ConvexPolygon, "poly", MassPartitionError), _need(apex, Point, "apex", MassPartitionError)
+    normals = _need(cfg, SectorConfig, "cfg", MassPartitionError).normals
+    return tuple(_signed_area(_sector_ring(poly.coords, normals, i, apex.x, apex.y, poly._snap)) for i in range(3))
 
 
 def _check_targets(vals, total: float) -> tuple[float, float, float]:
@@ -128,13 +130,10 @@ def solve_translation(poly, fan: SectorConfig, targets, solver_cfg=None) -> Tran
     bit those `sector_areas` gives at the apex.
     Raises SolverError on failure and MassPartitionError for invalid
     targets or a `poly` or `fan` of the wrong type."""
-    for name, value, kind in (("poly", poly, ConvexPolygon), ("fan", fan, SectorConfig)):
-        if not isinstance(value, kind):
-            raise MassPartitionError(f"{name} must be a {kind.__name__}, got {_shown(value)}")
-    floats = _check_targets(targets, poly.area)
+    floats = _check_targets(targets, _need(poly, ConvexPolygon, "poly", MassPartitionError).area)
     x, y, iters, achieved, *_ = _fan_newton(
-        poly.coords, poly.area, poly._scale, poly._snap, fan.normals, floats, 2 * poly.diameter,
-        _config(solver_cfg, "solver_cfg"), poly._centroid,
+        poly.coords, poly.area, poly._scale, poly._snap, _need(fan, SectorConfig, "fan", MassPartitionError).normals,
+        floats, 2 * poly.diameter, _config(solver_cfg, "solver_cfg"), poly._centroid,
     )
     apex = Point(x, y)
     residual = max(abs(a - t) for a, t in zip(achieved, floats))

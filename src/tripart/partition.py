@@ -44,6 +44,7 @@ from .geometry import (  # the kinds, CLASSIFY_TOL and Classification are public
     _areas_at,
     _clip,
     _edge_terms,
+    _need,
     _real,
     _real_float,
     _sector_jacobian,
@@ -94,10 +95,8 @@ class SolverConfig(_Value):
 
 
 def _config(cfg, name: str) -> SolverConfig:
-    """A solver door's argument `name`: `SolverConfig()` for None, `cfg` if it is a SolverConfig, else PartitionError."""
-    if not (cfg is None or isinstance(cfg, SolverConfig)):
-        raise PartitionError(f"{name} must be a SolverConfig, got {_shown(cfg)}")
-    return SolverConfig() if cfg is None else cfg
+    """A solver door's argument `name`: `SolverConfig()` for None, else `cfg` through `_need`, with PartitionError."""
+    return SolverConfig() if cfg is None else _need(cfg, SolverConfig, name, PartitionError)
 
 
 class SolverReport(
@@ -129,7 +128,7 @@ class LabelSets:
     """
 
     def __init__(self, tri: Triangle):
-        self.triangle = tri
+        self.triangle = _need(tri, Triangle, "tri", PartitionError)
 
     def _label(self, xx: float, xy: float) -> str:
         ra, rb, rc = _areas_at(self.triangle, xx, xy)
@@ -138,13 +137,13 @@ class LabelSets:
         return "b" if rb <= rc else "c"
 
     def label(self, x: Point) -> str:
-        return self._label(x.x, x.y)
+        return self._label(_need(x, Point, "x", PartitionError).x, x.y)
 
 
 def classify(tri: Triangle) -> Classification:
     """Where the equal-area point lies; computed once per triangle, from
     its angles, and kept on it."""
-    return tri._classification
+    return _need(tri, Triangle, "tri", PartitionError)._classification
 
 
 def boundary_point_closed_form(tri: Triangle) -> Point:
@@ -154,7 +153,7 @@ def boundary_point_closed_form(tri: Triangle) -> Point:
     where A and B are the acute vertices.  The formula is evaluated for any
     obtuse triangle; it equals the equal-area point exactly when the
     criterion margin vanishes."""
-    angles = tri.angles
+    angles = _need(tri, Triangle, "tri", PartitionError).angles
     i = _widest(angles)
     if angles[i] <= 0.5 * math.pi:
         raise PartitionError("closed form needs an obtuse widest angle")
@@ -204,7 +203,7 @@ def cut_line_offset(tri: Triangle, side: str, target_area: float) -> float:
     at most 1.9e-16 s^2, 104 times below the margin, and 16.4 clips in a
     cut's 50.6 steps.  In ratio form the estimate does not over- or
     underflow at any scale a Triangle admits."""
-    if not 0.0 < (target := _real_float(target_area)) < tri.area:
+    if not 0.0 < (target := _real_float(target_area)) < _need(tri, Triangle, "tri", PartitionError).area:
         raise PartitionError(f"target_area must lie strictly between 0 and the triangle area, got {_shown(target_area)}")
     return _cut_offset(tri.points, tri.side_unit(side), tri._scale, tri._snap, target)
 
@@ -310,10 +309,8 @@ def solve_newton(tri: Triangle, cfg: SolverConfig | None = None, seed: Point | N
     scaled back.  Raises SolverError (with the best iterate in its report)
     when the residual cannot be driven below tolerance."""
     cfg = _config(cfg, "cfg")
-    if not (seed is None or isinstance(seed, Point)):
-        raise PartitionError(f"seed must be a Point, got {_shown(seed)}")
-    s = tri.area / 3.0
-    seed = tri._centroid if seed is None else seed.as_tuple()
+    s = _need(tri, Triangle, "tri", PartitionError).area / 3.0
+    seed = tri._centroid if seed is None else _need(seed, Point, "seed", PartitionError).as_tuple()
     x, y, *_, rings, unit = _fan_newton(tri.points, tri.area, tri._scale, tri._snap, tri._normals, (s, s, s), tri.diameter, cfg, seed)
     return _solution(tri, Point(x, y), "newton", [[(px * unit, py * unit) for px, py in r] for r in rings])
 
@@ -325,7 +322,7 @@ def solve_maximin(tri: Triangle) -> PartitionSolution:
     The minimum region area never exceeds |T| / 3 and attains it only at
     the equal-area point, so the maximizer is the solution whenever the
     point is not outside the triangle; other kinds are rejected."""
-    kind = tri._classification.kind
+    kind = _need(tri, Triangle, "tri", PartitionError)._classification.kind
     if kind not in INTERIOR_KINDS:
         raise PartitionError(f"maximin search needs the solution inside the triangle, not {kind}")
     diam = tri.diameter
@@ -414,7 +411,7 @@ def solve_kkm(tri: Triangle) -> PartitionSolution:
     regridding a blown-up copy of that cell until its diameter is below
     KKM_TARGET_DIAM_REL * diameter.  Restricted to acute and right triangles,
     where the boundary labeling argument applies."""
-    kind = tri._classification.kind
+    kind = _need(tri, Triangle, "tri", PartitionError)._classification.kind
     if kind not in (ACUTE, RIGHT):
         raise PartitionError(f"grid labeling zoom needs an acute or right triangle, not {kind}")
     labeler = LabelSets(tri)
@@ -466,7 +463,7 @@ def solve_exterior(tri: Triangle, cfg: SolverConfig | None = None) -> PartitionS
     until the solves run in a local frame: on the first 3,000 benchmark
     triangles it fires on 220 of 268 offset constructions (152 still
     raise) and on none of 1,157 core ones."""
-    cls = tri._classification
+    cls = _need(tri, Triangle, "tri", PartitionError)._classification
     if cls.kind != OBTUSE_EXTERIOR:
         raise PartitionError(f"exterior construction applies only to {OBTUSE_EXTERIOR}, not {cls.kind}")
     cfg = _config(cfg, "cfg")
@@ -513,16 +510,10 @@ def verify_partition(tri: Triangle, x: Point, tol: float = 1e-9) -> VerifyReport
     within tol * |T|; tol must be a positive finite number."""
     if not 0.0 < (tol := _real_float(tol)) < math.inf:
         raise PartitionError("tol must be a positive finite number")
-    sol = _solution(tri, x, "verify")  # the residual is the worst deviation
-    dev = sol.residual
-    sd = tri.signed_distance(x)
-    band = tol * tri.diameter
-    if sd > band:
-        location = "interior"
-    elif sd < -band:
-        location = "exterior"
-    else:
-        location = "boundary"
+    sol = _solution(_need(tri, Triangle, "tri", PartitionError), _need(x, Point, "x", PartitionError), "verify")
+    dev = sol.residual  # the worst deviation
+    sd, band = tri.signed_distance(x), tol * tri.diameter
+    location = "interior" if sd > band else "exterior" if sd < -band else "boundary"
     return VerifyReport(
         point=x,
         areas=sol.areas,
@@ -544,8 +535,8 @@ def lemma_check(tri: Triangle, x: Point) -> bool:
     1e-12 * diameter of the line of s and no more than band outside any
     side, else PartitionError: as on the clamped segment, except within
     band / sin(angle) of a vertex."""
-    band = 1e-12 * tri.diameter
-    dists = tri._side_distances(x.x, x.y)
+    band = 1e-12 * _need(tri, Triangle, "tri", PartitionError).diameter
+    dists = tri._side_distances(_need(x, Point, "x", PartitionError).x, x.y)
     on = [j for j in range(3) if abs(dists[j]) <= band]
     if not on or min(dists) < -band:
         raise PartitionError("point is not on the triangle boundary")

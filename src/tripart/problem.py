@@ -92,10 +92,7 @@ class ProblemSpec(_Value):
         f = dict.fromkeys(self._fields) | {"mode": mode, "solver": ()} | _DEFAULTS.get(mode, {})
         f |= {k: read(given[k], k) for k, read in _READERS.items() if k in given}
         shape = fan = areas = config = None
-        if mode == "sweep":
-            if not 2 <= f["resolution"] <= MAX_SWEEP_RESOLUTION:
-                raise InputError("invalid-value", f"'resolution' must be from 2 to {MAX_SWEEP_RESOLUTION}")
-        else:
+        if mode != "sweep":
             field, build = _SHAPES[mode]
             if field not in given:
                 raise InputError("missing-field", f"{mode} mode requires field '{field}'")
@@ -253,9 +250,11 @@ def _require_vertices(v, name: str) -> tuple[Vec, ...]:
     return tuple([_require_pair(p, name) for p in v])
 
 
-def _require_int(v, name: str) -> int:
+def _require_resolution(v, name: str) -> int:
     if not isinstance(v, (int, float)) or not math.isfinite(_real_float(v)) or v != int(v):
         raise InputError("invalid-value", f"'{name}' must be an integer, got {_shown(_as_json(v))}")
+    if not 2 <= int(v) <= MAX_SWEEP_RESOLUTION:
+        raise InputError("invalid-value", f"'{name}' must be from 2 to {MAX_SWEEP_RESOLUTION}")
     return int(v)
 
 
@@ -281,7 +280,7 @@ _READERS = {  # in the order a spec reads them: `solver` first, as parse_spec ch
     "rays": _require_triple,
     "targets": _require_triple,
     "fractions": _require_triple,
-    "resolution": _require_int,
+    "resolution": _require_resolution,
 }
 
 
@@ -298,7 +297,7 @@ def _spec_fields(text: str) -> dict:
     `solver` that is an object or null (no options), and no other null."""
     try:
         data = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # JSONDecodeError, an int past the digit limit, deep nesting
+    except (ValueError, TypeError, RecursionError) as exc:  # bad JSON or no text, an int past the digit limit, deep nesting
         raise InputError("malformed-json", f"input is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError("invalid-value", "top-level JSON value must be an object")
@@ -485,8 +484,8 @@ def sweep_rows(n: int):
     """The SweepRows of a sweep of resolution n, one at a time, from the
     kinds and margins of `_sweep_grid`: kind and margin bit for bit those of
     `classify(triangle_from_angles(a, b))`.  At most one base angle's cells
-    are held."""
-    degs = _grid_degs(n)
+    are held; the first row raises InputError where a spec refuses n."""
+    degs = _grid_degs(n := _require_resolution(n, "resolution"))
     for i, kinds, margins in _sweep_grid(n):
         a, obtuse = degs[i], iter(margins)
         for j, kind in enumerate(kinds, 1):  # SweepRow's own __new__ is Python code

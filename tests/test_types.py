@@ -2,7 +2,9 @@
 records, the package's own errors at every door, and an import of the
 command line that stays cheap."""
 
+import json
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -18,24 +20,34 @@ from tripart.geometry import (
     RegionAreas,
     Triangle,
     _shown,
+    foot_of_perpendicular,
+    min_area_f,
     outward_normal,
     region_area,
+    region_areas,
     region_polygon,
 )
-from tripart.masspart import MassPartitionError, SectorConfig, TranslationSolution, solve_translation
+from tripart.masspart import MassPartitionError, SectorConfig, TranslationSolution, sector_areas, solve_translation
 from tripart.partition import (
     Classification,
+    LabelSets,
     PartitionError,
     PartitionSolution,
     SolverConfig,
     SolverReport,
     VerifyReport,
+    boundary_point_closed_form,
+    classify,
     cut_line_offset,
     equal_partition,
+    lemma_check,
+    solve_exterior,
+    solve_kkm,
+    solve_maximin,
     solve_newton,
     verify_partition,
 )
-from tripart.problem import InputError, ProblemSpec, Report, SweepRow
+from tripart.problem import InputError, ProblemSpec, Report, SweepRow, parse_spec, sweep_rows
 from tripart.rootfind import RootResult
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -160,6 +172,20 @@ def _nested(depth: int, leaf=0):
 
 DEEP = _nested(600)  # past the depth where a message printer that recursed without bound raised RecursionError
 DEEP_SHOWN = r"\[{100}\.\.\.\]{100}"  # how a message shows DEEP: cut off 100 lists deep
+FAN = ((0.0, 1.0), (-1.0, -1.0), (1.0, -1.0))  # a fan's directions, not a SectorConfig
+
+
+def _wrong(name: str, kind: str, value) -> str:
+    """The message of a door given `value` for its parameter `name` of type `kind`."""
+    return "^" + re.escape(f"{name} must be a {kind}, got {value!r}") + "$"
+
+
+def _tri():
+    return Triangle.from_coords(TRI)
+
+
+def _fan():
+    return SectorConfig.from_angles_deg((90, 210, 330))
 
 # one bad argument at each door: (build, the package error, its message)
 DOORS = {
@@ -243,6 +269,60 @@ DOORS = {
     "solve_translation, tuple fan": (
         lambda: solve_translation(ConvexPolygon(SQUARE), ((0, 1), (-1, -1), (1, -1)), (0.2, 0.3, 0.5)),
         MassPartitionError, "^fan must be a SectorConfig, got "),
+    # a tuple where a door reads a Triangle, a Point, a ConvexPolygon or a SectorConfig
+    "equal_partition, tuple tri": (lambda: equal_partition(TRI), PartitionError, _wrong("tri", "Triangle", TRI)),
+    "classify, tuple tri": (lambda: classify(TRI), PartitionError, _wrong("tri", "Triangle", TRI)),
+    "solve_newton, tuple tri": (lambda: solve_newton(TRI), PartitionError, _wrong("tri", "Triangle", TRI)),
+    "solve_exterior, tuple tri": (lambda: solve_exterior(TRI), PartitionError, _wrong("tri", "Triangle", TRI)),
+    "solve_maximin, tuple tri": (lambda: solve_maximin(TRI), PartitionError, _wrong("tri", "Triangle", TRI)),
+    "solve_kkm, tuple tri": (lambda: solve_kkm(TRI), PartitionError, _wrong("tri", "Triangle", TRI)),
+    "boundary_point_closed_form, tuple tri": (lambda: boundary_point_closed_form(TRI), PartitionError,
+                                              _wrong("tri", "Triangle", TRI)),
+    "cut_line_offset, tuple tri": (lambda: cut_line_offset(TRI, "ab", 0.1), PartitionError,
+                                   _wrong("tri", "Triangle", TRI)),
+    "verify_partition, tuple tri": (lambda: verify_partition(TRI, Point(0.4, 0.3)), PartitionError,
+                                    _wrong("tri", "Triangle", TRI)),
+    "verify_partition, tuple x": (lambda: verify_partition(_tri(), (0.4, 0.3)), PartitionError,
+                                  _wrong("x", "Point", (0.4, 0.3))),
+    "lemma_check, tuple tri": (lambda: lemma_check(TRI, Point(0.5, 0.0)), PartitionError,
+                               _wrong("tri", "Triangle", TRI)),
+    "lemma_check, tuple x": (lambda: lemma_check(_tri(), (0.5, 0.0)), PartitionError, _wrong("x", "Point", (0.5, 0.0))),
+    "LabelSets, tuple tri": (lambda: LabelSets(TRI), PartitionError, _wrong("tri", "Triangle", TRI)),
+    "LabelSets.label, tuple x": (lambda: LabelSets(_tri()).label((0.4, 0.3)), PartitionError,
+                                 _wrong("x", "Point", (0.4, 0.3))),
+    "region_area, tuple x": (lambda: region_area(_tri(), "a", (0.4, 0.3)), GeometryError,
+                             _wrong("x", "Point", (0.4, 0.3))),
+    "region_areas, tuple tri": (lambda: region_areas(TRI, Point(0.4, 0.3)), GeometryError,
+                                _wrong("tri", "Triangle", TRI)),
+    "region_polygon, tuple x": (lambda: region_polygon(_tri(), "a", (0.4, 0.3)), GeometryError,
+                                _wrong("x", "Point", (0.4, 0.3))),
+    "min_area_f, tuple x": (lambda: min_area_f(_tri(), (0.4, 0.3)), GeometryError, _wrong("x", "Point", (0.4, 0.3))),
+    "outward_normal, tuple tri": (lambda: outward_normal(TRI, "ab"), GeometryError, _wrong("tri", "Triangle", TRI)),
+    "foot_of_perpendicular, tuple x": (lambda: foot_of_perpendicular((0.4, 0.3), (_tri().a, _tri().b)), GeometryError,
+                                       _wrong("x", "Point", (0.4, 0.3))),
+    "foot_of_perpendicular, tuple seg point": (lambda: foot_of_perpendicular(Point(0.4, 0.3), (_tri().a, TRI[1])),
+                                               GeometryError, _wrong("seg[1]", "Point", TRI[1])),
+    "sector_areas, tuple poly": (lambda: sector_areas(SQUARE, _fan(), Point(0.5, 0.5)), MassPartitionError,
+                                 _wrong("poly", "ConvexPolygon", SQUARE)),
+    "sector_areas, tuple cfg": (lambda: sector_areas(ConvexPolygon(SQUARE), FAN, Point(0.5, 0.5)), MassPartitionError,
+                                _wrong("cfg", "SectorConfig", FAN)),
+    "sector_areas, tuple apex": (lambda: sector_areas(ConvexPolygon(SQUARE), _fan(), (0.5, 0.5)), MassPartitionError,
+                                 _wrong("apex", "Point", (0.5, 0.5))),
+    "SectorConfig.from_triangle, tuple tri": (lambda: SectorConfig.from_triangle(TRI), MassPartitionError,
+                                              _wrong("tri", "Triangle", TRI)),
+    "Point.distance_to, tuple": (lambda: Point(1.0, 2.0).distance_to((0.0, 0.0)), GeometryError,
+                                 _wrong("other", "Point", (0.0, 0.0))),
+    "Triangle.signed_distance, tuple": (lambda: _tri().signed_distance((0.4, 0.3)), GeometryError,
+                                        _wrong("p", "Point", (0.4, 0.3))),
+    # a sweep's rows take the resolutions a sweep spec takes; parse_spec takes text
+    "sweep_rows, 0": (lambda: next(sweep_rows(0)), InputError, "^'resolution' must be from 2 to 1000$"),
+    "sweep_rows, 1": (lambda: next(sweep_rows(1)), InputError, "^'resolution' must be from 2 to 1000$"),
+    "sweep_rows, negative": (lambda: next(sweep_rows(-3)), InputError, "^'resolution' must be from 2 to 1000$"),
+    "sweep_rows, past the cap": (lambda: next(sweep_rows(5000)), InputError, "^'resolution' must be from 2 to 1000$"),
+    "sweep_rows, string": (lambda: next(sweep_rows("x")), InputError, "^'resolution' must be an integer, got 'x'$"),
+    "sweep_rows, fraction": (lambda: next(sweep_rows(2.5)), InputError, "^'resolution' must be an integer, got 2.5$"),
+    "parse_spec, int": (lambda: parse_spec(5), InputError, "^input is not valid JSON: "),
+    "parse_spec, None": (lambda: parse_spec(None), InputError, "^input is not valid JSON: "),
 }
 
 
@@ -265,6 +345,27 @@ def test_every_door_raises_the_package_error(door):
     build, error, message = DOORS[door]
     with pytest.raises(error, match=message):
         build()
+
+
+@pytest.mark.parametrize("n", [0, 1, -3, 5000, "x", 2.5, True, None])
+def test_sweep_rows_refuse_what_a_sweep_spec_refuses(n):
+    with pytest.raises(InputError) as parsed:
+        parse_spec(json.dumps({"mode": "sweep", "resolution": n}))
+    with pytest.raises(InputError) as rows:
+        next(sweep_rows(n))
+    assert (rows.value.code, str(rows.value)) == (parsed.value.code, str(parsed.value))
+    if n is not None:  # a spec built in code takes None for no resolution, so the default
+        with pytest.raises(InputError) as built:
+            ProblemSpec(mode="sweep", resolution=n)
+        assert (built.value.code, str(built.value)) == (rows.value.code, str(rows.value))
+
+
+def test_parse_spec_reads_text_only():
+    for value in (5, None, 2.5, ["{}"]):
+        with pytest.raises(InputError) as exc:
+            parse_spec(value)
+        assert exc.value.code == "malformed-json"
+    assert parse_spec(b'{"mode": "sweep", "resolution": 4}') == ProblemSpec(mode="sweep", resolution=4)
 
 
 # integer-valued inputs, so that every number type below holds them exactly
