@@ -583,7 +583,11 @@ def _foot(x: float, y: float, p: Vec, q: Vec) -> Vec:
 
 def foot_of_perpendicular(x: Point, seg: tuple[Point, Point]) -> Point:
     """Orthogonal projection of x onto the supporting line of a segment."""
-    x, (p, q) = _need(x, Point, "x"), seg
+    x = _need(x, Point, "x")
+    try:
+        p, q = seg
+    except (TypeError, ValueError):
+        raise GeometryError(f"seg must be two Points, got {_shown(seg)}") from None
     return Point(*_foot(x.x, x.y, _need(p, Point, "seg[0]").as_tuple(), _need(q, Point, "seg[1]").as_tuple()))
 
 

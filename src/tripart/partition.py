@@ -246,7 +246,8 @@ def _fan_newton(pts, total: float, scale: float, eps: float, normals, targets, p
     computed once per solve), reseeding from a grid over the bounding box grown by `pad` if the
     iteration stalls.  Returns the point's x and y, the iteration count,
     the three sector areas there, their unmerged rings / 2**e and 2**e:
-    newton2d stops right after evaluating the point it returns, so sectors
+    newton2d stops right after fully evaluating the point it returns, and
+    a `bounded` evaluation that stops early never sets `last`, so sectors
     0 and 1 are that evaluation's, and sector 2 is clipped once there, all
     in `_sector_ring`'s bits.  Raises SolverError (with the best iterate in
     its report) when the residual cannot be driven below
@@ -262,12 +263,20 @@ def _fan_newton(pts, total: float, scale: float, eps: float, normals, targets, p
     t1, t2, t3 = [t * k2 for t in targets]
     total, eps, pad = total * k2, eps * k, pad * k
     last = None
+    first = 0  # the sector that stopped the last early exit, tried first: a tenth fewer clips than a fixed order
 
-    def fun(x: float, y: float):
-        nonlocal last
-        r1, r2 = _sector_ring(pts, normals, 0, x, y, eps), _sector_ring(pts, normals, 1, x, y, eps)
-        a1, a2 = _signed_area(r1), _signed_area(r2)
-        last = a1, a2, r1, r2
+    def bounded(x: float, y: float, bound: float):
+        """(g1, g2, merit) at (x, y), or (nan, nan, |g_i|) once a sector's |g_i| >= bound (never for a nan bound)."""
+        nonlocal last, first
+        i = first
+        ri = _sector_ring(pts, normals, i, x, y, eps)
+        if (g := abs((ai := _signed_area(ri)) - (t1, t2)[i])) >= bound:
+            return math.nan, math.nan, g
+        rj = _sector_ring(pts, normals, 1 - i, x, y, eps)
+        if (g := abs((aj := _signed_area(rj)) - (t1, t2)[1 - i])) >= bound:
+            first = 1 - i
+            return math.nan, math.nan, g
+        a1, a2, r1, r2 = last = (aj, ai, rj, ri) if i else (ai, aj, ri, rj)
         g1 = a1 - t1
         g2 = a2 - t2
         return g1, g2, max(abs(g1), abs(g2), abs(total - a1 - a2 - t3))
@@ -275,12 +284,13 @@ def _fan_newton(pts, total: float, scale: float, eps: float, normals, targets, p
     edges = _edge_terms(pts, normals)
     xs, ys = zip(*pts)
     res = newton2d(
-        fun,
+        lambda x, y: bounded(x, y, math.nan),
         (seed[0] * k, seed[1] * k),
         jac=lambda x, y: _sector_jacobian(edges, normals, x, y),
         tol=cfg.area_tol_rel * total,
         max_iters=cfg.max_iters,
         restart_box=(min(xs) - pad, max(xs) + pad, min(ys) - pad, max(ys) + pad),
+        bounded=bounded,
     )
     if not res.converged:
         raise _failure(

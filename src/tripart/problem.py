@@ -15,10 +15,10 @@ from __future__ import annotations
 import json
 import math
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain
 
-from .geometry import VERTEX_IDS, Classification, ConvexPolygon, GeometryError, Triangle, Vec, _real_float, _shown, _Value
+from .geometry import VERTEX_IDS, Classification, ConvexPolygon, GeometryError, Triangle, Vec, _need, _real_float, _shown, _Value
 from .geometry import _SHOWN_DEPTH  # where `_shown` stops, and so does `_as_json`
 from .geometry import ACUTE, KINDS, RIGHT, _obtuse_kind  # the sweep's kernel
 from .masspart import MassPartitionError, SectorConfig, _check_targets, solve_translation
@@ -44,6 +44,9 @@ class InputError(ValueError):
     def __init__(self, code: str, message: str):
         super().__init__(message)
         self.code = code
+
+
+_invalid = partial(InputError, "invalid-value")  # `_need`'s error at the output doors
 
 
 def _check_fields(mode, keys) -> None:
@@ -318,7 +321,7 @@ def _spec_fields(text: str) -> dict:
 def serialize_spec(spec: ProblemSpec) -> str:
     """Canonical JSON for a spec, its set fields in declaration order;
     parse_spec(serialize_spec(s)) == s."""
-    return _fill(*_spec_template(spec))
+    return _fill(*_spec_template(_need(spec, ProblemSpec, "spec", _invalid)))
 
 
 def _spec_template(spec: ProblemSpec) -> tuple[str, list]:
@@ -495,7 +498,7 @@ def sweep_rows(n: int):
 def run(spec: ProblemSpec) -> Report:
     """Execute a spec with the solver settings it holds.  A sweep's report
     carries only the spec; `sweep_csv` and `sweep_rows` produce its rows."""
-    if spec.mode == "sweep":
+    if _need(spec, ProblemSpec, "spec", _invalid).mode == "sweep":
         return Report(mode="sweep", spec=spec, method="classify", residual=0.0)
     if spec.mode == "triangle":
         return _run_triangle(spec)
@@ -526,7 +529,7 @@ def report_json(report: Report) -> str:
     shape while in use and filled in one `_fill`; `canonical_json` of the
     same payload gives the same bytes.  The strings (kind, method, vertex
     id) are package constants that need no escaping."""
-    spec, values = _spec_template(report.spec)
+    spec, values = _spec_template(_need(report, Report, "report", _invalid).spec)
     if report.mode == "triangle":
         cls = report.classification
         vertex = "null" if cls.obtuse_vertex is None else f'"{cls.obtuse_vertex}"'
@@ -556,8 +559,8 @@ def sweep_csv(report: Report) -> str:
     """Deterministic CSV for a sweep report, from the rows `sweep_rows`
     yields for its spec's resolution; the margin is left blank for kinds
     where the criterion does not apply."""
-    if report.mode != "sweep":
-        raise ValueError(f"CSV rendering needs a sweep report, got mode {report.mode!r}")
+    if _need(report, Report, "report", _invalid).mode != "sweep":
+        raise _invalid(f"CSV rendering needs a sweep report, got mode {report.mode!r}")
     return "".join(_sweep_lines(report.spec.resolution))
 
 

@@ -7,6 +7,12 @@ iteration reseeds itself from refined candidates of a coarse grid search
 over a caller-supplied box.  Several well-separated candidates are kept
 because the merit landscape can be flat far from the basin, which
 silently kills a single restart.
+
+The refine scans and the backtracking evaluate through `bounded(x, y,
+bound)`: `fun(x, y)`, or (nan, nan, m) with bound <= m <= merit once one
+residual component alone reaches `bound`.  Both keep a point only if its
+merit is strictly below the bound, which a stopped point fails in full
+too, so every pick, and so every result, is that of `fun` alone.
 """
 
 from __future__ import annotations
@@ -25,24 +31,25 @@ _MAX_BACKTRACKS = 30  # step halvings tried before a Newton step counts as stall
 RootResult = namedtuple("RootResult", "x y residual iterations restarts converged residual_history")
 
 
-def _grid_best(fun, x_lo, x_hi, y_lo, y_hi, n):
+def _grid_best(bounded, x_lo, x_hi, y_lo, y_hi, n, bound):
+    """The lowest-merit node of an n x n grid, exact when its merit is below `bound`."""
     best = (math.inf, 0.5 * (x_lo + x_hi), 0.5 * (y_lo + y_hi))
     for i in range(n):
         x = x_lo + (x_hi - x_lo) * i / (n - 1)
         for j in range(n):
             y = y_lo + (y_hi - y_lo) * j / (n - 1)
-            r = fun(x, y)[2]
+            r = bounded(x, y, min(best[0], bound))[2]
             if r < best[0]:
                 best = (r, x, y)
     return best
 
 
-def _refine(fun, start, wx, wy):
+def _refine(bounded, start, wx, wy):
     """Shrinking local scans around the incumbent cell."""
     best = start
     for _ in range(_REFINE_LEVELS):
-        _, cx, cy = best
-        cand = _grid_best(fun, cx - wx, cx + wx, cy - wy, cy + wy, _REFINE_N)
+        m, cx, cy = best
+        cand = _grid_best(bounded, cx - wx, cx + wx, cy - wy, cy + wy, _REFINE_N, m)
         if cand[0] < best[0]:
             best = cand
         wx *= 2.0 / (_REFINE_N - 1)
@@ -50,7 +57,7 @@ def _refine(fun, start, wx, wy):
     return best
 
 
-def _restart_seeds(fun, box):
+def _restart_seeds(fun, bounded, box):
     """Candidate restart points from one coarse scan of the box.
 
     Two families of grid cells are kept: cells whose corners change the
@@ -116,7 +123,7 @@ def _restart_seeds(fun, box):
     wx = (x_hi - x_lo) / (n - 1)
     wy = (y_hi - y_lo) / (n - 1)
     seeds = [
-        _refine(fun, (vals[i][j][2], *node(i, j)), wx, wy) for i, j in picked
+        _refine(bounded, (vals[i][j][2], *node(i, j)), wx, wy) for i, j in picked
     ]
     seeds.sort()
     return seeds
@@ -130,6 +137,7 @@ def newton2d(
     tol: float,
     max_iters: int,
     restart_box: tuple[float, float, float, float],
+    bounded,
 ) -> RootResult:
     """Drive fun(x, y) -> (g1, g2, merit) to merit <= tol.
 
@@ -140,6 +148,11 @@ def newton2d(
     stall the next step.  On stagnation the search reseeds from the next
     grid candidate inside restart_box.  Never raises; inspect `converged`
     on the result.
+
+    bounded(x, y, bound) is `fun` that may stop early (see above), asked
+    only where a merit >= bound loses a strict `<`: the result, `history`
+    included, is that of `fun` everywhere, and a converged result's point
+    is the last one evaluated in full.
     """
     x, y = seed
     g1, g2, merit = fun(x, y)
@@ -159,7 +172,7 @@ def newton2d(
             step = 1.0
             for _ in range(_MAX_BACKTRACKS + 1):
                 nx, ny = x + step * dx, y + step * dy
-                n1, n2, nm = fun(nx, ny)
+                n1, n2, nm = bounded(nx, ny, merit)
                 if nm < merit:
                     nj = jac(nx, ny)
                     if nj[0] * nj[3] - nj[1] * nj[2] > 0.0:
@@ -170,7 +183,7 @@ def newton2d(
                 step *= 0.5
         if stalled:
             if seeds is None:
-                seeds = _restart_seeds(fun, restart_box)
+                seeds = _restart_seeds(fun, bounded, restart_box)
             if not seeds:
                 break
             _, x, y = seeds.pop(0)

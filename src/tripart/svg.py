@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .geometry import OBTUSE_EXTERIOR, VERTEX_IDS, _foot, _sum_lr
-from .problem import Report
+from .geometry import OBTUSE_EXTERIOR, VERTEX_IDS, _foot, _need, _sum_lr
+from .problem import Report, _invalid
 
 REGION_FILLS = ("#4477aa", "#ee7733", "#228833")
 OUTLINE = "#1a1a1a"
@@ -50,8 +50,8 @@ def _ring_line(n: int, fill: str) -> str:
 
 def emit_svg(report: Report) -> str:
     """Render a solved triangle report as a standalone SVG document."""
-    if report.mode != "triangle" or report.point is None or report.regions is None:
-        raise ValueError("SVG rendering needs a triangle report carrying a solution")
+    if _need(report, Report, "report", _invalid).mode != "triangle" or report.point is None or report.regions is None:
+        raise _invalid("SVG rendering needs a triangle report carrying a solution")
     tri = report.spec.shape
     x0, y0 = report.point
     exterior = report.classification.kind == OBTUSE_EXTERIOR

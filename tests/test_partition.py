@@ -410,7 +410,7 @@ def test_grid_restart_serves_only_far_seeds(monkeypatch):
     far seed above does reach it.  So a change that makes Newton stall on
     core input cannot hide behind the restart."""
 
-    def refuse(fun, box):
+    def refuse(*args):
         raise _Restarted
 
     monkeypatch.setattr(rootfind, "_restart_seeds", refuse)
@@ -426,6 +426,72 @@ def test_grid_restart_serves_only_far_seeds(monkeypatch):
         run(parse_spec(spec))
     with pytest.raises(_Restarted):
         solve_newton(EQUILATERAL, seed=Point(40.0, -35.0))
+
+
+def _restart_jobs():
+    """Solves that reach the grid restart: triangles and fans shifted far
+    from the origin (most of them raise) and core triangles seeded 50
+    diameters out (these answer after the restart)."""
+    rng = np.random.default_rng(71)
+    tris = [Triangle.from_coords([(x + 1e5, y + 1e5) for x, y in oc.rand_triangle(rng)]) for _ in range(8)]
+    jobs = [lambda tri=tri: equal_partition(tri) for tri in tris]
+    for tri in map(Triangle.from_coords, (oc.rand_acute(rng) for _ in range(3))):
+        jobs.append(lambda tri=tri: solve_newton(tri, seed=Point(50.0 * tri.diameter, -40.0 * tri.diameter)))
+    for _ in range(3):
+        poly = ConvexPolygon.from_coords([(x + 1e5, y + 1e5) for x, y in oc.rand_convex_polygon(rng, 4, 8)])
+        fan = SectorConfig.from_angles_deg(oc.rand_fan_angles_deg(rng))
+        targets = tuple(f * poly.area for f in oc.rand_fractions(rng))
+        jobs.append(lambda poly=poly, fan=fan, targets=targets: solve_translation(poly, fan, targets))
+    return jobs
+
+
+def _run_counted(monkeypatch, jobs):
+    """Each job's solution or SolverError report as repr, with the jobs'
+    `_restart_seeds` calls and sector clips (`geometry._clip` calls)."""
+    calls = {"restarts": [], "clips": 0}
+    real_seeds, real_clip = rootfind._restart_seeds, geometry._clip
+
+    def seeds(*args):
+        calls["restarts"][-1] += 1
+        return real_seeds(*args)
+
+    def clip(*args):
+        calls["clips"] += 1
+        return real_clip(*args)
+
+    monkeypatch.setattr(rootfind, "_restart_seeds", seeds)
+    monkeypatch.setattr(geometry, "_clip", clip)
+    out = []
+    for job in jobs:
+        calls["restarts"].append(0)
+        try:
+            out.append(repr(job()))
+        except SolverError as exc:
+            out.append(repr(exc.report))
+    monkeypatch.undo()
+    return out, calls
+
+
+def test_bounded_evaluations_keep_every_bit(monkeypatch):
+    """`_fan_newton`'s `bounded` callback stops an evaluation only where
+    its point could not win a strict `<`, so the grid restart and the
+    backtracking pick the points that full evaluations pick: every
+    solution and error report, residual history included, keeps its
+    bits, with fewer clips."""
+    jobs = _restart_jobs()
+    shipped, shipped_calls = _run_counted(monkeypatch, jobs)
+    real = part.newton2d
+
+    def unbounded(fun, seed, *, bounded, **kwargs):
+        return real(fun, seed, bounded=lambda x, y, bound: fun(x, y), **kwargs)
+
+    monkeypatch.setattr(part, "newton2d", unbounded)
+    full, full_calls = _run_counted(monkeypatch, jobs)
+    assert shipped == full
+    assert shipped_calls["restarts"] == full_calls["restarts"]
+    assert sum(map(bool, shipped_calls["restarts"])) >= 10  # 12 of the 14 jobs reach the restart
+    assert {text.split("(")[0] for text in shipped} == {"PartitionSolution", "SolverReport"}
+    assert shipped_calls["clips"] < full_calls["clips"]
 
 
 def test_newton_failure_carries_report():

@@ -47,8 +47,20 @@ from tripart.partition import (
     solve_newton,
     verify_partition,
 )
-from tripart.problem import InputError, ProblemSpec, Report, SweepRow, parse_spec, sweep_rows
+from tripart.problem import (
+    InputError,
+    ProblemSpec,
+    Report,
+    SweepRow,
+    parse_spec,
+    report_json,
+    run,
+    serialize_spec,
+    sweep_csv,
+    sweep_rows,
+)
 from tripart.rootfind import RootResult
+from tripart.svg import emit_svg
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 TRI = ((0.0, 0.0), (1.0, 0.0), (0.3, 0.8))
@@ -302,6 +314,11 @@ DOORS = {
                                        _wrong("x", "Point", (0.4, 0.3))),
     "foot_of_perpendicular, tuple seg point": (lambda: foot_of_perpendicular(Point(0.4, 0.3), (_tri().a, TRI[1])),
                                                GeometryError, _wrong("seg[1]", "Point", TRI[1])),
+    "foot_of_perpendicular, three Points": (
+        lambda: foot_of_perpendicular(Point(0.4, 0.3), (_tri().a, _tri().b, _tri().c)), GeometryError,
+        "^" + re.escape(f"seg must be two Points, got {(_tri().a, _tri().b, _tri().c)!r}") + "$"),
+    "foot_of_perpendicular, int seg": (lambda: foot_of_perpendicular(Point(0.4, 0.3), 5), GeometryError,
+                                       "^seg must be two Points, got 5$"),
     "sector_areas, tuple poly": (lambda: sector_areas(SQUARE, _fan(), Point(0.5, 0.5)), MassPartitionError,
                                  _wrong("poly", "ConvexPolygon", SQUARE)),
     "sector_areas, tuple cfg": (lambda: sector_areas(ConvexPolygon(SQUARE), FAN, Point(0.5, 0.5)), MassPartitionError,
@@ -314,6 +331,18 @@ DOORS = {
                                  _wrong("other", "Point", (0.0, 0.0))),
     "Triangle.signed_distance, tuple": (lambda: _tri().signed_distance((0.4, 0.3)), GeometryError,
                                         _wrong("p", "Point", (0.4, 0.3))),
+    # the output doors take a spec or a report, the SVG a solved triangle's report and the CSV a sweep's
+    "run, dict spec": (lambda: run({"mode": "sweep"}), InputError, _wrong("spec", "ProblemSpec", {"mode": "sweep"})),
+    "serialize_spec, dict spec": (lambda: serialize_spec({"mode": "sweep"}), InputError,
+                                  _wrong("spec", "ProblemSpec", {"mode": "sweep"})),
+    "report_json, tuple report": (lambda: report_json((1, 2)), InputError, _wrong("report", "Report", (1, 2))),
+    "emit_svg, tuple report": (lambda: emit_svg((1, 2)), InputError, _wrong("report", "Report", (1, 2))),
+    "sweep_csv, tuple report": (lambda: sweep_csv((1, 2)), InputError, _wrong("report", "Report", (1, 2))),
+    "sweep_csv, triangle report": (lambda: sweep_csv(run(ProblemSpec(mode="triangle", triangle=TRI))), InputError,
+                                   "^CSV rendering needs a sweep report, got mode 'triangle'$"),
+    "emit_svg, fan report": (
+        lambda: emit_svg(run(ProblemSpec(mode="mass-partition", polygon=SQUARE, fractions=(0.2, 0.3, 0.5)))),
+        InputError, "^SVG rendering needs a triangle report carrying a solution$"),
     # a sweep's rows take the resolutions a sweep spec takes; parse_spec takes text
     "sweep_rows, 0": (lambda: next(sweep_rows(0)), InputError, "^'resolution' must be from 2 to 1000$"),
     "sweep_rows, 1": (lambda: next(sweep_rows(1)), InputError, "^'resolution' must be from 2 to 1000$"),
@@ -347,6 +376,16 @@ def test_every_door_raises_the_package_error(door):
         build()
 
 
+OUTPUT_DOORS = ("run,", "serialize_spec,", "report_json,", "emit_svg,", "sweep_csv,")
+
+
+@pytest.mark.parametrize("door", [door for door in sorted(DOORS) if door.startswith(OUTPUT_DOORS)])
+def test_output_doors_reject_as_invalid_value(door):
+    with pytest.raises(InputError) as exc:
+        DOORS[door][0]()
+    assert exc.value.code == "invalid-value"
+
+
 @pytest.mark.parametrize("n", [0, 1, -3, 5000, "x", 2.5, True, None])
 def test_sweep_rows_refuse_what_a_sweep_spec_refuses(n):
     with pytest.raises(InputError) as parsed:
@@ -366,6 +405,12 @@ def test_parse_spec_reads_text_only():
             parse_spec(value)
         assert exc.value.code == "malformed-json"
     assert parse_spec(b'{"mode": "sweep", "resolution": 4}') == ProblemSpec(mode="sweep", resolution=4)
+
+
+def test_foot_of_perpendicular_takes_any_two_points():
+    a, b = Point(0, 0), Point(1, 0)
+    for seg in ((a, b), [a, b], iter((a, b)), (p for p in (a, b))):
+        assert foot_of_perpendicular(Point(0.4, 0.3), seg) == Point(0.4, 0.0)
 
 
 # integer-valued inputs, so that every number type below holds them exactly

@@ -8,9 +8,11 @@ of the solve's main work, which unlike seconds repeats exactly from run
 to run and machine to machine.  Beside each it prints the `_coord_scale`
 calls per job, the scans of a shape's points for its coordinate scale:
 a shape takes its scale once, when it is built, so each reads 1.00.
-Offset jobs are left out, because their grid restarts dominate and depend
-on where Newton stalls.  Stdlib only; the benchmark modules are imported,
-never changed.
+Last come the offset jobs of both workloads, one row each, answers and
+errors together: their clips are mostly grid-restart scans, so these rows
+move with the restart rather than with a method or a share, but they too
+repeat exactly at a fixed commit.  Stdlib only; the benchmark modules are
+imported, never changed.
 
     python3 tools/clip_count.py [N]
 """
@@ -85,11 +87,29 @@ def clips_by_fan_share(count: int) -> dict[str, tuple[int, int, int]]:
     return _counts(jobs, solve)
 
 
+def clips_of_offset_jobs(count: int) -> dict[str, tuple[int, int, int]]:
+    """workload -> (offset jobs, `_clip` calls, `_coord_scale` calls) over the offset jobs among the first
+    `count` jobs of `triangles(4)` and of `fans(5)`, answers and errors together."""
+    def answer(job) -> str:
+        run(parse_spec(job.text))
+        return "answer"
+
+    out = {}
+    for name, jobs in (("triangles", workloads.triangles(4)), ("fans", workloads.fans(5))):
+        rows = _counts((job for job in itertools.islice(jobs, count) if job.share == "offset"), answer)
+        out[name] = tuple(map(sum, zip(*rows.values()))) or (0, 0, 0)
+    return out
+
+
+def _print_row(name: str, jobs: int, clips: int, scans: int) -> None:
+    n = max(jobs, 1)
+    print(f"{name}: {jobs} jobs, {clips / n:.2f} clips per job, {scans / n:.2f} scale scans per job")
+
+
 def _print_counts(counts: dict[str, tuple[int, int, int]]) -> None:
     total = tuple(map(sum, zip(*counts.values()))) if counts else (0, 0, 0)
-    for name, (jobs, clips, scans) in [*sorted(counts.items()), ("all", total)]:
-        n = max(jobs, 1)
-        print(f"{name}: {jobs} jobs, {clips / n:.2f} clips per job, {scans / n:.2f} scale scans per job")
+    for name, row in [*sorted(counts.items()), ("all", total)]:
+        _print_row(name, *row)
 
 
 def main(argv=None) -> int:
@@ -100,6 +120,9 @@ def main(argv=None) -> int:
     _print_counts(clips_by_method(args.jobs))
     print(f"_clip and _coord_scale calls per core and hard job of the first {args.jobs} fans(5) jobs, by share")
     _print_counts(clips_by_fan_share(args.jobs))
+    print(f"_clip and _coord_scale calls per offset job of the first {args.jobs} jobs of each, answers and errors together")
+    for name, row in clips_of_offset_jobs(args.jobs).items():
+        _print_row(name, *row)
     return 0
 
 
