@@ -4,9 +4,9 @@ The residual callback returns both the system values and a scalar merit;
 steps are halved until the merit decreases at a point where the Jacobian
 determinant is still positive.  When a step cannot make progress the
 iteration reseeds itself from refined candidates of a coarse grid search
-over a caller-supplied box.  Several well-separated candidates are kept
-because the merit landscape can be flat far from the basin, which
-silently kills a single restart.
+over a box that a caller-supplied callable returns at the first stall.
+Several well-separated candidates are kept because the merit landscape
+can be flat far from the basin, which silently kills a single restart.
 
 The refine scans and the backtracking evaluate through `bounded(x, y,
 bound)`: `fun(x, y)`, or (nan, nan, m) with bound <= m <= merit once one
@@ -33,15 +33,17 @@ RootResult = namedtuple("RootResult", "x y residual iterations restarts converge
 
 def _grid_best(bounded, x_lo, x_hi, y_lo, y_hi, n, bound):
     """The lowest-merit node of an n x n grid, exact when its merit is below `bound`."""
-    best = (math.inf, 0.5 * (x_lo + x_hi), 0.5 * (y_lo + y_hi))
+    best, bx, by = math.inf, 0.5 * (x_lo + x_hi), 0.5 * (y_lo + y_hi)
+    lim = min(best, bound)
+    ys = [y_lo + (y_hi - y_lo) * j / (n - 1) for j in range(n)]
     for i in range(n):
         x = x_lo + (x_hi - x_lo) * i / (n - 1)
-        for j in range(n):
-            y = y_lo + (y_hi - y_lo) * j / (n - 1)
-            r = bounded(x, y, min(best[0], bound))[2]
-            if r < best[0]:
-                best = (r, x, y)
-    return best
+        for y in ys:
+            r = bounded(x, y, lim)[2]
+            if r < best:
+                best, bx, by = r, x, y
+                lim = min(best, bound)
+    return best, bx, by
 
 
 def _refine(bounded, start, wx, wy):
@@ -91,14 +93,17 @@ def _restart_seeds(fun, bounded, box):
     crossings = []
     for i in range(n - 1):
         for j in range(n - 1):
-            corner = tuple(vals[i + di][j + dj] for di, dj in offs)
-            if not all(math.isfinite(c[2]) for c in corner):
-                continue
-            s1 = [c[0] > 0.0 for c in corner]
-            s2 = [c[1] > 0.0 for c in corner]
-            if any(s1) and not all(s1) and any(s2) and not all(s2):
-                k = min(range(4), key=lambda k: corner[k][2])
-                crossings.append((corner[k][2], i + offs[k][0], j + offs[k][1]))
+            corner = (vals[i][j], vals[i + 1][j], vals[i][j + 1], vals[i + 1][j + 1])
+            s1 = s2 = 0  # corners with g1 > 0 and with g2 > 0
+            for g1, g2, m in corner:
+                if not math.isfinite(m):
+                    break
+                s1 += g1 > 0.0
+                s2 += g2 > 0.0
+            else:
+                if 0 < s1 < 4 and 0 < s2 < 4:
+                    k = min(range(4), key=lambda k: corner[k][2])
+                    crossings.append((corner[k][2], i + offs[k][0], j + offs[k][1]))
     crossings.sort()
     merits.sort()
 
@@ -136,7 +141,7 @@ def newton2d(
     jac,
     tol: float,
     max_iters: int,
-    restart_box: tuple[float, float, float, float],
+    restart_box,
     bounded,
 ) -> RootResult:
     """Drive fun(x, y) -> (g1, g2, merit) to merit <= tol.
@@ -146,8 +151,10 @@ def newton2d(
     times) until the merit drops at a point with a positive Jacobian
     determinant; points where the system is flat in some direction would
     stall the next step.  On stagnation the search reseeds from the next
-    grid candidate inside restart_box.  Never raises; inspect `converged`
-    on the result.
+    grid candidate inside the box (x_lo, x_hi, y_lo, y_hi) that
+    restart_box() returns, called once, at the first stall, so a solve
+    that never stalls never asks for it.  Never raises; inspect
+    `converged` on the result.
 
     bounded(x, y, bound) is `fun` that may stop early (see above), asked
     only where a merit >= bound loses a strict `<`: the result, `history`
@@ -183,7 +190,7 @@ def newton2d(
                 step *= 0.5
         if stalled:
             if seeds is None:
-                seeds = _restart_seeds(fun, bounded, restart_box)
+                seeds = _restart_seeds(fun, bounded, restart_box())
             if not seeds:
                 break
             _, x, y = seeds.pop(0)

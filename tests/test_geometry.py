@@ -261,6 +261,60 @@ def test_sector_ring_clips_to_the_wedge_cuts_bit_for_bit():
                     assert _sector_ring(pts, normals, i, x, y, eps) == _clip(_clip(pts, *cut1, eps), *cut2, eps)
 
 
+def test_sector_ring_spans_keep_every_bit(monkeypatch):
+    # with a span table each cut that keeps all or none of the polygon is
+    # decided without its clip, and every ring keeps the two clips' bits:
+    # polygons and fans at unit scale and 1e5 from the origin, apexes on a
+    # grid over the grid restart's box, and a square whose vertices sit
+    # exactly on the edge of the snap band, where `<=` decides
+    calls = {"clips": 0}
+    real = geometry._clip
+
+    def clip(*args):
+        calls["clips"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(geometry, "_clip", clip)
+    decided = {"first none": 0, "first all": 0, "second none": 0, "second all": 0}
+
+    def check(pts, normals, eps, apexes):
+        span = [(min(p), max(p)) for p in ([nx * vx + ny * vy for vx, vy in pts] for nx, ny in normals)]
+        for x, y in apexes:
+            for i in range(3):
+                cut1, cut2 = _cuts(normals, i, x, y)
+                first = real(pts, *cut1, eps)
+                ring = real(first, *cut2, eps)
+                calls["clips"] = 0
+                assert _sector_ring(pts, normals, i, x, y, eps, span) == ring
+                if not first:
+                    decided["first none"] += 1
+                    assert calls["clips"] == 0
+                elif first == list(pts):
+                    decided["first all"] += 1
+                    kept = "second none" if not ring else "second all" if ring == first else ""
+                    if kept:
+                        decided[kept] += 1
+                    assert calls["clips"] == (0 if kept else 1)
+                else:
+                    assert calls["clips"] == 2
+
+    rng = np.random.default_rng(30)
+    for shift in (0.0, 1e5):
+        for _ in range(12):
+            poly = ConvexPolygon.from_coords([(x + shift, y + shift) for x, y in oc.rand_convex_polygon(rng, 4, 12)])
+            normals = SectorConfig.from_angles_deg(oc.rand_fan_angles_deg(rng)).normals
+            xs, ys = zip(*poly.coords)
+            pad = 2.0 * poly.diameter
+            gx, gy = (np.linspace(min(v) - pad, max(v) + pad, 11).tolist() for v in (xs, ys))
+            check(poly.coords, normals, poly._snap, [(x, y) for x in gx for y in gy])
+    assert min(decided.values()) >= 1, decided
+    eps = 2.0**-20  # every n . p - off below is exact, so 1 - eps, -eps, ... put a vertex at eps from the cut
+    edge = (-1.0 - eps, -eps, 0.0, eps, 0.5, 1.0 - eps, 1.0, 1.0 + eps, 2.0 + eps)
+    decided = dict.fromkeys(decided, 0)
+    check(list(UNIT_SQUARE.coords), ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)), eps, [(x, y) for x in edge for y in edge])
+    assert min(decided.values()) >= 1, decided
+
+
 def test_every_sector_clip_goes_through_the_kernel(monkeypatch):
     # two clips per sector ring, and no sector clipped elsewhere: every
     # solve, area and region below clips only inside `_sector_ring`

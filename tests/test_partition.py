@@ -447,19 +447,25 @@ def _restart_jobs():
 
 def _run_counted(monkeypatch, jobs):
     """Each job's solution or SolverError report as repr, with the jobs'
-    `_restart_seeds` calls and sector clips (`geometry._clip` calls)."""
-    calls = {"restarts": [], "clips": 0}
-    real_seeds, real_clip = rootfind._restart_seeds, geometry._clip
+    `_restart_seeds` calls, Newton's sector rings (`partition._sector_ring`
+    calls) and sector clips (`geometry._clip` calls)."""
+    calls = {"restarts": [], "rings": 0, "clips": 0}
+    real_seeds, real_ring, real_clip = rootfind._restart_seeds, part._sector_ring, geometry._clip
 
     def seeds(*args):
         calls["restarts"][-1] += 1
         return real_seeds(*args)
+
+    def ring(*args):
+        calls["rings"] += 1
+        return real_ring(*args)
 
     def clip(*args):
         calls["clips"] += 1
         return real_clip(*args)
 
     monkeypatch.setattr(rootfind, "_restart_seeds", seeds)
+    monkeypatch.setattr(part, "_sector_ring", ring)
     monkeypatch.setattr(geometry, "_clip", clip)
     out = []
     for job in jobs:
@@ -492,6 +498,25 @@ def test_bounded_evaluations_keep_every_bit(monkeypatch):
     assert sum(map(bool, shipped_calls["restarts"])) >= 10  # 12 of the 14 jobs reach the restart
     assert {text.split("(")[0] for text in shipped} == {"PartitionSolution", "SolverReport"}
     assert shipped_calls["clips"] < full_calls["clips"]
+
+
+def test_span_decisions_keep_every_bit(monkeypatch):
+    """From the first stall on, `_fan_newton` decides through its span
+    table the sector cuts that keep all or none of the polygon, without
+    their clips: against the same solves with no table, every solution and
+    error report keeps its bits, over the same restarts and sector rings,
+    with fewer clips."""
+    jobs = _restart_jobs()
+    shipped, shipped_calls = _run_counted(monkeypatch, jobs)
+    real = part._sector_ring
+    monkeypatch.setattr(part, "_sector_ring", lambda pts, normals, i, x, y, eps, span=None: real(pts, normals, i, x, y, eps))
+    plain, plain_calls = _run_counted(monkeypatch, jobs)
+    assert shipped == plain
+    assert shipped_calls["restarts"] == plain_calls["restarts"]
+    assert sum(map(bool, shipped_calls["restarts"])) >= 10
+    assert {text.split("(")[0] for text in shipped} == {"PartitionSolution", "SolverReport"}
+    assert shipped_calls["rings"] == plain_calls["rings"]
+    assert shipped_calls["clips"] < plain_calls["clips"]
 
 
 def test_newton_failure_carries_report():
