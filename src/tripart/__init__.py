@@ -11,9 +11,7 @@ from .geometry import (
     Point,
     RegionAreas,
     Triangle,
-    foot_of_perpendicular,
     min_area_f,
-    outward_normal,
     region_area,
     region_areas,
     region_polygon,

@@ -28,7 +28,6 @@ from collections import namedtuple
 Vec = tuple[float, float]
 
 VERTEX_IDS = ("a", "b", "c")
-SIDE_IDS = ("ab", "bc", "ca")
 SECTOR_VERTEX_ORDER = ("b", "c", "a")  # triangle regions hit by fan sectors 0, 1, 2
 _SECTOR_OF = {v: i for i, v in enumerate(SECTOR_VERTEX_ORDER)}
 
@@ -427,9 +426,6 @@ class Point(_Value):
     def as_tuple(self) -> Vec:
         return (self.x, self.y)
 
-    def distance_to(self, other: "Point") -> float:
-        return math.hypot(self.x - _need(other, Point, "other").x, self.y - other.y)
-
 
 class ConvexPolygon(_Value):
     """Convex polygon of positive area with CCW vertices.
@@ -490,9 +486,6 @@ class ConvexPolygon(_Value):
     def from_coords(cls, coords) -> "ConvexPolygon":
         """The same as `ConvexPolygon(coords)`, named like `Triangle.from_coords`."""
         return cls(coords)
-
-    def __len__(self) -> int:
-        return len(self.coords)
 
 
 class Triangle(_Value):
@@ -567,25 +560,12 @@ class Triangle(_Value):
         return (ux * (y - ay) - uy * (x - ax), vx * (y - by) - vy * (x - bx), wx * (y - cy) - wy * (x - cx))
 
 
-class RegionAreas(namedtuple("RegionAreas", "at_a at_b at_c")):
-    """The three region areas at a point, keyed by triangle vertex."""
-
-    __slots__ = ()
-
-    def at(self, v: str) -> float:
-        return {"a": self.at_a, "b": self.at_b, "c": self.at_c}[_vertex_id(v)]
+RegionAreas = namedtuple("RegionAreas", "at_a at_b at_c")  # the three region areas at a point, by vertex
 
 
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
-
-
-def outward_normal(tri: Triangle, side: str) -> Vec:
-    """Unit normal of a side, named in either direction, pointing away from the opposite vertex."""
-    against = isinstance(side, str) and side.lower()[::-1] in SIDE_IDS  # named against the CCW order, as "ba"
-    ux, uy = _need(tri, Triangle, "tri").side_unit(side[::-1] if against else side)
-    return (uy, -ux)
 
 
 def _foot(x: float, y: float, p: Vec, q: Vec) -> Vec:
@@ -596,16 +576,6 @@ def _foot(x: float, y: float, p: Vec, q: Vec) -> Vec:
         raise GeometryError("cannot project onto a degenerate segment")
     t = ((x - p[0]) * dx + (y - p[1]) * dy) / den
     return (p[0] + t * dx, p[1] + t * dy)
-
-
-def foot_of_perpendicular(x: Point, seg: tuple[Point, Point]) -> Point:
-    """Orthogonal projection of x onto the supporting line of a segment."""
-    x = _need(x, Point, "x")
-    try:
-        p, q = seg
-    except (TypeError, ValueError):
-        raise GeometryError(f"seg must be two Points, got {_shown(seg)}") from None
-    return Point(*_foot(x.x, x.y, _need(p, Point, "seg[0]").as_tuple(), _need(q, Point, "seg[1]").as_tuple()))
 
 
 def region_area(tri: Triangle, v: str, x: Point) -> float:

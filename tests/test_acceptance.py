@@ -69,7 +69,7 @@ def test_criterion_02_cross_solver_agreement():
         pts = (solve_newton(tri).point, solve_kkm(tri).point, solve_maximin(tri).point)
         for i in range(3):
             for j in range(i + 1, 3):
-                worst = max(worst, pts[i].distance_to(pts[j]) / tri.diameter)
+                worst = max(worst, math.dist(pts[i].as_tuple(), pts[j].as_tuple()) / tri.diameter)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-6 and elapsed < 60.0
     _report(
@@ -105,7 +105,7 @@ def test_criterion_04_boundary_closed_form():
         tri = Triangle.from_coords(oc.boundary_triangle(rng))
         closed = boundary_point_closed_form(tri)
         newton = solve_newton(tri).point
-        worst_dist = max(worst_dist, closed.distance_to(newton) / tri.diameter)
+        worst_dist = max(worst_dist, math.dist(closed.as_tuple(), newton.as_tuple()) / tri.diameter)
         third = tri.area / 3.0
         for p in (closed, newton):
             areas = region_areas(tri, p)

@@ -132,15 +132,16 @@ def test_boundary_formulas_are_complementary():
         p = boundary_point_closed_form(tri)
         ang = sorted(zip(tri.angles, "abc"))
         (_, va), (_, vb) = ang[0], ang[1]
-        a, b = tri.vertex(va), tri.vertex(vb)
+        a, b = tri.vertex(va).as_tuple(), tri.vertex(vb).as_tuple()
         ta = math.tan(tri.angles["abc".index(va)])
         tb = math.tan(tri.angles["abc".index(vb)])
-        side = a.distance_to(b)
+        side = math.dist(a, b)
         da = side * math.sqrt((1 + ta * ta) * tb / (3 * (ta + tb)))
         db = side * math.sqrt((1 + tb * tb) * ta / (3 * (ta + tb)))
         assert abs(da + db - side) <= 1e-10 * side
-        assert min(a.distance_to(p), b.distance_to(p)) >= -1e-12
-        assert a.distance_to(p) + b.distance_to(p) == pytest.approx(side, rel=1e-10)
+        pa, pb = math.dist(a, p.as_tuple()), math.dist(b, p.as_tuple())
+        assert min(pa, pb) >= -1e-12
+        assert pa + pb == pytest.approx(side, rel=1e-10)
 
 
 def test_cut_line_offset_known_values():
@@ -383,7 +384,7 @@ def test_newton_right_isoceles():
     assert sol.method == "newton"
     assert sol.classification.kind == RIGHT
     for v in "abc":
-        assert sol.areas.at(v) == pytest.approx(RIGHT_ISO.area / 3.0, abs=1e-12)
+        assert getattr(sol.areas, "at_" + v) == pytest.approx(RIGHT_ISO.area / 3.0, abs=1e-12)
 
 
 def test_newton_equilateral_hits_centroid():
@@ -540,9 +541,9 @@ def test_three_solvers_agree():
         n = solve_newton(tri)
         m = solve_maximin(tri)
         k = solve_kkm(tri)
-        assert n.point.distance_to(m.point) <= 1e-6 * tri.diameter
-        assert n.point.distance_to(k.point) <= 1e-6 * tri.diameter
-        assert m.point.distance_to(k.point) <= 1e-6 * tri.diameter
+        assert math.dist(n.point.as_tuple(), m.point.as_tuple()) <= 1e-6 * tri.diameter
+        assert math.dist(n.point.as_tuple(), k.point.as_tuple()) <= 1e-6 * tri.diameter
+        assert math.dist(m.point.as_tuple(), k.point.as_tuple()) <= 1e-6 * tri.diameter
 
 
 def test_maximin_handles_interior_obtuse():
@@ -552,7 +553,7 @@ def test_maximin_handles_interior_obtuse():
         n = solve_newton(tri)
         m = solve_maximin(tri)
         assert m.method == "maximin"
-        assert n.point.distance_to(m.point) <= 1e-6 * tri.diameter
+        assert math.dist(n.point.as_tuple(), m.point.as_tuple()) <= 1e-6 * tri.diameter
 
 
 def test_maximin_rejects_boundary_and_exterior():
@@ -572,7 +573,7 @@ def test_kkm_rejects_obtuse():
 def test_kkm_zoom_reaches_target_diameter():
     fine = solve_kkm(EQUILATERAL)
     exact = Point(0.5, math.sqrt(3.0) / 6.0)
-    assert fine.point.distance_to(exact) <= 1e-9 * EQUILATERAL.diameter
+    assert math.dist(fine.point.as_tuple(), exact.as_tuple()) <= 1e-9 * EQUILATERAL.diameter
 
 
 def test_exterior_construction_properties():
@@ -585,7 +586,7 @@ def test_exterior_construction_properties():
         assert tri.signed_distance(sol.point) < 0.0
         assert sol.residual <= 1e-12 * tri.area
         n = solve_newton(tri, seed=sol.point)
-        assert sol.point.distance_to(n.point) <= 1e-9 * tri.diameter
+        assert math.dist(sol.point.as_tuple(), n.point.as_tuple()) <= 1e-9 * tri.diameter
 
 
 def test_exterior_rejects_other_kinds():
@@ -678,7 +679,7 @@ def test_equal_partition_cross_check():
         tri = Triangle.from_coords(pts)
         sol = equal_partition(tri)
         assert sol.residual <= 1e-12 * tri.area
-        assert sol.point.distance_to(solve_maximin(tri).point) <= 1e-6 * tri.diameter, kind
+        assert math.dist(sol.point.as_tuple(), solve_maximin(tri).point.as_tuple()) <= 1e-6 * tri.diameter, kind
 
 
 def test_verify_partition_at_solution():
@@ -822,12 +823,9 @@ def test_label_sets_partition_and_ties():
     for _ in range(200):
         x = Point(*rng.uniform(-0.5, 1.5, 2))
         lab = labels.label(x)
-        areas = dict(zip("abc", map(lambda v: sol.areas.at(v), "abc")))
-        from tripart.geometry import region_areas
-
-        got = region_areas(tri, x)
+        got = geometry.region_areas(tri, x)
         best = min(got)
-        assert got.at(lab) == best
+        assert getattr(got, "at_" + lab) == best
 
 
 def test_solver_config_validation():

@@ -1,9 +1,11 @@
 """The README's python examples run as written, in the order and the one
-namespace a reader would type them in."""
+namespace a reader would type them in, and its library section names the
+package's exports."""
 
 import re
 from pathlib import Path
 
+import tripart
 from tripart import Point, region_polygon
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -23,3 +25,17 @@ def test_readme_python_blocks_run_in_one_namespace():
         assert type(ring) is tuple and len(ring) == 4
         assert all(type(p) is tuple and len(p) == 2 for p in ring)
     assert region_polygon(tri, "a", Point(*tri.points[0])) == ()
+
+
+def test_readme_lists_exactly_the_exports():
+    # each bullet of "The package exports:" names its exports before its first "." or ";"
+    text = README.read_text(encoding="utf-8")
+    section = text.split("The package exports:\n", 1)[1].split("\n\n", 1)[0]
+    listed = {}
+    for bullet in re.split(r"^\* ", section, flags=re.M)[1:]:
+        label, rest = bullet.split(":", 1)
+        listed[label] = re.findall(r"`(\w+)`", re.split(r"[.;]", rest, maxsplit=1)[0])
+    assert list(listed) == ["validated values", "results", "solvers and helpers", "errors"]
+    names = [name for group in listed.values() for name in group]
+    assert len(names) == len(set(names))
+    assert set(names) == set(tripart.__all__) - {"__version__"}

@@ -20,9 +20,7 @@ from tripart.geometry import (
     RegionAreas,
     Triangle,
     _shown,
-    foot_of_perpendicular,
     min_area_f,
-    outward_normal,
     region_area,
     region_areas,
     region_polygon,
@@ -247,12 +245,10 @@ DOORS = {
     "Triangle.vertex, int": (lambda: Triangle.from_coords(TRI).vertex(1), GeometryError, "^unknown vertex id 1$"),
     "Triangle.side, None": (lambda: Triangle.from_coords(TRI).side(None), GeometryError, "^unknown side id None$"),
     "Triangle.side_unit, int": (lambda: Triangle.from_coords(TRI).side_unit(12), GeometryError, "^unknown side id 12$"),
-    "outward_normal, int": (lambda: outward_normal(Triangle.from_coords(TRI), 2), GeometryError, "^unknown side id 2$"),
     "region_area, int": (lambda: region_area(Triangle.from_coords(TRI), 1, Point(0.4, 0.3)), GeometryError,
                          "^unknown vertex id 1$"),
     "region_polygon, None": (lambda: region_polygon(Triangle.from_coords(TRI), None, Point(0.4, 0.3)), GeometryError,
                              "^unknown vertex id None$"),
-    "RegionAreas.at, int": (lambda: RegionAreas(1.0, 2.0, 3.0).at(0), GeometryError, "^unknown vertex id 0$"),
     "cut_line_offset, int side": (lambda: cut_line_offset(Triangle.from_coords(TRI), 1, 0.01), GeometryError,
                                   "^unknown side id 1$"),
     "cut_line_offset, bytes side": (lambda: cut_line_offset(Triangle.from_coords(TRI), b"ab", 0.01), GeometryError,
@@ -309,16 +305,6 @@ DOORS = {
     "region_polygon, tuple x": (lambda: region_polygon(_tri(), "a", (0.4, 0.3)), GeometryError,
                                 _wrong("x", "Point", (0.4, 0.3))),
     "min_area_f, tuple x": (lambda: min_area_f(_tri(), (0.4, 0.3)), GeometryError, _wrong("x", "Point", (0.4, 0.3))),
-    "outward_normal, tuple tri": (lambda: outward_normal(TRI, "ab"), GeometryError, _wrong("tri", "Triangle", TRI)),
-    "foot_of_perpendicular, tuple x": (lambda: foot_of_perpendicular((0.4, 0.3), (_tri().a, _tri().b)), GeometryError,
-                                       _wrong("x", "Point", (0.4, 0.3))),
-    "foot_of_perpendicular, tuple seg point": (lambda: foot_of_perpendicular(Point(0.4, 0.3), (_tri().a, TRI[1])),
-                                               GeometryError, _wrong("seg[1]", "Point", TRI[1])),
-    "foot_of_perpendicular, three Points": (
-        lambda: foot_of_perpendicular(Point(0.4, 0.3), (_tri().a, _tri().b, _tri().c)), GeometryError,
-        "^" + re.escape(f"seg must be two Points, got {(_tri().a, _tri().b, _tri().c)!r}") + "$"),
-    "foot_of_perpendicular, int seg": (lambda: foot_of_perpendicular(Point(0.4, 0.3), 5), GeometryError,
-                                       "^seg must be two Points, got 5$"),
     "sector_areas, tuple poly": (lambda: sector_areas(SQUARE, _fan(), Point(0.5, 0.5)), MassPartitionError,
                                  _wrong("poly", "ConvexPolygon", SQUARE)),
     "sector_areas, tuple cfg": (lambda: sector_areas(ConvexPolygon(SQUARE), FAN, Point(0.5, 0.5)), MassPartitionError,
@@ -327,8 +313,6 @@ DOORS = {
                                  _wrong("apex", "Point", (0.5, 0.5))),
     "SectorConfig.from_triangle, tuple tri": (lambda: SectorConfig.from_triangle(TRI), MassPartitionError,
                                               _wrong("tri", "Triangle", TRI)),
-    "Point.distance_to, tuple": (lambda: Point(1.0, 2.0).distance_to((0.0, 0.0)), GeometryError,
-                                 _wrong("other", "Point", (0.0, 0.0))),
     "Triangle.signed_distance, tuple": (lambda: _tri().signed_distance((0.4, 0.3)), GeometryError,
                                         _wrong("p", "Point", (0.4, 0.3))),
     # the output doors take a spec or a report, the SVG a solved triangle's report and the CSV a sweep's
@@ -405,12 +389,6 @@ def test_parse_spec_reads_text_only():
             parse_spec(value)
         assert exc.value.code == "malformed-json"
     assert parse_spec(b'{"mode": "sweep", "resolution": 4}') == ProblemSpec(mode="sweep", resolution=4)
-
-
-def test_foot_of_perpendicular_takes_any_two_points():
-    a, b = Point(0, 0), Point(1, 0)
-    for seg in ((a, b), [a, b], iter((a, b)), (p for p in (a, b))):
-        assert foot_of_perpendicular(Point(0.4, 0.3), seg) == Point(0.4, 0.0)
 
 
 # integer-valued inputs, so that every number type below holds them exactly
