@@ -43,7 +43,7 @@ from .partition import (
     solve_newton,
     verify_partition,
 )
-from .problem import InputError, ProblemSpec, Report, parse_spec, run, serialize_spec, sweep_rows
+from .problem import InputError, ProblemSpec, Report, parse_spec, run
 from .svg import emit_svg
 
 __version__ = "0.1.0"

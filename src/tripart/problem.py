@@ -33,7 +33,7 @@ _MODE_FIELDS = {  # the fields each mode uses
     "mass-partition": {"mode", "polygon", "rays", "targets", "fractions", "solver"},
     "sweep": {"mode", "resolution"},
 }
-_SHAPES = {"triangle": ("triangle", Triangle.from_coords), "mass-partition": ("polygon", ConvexPolygon.from_coords)}
+_SHAPES = {"triangle": ("triangle", Triangle.from_coords), "mass-partition": ("polygon", ConvexPolygon)}
 _DEFAULTS = {"mass-partition": {"rays": DEFAULT_RAYS_DEG}, "sweep": {"resolution": DEFAULT_SWEEP_RESOLUTION}}
 
 
@@ -134,9 +134,6 @@ def _fan_job(rays, targets, fractions, area: float) -> tuple[SectorConfig, tuple
     return fan, vals
 
 
-SweepRow = namedtuple("SweepRow", "angle_a_deg angle_b_deg kind margin")
-
-
 class Report(
     namedtuple(
         "Report",
@@ -146,8 +143,8 @@ class Report(
     )
 ):
     """Result of one run.  Only the fields for the report's mode are set;
-    the rest are None.  A sweep report holds no rows: `sweep_rows` of its
-    spec's resolution gives them, one at a time."""
+    the rest are None.  A sweep report holds no rows: `sweep_csv` writes
+    them from its spec's resolution."""
 
     __slots__ = ()
 
@@ -318,14 +315,9 @@ def _spec_fields(text: str) -> dict:
     return data
 
 
-def serialize_spec(spec: ProblemSpec) -> str:
-    """Canonical JSON for a spec, its set fields in declaration order;
-    parse_spec(serialize_spec(s)) == s."""
-    return _fill(*_spec_template(_need(spec, ProblemSpec, "spec", _invalid)))
-
-
 def _spec_template(spec: ProblemSpec) -> tuple[str, list]:
-    """`serialize_spec` as a template for `_fill` and its values."""
+    """A spec's canonical JSON, its set fields in declaration order, as a `_fill`
+    template and its values: a report's "input" echo, which parse_spec reads back."""
     out = f'{{"mode":"{spec.mode}"'
     values = []
     for key in ("triangle", "polygon"):
@@ -483,21 +475,9 @@ def _sweep_grid(n: int):
             yield i, kinds + at_b[0], margins + at_b[1]
 
 
-def sweep_rows(n: int):
-    """The SweepRows of a sweep of resolution n, one at a time, from the
-    kinds and margins of `_sweep_grid`: kind and margin bit for bit those of
-    `classify(triangle_from_angles(a, b))`.  At most one base angle's cells
-    are held; the first row raises InputError where a spec refuses n."""
-    degs = _grid_degs(n := _require_resolution(n, "resolution"))
-    for i, kinds, margins in _sweep_grid(n):
-        a, obtuse = degs[i], iter(margins)
-        for j, kind in enumerate(kinds, 1):  # SweepRow's own __new__ is Python code
-            yield tuple.__new__(SweepRow, (a, degs[j], kind, None if kind in (ACUTE, RIGHT) else next(obtuse)))
-
-
 def run(spec: ProblemSpec) -> Report:
     """Execute a spec with the solver settings it holds.  A sweep's report
-    carries only the spec; `sweep_csv` and `sweep_rows` produce its rows."""
+    carries only the spec; `sweep_csv` produces its rows."""
     if _need(spec, ProblemSpec, "spec", _invalid).mode == "sweep":
         return Report(mode="sweep", spec=spec, method="classify", residual=0.0)
     if spec.mode == "triangle":
@@ -556,8 +536,8 @@ def report_json(report: Report) -> str:
 
 
 def sweep_csv(report: Report) -> str:
-    """Deterministic CSV for a sweep report, from the rows `sweep_rows`
-    yields for its spec's resolution; the margin is left blank for kinds
+    """Deterministic CSV for a sweep report, one row per cell of its spec's
+    resolution in `_sweep_grid` order; the margin is left blank for kinds
     where the criterion does not apply."""
     if _need(report, Report, "report", _invalid).mode != "sweep":
         raise _invalid(f"CSV rendering needs a sweep report, got mode {report.mode!r}")

@@ -9,7 +9,6 @@ including the sign of a zero margin.
 
 import math
 import random
-from itertools import islice
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,7 +16,7 @@ from hypothesis import strategies as st
 
 from tripart import problem
 from tripart.geometry import CLASSIFY_TOL, _classify_angles, _triangle_angles
-from tripart.problem import _apex, _tan_deg, sweep_rows
+from tripart.problem import _apex, _fmt_num, _sweep_lines, _tan_deg
 
 ACUTE, RIGHT = "acute", "right"
 INTERIOR, BOUNDARY, EXTERIOR = "obtuse-interior", "obtuse-boundary", "obtuse-exterior"
@@ -173,25 +172,29 @@ def test_base_angles_on_every_sweep_grid_apex(n):
 
 @pytest.mark.parametrize("ns", [range(2, 151), range(997, 1001)], ids=["2-150", "997-1000"])
 def test_sweep_rows_are_the_kernel_classification(ns):
-    """sweep_rows decides acute and right cells from their grid indices and
-    takes trigonometry only for obtuse ones; each row's kind and margin
-    must still be those of the kernel on the cell's apex, the margin bit
-    for bit.  The rows are compared one base angle at a time."""
+    """The sweep decides acute and right cells from their grid indices and
+    takes trigonometry only for obtuse ones; each CSV row it writes must
+    still be its cell's angles, then the kind and margin of the kernel on
+    the cell's apex, written by `_fmt_num`.  That keeps the margin's bits:
+    17 digits round-trip a float, and no sweep margin is -0.0 (x + y - z
+    of non-negative terms rounds to +0.0 when x + y == z).  The rows are
+    compared one base angle at a time, as `_sweep_lines` yields them."""
     for n in ns:
         degs = [180.0 * k / n for k in range(n)]
         tans = [_tan_deg(d) for d in degs]
-        rows = sweep_rows(n)
+        shown = list(map(_fmt_num, degs))
+        lines = _sweep_lines(n)
+        assert next(lines) == "angle_a_deg,angle_b_deg,kind,margin\n"
         for i in range(1, n - 1):
             a, ta = degs[i], tans[i]
-            want = [
-                (kind, m if m is None else m.hex())
+            want = "".join(
+                f"{shown[i]},{shown[j]},{kind},{'' if m is None else _fmt_num(m)}\n"
                 for j in range(1, n - i)
                 for apex in [_apex(a, degs[j], ta, tans[j])]
                 for kind, _, m in [_classify_angles(_triangle_angles(((0.0, 0.0), (1.0, 0.0), apex)))]
-            ]
-            got = [(kind, m if m is None else m.hex()) for _, _, kind, m in islice(rows, n - i - 1)]
-            assert got == want, (n, i)
-        assert next(rows, None) is None, n
+            )
+            assert next(lines) == want, (n, i)
+        assert next(lines, None) is None, n
 
 
 def _around(x):

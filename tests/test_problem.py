@@ -20,18 +20,16 @@ from tripart.problem import (
     MODES,
     InputError,
     ProblemSpec,
-    SweepRow,
     _fill,
     _FLOAT,
     _fmt_num,
+    _spec_template,
     _sweep_lines,
     canonical_json,
     parse_spec,
     report_json,
     run,
-    serialize_spec,
     sweep_csv,
-    sweep_rows,
     triangle_from_angles,
 )
 from tripart.svg import emit_svg
@@ -72,7 +70,16 @@ def test_parse_solver_options():
     assert dict(spec.solver) == {"max_iters": 50.0, "area_tol_rel": 1e-10}
 
 
+def _echo(spec: ProblemSpec) -> str:
+    """The spec as a report's "input" echoes it, from the echo's own
+    writer, with no solve."""
+    return _fill(*_spec_template(spec))
+
+
 def test_serialize_round_trips():
+    """A report's echoed input is the echo's bytes, parses back to the
+    spec and reproduces the report; a sweep writes no report, so its
+    spec's echo comes from the echo's writer."""
     for text in (
         TRI_SPEC,
         MASS_SPEC,
@@ -83,7 +90,12 @@ def test_serialize_round_trips():
         ' "solver": {"max_iters": 32}}',
     ):
         spec = parse_spec(text)
-        assert parse_spec(serialize_spec(spec)) == spec
+        assert parse_spec(_echo(spec)) == spec
+        if spec.mode != "sweep":
+            report = report_json(run(spec))
+            assert f'"input":{_echo(spec)},' in report
+            echoed = parse_spec(json.dumps(json.loads(report)["input"]))
+            assert echoed == spec and report_json(run(echoed)) == report
 
 
 SQUARE = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
@@ -101,7 +113,7 @@ DIRECT_SPECS = {
 @pytest.mark.parametrize("name", sorted(DIRECT_SPECS))
 def test_directly_built_spec_round_trips(name):
     spec = DIRECT_SPECS[name]()
-    assert parse_spec(serialize_spec(spec)) == spec
+    assert parse_spec(_echo(spec)) == spec
 
 
 # what each mode uses and a value for every field, ints where a spec built
@@ -127,7 +139,7 @@ BASE_FIELDS = {"triangle": ("triangle",), "mass-partition": ("polygon", "fractio
 @pytest.mark.parametrize("mode", MODES)
 def test_every_spec_built_in_code_round_trips(mode, field):
     """A spec with the mode's required fields and one more either round-trips
-    through serialize_spec or, for a field the mode does not use, raises
+    through its echo or, for a field the mode does not use, raises
     the error parse_spec gives for that field in the JSON: for example
     ProblemSpec(mode="triangle", triangle=((0, 0), (1, 0), (0, 1)),
     resolution=5) raises invalid-value "field 'resolution' is not allowed
@@ -136,7 +148,7 @@ def test_every_spec_built_in_code_round_trips(mode, field):
     fields = {k: FIELD_VALUES[k] for k in names + [field]}
     if field in USED_FIELDS[mode]:
         spec = ProblemSpec(mode=mode, **fields)
-        assert parse_spec(serialize_spec(spec)) == spec
+        assert parse_spec(_echo(spec)) == spec
         return
     with pytest.raises(InputError) as err:
         ProblemSpec(mode=mode, **fields)
@@ -257,7 +269,7 @@ def _refuse_constant(name):
 def test_code_built_and_parsed_specs_agree(fields):
     """ProblemSpec(**fields) and parse_spec of the same fields as JSON (an
     unset field left out, solver pairs as an object) give equal specs or
-    the same (code, message); a spec that builds serializes to strict JSON
+    the same (code, message); a spec that builds echoes as strict JSON
     that parses back to it."""
     payload = {k: v for k, v in fields.items() if v is not None}
     solver = payload.get("solver")
@@ -271,7 +283,7 @@ def test_code_built_and_parsed_specs_agree(fields):
         assert (exc.code, str(exc)) == (parsed.value.code, str(parsed.value))
         return
     assert parse_spec(json.dumps(payload)) == spec
-    text = serialize_spec(spec)
+    text = _echo(spec)
     json.loads(text, parse_constant=_refuse_constant)
     assert parse_spec(text) == spec
 
@@ -347,7 +359,7 @@ def test_spec_built_in_code_equals_the_parsed_spec():
     for fields, solver in cases:
         spec = ProblemSpec(**fields)
         assert spec == parse_spec('{"mode": "triangle", %s, %s}' % (tri, solver))
-        assert parse_spec(serialize_spec(spec)) == spec
+        assert parse_spec(_echo(spec)) == spec
     assert ProblemSpec(**cases[0][0]).solver == (("max_iters", 50),)
     assert ProblemSpec(**cases[1][0]).solver == ()
     assert type(parse_spec('{"mode": "triangle", %s}' % tri).triangle[1][0]) is int
@@ -506,40 +518,39 @@ def test_run_tol_override():
     assert report.residual <= 1e-6 * 0.5
 
 
+def _csv_rows(n: int) -> list:
+    """The rows of the CSV the sweep of resolution n writes, each as its four fields' text."""
+    return [line.split(",") for line in sweep_csv(run(ProblemSpec(mode="sweep", resolution=n))).splitlines()[1:]]
+
+
 def test_run_sweep_rows():
-    rows = list(sweep_rows(12))
+    rows = _csv_rows(12)
     assert len(rows) == 55  # lattice points with i, j >= 1 and i + j <= 11
-    assert {type(r) for r in rows} == {SweepRow}
-    kinds = {r.kind for r in rows}
+    kinds = {kind for _, _, kind, _ in rows}
     assert {"acute", "right", "obtuse-interior", "obtuse-exterior"} <= kinds
-    right = [r for r in rows if r.kind == "right"]
+    right = [(float(a), float(b)) for a, b, kind, _ in rows if kind == "right"]
     assert right
-    for r in right:
-        widest = max(r.angle_a_deg, r.angle_b_deg, 180.0 - r.angle_a_deg - r.angle_b_deg)
-        assert widest == pytest.approx(90.0, abs=1e-9)
-    for r in rows:
-        if r.kind in ("acute", "right"):
-            assert r.margin is None
+    for a, b in right:
+        assert max(a, b, 180.0 - a - b) == pytest.approx(90.0, abs=1e-9)
+    for _, _, kind, margin in rows:
+        if kind in ("acute", "right"):
+            assert margin == ""
         else:
-            assert math.isfinite(r.margin)
-
-
-def _same_margin(x, y) -> bool:
-    """Equal with the same sign, so 0.0 and -0.0 differ; or both None."""
-    if x is None or y is None:
-        return x is y
-    return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+            assert math.isfinite(float(margin))
 
 
 @pytest.mark.parametrize("n", [*range(2, 61), 400])
 def test_sweep_rows_match_classify_of_built_triangles(n):
-    rows = list(sweep_rows(n))
+    """Each CSV row is its grid cell, in grid order, with the kind and
+    the margin, as `_fmt_num` writes it, of `classify` on the triangle
+    built from the row's angles."""
+    rows = _csv_rows(n)
     grid = [(180.0 * i / n, 180.0 * j / n) for i in range(1, n) for j in range(1, n - i)]
-    assert [(r.angle_a_deg, r.angle_b_deg) for r in rows] == grid
-    for row in rows:
-        cls = classify(triangle_from_angles(row.angle_a_deg, row.angle_b_deg))
-        assert row.kind == cls.kind, row
-        assert _same_margin(row.margin, cls.criterion_margin), row
+    assert [(float(a), float(b)) for a, b, _, _ in rows] == grid
+    for a, b, kind, margin in rows:
+        cls = classify(triangle_from_angles(float(a), float(b)))
+        m = cls.criterion_margin
+        assert (kind, margin) == (cls.kind, "" if m is None else _fmt_num(m)), (a, b)
 
 
 @pytest.mark.parametrize("text", [MASS_SPEC, '{"mode": "sweep", "resolution": 12}'], ids=["fan", "sweep"])
@@ -572,24 +583,12 @@ def test_sweep_csv_format():
     text = sweep_csv(report)
     lines = text.splitlines()
     assert lines[0] == "angle_a_deg,angle_b_deg,kind,margin"
-    assert len(lines) == 1 + len(list(sweep_rows(8)))
+    assert len(lines) == 1 + 21  # (n - 1)(n - 2) / 2 cells
     for line in lines[1:]:
         a, b, kind, margin = line.split(",")
         assert float(a) > 0 and float(b) > 0
         assert (margin == "") == (kind in ("acute", "right"))
     assert sweep_csv(run(parse_spec('{"mode": "sweep", "resolution": 8}'))) == text
-
-
-def test_sweep_csv_is_the_rows_written_with_fmt_num():
-    """The CSV and the rows read the same grid; each line is its row's
-    fields as `_fmt_num` writes them, the margin blank when it is None."""
-    for n in range(2, 151):
-        lines = [
-            f"{_fmt_num(a)},{_fmt_num(b)},{kind},{'' if m is None else _fmt_num(m)}\n"
-            for a, b, kind, m in sweep_rows(n)
-        ]
-        want = "angle_a_deg,angle_b_deg,kind,margin\n" + "".join(lines)
-        assert sweep_csv(run(ProblemSpec(mode="sweep", resolution=n))) == want, n
 
 
 def _obtuse_cells_to(monkeypatch, margin):
@@ -867,7 +866,7 @@ def test_one_call_writer_writes_ints_as_written():
     assert _fill("[%s,%s,%s]" % ((_FLOAT,) * 3), [10**17, -0.0, 0.5]) == "[100000000000000000,0,0.5]"
     tri = ((0, 0), (10**17, 0), (0, 10**17))
     spec = ProblemSpec(mode="triangle", triangle=tri, solver=(("max_iters", 40),))
-    assert serialize_spec(spec) == (
+    assert _echo(spec) == (
         '{"mode":"triangle","triangle":[[0,0],[100000000000000000,0],[0,100000000000000000]],'
         '"solver":{"max_iters":40}}'
     )

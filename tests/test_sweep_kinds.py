@@ -24,7 +24,7 @@ import pytest
 
 import oracles
 from tripart.geometry import CLASSIFY_TOL, OBTUSE_EXTERIOR, OBTUSE_INTERIOR
-from tripart.problem import sweep_rows
+from tripart.problem import ProblemSpec, run, sweep_csv
 
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "sweep_certify.py"
 _spec = importlib.util.spec_from_file_location("sweep_certify", _TOOL)
@@ -53,13 +53,15 @@ def _shapes(n: int):
 
 
 def _shape_rows(n: int) -> dict:
-    """The obtuse rows of the sweep of resolution n, by shape (i, j), the
-    sorted indices of the two acute angles."""
+    """The obtuse rows of the CSV the sweep of resolution n writes, as
+    (kind, margin) pairs, by shape (i, j), the sorted indices of the two
+    acute angles."""
     out = {}
-    for row in sweep_rows(n):
-        if row.kind in (OBTUSE_INTERIOR, OBTUSE_EXTERIOR):
-            a, b = round(row.angle_a_deg * n / 180.0), round(row.angle_b_deg * n / 180.0)
-            out.setdefault(tuple(sorted((a, b, n - a - b))[:2]), []).append(row)
+    for line in sweep_csv(run(ProblemSpec(mode="sweep", resolution=n))).splitlines()[1:]:
+        a, b, kind, margin = line.split(",")
+        if kind in (OBTUSE_INTERIOR, OBTUSE_EXTERIOR):
+            a, b = round(float(a) * n / 180.0), round(float(b) * n / 180.0)
+            out.setdefault(tuple(sorted((a, b, n - a - b))[:2]), []).append((kind, float(margin)))
     return out
 
 
@@ -83,7 +85,7 @@ def test_the_scan_holds_the_sweeps_obtuse_rows(n):
     assert sorted(rows) == sorted(zip(i.tolist(), j.tolist()))
     for a, b, m in zip(i.tolist(), j.tolist(), margin.tolist()):
         assert len(rows[a, b]) == (3 if a == b else 6)
-        assert {row.kind for row in rows[a, b]} == {OBTUSE_INTERIOR if m > 0.0 else OBTUSE_EXTERIOR}
+        assert {kind for kind, _ in rows[a, b]} == {OBTUSE_INTERIOR if m > 0.0 else OBTUSE_EXTERIOR}
 
 
 def test_the_scan_float_error_is_far_below_near():
@@ -110,9 +112,9 @@ def test_a_pinned_shape_is_judged_exactly(cell):
     assert abs(exact) >= CLEARANCE * Decimal(CLASSIFY_TOL)
     rows = _shape_rows(n)[i, j]
     assert len(rows) == 6
-    for row in rows:  # far inside the rows' float margins: their rounding cannot flip the sign
-        assert row.kind == PINNED[cell]
-        assert abs(Decimal(row.margin) - exact) <= Decimal(1e-14)
+    for kind, margin in rows:  # far inside the rows' float margins: their rounding cannot flip the sign
+        assert kind == PINNED[cell]
+        assert abs(Decimal(margin) - exact) <= Decimal(1e-14)
 
 
 def test_the_certify_tool_agrees_with_the_oracle():

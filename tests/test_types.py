@@ -49,13 +49,10 @@ from tripart.problem import (
     InputError,
     ProblemSpec,
     Report,
-    SweepRow,
     parse_spec,
     report_json,
     run,
-    serialize_spec,
     sweep_csv,
-    sweep_rows,
 )
 from tripart.rootfind import RootResult
 from tripart.svg import emit_svg
@@ -104,11 +101,10 @@ VALUES = {
         lambda: Report("sweep", None, "classify", 0.0, 0.0),
         lambda: Report("sweep", None, "classify", 0.0, 0.5),
     ),
-    "SweepRow": (lambda: SweepRow(10.0, 20.0, "acute", None), lambda: SweepRow(10.0, 30.0, "acute", None)),
 }
 RECORDS = (
     RegionAreas, RootResult, SolverReport, Classification, PartitionSolution,
-    VerifyReport, TranslationSolution, Report, SweepRow,
+    VerifyReport, TranslationSolution, Report,
 )
 
 
@@ -317,8 +313,6 @@ DOORS = {
                                         _wrong("p", "Point", (0.4, 0.3))),
     # the output doors take a spec or a report, the SVG a solved triangle's report and the CSV a sweep's
     "run, dict spec": (lambda: run({"mode": "sweep"}), InputError, _wrong("spec", "ProblemSpec", {"mode": "sweep"})),
-    "serialize_spec, dict spec": (lambda: serialize_spec({"mode": "sweep"}), InputError,
-                                  _wrong("spec", "ProblemSpec", {"mode": "sweep"})),
     "report_json, tuple report": (lambda: report_json((1, 2)), InputError, _wrong("report", "Report", (1, 2))),
     "emit_svg, tuple report": (lambda: emit_svg((1, 2)), InputError, _wrong("report", "Report", (1, 2))),
     "sweep_csv, tuple report": (lambda: sweep_csv((1, 2)), InputError, _wrong("report", "Report", (1, 2))),
@@ -327,13 +321,7 @@ DOORS = {
     "emit_svg, fan report": (
         lambda: emit_svg(run(ProblemSpec(mode="mass-partition", polygon=SQUARE, fractions=(0.2, 0.3, 0.5)))),
         InputError, "^SVG rendering needs a triangle report carrying a solution$"),
-    # a sweep's rows take the resolutions a sweep spec takes; parse_spec takes text
-    "sweep_rows, 0": (lambda: next(sweep_rows(0)), InputError, "^'resolution' must be from 2 to 1000$"),
-    "sweep_rows, 1": (lambda: next(sweep_rows(1)), InputError, "^'resolution' must be from 2 to 1000$"),
-    "sweep_rows, negative": (lambda: next(sweep_rows(-3)), InputError, "^'resolution' must be from 2 to 1000$"),
-    "sweep_rows, past the cap": (lambda: next(sweep_rows(5000)), InputError, "^'resolution' must be from 2 to 1000$"),
-    "sweep_rows, string": (lambda: next(sweep_rows("x")), InputError, "^'resolution' must be an integer, got 'x'$"),
-    "sweep_rows, fraction": (lambda: next(sweep_rows(2.5)), InputError, "^'resolution' must be an integer, got 2.5$"),
+    # parse_spec takes text
     "parse_spec, int": (lambda: parse_spec(5), InputError, "^input is not valid JSON: "),
     "parse_spec, None": (lambda: parse_spec(None), InputError, "^input is not valid JSON: "),
 }
@@ -360,7 +348,7 @@ def test_every_door_raises_the_package_error(door):
         build()
 
 
-OUTPUT_DOORS = ("run,", "serialize_spec,", "report_json,", "emit_svg,", "sweep_csv,")
+OUTPUT_DOORS = ("run,", "report_json,", "emit_svg,", "sweep_csv,")
 
 
 @pytest.mark.parametrize("door", [door for door in sorted(DOORS) if door.startswith(OUTPUT_DOORS)])
@@ -370,17 +358,24 @@ def test_output_doors_reject_as_invalid_value(door):
     assert exc.value.code == "invalid-value"
 
 
-@pytest.mark.parametrize("n", [0, 1, -3, 5000, "x", 2.5, True, None])
-def test_sweep_rows_refuse_what_a_sweep_spec_refuses(n):
+_RANGE = "'resolution' must be from 2 to 1000"
+BAD_RESOLUTIONS = [
+    (0, _RANGE), (1, _RANGE), (-3, _RANGE), (5000, _RANGE), ("x", "'resolution' must be an integer, got 'x'"),
+    (2.5, "'resolution' must be an integer, got 2.5"), (True, "'resolution' must be an integer, got True"),
+    (None, "'resolution' must be an integer, got None"),
+]
+
+
+@pytest.mark.parametrize("n, message", BAD_RESOLUTIONS, ids=[str(n) for n, _ in BAD_RESOLUTIONS])
+def test_a_sweep_spec_built_in_code_refuses_what_a_parsed_one_refuses(n, message):
     with pytest.raises(InputError) as parsed:
         parse_spec(json.dumps({"mode": "sweep", "resolution": n}))
-    with pytest.raises(InputError) as rows:
-        next(sweep_rows(n))
-    assert (rows.value.code, str(rows.value)) == (parsed.value.code, str(parsed.value))
-    if n is not None:  # a spec built in code takes None for no resolution, so the default
-        with pytest.raises(InputError) as built:
-            ProblemSpec(mode="sweep", resolution=n)
-        assert (built.value.code, str(built.value)) == (rows.value.code, str(rows.value))
+    assert (parsed.value.code, str(parsed.value)) == ("invalid-value", message)
+    if n is None:  # a spec built in code takes None for no resolution, so the default
+        return
+    with pytest.raises(InputError) as built:
+        ProblemSpec(mode="sweep", resolution=n)
+    assert (built.value.code, str(built.value)) == (parsed.value.code, str(parsed.value))
 
 
 def test_parse_spec_reads_text_only():

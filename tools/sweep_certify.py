@@ -10,11 +10,11 @@ every resolution n = FROM .. TO (default 3 .. 1000, every resolution
 obtuse shape's margin in floats, one per unordered pair {i, j} with
 i + j < n / 2.  Each shape whose float margin is within NEAR = 1e-6 of
 zero is judged again in `decimal` at 50 digits, with this tool's own pi
-and tangent, and against the six sweep rows of the shape, one per order
-of its three angles.  It prints the number of shapes, how many lie within
-NEAR and the band, and the near shapes from the nearest out: n, i, j, the
-exact margin, the sweep's kind and the largest distance from a sweep
-row's margin to the exact one.
+and tangent, and against the shape's six rows in the CSV `tripart sweep`
+writes, one per order of its three angles.  It prints the number of
+shapes, how many lie within NEAR and the band, and the near shapes from
+the nearest out: n, i, j, the exact margin, the sweep's kind and the
+largest distance from a sweep row's margin to the exact one.
 
 It exits 1 if a near shape's exact margin lies within the 1e-9 band of
 `obtuse-boundary`, or if one of its sweep rows has a kind other than the
@@ -32,14 +32,14 @@ import argparse
 import math
 import sys
 from decimal import Decimal, localcontext
+from itertools import islice
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from tripart.geometry import CLASSIFY_TOL, OBTUSE_EXTERIOR, OBTUSE_INTERIOR  # noqa: E402
-from tripart.partition import classify  # noqa: E402
-from tripart.problem import MAX_SWEEP_RESOLUTION, triangle_from_angles  # noqa: E402
+from tripart.problem import MAX_SWEEP_RESOLUTION, _fmt_num, _sweep_lines  # noqa: E402
 
 NEAR = 1e-6  # a float margin this close to zero is judged in decimal
 DIGITS = 50
@@ -96,14 +96,25 @@ def exact_margin(n: int, i: int, j: int) -> Decimal:
         return +value
 
 
-def sweep_cells(n: int, i: int, j: int) -> list:
-    """(kind, margin) of the six sweep rows of the shape: `classify` of
-    `triangle_from_angles` for every ordered pair of its three angles, the
-    bits the sweep writes."""
-    k = n - i - j
-    pairs = ((i, j), (j, i), (i, k), (k, i), (j, k), (k, j))
-    cells = [classify(triangle_from_angles(180.0 * p / n, 180.0 * q / n)) for p, q in pairs]
-    return [(cell.kind, cell.criterion_margin) for cell in cells]
+def sweep_cells(n: int, shapes) -> dict:
+    """(kind, margin) of the six CSV rows of each shape (i, j) of resolution
+    n in `shapes`, one per ordered pair (p, q) of its three angles, read from
+    the lines `_sweep_lines(n)` writes: after the header, one piece per base
+    angle p = 1 .. n - 2 holding its rows q = 1 .. n - p - 1."""
+    wanted = {}
+    for i, j in shapes:
+        k = n - i - j
+        for p, q in ((i, j), (j, i), (i, k), (k, i), (j, k), (k, j)):
+            wanted.setdefault(p, []).append((q, (i, j)))
+    out = {shape: [] for shape in shapes}
+    for p, piece in enumerate(islice(_sweep_lines(n), 1, max(wanted, default=0) + 1), 1):
+        lines = piece.splitlines()
+        for q, shape in wanted.get(p, ()):
+            a, b, kind, margin = lines[q - 1].split(",")
+            if (a, b) != (_fmt_num(180.0 * p / n), _fmt_num(180.0 * q / n)):
+                raise AssertionError(f"n={n}: row {a},{b} where {p},{q} was expected")
+            out[shape].append((kind, float(margin)))
+    return out
 
 
 def certify(lo: int, hi: int) -> tuple[int, list, list]:
@@ -114,9 +125,10 @@ def certify(lo: int, hi: int) -> tuple[int, list, list]:
     for n in range(lo, hi + 1):
         count, near = near_shapes(n)
         total += count
+        cells = sweep_cells(n, [(i, j) for i, j, _ in near])
         for i, j, _ in near:
             exact = exact_margin(n, i, j)
-            rows = sweep_cells(n, i, j)
+            rows = cells[i, j]
             want = OBTUSE_INTERIOR if exact > 0 else OBTUSE_EXTERIOR
             kinds = sorted({kind for kind, _ in rows})
             if kinds != [want] or abs(exact) <= CLASSIFY_TOL:
