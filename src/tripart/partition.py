@@ -61,10 +61,8 @@ MAXIMIN_STEP_FRACTION = 0.25  # initial pattern-search step, fraction of diamete
 MAXIMIN_STOP_REL = 1e-12      # stop once step < this fraction of diameter
 MAXIMIN_AREA_TOL_REL = 1e-8   # acceptance band on area deviation at the optimum
 KKM_EXPAND = 2.0              # cell blow-up factor between zoom levels
-KKM_INITIAL_GRID = 64         # grid resolution of the first level
-KKM_REFINE_GRID = 8           # grid resolution used after the first level
+KKM_GRID = 8                  # grid resolution of every zoom level
 KKM_TARGET_DIAM_REL = 1e-10   # stop once the cell is below this fraction of diameter
-KKM_GRID_RETRIES = 5          # resolution doublings tried before giving up
 CUT_CERTIFY_REL = 2e-14       # closed-form cut area decides a bisection step this far from the target, x scale^2 (see cut_line_offset)
 
 
@@ -397,55 +395,48 @@ def solve_maximin(tri: Triangle) -> PartitionSolution:
 def _fully_labeled_cell(labeler: LabelSets, p1: Vec, p2: Vec, p3: Vec, n: int):
     """First fully-labeled small cell of the barycentric n-grid over the
     triangle (p1, p2, p3), scanning rows deterministically; None if the
-    grid has no such cell."""
+    grid has no such cell.  Row j + 1 is labelled when the scan reaches
+    row j, so labelling stops at the cell the scan returns."""
     e1x, e1y = (p2[0] - p1[0]) / n, (p2[1] - p1[1]) / n
     e2x, e2y = (p3[0] - p1[0]) / n, (p3[1] - p1[1]) / n
 
     def corner(i: int, j: int) -> Vec:
         return (p1[0] + i * e1x + j * e2x, p1[1] + i * e1y + j * e2y)
 
-    rows = []
-    for j in range(n + 1):
-        row = []
-        for i in range(n + 1 - j):
-            x, y = corner(i, j)
-            row.append(labeler._label(x, y))
-        rows.append(row)
+    def row(j: int) -> list:
+        return [labeler._label(*corner(i, j)) for i in range(n + 1 - j)]
+
+    below = row(0)
     for j in range(n):
+        above = row(j + 1)
         for i in range(n - j):
-            up = {rows[j][i], rows[j][i + 1], rows[j + 1][i]}
-            if len(up) == 3:
+            if len({below[i], below[i + 1], above[i]}) == 3:
                 return (corner(i, j), corner(i + 1, j), corner(i, j + 1))
-            if i + 1 <= n - (j + 1):
-                down = {rows[j][i + 1], rows[j + 1][i], rows[j + 1][i + 1]}
-                if len(down) == 3:
-                    return (corner(i + 1, j), corner(i, j + 1), corner(i + 1, j + 1))
+            if i + 1 < n - j and len({below[i + 1], above[i], above[i + 1]}) == 3:
+                return (corner(i + 1, j), corner(i, j + 1), corner(i + 1, j + 1))
+        below = above
     return None
 
 
 def solve_kkm(tri: Triangle) -> PartitionSolution:
-    """Locate the equal-area point combinatorially: grid the triangle, label
-    every node by its argmin region, find a cell carrying all three labels
-    (one exists because each side excludes the opposite label), then zoom by
-    regridding a blown-up copy of that cell until its diameter is below
-    KKM_TARGET_DIAM_REL * diameter.  Restricted to acute and right triangles,
-    where the boundary labeling argument applies."""
+    """Locate the equal-area point combinatorially: scan a KKM_GRID-grid
+    over the triangle, labelling each node by its argmin region, for a
+    cell carrying all three labels (one exists because each side excludes
+    the opposite label), then zoom by scanning the same grid over that cell
+    blown up KKM_EXPAND times about its centroid, until the cell's
+    diameter is below KKM_TARGET_DIAM_REL * diameter.  A level whose grid
+    holds no such cell grows its domain KKM_EXPAND times instead.
+    Restricted to acute and right triangles, where the boundary labeling
+    argument applies."""
     kind = _need(tri, Triangle, "tri", PartitionError)._classification.kind
     if kind not in (ACUTE, RIGHT):
         raise PartitionError(f"grid labeling zoom needs an acute or right triangle, not {kind}")
     labeler = LabelSets(tri)
     target = KKM_TARGET_DIAM_REL * tri.diameter
     domain = tri.points
-    n = KKM_INITIAL_GRID
     history = []
     for _ in range(200):
-        cell = None
-        nn = n
-        for _ in range(KKM_GRID_RETRIES):
-            cell = _fully_labeled_cell(labeler, *domain, nn)
-            if cell is not None:
-                break
-            nn *= 2
+        cell = _fully_labeled_cell(labeler, *domain, KKM_GRID)
         # With a labeled cell, zoom in on a blow-up of it.  Without one the
         # domain may have contracted past the point where the three label
         # sets meet (a labeled cell need not contain that point, it only has
@@ -458,13 +449,11 @@ def solve_kkm(tri: Triangle) -> PartitionSolution:
         if cell is None and diam > 8.0 * tri.diameter:
             raise _failure(
                 "kkm", len(history), math.inf, (cx, cy), history,
-                "no fully-labeled cell at any retry resolution",
+                "no fully-labeled cell in a domain grown past eight diameters",
             )
         history.append(diam)
-        if cell is not None:
-            if diam < target:
-                return _solution(tri, Point(cx, cy), "kkm")
-            n = KKM_REFINE_GRID
+        if cell is not None and diam < target:
+            return _solution(tri, Point(cx, cy), "kkm")
         domain = tuple((cx + KKM_EXPAND * (qx - cx), cy + KKM_EXPAND * (qy - cy)) for qx, qy in (q1, q2, q3))
     raise _failure(
         "kkm", len(history), math.inf, (cx, cy), history,

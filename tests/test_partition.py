@@ -570,10 +570,54 @@ def test_kkm_rejects_obtuse():
         solve_kkm(triangle_from_angles(40.0, 40.0))
 
 
-def test_kkm_zoom_reaches_target_diameter():
+def test_kkm_zoom_reaches_target_diameter(monkeypatch):
+    """One 8-grid per level, labelled row by row up to the first
+    fully-labeled cell: 595 labels on the equilateral triangle."""
+    labels = []
+    real = LabelSets._label
+
+    def counting(self, x, y):
+        labels.append((x, y))
+        return real(self, x, y)
+
+    monkeypatch.setattr(LabelSets, "_label", counting)
     fine = solve_kkm(EQUILATERAL)
     exact = Point(0.5, math.sqrt(3.0) / 6.0)
     assert math.dist(fine.point.as_tuple(), exact.as_tuple()) <= 1e-9 * EQUILATERAL.diameter
+    assert len(labels) <= 595
+
+
+def test_kkm_grows_a_level_without_a_labeled_cell(monkeypatch):
+    """A level whose grid holds no fully-labeled cell grows its domain,
+    and the zoom still finds the point."""
+    rng = np.random.default_rng(20240603)
+    tri = Triangle.from_coords([oc.rand_acute(rng) for _ in range(4)][-1])
+    cells = []
+    real = part._fully_labeled_cell
+
+    def recording(*args):
+        cells.append(real(*args))
+        return cells[-1]
+
+    monkeypatch.setattr(part, "_fully_labeled_cell", recording)
+    k = solve_kkm(tri)
+    assert None in cells
+    assert math.dist(k.point.as_tuple(), solve_newton(tri).point.as_tuple()) <= 1e-9 * tri.diameter
+
+
+def test_kkm_answers_a_thin_acute_triangle_newton_stalls_on():
+    """A 0.55 degree acute triangle 15 diameters from the origin: Newton
+    stalls on it at a residual of 1.48e-16 against a tolerance of
+    1.38e-16, while the zoom lands within 1e-9 diameters of Newton's
+    answer on the same triangle moved to put its first vertex at the
+    origin."""
+    pts = ((-1.9956993752320094, -1.5514782894129415), (-2.1454199786423587, -1.4704060577550349),
+           (-2.146191511918357, -1.471834259912536))
+    tri = Triangle.from_coords(pts)
+    x0, y0 = pts[0]
+    near = solve_newton(Triangle.from_coords([(x - x0, y - y0) for x, y in pts])).point
+    k = solve_kkm(tri)
+    assert math.dist(k.point.as_tuple(), (near.x + x0, near.y + y0)) <= 1e-9 * tri.diameter
 
 
 def test_exterior_construction_properties():

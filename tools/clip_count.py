@@ -11,11 +11,14 @@ solve's span table decides a cut that keeps all or none of the polygon,
 so the rings count the work the same way across a change to the clip.
 Beside them it prints the `_coord_scale` calls per job, the scans of a
 shape's points for its coordinate scale: a shape takes its scale once,
-when it is built, so each reads 1.00.  Last come the offset jobs of both
+when it is built, so each reads 1.00.  Then come the offset jobs of both
 workloads, one row each, answers and errors together: their rings are
 mostly grid-restart scans, so these rows move with the restart rather
 than with a method or a share, but they too repeat exactly at a fixed
-commit.  Stdlib only; the benchmark modules are imported, never changed.
+commit.  Last, the `kkm` row: the calls per `solve_kkm` on the acute and
+right core triangles among the first N triangle jobs, each built before
+its count starts, so its scale scans read 0.00.  Stdlib only; the
+benchmark modules are imported, never changed.
 
     python3 tools/clip_count.py [N]
 """
@@ -105,6 +108,20 @@ def clips_of_offset_jobs(count: int) -> dict[str, tuple[int, int, int, int]]:
     return out
 
 
+def clips_of_kkm(count: int) -> tuple[int, int, int, int]:
+    """(solves, ring, clip and scale-scan calls) of `solve_kkm` on the acute and right core
+    triangles among the first `count` triangle jobs, answers and errors together."""
+    shapes = (parse_spec(job.text).shape for job in itertools.islice(workloads.triangles(4), count)
+              if job.share == "core")
+
+    def solve(tri) -> str:
+        part.solve_kkm(tri)
+        return "kkm"
+
+    rows = _counts((tri for tri in shapes if part.classify(tri).kind in (part.ACUTE, part.RIGHT)), solve)
+    return tuple(map(sum, zip(*rows.values()))) or (0, 0, 0, 0)
+
+
 def _print_row(name: str, jobs: int, rings: int, clips: int, scans: int) -> None:
     n = max(jobs, 1)
     print(f"{name}: {jobs} jobs, {rings / n:.2f} rings per job, {clips / n:.2f} clips per job, "
@@ -129,6 +146,8 @@ def main(argv=None) -> int:
     print(f"_sector_ring, _clip and _coord_scale calls per offset job of the first {args.jobs} jobs of each, answers and errors together")
     for name, row in clips_of_offset_jobs(args.jobs).items():
         _print_row(name, *row)
+    print(f"_sector_ring, _clip and _coord_scale calls per solve_kkm on the acute and right core triangles of the first {args.jobs} triangles(4) jobs")
+    _print_row("kkm", *clips_of_kkm(args.jobs))
     return 0
 
 
