@@ -164,32 +164,15 @@ def _clip(pts, nx: float, ny: float, off: float, eps: float):
     return out
 
 
-def _sector_ring(pts, normals, i: int, x: float, y: float, eps: float, span=None):
+def _sector_ring(pts, normals, i: int, x: float, y: float, eps: float):
     """The unmerged part of a convex CCW polygon inside sector i of the fan
     at (x, y), the package's one sector clip.  `normals` holds each ray
     direction turned +90 degrees, and sector i lies between rays i and i+1:
     it is {p : n . p <= n . (x, y)} clipped first for n = normals[i+1],
-    the inner side of ray i+1, then for n = -normals[i], that of ray i.
-
-    `span`, if given, holds for each normal n_j the (min, max) of the
-    vertex projections n_j . v in `_clip`'s bits.  As p - off rounds
-    monotonically in p, they decide a cut that keeps all or none of the
-    polygon as `_clip` would, without its loop; the second cut only after
-    a first that keeps all, from the span negated, which is exact."""
+    the inner side of ray i+1, then for n = -normals[i], that of ray i."""
     (ax, ay), (bx, by) = normals[(i + 1) % 3], normals[i]
     bx, by = -bx, -by
-    off = ax * x + ay * y
-    if span is not None:
-        lo, hi = span[(i + 1) % 3]
-        if not lo - off <= eps:  # a nan offset keeps nothing, as in `_clip`
-            return []
-        if hi - off <= eps:
-            lo, hi = span[i]
-            off = bx * x + by * y
-            if not -hi - off <= eps:
-                return []
-            return list(pts) if -lo - off <= eps else _clip(pts, bx, by, off, eps)
-    return _clip(_clip(pts, ax, ay, off, eps), bx, by, bx * x + by * y, eps)
+    return _clip(_clip(pts, ax, ay, ax * x + ay * y, eps), bx, by, bx * x + by * y, eps)
 
 
 def _edge_terms(pts, normals) -> tuple:

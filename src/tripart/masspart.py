@@ -133,7 +133,7 @@ def solve_translation(poly, fan: SectorConfig, targets, solver_cfg=None) -> Tran
     floats = _check_targets(targets, _need(poly, ConvexPolygon, "poly", MassPartitionError).area)
     x, y, iters, achieved, *_ = _fan_newton(
         poly.coords, poly.area, poly._scale, poly._snap, _need(fan, SectorConfig, "fan", MassPartitionError).normals,
-        floats, 2 * poly.diameter, _config(solver_cfg, "solver_cfg"), poly._centroid,
+        floats, _config(solver_cfg, "solver_cfg"), poly._centroid,
     )
     apex = Point(x, y)
     residual = max(abs(a - t) for a, t in zip(achieved, floats))

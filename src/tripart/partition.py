@@ -51,6 +51,7 @@ from .geometry import (  # the kinds, CLASSIFY_TOL and Classification are public
     _sector_ring,
     _shown,
     _signed_area,
+    _sum_lr,
     _widest,
     region_areas,
     region_parts,
@@ -234,25 +235,28 @@ def _cut_offset(pts, u: Vec, scale: float, eps: float, target: float) -> float:
             hi = mid
 
 
-def _fan_newton(pts, total: float, scale: float, eps: float, normals, targets, pad: float, cfg: SolverConfig, seed: Vec):
+def _fan_newton(pts, total: float, scale: float, eps: float, normals, targets, cfg: SolverConfig, seed: Vec):
     """Place the apex of a three-ray fan so that its sectors cut the convex
     CCW polygon `pts` (area `total`, coordinate scale `scale`, snap band
     `eps`, as its shape stores them) into the three `targets`; the fan is
     given by its ray normals, as in `tripart.geometry`.  Damped Newton on
     the areas of sectors 0 and 1 from the (x, y) pair `seed`, with the
     exact Jacobian (its edge terms, which do not depend on the apex,
-    computed once per solve), reseeding from a grid over the bounding box
-    grown by `pad` if the iteration stalls.  The first stall also builds
-    `_sector_ring`'s span table, which from then on decides without a clip
-    the cuts that keep all or none of the polygon; solves that never stall
-    build neither.  Returns the point's x and y, the iteration count,
-    the three sector areas there, their unmerged rings / 2**e and 2**e:
-    newton2d stops right after fully evaluating the point it returns, and
-    a `bounded` evaluation that stops early never sets `last`, so sectors
-    0 and 1 are that evaluation's, and sector 2 is clipped once there, all
-    in `_sector_ring`'s bits.  Raises SolverError (with the best iterate in
-    its report) when the residual cannot be driven below
-    cfg.area_tol_rel * total.
+    computed once per solve).  If the iteration stalls, it polishes once
+    from the point of the KKM zoom (`_kkm_zoom`) over the fan's label sets,
+    or from the centroid of the zoom's last cell where the zoom gives up:
+    an apex takes the label i of the least A_i / t_i, ties to the lower
+    index, and corner V_i of the zoom's first domain sits behind the
+    vertex mean along ray i+2, 2 diam / sin(min(g, pi/2)) out, with g the
+    smaller gap at that ray, so that sector i is empty there and the other
+    two are not.  Solves that never stall never label.  Returns the
+    point's x and y, the iteration count, the three sector areas there,
+    their unmerged rings / 2**e and 2**e: newton2d stops right after fully
+    evaluating the point it returns, and a `bounded` evaluation that stops
+    early never sets `last`, so sectors 0 and 1 are that evaluation's, and
+    sector 2 is clipped once there, all in `_sector_ring`'s bits.  Raises
+    SolverError (with the best iterate in its report) when the residual
+    cannot be driven below cfg.area_tol_rel * total.
 
     It iterates in coordinates scaled by k = 2**-e, e the binary exponent
     of `scale`, so the Newton step's products neither overflow nor
@@ -262,18 +266,18 @@ def _fan_newton(pts, total: float, scale: float, eps: float, normals, targets, p
     k, k2 = math.ldexp(1.0, -e), math.ldexp(1.0, -2 * e)
     pts = [(x * k, y * k) for x, y in pts]
     t1, t2, t3 = [t * k2 for t in targets]
-    total, eps, pad = total * k2, eps * k, pad * k
-    last = spans = None
+    total, eps = total * k2, eps * k
+    last = None
     first = 0  # the sector that stopped the last early exit, tried first: a tenth fewer clips than a fixed order
 
     def bounded(x: float, y: float, bound: float):
         """(g1, g2, merit) at (x, y), or (nan, nan, |g_i|) once a sector's |g_i| >= bound (never for a nan bound)."""
         nonlocal last, first
         i = first
-        ri = _sector_ring(pts, normals, i, x, y, eps, spans)
+        ri = _sector_ring(pts, normals, i, x, y, eps)
         if (g := abs((ai := _signed_area(ri)) - (t1, t2)[i])) >= bound:
             return math.nan, math.nan, g
-        rj = _sector_ring(pts, normals, 1 - i, x, y, eps, spans)
+        rj = _sector_ring(pts, normals, 1 - i, x, y, eps)
         if (g := abs((aj := _signed_area(rj)) - (t1, t2)[1 - i])) >= bound:
             first = 1 - i
             return math.nan, math.nan, g
@@ -282,12 +286,32 @@ def _fan_newton(pts, total: float, scale: float, eps: float, normals, targets, p
         g2 = a2 - t2
         return g1, g2, max(abs(g1), abs(g2), abs(total - a1 - a2 - t3))
 
-    def restart_box():
-        """The grid restart's box, asked for at the first stall, which also builds the span table."""
-        nonlocal spans
-        spans = [(min(p), max(p)) for p in ([nx * vx + ny * vy for vx, vy in pts] for nx, ny in normals)]
+    def label(x: float, y: float) -> int:  # the sector of the least area over target
+        a1 = _signed_area(_sector_ring(pts, normals, 0, x, y, eps))
+        a2 = _signed_area(_sector_ring(pts, normals, 1, x, y, eps))
+        q = (a1 / t1, a2 / t2, (total - a1 - a2) / t3)
+        return q.index(min(q))
+
+    def fallback():
+        """The zoom's point, or the centroid of its last cell where it gives up."""
         xs, ys = zip(*pts)
-        return min(xs) - pad, max(xs) + pad, min(ys) - pad, max(ys) + pad
+        cx, cy = _sum_lr(xs) / len(pts), _sum_lr(ys) / len(pts)
+        diam = max(math.dist(p, q) for p in pts for q in pts)
+
+        def lean(j: int) -> float:  # sin(min(g_j, pi/2)), g_j the gap from ray j to ray j+1
+            (ax, ay), (bx, by) = normals[j], normals[(j + 1) % 3]
+            return ax * by - ay * bx if ax * bx + ay * by > 0.0 else 1.0
+
+        corners = []
+        for i in range(3):
+            j = (i + 2) % 3
+            r = 2.0 * diam / min(lean((i + 1) % 3), lean(j))
+            nx, ny = normals[j]  # ray j runs along (ny, -nx)
+            corners.append((cx - r * ny, cy + r * nx))
+        try:
+            return _kkm_zoom(label, tuple(corners), KKM_TARGET_DIAM_REL * diam)
+        except SolverError as exc:
+            return exc.report.best_point
 
     edges = _edge_terms(pts, normals)
     res = newton2d(
@@ -296,7 +320,7 @@ def _fan_newton(pts, total: float, scale: float, eps: float, normals, targets, p
         jac=lambda x, y: _sector_jacobian(edges, normals, x, y),
         tol=cfg.area_tol_rel * total,
         max_iters=cfg.max_iters,
-        restart_box=restart_box,
+        fallback=fallback,
         bounded=bounded,
     )
     if not res.converged:
@@ -305,7 +329,7 @@ def _fan_newton(pts, total: float, scale: float, eps: float, normals, targets, p
             [r / k2 for r in res.residual_history], "newton iteration did not reach the area tolerance",
         )
     x, y, (a1, a2, r1, r2) = res.x, res.y, last
-    r3 = _sector_ring(pts, normals, 2, x, y, eps, spans)
+    r3 = _sector_ring(pts, normals, 2, x, y, eps)
     return x / k, y / k, res.iterations, (a1 / k2, a2 / k2, _signed_area(r3) / k2), (r1, r2, r3), math.ldexp(1.0, e)
 
 
@@ -328,7 +352,7 @@ def solve_newton(tri: Triangle, cfg: SolverConfig | None = None, seed: Point | N
     cfg = _config(cfg, "cfg")
     s = _need(tri, Triangle, "tri", PartitionError).area / 3.0
     seed = tri._centroid if seed is None else _need(seed, Point, "seed", PartitionError).as_tuple()
-    x, y, *_, rings, unit = _fan_newton(tri.points, tri.area, tri._scale, tri._snap, tri._normals, (s, s, s), tri.diameter, cfg, seed)
+    x, y, *_, rings, unit = _fan_newton(tri.points, tri.area, tri._scale, tri._snap, tri._normals, (s, s, s), cfg, seed)
     return _solution(tri, Point(x, y), "newton", [[(px * unit, py * unit) for px, py in r] for r in rings])
 
 
@@ -392,11 +416,12 @@ def solve_maximin(tri: Triangle) -> PartitionSolution:
     return sol
 
 
-def _fully_labeled_cell(labeler: LabelSets, p1: Vec, p2: Vec, p3: Vec, n: int):
+def _fully_labeled_cell(label, p1: Vec, p2: Vec, p3: Vec, n: int):
     """First fully-labeled small cell of the barycentric n-grid over the
-    triangle (p1, p2, p3), scanning rows deterministically; None if the
-    grid has no such cell.  Row j + 1 is labelled when the scan reaches
-    row j, so labelling stops at the cell the scan returns."""
+    triangle (p1, p2, p3) under label(x, y), scanning rows from the side
+    p1 p2 deterministically; None if the grid has no such cell.  Row j + 1
+    is labelled when the scan reaches row j, so labelling stops at the
+    cell the scan returns."""
     e1x, e1y = (p2[0] - p1[0]) / n, (p2[1] - p1[1]) / n
     e2x, e2y = (p3[0] - p1[0]) / n, (p3[1] - p1[1]) / n
 
@@ -404,7 +429,7 @@ def _fully_labeled_cell(labeler: LabelSets, p1: Vec, p2: Vec, p3: Vec, n: int):
         return (p1[0] + i * e1x + j * e2x, p1[1] + i * e1y + j * e2y)
 
     def row(j: int) -> list:
-        return [labeler._label(*corner(i, j)) for i in range(n + 1 - j)]
+        return [label(*corner(i, j)) for i in range(n + 1 - j)]
 
     below = row(0)
     for j in range(n):
@@ -418,47 +443,69 @@ def _fully_labeled_cell(labeler: LabelSets, p1: Vec, p2: Vec, p3: Vec, n: int):
     return None
 
 
-def solve_kkm(tri: Triangle) -> PartitionSolution:
-    """Locate the equal-area point combinatorially: scan a KKM_GRID-grid
-    over the triangle, labelling each node by its argmin region, for a
-    cell carrying all three labels (one exists because each side excludes
-    the opposite label), then zoom by scanning the same grid over that cell
-    blown up KKM_EXPAND times about its centroid, until the cell's
-    diameter is below KKM_TARGET_DIAM_REL * diameter.  A level whose grid
-    holds no such cell grows its domain KKM_EXPAND times instead.
-    Restricted to acute and right triangles, where the boundary labeling
-    argument applies."""
-    kind = _need(tri, Triangle, "tri", PartitionError)._classification.kind
-    if kind not in (ACUTE, RIGHT):
-        raise PartitionError(f"grid labeling zoom needs an acute or right triangle, not {kind}")
-    labeler = LabelSets(tri)
-    target = KKM_TARGET_DIAM_REL * tri.diameter
-    domain = tri.points
+def _kkm_zoom(label, domain, target: float) -> Vec:
+    """The KKM zoom over the triangle `domain`, whose corners carry three
+    different labels under label(x, y): scan a KKM_GRID-grid over the
+    domain for a cell carrying all three labels, then scan the same grid
+    over that cell blown up KKM_EXPAND times about its centroid, until the
+    cell's diameter is below `target`, or below KKM_GRID units in the last
+    place of its coordinates, where the next grid's steps would near their
+    rounding; returns that cell's centroid.  A level whose grid holds no
+    such cell grows its domain KKM_EXPAND times instead.  A blow-up can
+    drop the point where a thin label set strings fully-labeled cells out
+    along it, and two growths then return about the same domain and cell;
+    so a domain that matches one scanned before (to 2**-24 of its
+    diameter) starts its scan from its next side.  Raises SolverError
+    (kkm) once a domain without such a cell has grown past eight times the
+    first, or after 200 levels."""
+
+    def size(q1: Vec, q2: Vec, q3: Vec) -> float:
+        return max(math.dist(q1, q2), math.dist(q2, q3), math.dist(q3, q1))
+
     history = []
+    scans = {}  # a domain's corners in units of 2**-24 of its diameter -> the side its last scan started from
+    limit = 8.0 * size(*domain)
     for _ in range(200):
-        cell = _fully_labeled_cell(labeler, *domain, KKM_GRID)
+        e = math.frexp(size(*domain))[1]
+        key = tuple(round(math.ldexp(v, 24 - e)) for q in domain for v in q)
+        k = scans[key] = (scans.get(key, -1) + 1) % 3
+        cell = _fully_labeled_cell(label, *domain[k:], *domain[:k], KKM_GRID)
         # With a labeled cell, zoom in on a blow-up of it.  Without one the
         # domain may have contracted past the point where the three label
         # sets meet (a labeled cell need not contain that point, it only has
         # to sit near it): grow the domain and rescan, giving up only once it
-        # has ballooned well past the whole triangle.
+        # has ballooned well past the first.
         q1, q2, q3 = cell or domain
         cx = (q1[0] + q2[0] + q3[0]) / 3.0
         cy = (q1[1] + q2[1] + q3[1]) / 3.0
-        diam = max(math.dist(q1, q2), math.dist(q2, q3), math.dist(q3, q1))
-        if cell is None and diam > 8.0 * tri.diameter:
+        diam = size(q1, q2, q3)
+        if cell is None and diam > limit:
             raise _failure(
                 "kkm", len(history), math.inf, (cx, cy), history,
-                "no fully-labeled cell in a domain grown past eight diameters",
+                "no fully-labeled cell in a domain grown past eight times the first",
             )
         history.append(diam)
-        if cell is not None and diam < target:
-            return _solution(tri, Point(cx, cy), "kkm")
+        if cell is not None and diam < max(target, KKM_GRID * math.ulp(max(map(abs, q1 + q2 + q3)))):
+            return cx, cy
         domain = tuple((cx + KKM_EXPAND * (qx - cx), cy + KKM_EXPAND * (qy - cy)) for qx, qy in (q1, q2, q3))
     raise _failure(
         "kkm", len(history), math.inf, (cx, cy), history,
         "zoom failed to contract to the target diameter",
     )
+
+
+def solve_kkm(tri: Triangle) -> PartitionSolution:
+    """Locate the equal-area point combinatorially: the KKM zoom
+    (`_kkm_zoom`) over the triangle, each point labelled by its smallest
+    region (`LabelSets`; each side excludes the opposite label, so a
+    fully-labeled cell exists), down to a cell below KKM_TARGET_DIAM_REL *
+    diameter.  Restricted to acute and right triangles, where the boundary
+    labeling argument applies."""
+    kind = _need(tri, Triangle, "tri", PartitionError)._classification.kind
+    if kind not in (ACUTE, RIGHT):
+        raise PartitionError(f"grid labeling zoom needs an acute or right triangle, not {kind}")
+    x, y = _kkm_zoom(LabelSets(tri)._label, tri.points, KKM_TARGET_DIAM_REL * tri.diameter)
+    return _solution(tri, Point(x, y), "kkm")
 
 
 def solve_exterior(tri: Triangle, cfg: SolverConfig | None = None) -> PartitionSolution:

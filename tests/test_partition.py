@@ -13,13 +13,13 @@ import pytest
 import oracles as oc
 import tripart.geometry as geometry
 import tripart.partition as part
-import tripart.rootfind as rootfind
 from tripart.cli import main
 from test_golden import BOUNDARY_SPEC, EXTERIOR_SPEC, FAN_SPEC
 from tripart.geometry import ConvexPolygon, Point, Triangle, _clip, _signed_area, _sum_lr
 from tripart.masspart import SectorConfig, solve_translation
 from tripart.partition import (
     ACUTE,
+    INTERIOR_KINDS,
     OBTUSE_BOUNDARY,
     OBTUSE_EXTERIOR,
     OBTUSE_INTERIOR,
@@ -399,22 +399,23 @@ def test_newton_survives_terrible_seed():
     assert sol.point.y == pytest.approx(math.sqrt(3.0) / 6.0, abs=1e-9)
 
 
-class _Restarted(Exception):
-    """Raised in place of the grid restart's scan."""
+class _Fallback(Exception):
+    """Raised in place of Newton's stall fallback."""
 
 
-def test_grid_restart_serves_only_far_seeds(monkeypatch):
-    """Newton reaches the grid restart only from a far seed or on a shape
-    far from the origin: with the restart's scan made to raise, the
+def test_fallback_serves_only_far_seeds(monkeypatch):
+    """Newton reaches its stall fallback only from a far seed or on a
+    shape far from the origin: with the fallback made to raise, the
     acceptance suite through `equal_partition`, the 500 fan instances of
     acceptance 9 and the golden specs solve without reaching it, while the
     far seed above does reach it.  So a change that makes Newton stall on
-    core input cannot hide behind the restart."""
+    core input cannot hide behind the fallback."""
 
-    def refuse(*args):
-        raise _Restarted
+    def refuse():
+        raise _Fallback
 
-    monkeypatch.setattr(rootfind, "_restart_seeds", refuse)
+    real = part.newton2d
+    monkeypatch.setattr(part, "newton2d", lambda fun, seed, *, fallback, **kw: real(fun, seed, fallback=refuse, **kw))
     rng = np.random.default_rng(20240601)
     for pts in oc.kind_suite(rng, n=500):
         equal_partition(Triangle.from_coords(pts))
@@ -425,14 +426,107 @@ def test_grid_restart_serves_only_far_seeds(monkeypatch):
         solve_translation(poly, cfg, tuple(f * poly.area for f in oc.rand_fractions(rng)))
     for spec in (EXTERIOR_SPEC, BOUNDARY_SPEC, FAN_SPEC):
         run(parse_spec(spec))
-    with pytest.raises(_Restarted):
+    with pytest.raises(_Fallback):
         solve_newton(EQUILATERAL, seed=Point(40.0, -35.0))
 
 
+def _far(shape) -> tuple[float, float]:
+    """A seed 50 diameters from the shape's vertex mean, where every ray
+    misses or holds all of it, so Newton stalls at once."""
+    cx, cy = shape._centroid
+    return cx + 30.0 * shape.diameter, cy - 40.0 * shape.diameter
+
+
+def _fallback_rings(monkeypatch, solve) -> tuple[object, list[int]]:
+    """`solve()` and the sector rings (`partition._sector_ring` calls) of
+    each call of Newton's fallback in it."""
+    rings, counts = [0], []
+    real_ring, real_newton = part._sector_ring, part.newton2d
+
+    def ring(*args):
+        rings[0] += 1
+        return real_ring(*args)
+
+    def newton(fun, seed, *, fallback, **kwargs):
+        def counted():
+            start = rings[0]
+            try:
+                return fallback()
+            finally:
+                counts.append(rings[0] - start)
+
+        return real_newton(fun, seed, fallback=counted, **kwargs)
+
+    monkeypatch.setattr(part, "_sector_ring", ring)
+    monkeypatch.setattr(part, "newton2d", newton)
+    try:
+        return solve(), counts
+    finally:
+        monkeypatch.undo()
+
+
+def test_forced_fallback_reaches_the_tolerance(monkeypatch):
+    """Seeded 50 diameters out, Newton stalls at once and polishes from
+    the KKM zoom's point, on the triangle's fan (the interior kinds of the
+    acceptance suite) and on 50 core and 50 hard fans (thin polygons or a
+    tiny target, as in `test_masspart`): every solve reaches
+    area_tol_rel * area, after one fallback each."""
+    rng = np.random.default_rng(20240601)
+    tris = [tri for tri in map(Triangle.from_coords, oc.kind_suite(rng, n=500)) if classify(tri).kind in INTERIOR_KINDS]
+    assert len(tris) >= 200
+    for tri in tris:
+        sol, counts = _fallback_rings(monkeypatch, lambda: solve_newton(tri, seed=Point(*_far(tri))))
+        assert len(counts) == 1
+        assert sol.residual <= 1e-12 * tri.area
+    rng = np.random.default_rng(20240617)
+    for k in range(100):
+        pts = oc.rand_convex_polygon(rng)
+        fracs = oc.rand_fractions(rng)
+        if k >= 50:
+            if k % 2 == 0:
+                pts = oc.squash(rng, pts, 10.0 ** rng.uniform(-4.0, -1.0))
+            else:
+                fracs = oc.tiny_fractions(rng, 10.0 ** rng.uniform(-5.0, -3.0))
+            pts = oc.unit_scale(pts)
+        poly = ConvexPolygon.from_coords(pts)
+        fan = SectorConfig.from_angles_deg(oc.rand_fan_angles_deg(rng))
+        targets = tuple(f * poly.area for f in fracs)
+        (x, y, _, achieved, *_), counts = _fallback_rings(monkeypatch, lambda: part._fan_newton(
+            poly.coords, poly.area, poly._scale, poly._snap, fan.normals, targets, SolverConfig(), _far(poly)))
+        assert len(counts) == 1
+        assert max(abs(a - t) for a, t in zip(achieved, targets)) <= 1e-12 * poly.area
+
+
+def test_forced_fallback_does_not_cycle_on_a_thin_triangle(monkeypatch):
+    """A 2.66 degree triangle whose label sets string fully-labeled cells
+    out along a thin band: first-cell zooming picks a far cell of the
+    band, its blow-up drops the point, and two growths bring the zoom back
+    about the same domain and cell for all 200 levels (about 16,000
+    rings) until the zoom gives up.  Starting a rescanned domain's scan
+    from its next side reaches the point in 9,154 rings."""
+    tri = Triangle.from_coords(((0.7515617268342755, 2.433207266378817), (0.3480141154746309, 1.1092166851424332),
+                                (0.8139547697267799, 2.416748784154496)))
+    sol, counts = _fallback_rings(monkeypatch, lambda: solve_newton(tri, seed=Point(*_far(tri))))
+    assert counts and counts[0] <= 10_000
+    assert sol.residual <= 1e-12 * tri.area
+    assert math.dist(sol.point.as_tuple(), solve_newton(tri).point.as_tuple()) <= 1e-12 * tri.diameter
+
+
+def test_forced_fallback_stops_at_the_rounding_floor(monkeypatch):
+    """The unit equilateral triangle 1e6 from the origin, seeded 50
+    diameters out: 1e-10 of its diameter is below an ulp of its
+    coordinates, so the zoom stops at the cell its grid can still split
+    (736 rings) instead of running all 200 levels (13,695 rings)."""
+    tri = Triangle.from_coords([(x + 1e6, y + 1e6) for x, y in EQUILATERAL.points])
+    sol, counts = _fallback_rings(monkeypatch, lambda: solve_newton(tri, seed=Point(*_far(tri))))
+    assert counts and counts[0] <= 1_500
+    assert sol.residual <= 1e-12 * tri.area
+
+
 def _restart_jobs():
-    """Solves that reach the grid restart: triangles and fans shifted far
+    """Solves that reach Newton's fallback: triangles and fans shifted far
     from the origin (most of them raise) and core triangles seeded 50
-    diameters out (these answer after the restart)."""
+    diameters out (these answer after the fallback)."""
     rng = np.random.default_rng(71)
     tris = [Triangle.from_coords([(x + 1e5, y + 1e5) for x, y in oc.rand_triangle(rng)]) for _ in range(8)]
     jobs = [lambda tri=tri: equal_partition(tri) for tri in tris]
@@ -448,29 +542,26 @@ def _restart_jobs():
 
 def _run_counted(monkeypatch, jobs):
     """Each job's solution or SolverError report as repr, with the jobs'
-    `_restart_seeds` calls, Newton's sector rings (`partition._sector_ring`
-    calls) and sector clips (`geometry._clip` calls)."""
-    calls = {"restarts": [], "rings": 0, "clips": 0}
-    real_seeds, real_ring, real_clip = rootfind._restart_seeds, part._sector_ring, geometry._clip
+    fallback calls and sector clips (`geometry._clip` calls)."""
+    calls = {"fallbacks": [], "clips": 0}
+    real_newton, real_clip = part.newton2d, geometry._clip
 
-    def seeds(*args):
-        calls["restarts"][-1] += 1
-        return real_seeds(*args)
+    def newton(fun, seed, *, fallback, **kwargs):
+        def counted():
+            calls["fallbacks"][-1] += 1
+            return fallback()
 
-    def ring(*args):
-        calls["rings"] += 1
-        return real_ring(*args)
+        return real_newton(fun, seed, fallback=counted, **kwargs)
 
     def clip(*args):
         calls["clips"] += 1
         return real_clip(*args)
 
-    monkeypatch.setattr(rootfind, "_restart_seeds", seeds)
-    monkeypatch.setattr(part, "_sector_ring", ring)
+    monkeypatch.setattr(part, "newton2d", newton)
     monkeypatch.setattr(geometry, "_clip", clip)
     out = []
     for job in jobs:
-        calls["restarts"].append(0)
+        calls["fallbacks"].append(0)
         try:
             out.append(repr(job()))
         except SolverError as exc:
@@ -481,10 +572,10 @@ def _run_counted(monkeypatch, jobs):
 
 def test_bounded_evaluations_keep_every_bit(monkeypatch):
     """`_fan_newton`'s `bounded` callback stops an evaluation only where
-    its point could not win a strict `<`, so the grid restart and the
-    backtracking pick the points that full evaluations pick: every
-    solution and error report, residual history included, keeps its
-    bits, with fewer clips."""
+    its point could not win a strict `<`, so the backtracking picks the
+    points that full evaluations pick: every solution and error report,
+    residual history included, keeps its bits, over the same fallbacks,
+    with fewer clips."""
     jobs = _restart_jobs()
     shipped, shipped_calls = _run_counted(monkeypatch, jobs)
     real = part.newton2d
@@ -495,29 +586,10 @@ def test_bounded_evaluations_keep_every_bit(monkeypatch):
     monkeypatch.setattr(part, "newton2d", unbounded)
     full, full_calls = _run_counted(monkeypatch, jobs)
     assert shipped == full
-    assert shipped_calls["restarts"] == full_calls["restarts"]
-    assert sum(map(bool, shipped_calls["restarts"])) >= 10  # 12 of the 14 jobs reach the restart
+    assert shipped_calls["fallbacks"] == full_calls["fallbacks"]
+    assert sum(shipped_calls["fallbacks"]) >= 10  # 12 of the 14 jobs reach the fallback
     assert {text.split("(")[0] for text in shipped} == {"PartitionSolution", "SolverReport"}
     assert shipped_calls["clips"] < full_calls["clips"]
-
-
-def test_span_decisions_keep_every_bit(monkeypatch):
-    """From the first stall on, `_fan_newton` decides through its span
-    table the sector cuts that keep all or none of the polygon, without
-    their clips: against the same solves with no table, every solution and
-    error report keeps its bits, over the same restarts and sector rings,
-    with fewer clips."""
-    jobs = _restart_jobs()
-    shipped, shipped_calls = _run_counted(monkeypatch, jobs)
-    real = part._sector_ring
-    monkeypatch.setattr(part, "_sector_ring", lambda pts, normals, i, x, y, eps, span=None: real(pts, normals, i, x, y, eps))
-    plain, plain_calls = _run_counted(monkeypatch, jobs)
-    assert shipped == plain
-    assert shipped_calls["restarts"] == plain_calls["restarts"]
-    assert sum(map(bool, shipped_calls["restarts"])) >= 10
-    assert {text.split("(")[0] for text in shipped} == {"PartitionSolution", "SolverReport"}
-    assert shipped_calls["rings"] == plain_calls["rings"]
-    assert shipped_calls["clips"] < plain_calls["clips"]
 
 
 def test_newton_failure_carries_report():

@@ -6,19 +6,23 @@ per job by the method that solved it, and over the core and hard jobs
 among the first N jobs of `workloads.fans(5)` the calls per job by
 share: the deterministic count of the solve's main work, which unlike
 seconds repeats exactly from run to run and machine to machine.  A ring
-is one sector evaluation; it takes two clips, or fewer once a stalled
-solve's span table decides a cut that keeps all or none of the polygon,
-so the rings count the work the same way across a change to the clip.
-Beside them it prints the `_coord_scale` calls per job, the scans of a
-shape's points for its coordinate scale: a shape takes its scale once,
-when it is built, so each reads 1.00.  Then come the offset jobs of both
-workloads, one row each, answers and errors together: their rings are
-mostly grid-restart scans, so these rows move with the restart rather
-than with a method or a share, but they too repeat exactly at a fixed
-commit.  Last, the `kkm` row: the calls per `solve_kkm` on the acute and
-right core triangles among the first N triangle jobs, each built before
-its count starts, so its scale scans read 0.00.  Stdlib only; the
-benchmark modules are imported, never changed.
+is one sector evaluation of two clips, so the rings count the work the
+same way across a change to the clip.  Beside them it prints the
+`_coord_scale` calls per job, the scans of a shape's points for its
+coordinate scale: a shape takes its scale once, when it is built, so
+each reads 1.00.  Then come the offset jobs of both workloads, one row
+each, answers and errors together: most of them stall far from the
+origin, so their rings are mostly those of Newton's stall fallback, the
+KKM zoom, and these rows move with the fallback rather than with a
+method or a share, but they too repeat exactly at a fixed commit.  Then
+the `kkm` row: the calls per `solve_kkm` on the acute and right core
+triangles among the first N triangle jobs, each built before its count
+starts, so its scale scans read 0.00.  Last, the `forced` rows: Newton
+seeded 50 diameters from the vertex mean, where it stalls at once, on
+the interior core triangles among the first N triangle jobs and on the
+core and hard jobs among the first N fan jobs, with the solves that
+reach the area tolerance and the rings per fallback call.  Stdlib only;
+the benchmark modules are imported, never changed.
 
     python3 tools/clip_count.py [N]
 """
@@ -37,6 +41,7 @@ import tripart.geometry as geometry  # noqa: E402
 import tripart.masspart as masspart  # noqa: E402
 import tripart.partition as part  # noqa: E402
 import workloads  # noqa: E402
+from tripart.geometry import Point  # noqa: E402
 from tripart.problem import parse_spec, run  # noqa: E402
 
 COUNTED = ("_sector_ring", "_clip", "_coord_scale")
@@ -122,6 +127,58 @@ def clips_of_kkm(count: int) -> tuple[int, int, int, int]:
     return tuple(map(sum, zip(*rows.values()))) or (0, 0, 0, 0)
 
 
+def forced_fallbacks(count: int) -> dict[str, tuple[int, int, int, int]]:
+    """name -> (solves, solves within the area tolerance, fallback calls, `_sector_ring` calls in them)
+    of Newton seeded 50 diameters from the vertex mean: the interior core triangles among the first
+    `count` triangle jobs, and the core and hard jobs among the first `count` fan jobs, by share."""
+    def far(shape) -> tuple[float, float]:
+        cx, cy = shape._centroid
+        return cx + 30.0 * shape.diameter, cy - 40.0 * shape.diameter
+
+    def fan(spec):
+        poly = spec.shape
+        return part._fan_newton(poly.coords, poly.area, poly._scale, poly._snap, spec.fan.normals, spec.target_areas,
+                                part._config(spec.config, "cfg"), far(poly))
+
+    tris = (parse_spec(job.text).shape for job in itertools.islice(workloads.triangles(4), count)
+            if job.share == "core")
+    solves = [("triangles", lambda tri=tri: part.solve_newton(tri, seed=Point(*far(tri))))
+              for tri in tris if part.classify(tri).kind in part.INTERIOR_KINDS]
+    solves += [(f"fans {job.share}", lambda spec=parse_spec(job.text): fan(spec))
+               for job in itertools.islice(workloads.fans(5), count) if job.share != "offset"]
+    rings, out = [0], {}
+    real_ring, real_newton = part._sector_ring, part.newton2d
+
+    def ring(*args):
+        rings[0] += 1
+        return real_ring(*args)
+
+    def newton(fun, seed, *, fallback, **kwargs):
+        def counted():
+            row[2] += 1
+            start = rings[0]
+            try:
+                return fallback()
+            finally:
+                row[3] += rings[0] - start
+
+        return real_newton(fun, seed, fallback=counted, **kwargs)
+
+    part._sector_ring, part.newton2d = ring, newton
+    try:
+        for name, solve in solves:
+            row = out.setdefault(name, [0, 0, 0, 0])
+            row[0] += 1
+            try:
+                solve()
+                row[1] += 1
+            except part.SolverError:
+                pass
+    finally:
+        part._sector_ring, part.newton2d = real_ring, real_newton
+    return {name: tuple(row) for name, row in out.items()}
+
+
 def _print_row(name: str, jobs: int, rings: int, clips: int, scans: int) -> None:
     n = max(jobs, 1)
     print(f"{name}: {jobs} jobs, {rings / n:.2f} rings per job, {clips / n:.2f} clips per job, "
@@ -148,6 +205,11 @@ def main(argv=None) -> int:
         _print_row(name, *row)
     print(f"_sector_ring, _clip and _coord_scale calls per solve_kkm on the acute and right core triangles of the first {args.jobs} triangles(4) jobs")
     _print_row("kkm", *clips_of_kkm(args.jobs))
+    print(f"Newton seeded 50 diameters out: interior core triangles of the first {args.jobs} triangles(4) jobs, "
+          f"core and hard jobs of the first {args.jobs} fans(5) jobs")
+    for name, (jobs, solved, calls, rings) in forced_fallbacks(args.jobs).items():
+        print(f"forced {name}: {jobs} jobs, {solved} solved, {calls} fallbacks, "
+              f"{rings / max(calls, 1):.2f} rings per fallback")
     return 0
 
 
