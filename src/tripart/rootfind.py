@@ -5,12 +5,6 @@ steps are halved until the merit decreases at a point where the Jacobian
 determinant is still positive.  When a step cannot make progress the
 iteration asks a caller-supplied fallback, once, for a new seed and
 polishes from it; a second stall ends the solve.
-
-The backtracking evaluates through `bounded(x, y, bound)`: `fun(x, y)`,
-or (nan, nan, m) with bound <= m <= merit once one residual component
-alone reaches `bound`.  It keeps a point only if its merit is strictly
-below the bound, which a stopped point fails in full too, so every pick,
-and so every result, is that of `fun` alone.
 """
 
 from __future__ import annotations
@@ -31,7 +25,6 @@ def newton2d(
     tol: float,
     max_iters: int,
     fallback,
-    bounded,
 ) -> RootResult:
     """Drive fun(x, y) -> (g1, g2, merit) to merit <= tol.
 
@@ -40,15 +33,11 @@ def newton2d(
     times) until the merit drops at a point with a positive Jacobian
     determinant; points where the system is flat in some direction would
     stall the next step.  At the first stall the search calls fallback(),
-    which returns a new (x, y) seed or None, and polishes from that seed,
-    so a solve that never stalls never asks for it; `restarts` is 1 when it
-    seeded.  A second stall, or a fallback without a seed, ends the solve.
-    Never raises; inspect `converged` on the result.
-
-    bounded(x, y, bound) is `fun` that may stop early (see above), asked
-    only where a merit >= bound loses a strict `<`: the result, `history`
-    included, is that of `fun` everywhere, and a converged result's point
-    is the last one evaluated in full.
+    which returns a new (x, y) seed, and polishes from that seed, so a
+    solve that never stalls never asks for it; `restarts` is 1 when it
+    seeded.  A second stall ends the solve.  Never raises; inspect
+    `converged` on the result.  A converged result's point is the last
+    one evaluated.
     """
     x, y = seed
     g1, g2, merit = fun(x, y)
@@ -67,7 +56,7 @@ def newton2d(
             step = 1.0
             for _ in range(_MAX_BACKTRACKS + 1):
                 nx, ny = x + step * dx, y + step * dy
-                n1, n2, nm = bounded(nx, ny, merit)
+                n1, n2, nm = fun(nx, ny)
                 if nm < merit:
                     nj = jac(nx, ny)
                     if nj[0] * nj[3] - nj[1] * nj[2] > 0.0:
@@ -77,9 +66,9 @@ def newton2d(
                         break
                 step *= 0.5
         if stalled:
-            if restarts or (reseed := fallback()) is None:
+            if restarts:
                 break
-            x, y = reseed
+            x, y = fallback()
             restarts = 1
             g1, g2, merit = fun(x, y)
             j11, j12, j21, j22 = jac(x, y)

@@ -14,7 +14,10 @@ each reads 1.00.  Then come the offset jobs of both workloads, one row
 each, answers and errors together: most of them stall far from the
 origin, so their rings are mostly those of Newton's stall fallback, the
 KKM zoom, and these rows move with the fallback rather than with a
-method or a share, but they too repeat exactly at a fixed commit.  Then
+method or a share, but they too repeat exactly at a fixed commit.  A line
+after them names the costliest offset job of each workload, its index
+among the workload's jobs, its rings and whether it answered, so that a
+zoom that runs long on one job shows without a probe of its own.  Then
 the `kkm` row: the calls per `solve_kkm` on the acute and right core
 triangles among the first N triangle jobs, each built before its count
 starts, so its scale scans read 0.00.  Last, the `forced` rows: Newton
@@ -99,17 +102,24 @@ def clips_by_fan_share(count: int) -> dict[str, tuple[int, int, int, int]]:
     return _counts(jobs, solve)
 
 
-def clips_of_offset_jobs(count: int) -> dict[str, tuple[int, int, int, int]]:
-    """workload -> (offset jobs, ring, clip and scale-scan calls) over the offset jobs among the first
-    `count` jobs of `triangles(4)` and of `fans(5)`, answers and errors together."""
-    def answer(job) -> str:
-        run(parse_spec(job.text))
-        return "answer"
+def clips_of_offset_jobs(count: int) -> dict[str, tuple[tuple[int, int, int, int], tuple[int, int, str]]]:
+    """workload -> ((offset jobs, ring, clip and scale-scan calls), (index, rings, outcome) of its
+    costliest job) over the offset jobs among the first `count` jobs of `triangles(4)` and of
+    `fans(5)`, answers and errors together; the index counts every job of the workload."""
+    def solve(item) -> tuple[int, str]:
+        index, job = item
+        try:
+            run(parse_spec(job.text))
+        except part.SolverError:
+            return index, "error"
+        return index, "answer"
 
     out = {}
     for name, jobs in (("triangles", workloads.triangles(4)), ("fans", workloads.fans(5))):
-        rows = _counts((job for job in itertools.islice(jobs, count) if job.share == "offset"), answer)
-        out[name] = tuple(map(sum, zip(*rows.values()))) or (0, 0, 0, 0)
+        offset = ((i, job) for i, job in enumerate(itertools.islice(jobs, count)) if job.share == "offset")
+        rows = _counts(offset, solve)
+        (index, outcome), row = max(rows.items(), key=lambda item: item[1][1], default=((-1, "none"), (0, 0, 0, 0)))
+        out[name] = (tuple(map(sum, zip(*rows.values()))) or (0, 0, 0, 0), (index, row[1], outcome))
     return out
 
 
@@ -201,8 +211,11 @@ def main(argv=None) -> int:
     print(f"_sector_ring, _clip and _coord_scale calls per core and hard job of the first {args.jobs} fans(5) jobs, by share")
     _print_counts(clips_by_fan_share(args.jobs))
     print(f"_sector_ring, _clip and _coord_scale calls per offset job of the first {args.jobs} jobs of each, answers and errors together")
-    for name, row in clips_of_offset_jobs(args.jobs).items():
+    costliest = []
+    for name, (row, (index, rings, outcome)) in clips_of_offset_jobs(args.jobs).items():
         _print_row(name, *row)
+        costliest.append(f"{name} job {index}: {rings} rings, {outcome}")
+    print("costliest offset job of each:", "; ".join(costliest))
     print(f"_sector_ring, _clip and _coord_scale calls per solve_kkm on the acute and right core triangles of the first {args.jobs} triangles(4) jobs")
     _print_row("kkm", *clips_of_kkm(args.jobs))
     print(f"Newton seeded 50 diameters out: interior core triangles of the first {args.jobs} triangles(4) jobs, "
